@@ -41,12 +41,7 @@ from .parser import (
 from .plans import model_atom_names, render_plan_view, to_plan_view
 from .solve import SolveConfig, Stats, enumerate_models, solve_incremental
 from .syntax import LangError
-from .translate import (
-    IncrementalProgram,
-    PropProgram,
-    incremental_program,
-    to_prop,
-)
+from .translate import IncrementalProgram, PropProgram, incremental_program
 
 STAGES = ("pre-processor", "grounder", "solver", "post-processor")
 
@@ -179,9 +174,12 @@ def parse_args(argv: list[str]) -> tuple[RunConfig, list[str]]:
 # ---------------------------------------------------------------------------
 # Stage plumbing
 
-def _emit(cfg: RunConfig, stage: str, text: str, out) -> None:
+def _emit(cfg: RunConfig, stage: str, render, out) -> None:
+    """Writes render()'s text where the stage's payload goes, if anywhere;
+    render runs only for a stage whose payload was asked for."""
     if stage not in cfg.stage_outputs:
         return
+    text = render()
     target = cfg.stage_outputs[stage]
     if target is None:
         out.write(text)
@@ -232,14 +230,15 @@ def _run_query(
     q = _apply_range(query, ov, need_bound=solving)
     config = _solve_config(ov)
 
+    t0 = time.perf_counter()
+    if pre_inc is not None:
+        inc = dataclasses.replace(pre_inc, min_step=q.min_step, max_step=q.max_step)
+    else:
+        inc = incremental_program(gls, q)
+    timings["grounder"] = timings.get("grounder", 0.0) + time.perf_counter() - t0
+
     if cfg.mode == "incremental":
-        t0 = time.perf_counter()
-        if pre_inc is not None:
-            inc = dataclasses.replace(pre_inc, min_step=q.min_step, max_step=q.max_step)
-        else:
-            inc = incremental_program(gls, q)
-        timings["grounder"] = timings.get("grounder", 0.0) + time.perf_counter() - t0
-        _emit(cfg, "grounder", export_incremental(inc), out)
+        _emit(cfg, "grounder", lambda: export_incremental(inc), out)
         if STAGES.index(cfg.stage_to) < STAGES.index("solver"):
             return Outcome(q.label, None, [], q.min_step, q.max_step)
         t0 = time.perf_counter()
@@ -248,7 +247,7 @@ def _run_query(
         solved = [(res.found_step, res.models)] if res.models else []
         return Outcome(q.label, res.found_step, solved, q.min_step, q.max_step)
 
-    # static mode: one full program per horizon
+    # static mode: one full program per horizon, cut from the template
     stats = Stats()
     solved = []
     found = None
@@ -256,10 +255,10 @@ def _run_query(
     k = q.min_step
     while True:
         t0 = time.perf_counter()
-        prog = to_prop(gls, k, q)
+        prog = inc.program(k)
         timings["grounder"] = timings.get("grounder", 0.0) + time.perf_counter() - t0
         if not emitted:
-            _emit(cfg, "grounder", export_prop(prog), out)
+            _emit(cfg, "grounder", lambda: export_prop(prog), out)
             emitted = True
         if STAGES.index(cfg.stage_to) < STAGES.index("solver"):
             return Outcome(q.label, None, [], q.min_step, q.max_step)
@@ -334,7 +333,7 @@ def _finish_query(
     gls, outcome: Outcome, cfg: RunConfig, timings: dict, out, err, quiet: bool
 ) -> int:
     """Solver and post-processor payloads, then the summary."""
-    _emit(cfg, "solver", _model_lines(outcome, gls), out)
+    _emit(cfg, "solver", lambda: _model_lines(outcome, gls), out)
     if STAGES.index(cfg.stage_to) >= STAGES.index("post-processor"):
         t0 = time.perf_counter()
         text = _plan_text(outcome, gls)
@@ -345,7 +344,7 @@ def _finish_query(
             out.write(text)
         # stdout already has the plans; only a named file needs a copy
         if cfg.stage_outputs.get("post-processor") is not None:
-            _emit(cfg, "post-processor", text, out)
+            _emit(cfg, "post-processor", lambda: text, out)
     summary_to = out if cfg.stage_to == "post-processor" else err
     for line in _summary_lines(outcome, cfg):
         print(line, file=summary_to)
@@ -453,7 +452,7 @@ def _load(cfg: RunConfig, timings: dict):
 def _run(cfg: RunConfig, out, err, repl_source) -> int:
     timings: dict[str, float] = {}
     gls, pre = _load(cfg, timings)
-    _emit(cfg, "pre-processor", export_ground(gls), out)
+    _emit(cfg, "pre-processor", lambda: export_ground(gls), out)
     if cfg.stage_to == "pre-processor":
         return 0
 

@@ -1,20 +1,14 @@
 """Dumps and readers for the intermediate program forms.
 
-Two flavors:
-
-* ``native``: a line-oriented format that round-trips losslessly (up to id
-  interning).  Header lines declare the constants with their domains; every
-  rule or law is one line, formulas fully parenthesized; a final ``#end.``
-  line guards against truncation.
-* ``asp-normal``: a best-effort rendering of the normal-rule fragment in
-  conventional logic-program syntax, one atom name per timed constant/value
-  pair.  Rules whose bodies are not conjunctions of literals are rejected.
+One line-oriented format that round-trips losslessly (up to id
+interning).  Header lines declare the constants with their domains; every
+rule or law is one line, formulas fully parenthesized; a final ``#end.``
+line guards against truncation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import mvpf
 from .ground import GroundLaw, GroundLawSet, GroundQuery, SymbolTable
@@ -28,7 +22,6 @@ from .translate import (
     TemplateRule,
     _timed_consts,
     formula_leaves,
-    query_rules,
 )
 
 
@@ -42,21 +35,6 @@ class FormatError(ExportError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
-
-
-class OutsideNormalFragment(ExportError):
-    """The program does not fit the normal-rule fragment."""
-
-    def __init__(self, rule_id: int, message: str):
-        self.rule_id = rule_id
-        super().__init__(f"rule {rule_id}: {message}")
-
-
-@dataclass(frozen=True)
-class ExportProfile:
-    flavor: str = "native"  # "native" or "asp-normal"
-    include_uec: bool = True
-    symbol_table: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +126,7 @@ def _query_lines(q: GroundQuery, symbols: SymbolTable) -> list[str]:
     return lines
 
 
-def export_ground(gls: GroundLawSet, profile: ExportProfile = ExportProfile()) -> str:
-    if profile.flavor != "native":
-        raise ExportError("ground laws only have a native form")
+def export_ground(gls: GroundLawSet) -> str:
     leaf = _mv_leaf(gls.symbols)
     out = ["#format ground-laws 1."]
     out.extend(_const_lines(gls.symbols))
@@ -171,26 +147,17 @@ def _rule_line(rule: PropRule, leaf) -> str:
     return f"#rule {rule.tag} {head} <- {_fmt(rule.body, leaf)}."
 
 
-def export_prop(prog: PropProgram, profile: ExportProfile = ExportProfile()) -> str:
-    if profile.flavor == "asp-normal":
-        return _export_normal_prop(prog, profile)
+def export_prop(prog: PropProgram) -> str:
     symbols = prog.gls.symbols
     leaf = _timed_leaf(symbols)
     out = ["#format prop-program 1.", f"#horizon {prog.horizon}."]
     out.extend(_const_lines(symbols))
-    for rule in prog.rules:
-        if not profile.include_uec and rule.tag.startswith("uec-"):
-            continue
-        out.append(_rule_line(rule, leaf))
+    out.extend(_rule_line(rule, leaf) for rule in prog.rules)
     out.append("#end.")
     return "\n".join(out) + "\n"
 
 
-def export_incremental(
-    inc: IncrementalProgram, profile: ExportProfile = ExportProfile()
-) -> str:
-    if profile.flavor == "asp-normal":
-        return _export_normal_incremental(inc, profile)
+def export_incremental(inc: IncrementalProgram) -> str:
     symbols = inc.gls.symbols
     tleaf = _timed_leaf(symbols)
     hi = "inf" if inc.max_step is None else str(inc.max_step)
@@ -201,15 +168,10 @@ def export_incremental(
     ]
     out.extend(_const_lines(symbols))
     out.append("#section base.")
-    for rule in inc.base:
-        if not profile.include_uec and rule.tag.startswith("uec-"):
-            continue
-        out.append(_rule_line(rule, tleaf))
+    out.extend(_rule_line(rule, tleaf) for rule in inc.base)
     out.append("#section cumulative.")
     sleaf = _template_leaf(symbols)
     for rule in inc.template:
-        if not profile.include_uec and rule.tag.startswith("uec-"):
-            continue
         head = "false" if rule.head is None else sleaf(rule.head)
         out.append(f"#rule {rule.tag} {head} <- {_fmt(rule.body, sleaf)}.")
     out.append("#section volatile.")
@@ -637,305 +599,3 @@ def sniff_format(text: str) -> str:
             raise FormatError(lineno, "missing #format header")
         return ln.take_word()
     raise FormatError(1, "empty file")
-
-
-# ---------------------------------------------------------------------------
-# asp-normal writer
-
-_TRUE = ("true",)
-_FALSE = ("false",)
-
-
-def _fold(f):
-    """Classical constant folding; sound for stable models too."""
-    if isinstance(f, mvpf.Bot):
-        return _FALSE
-    if isinstance(f, mvpf.Neg):
-        s = _fold(f.sub)
-        if s is _TRUE:
-            return _FALSE
-        if s is _FALSE:
-            return _TRUE
-        return mvpf.Neg(s)
-    if isinstance(f, mvpf.And):
-        a, b = _fold(f.left), _fold(f.right)
-        if a is _FALSE or b is _FALSE:
-            return _FALSE
-        if a is _TRUE:
-            return b
-        if b is _TRUE:
-            return a
-        return mvpf.And(a, b)
-    if isinstance(f, mvpf.Or):
-        a, b = _fold(f.left), _fold(f.right)
-        if a is _TRUE or b is _TRUE:
-            return _TRUE
-        if a is _FALSE:
-            return b
-        if b is _FALSE:
-            return a
-        return mvpf.Or(a, b)
-    if isinstance(f, mvpf.Impl):
-        a, b = _fold(f.left), _fold(f.right)
-        if a is _FALSE or b is _TRUE:
-            return _TRUE
-        if a is _TRUE:
-            return b
-        if b is _FALSE:
-            return mvpf.Neg(a) if a is not _TRUE else _FALSE
-        return mvpf.Impl(a, b)
-    return f
-
-
-def _conjuncts(f) -> list:
-    if isinstance(f, mvpf.And):
-        return _conjuncts(f.left) + _conjuncts(f.right)
-    return [f]
-
-
-def _sanitize(s: str) -> str:
-    out = re.sub(r"[^A-Za-z0-9]+", "_", s).strip("_")
-    return out or "x"
-
-
-class _Namer:
-    def __init__(self, symbols: SymbolTable):
-        self.symbols = symbols
-        self.names: dict[PAtom, str] = {}
-        self.taken: set[str] = set()
-
-    def name(self, atom: PAtom) -> str:
-        got = self.names.get(atom)
-        if got is not None:
-            return got
-        gc = self.symbols.by_id[atom.const]
-        base = (
-            f"{_sanitize(gc.name)}_"
-            f"{_sanitize(self.symbols.value_label(atom.value))}_{atom.step}"
-        )
-        if not base[0].islower():
-            base = "a" + base
-        name, n = base, 1
-        while name in self.taken:
-            n += 1
-            name = f"{base}_{n}"
-        self.taken.add(name)
-        self.names[atom] = name
-        return name
-
-    def mapping_lines(self) -> list[str]:
-        rows = sorted(
-            (a.step, a.const, a.value, name) for a, name in self.names.items()
-        )
-        out = ["% atoms:"]
-        for step, cid, vid, name in rows:
-            gc = self.symbols.by_id[cid]
-            label = self.symbols.value_label(vid)
-            out.append(f"%   {name} = {step}:{gc.name}={label}")
-        return out
-
-
-def _literal(f, namer: _Namer, rule_id: int) -> str:
-    depth = 0
-    while isinstance(f, mvpf.Neg):
-        depth += 1
-        f = f.sub
-    if depth > 2:
-        raise OutsideNormalFragment(rule_id, "more than two negations on a literal")
-    if not isinstance(f, PAtom):
-        raise OutsideNormalFragment(rule_id, "body is not a conjunction of literals")
-    return "not " * depth + namer.name(f)
-
-
-def _normal_rule_lines(
-    rules: list[PropRule], namer: _Namer, profile: ExportProfile, start_id: int = 0
-) -> list[str]:
-    out = []
-    for i, rule in enumerate(rules, start=start_id):
-        if not profile.include_uec and rule.tag.startswith("uec-"):
-            continue
-        if rule.tag == "uec-exists":
-            # one value must hold: a disjunction over the domain
-            inner = rule.body
-            assert isinstance(inner, mvpf.Neg)
-            atoms = [namer.name(a) for a in _disjuncts(inner.sub, i)]
-            out.append(" ; ".join(atoms) + ".")
-            continue
-        body = _fold(rule.body)
-        if body is _FALSE:
-            continue  # vacuous
-        if body is _TRUE:
-            if rule.head is None:
-                raise OutsideNormalFragment(i, "constraint with an empty body")
-            out.append(namer.name(rule.head) + ".")
-            continue
-        lits = [_literal(c, namer, i) for c in _conjuncts(body)]
-        if rule.head is None:
-            out.append(":- " + ", ".join(lits) + ".")
-        else:
-            out.append(namer.name(rule.head) + " :- " + ", ".join(lits) + ".")
-    return out
-
-
-def _disjuncts(f, rule_id: int) -> list[PAtom]:
-    if isinstance(f, mvpf.Or):
-        return _disjuncts(f.left, rule_id) + _disjuncts(f.right, rule_id)
-    if not isinstance(f, PAtom):
-        raise OutsideNormalFragment(rule_id, "existence rule over non-atoms")
-    return [f]
-
-
-@dataclass
-class NormalExport:
-    text: str
-    atom_names: dict[PAtom, str]
-
-
-def normal_export(
-    prog: PropProgram, profile: ExportProfile = ExportProfile(flavor="asp-normal")
-) -> NormalExport:
-    namer = _Namer(prog.gls.symbols)
-    lines = _normal_rule_lines(list(prog.rules), namer, profile)
-    out = ["% format: asp-normal 1"]
-    if profile.symbol_table:
-        out.extend(namer.mapping_lines())
-    out.extend(lines)
-    return NormalExport("\n".join(out) + "\n", dict(namer.names))
-
-
-def _export_normal_prop(prog: PropProgram, profile: ExportProfile) -> str:
-    return normal_export(prog, profile).text
-
-
-def _export_normal_incremental(inc: IncrementalProgram, profile: ExportProfile) -> str:
-    """Grounds the program out to its bound; sections label the origin."""
-    if inc.max_step is None:
-        raise ExportError("cannot ground an unbounded incremental program")
-    namer = _Namer(inc.gls.symbols)
-    sections: list[tuple[str, list[str]]] = []
-    rid = 0
-    lines = _normal_rule_lines(inc.base, namer, profile, rid)
-    rid += len(inc.base)
-    sections.append(("base", lines))
-    for t in range(max(inc.min_step, 1), inc.max_step + 1):
-        step = inc.step_rules(t)
-        sections.append(
-            (f"cumulative t={t}", _normal_rule_lines(step, namer, profile, rid))
-        )
-        rid += len(step)
-    volatile = query_rules(inc.query, inc.gls, inc.max_step)
-    sections.append(
-        (
-            f"volatile k={inc.max_step}",
-            _normal_rule_lines(volatile, namer, profile, rid),
-        )
-    )
-    out = ["% format: asp-normal 1"]
-    if profile.symbol_table:
-        out.extend(namer.mapping_lines())
-    for title, lines in sections:
-        out.append(f"% section: {title}")
-        out.extend(lines)
-    return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Normal-rule reader (exact inverse of the asp-normal writer)
-
-_NORMAL_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*")
-
-
-class _NormalLine:
-    def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.pos = 0
-        self.lineno = lineno
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eat(self, s: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def atom(self) -> str:
-        self.skip_ws()
-        m = _NORMAL_ATOM.match(self.text, self.pos)
-        if not m:
-            raise FormatError(self.lineno, f"expected an atom at {self.text[self.pos:]!r}")
-        self.pos = m.end()
-        return m.group()
-
-    def literal(self):
-        depth = 0
-        while self.eat("not "):
-            depth += 1
-        if depth > 2:
-            raise FormatError(self.lineno, "more than two negations")
-        a = self.atom()
-        f = a
-        for _ in range(depth):
-            f = mvpf.Neg(f)
-        return f
-
-
-def import_normal(text: str) -> tuple[list[PropRule], list[str]]:
-    """Reads asp-normal text into rules over plain string atoms."""
-    rules: list[PropRule] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        if not line.endswith("."):
-            raise FormatError(lineno, "missing final period")
-        ln = _NormalLine(line[:-1], lineno)
-        ln.skip_ws()
-        if ln.eat(":-"):
-            rules.append(PropRule(None, _read_normal_body(ln), "constraint"))
-        else:
-            head = ln.atom()
-            if ln.eat(";"):
-                disj = [head, ln.atom()]
-                while ln.eat(";"):
-                    disj.append(ln.atom())
-                rules.append(PropRule(None, mvpf.Neg(_fold_or(disj)), "uec-exists"))
-            elif ln.eat(":-"):
-                rules.append(PropRule(head, _read_normal_body(ln), "normal"))
-            else:
-                rules.append(PropRule(head, mvpf.TOP, "fact"))
-        ln.skip_ws()
-        if ln.pos != len(ln.text):
-            raise FormatError(lineno, f"trailing text {ln.text[ln.pos:]!r}")
-    atoms: set[str] = set()
-    for rule in rules:
-        atoms.update(_string_leaves(rule))
-    return rules, sorted(atoms)
-
-
-def _read_normal_body(ln: _NormalLine):
-    lits = [ln.literal()]
-    while ln.eat(","):
-        lits.append(ln.literal())
-    body = lits[0]
-    for lit in lits[1:]:
-        body = mvpf.And(body, lit)
-    return body
-
-
-def _fold_or(names: list[str]):
-    f = names[-1]
-    for name in reversed(names[:-1]):
-        f = mvpf.Or(name, f)
-    return f
-
-
-def _string_leaves(rule: PropRule):
-    if rule.head is not None:
-        yield rule.head
-    for leaf in formula_leaves(rule.body):
-        if isinstance(leaf, str):
-            yield leaf

@@ -34,8 +34,8 @@ from .translate import (
     PropRule,
     TimedConst,
     UnboundedRange,
+    incremental_program,
     rule_formula,
-    to_prop,
 )
 
 
@@ -45,7 +45,6 @@ class Stats:
     steps_grounded: int = 0
     propagations: int = 0
     models_checked: int = 0
-    learned_units: int = 0
 
 
 @dataclass
@@ -81,8 +80,7 @@ def peval(f, model: frozenset) -> bool:
         return peval(f.left, model) or peval(f.right, model)
     if isinstance(f, mvpf.Impl):
         return not peval(f.left, model) or peval(f.right, model)
-    # anything else is an atom; PAtoms and plain strings both occur
-    return f in model
+    return f in model  # anything else is an atom
 
 
 def preduct(f, model: frozenset):
@@ -386,7 +384,6 @@ def enumerate_models(
     stats: Stats,
     extra_atoms: list[PAtom] | None = None,
     support: bool = True,
-    learned: list[tuple[PAtom, bool]] | None = None,
 ):
     """Yields stable models.  groups gives the one-value-per-constant
     structure used for branching; without it every atom is branched on
@@ -412,9 +409,6 @@ def enumerate_models(
         builder.add_rule(r)
     if support:
         builder.add_support_clauses(rules, atom_universe)
-    if learned:
-        for a, truth in learned:
-            builder.clauses.append([builder.var_of[a] if truth else -builder.var_of[a]])
 
     solver = Dpll(builder.nvars, builder.clauses, stats)
     if not solver.ok or not solver.propagate():
@@ -506,46 +500,8 @@ def enumerate_models(
                 return
 
 
-def _persistent_units(
-    rules: list[PropRule], groups: list[TimedConst], known: dict[PAtom, bool]
-) -> list[tuple[PAtom, bool]]:
-    """Top-level consequences of the accumulated (volatile-free) program.
-
-    Unit propagation only; anything it fixes holds in every extension of
-    the program, so the literals can be asserted at later horizons too.
-    """
-    builder = CnfBuilder()
-    for tc in groups:
-        for a in tc.values:
-            builder.atom_var(a)
-    for r in rules:
-        builder.add_rule(r)
-    builder.add_support_clauses(rules, [a for tc in groups for a in tc.values])
-    for a, truth in known.items():
-        builder.clauses.append([builder.var_of[a] if truth else -builder.var_of[a]])
-    throwaway = Stats()
-    solver = Dpll(builder.nvars, builder.clauses, throwaway)
-    if not solver.ok or not solver.propagate():
-        return []  # the horizon is already dead; the search will notice
-    out = []
-    for a, v in builder.var_of.items():
-        truth = solver.assign[v]
-        if truth != 0 and a not in known:
-            out.append((a, truth == 1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Drivers
-
-def _collect(program_rules, groups, config, stats, learned=None):
-    models = []
-    for m in enumerate_models(
-        program_rules, groups, config, stats, learned=learned
-    ):
-        models.append(m)
-    return models
-
 
 def solve_incremental(inc: IncrementalProgram, config: SolveConfig) -> SolveResult:
     if inc.max_step is None:
@@ -555,7 +511,6 @@ def solve_incremental(inc: IncrementalProgram, config: SolveConfig) -> SolveResu
     stats = Stats()
     persistent: list[PropRule] = []
     instantiated: set[int] = set()
-    known_units: dict[PAtom, bool] = {}
     grounded_to = -1
 
     k = inc.min_step
@@ -574,16 +529,11 @@ def solve_incremental(inc: IncrementalProgram, config: SolveConfig) -> SolveResu
             grounded_to = t
         stats.steps_grounded += 1
 
-        groups = inc.timed_consts(k)
-        fresh = _persistent_units(persistent, groups, known_units)
-        for a, truth in fresh:
-            known_units[a] = truth
-        stats.learned_units += len(fresh)
-
         volatile = inc.query_rules_at(k)
         stats.grounded_rules += len(volatile)
-        learned = list(known_units.items())
-        models = _collect(persistent + volatile, groups, config, stats, learned)
+        models = list(
+            enumerate_models(persistent + volatile, inc.timed_consts(k), config, stats)
+        )
         if models:
             return SolveResult(k, models, stats)
         if inc.max_step is not None and k >= inc.max_step:
@@ -592,18 +542,21 @@ def solve_incremental(inc: IncrementalProgram, config: SolveConfig) -> SolveResu
 
 
 def solve_static(gls, query, config: SolveConfig) -> SolveResult:
-    """Rebuilds the whole program from scratch at every horizon."""
+    """Rebuilds the whole program from the template at every horizon."""
     if query.max_step is None:
         raise UnboundedRange(
             "no upper step bound; set maxstep explicitly", NO_SPAN
         )
     stats = Stats()
+    inc = incremental_program(gls, query)
     k = query.min_step
     while True:
-        program: PropProgram = to_prop(gls, k, query)
+        program: PropProgram = inc.program(k)
         stats.grounded_rules += len(program.rules)
         stats.steps_grounded += 1
-        models = _collect(program.rules, program.timed_consts, config, stats)
+        models = list(
+            enumerate_models(program.rules, program.timed_consts, config, stats)
+        )
         if models:
             return SolveResult(k, models, stats)
         if query.max_step is not None and k >= query.max_step:

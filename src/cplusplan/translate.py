@@ -8,6 +8,11 @@ them rather than trusting either implementation alone:
 * a propositional program over one atom per timed constant/value pair,
   fed to the search in :mod:`cplusplan.solve` (fast).
 
+The propositional program has one construction, the incremental one:
+base rules for step 0, a per-step template of cumulative rules, and the
+volatile query constraints.  The whole-horizon program for a fixed m is
+the base, the template placed at steps 1..m, and the query at m.
+
 Fluent constants live at steps 0..m, action constants at 0..m-1.  Laws
 become rules with the condition part double-negated, which keeps every
 rule head free of circular justification except through the previous
@@ -91,16 +96,13 @@ def rule_formula(rule: PropRule):
 
 def map_leaves(f, fn):
     """Rebuild a connective tree, applying fn to every non-connective leaf."""
-    if isinstance(f, mvpf.Bot):
-        return f
-    if isinstance(f, mvpf.Neg):
+    cls = type(f)
+    if cls is mvpf.Neg:
         return mvpf.Neg(map_leaves(f.sub, fn))
-    if isinstance(f, mvpf.And):
-        return mvpf.And(map_leaves(f.left, fn), map_leaves(f.right, fn))
-    if isinstance(f, mvpf.Or):
-        return mvpf.Or(map_leaves(f.left, fn), map_leaves(f.right, fn))
-    if isinstance(f, mvpf.Impl):
-        return mvpf.Impl(map_leaves(f.left, fn), map_leaves(f.right, fn))
+    if cls is mvpf.And or cls is mvpf.Or or cls is mvpf.Impl:
+        return cls(map_leaves(f.left, fn), map_leaves(f.right, fn))
+    if cls is mvpf.Bot:
+        return f
     return fn(f)
 
 
@@ -117,22 +119,12 @@ def formula_leaves(f):
             yield g
 
 
-def _rule_atoms(rule):
-    if rule.head is not None:
-        yield rule.head
-    yield from formula_leaves(rule.body)
-
-
 def at_step(f, step: int):
     return map_leaves(f, lambda a: PAtom(step, a.const, a.value))
 
 
 def at_rel(f, rel: int):
     return map_leaves(f, lambda a: TAtom(rel, a.const, a.value))
-
-
-def instantiate(f, step: int):
-    return map_leaves(f, lambda a: PAtom(step + a.rel, a.const, a.value))
 
 
 # ---------------------------------------------------------------------------
@@ -181,45 +173,6 @@ def _check_domains(gls: GroundLawSet) -> None:
             )
 
 
-def _uec_rules(tc: TimedConst) -> list[PropRule]:
-    rules = []
-    vals = tc.values
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            rules.append(PropRule(None, mvpf.And(vals[i], vals[j]), "uec-unique"))
-    rules.append(PropRule(None, mvpf.Neg(mvpf.disj_all(list(vals))), "uec-exists"))
-    return rules
-
-
-def _static_rules_at(gls: GroundLawSet, step: int) -> list[PropRule]:
-    out = []
-    for law in gls.static:
-        head = None if law.head is None else PAtom(step, *law.head)
-        out.append(PropRule(head, mvpf.Neg(mvpf.Neg(at_step(law.cond, step))), "static"))
-    return out
-
-
-def _action_rules_at(gls: GroundLawSet, step: int) -> list[PropRule]:
-    out = []
-    for law in gls.action_dynamic:
-        head = None if law.head is None else PAtom(step, *law.head)
-        out.append(PropRule(head, mvpf.Neg(mvpf.Neg(at_step(law.cond, step))), "action"))
-    return out
-
-
-def _transition_rules_at(gls: GroundLawSet, step: int) -> list[PropRule]:
-    # the law `caused F if G after H` fires at `step` from `step - 1`
-    out = []
-    for law in gls.fluent_dynamic:
-        head = None if law.head is None else PAtom(step, *law.head)
-        body = mvpf.And(
-            mvpf.Neg(mvpf.Neg(at_step(law.cond, step))),
-            at_step(law.after, step - 1),
-        )
-        out.append(PropRule(head, body, "transition"))
-    return out
-
-
 def _choice_rules(gls: GroundLawSet) -> list[PropRule]:
     out = []
     simple = set(gls.simple_fluent_ids())
@@ -237,48 +190,62 @@ def _mentions_action(f, gls: GroundLawSet) -> bool:
     return any(leaf.const in actions for leaf in formula_leaves(f))
 
 
+def _query_step(query: GroundQuery, tref: TimeRef, f, gls: GroundLawSet, m: int) -> int:
+    """The step a query line lands on at horizon m; raises when out of range."""
+    step = tref.resolve(m)
+    is_action = _mentions_action(f, gls)
+    limit = m - 1 if is_action else m
+    if step < 0 or step > limit:
+        what = "action" if is_action else "fluent"
+        detail = (
+            f"step {step} is out of range 0..{limit} for a {what} "
+            f"condition at horizon {m}"
+        )
+        if is_action and step == m:
+            detail += " (actions do not exist at the final step)"
+        raise QueryStepOutOfRange(f"query '{query.label}': {detail}", NO_SPAN)
+    return step
+
+
 def query_rules(query: GroundQuery, gls: GroundLawSet, m: int) -> list[PropRule]:
-    out = []
-    for tref, f in query.lines:
-        step = tref.resolve(m)
-        is_action = _mentions_action(f, gls)
-        limit = m - 1 if is_action else m
-        if step < 0 or step > limit:
-            what = "action" if is_action else "fluent"
-            detail = (
-                f"step {step} is out of range 0..{limit} for a {what} "
-                f"condition at horizon {m}"
-            )
-            if is_action and step == m:
-                detail += " (actions do not exist at the final step)"
-            raise QueryStepOutOfRange(f"query '{query.label}': {detail}", NO_SPAN)
-        out.append(PropRule(None, mvpf.Neg(at_step(f, step)), "query"))
-    return out
+    return [
+        PropRule(None, mvpf.Neg(at_step(f, _query_step(query, tref, f, gls, m))), "query")
+        for tref, f in query.lines
+    ]
 
 
 def to_prop(gls: GroundLawSet, m: int, query: GroundQuery | None = None) -> PropProgram:
-    """Whole-horizon propositional program for steps 0..m."""
-    if m < 0:
-        raise TranslateError(f"horizon must be at least 0, got {m}", NO_SPAN)
-    _check_domains(gls)
-    tcs = _timed_consts(gls, m)
-    rules: list[PropRule] = []
-    for tc in tcs:
-        rules.extend(_uec_rules(tc))
-    rules.extend(_choice_rules(gls))
-    for step in range(m + 1):
-        rules.extend(_static_rules_at(gls, step))
-    for step in range(m):
-        rules.extend(_action_rules_at(gls, step))
-    for step in range(1, m + 1):
-        rules.extend(_transition_rules_at(gls, step))
-    if query is not None:
-        rules.extend(query_rules(query, gls, m))
-    return PropProgram(m, rules, tcs, gls)
+    """Whole-horizon propositional program for steps 0..m.
+
+    Cut from the incremental template: the base rules, the step rules for
+    1..m and the query constraints at m (see IncrementalProgram.program).
+    A caller that translates one query at several horizons should build
+    incremental_program once and call its program method per horizon.
+    """
+    if query is None:
+        query = GroundQuery("", 0, None, ())
+    return incremental_program(gls, query).program(m)
 
 
 # ---------------------------------------------------------------------------
 # Incremental program
+
+def _instantiate(template: list[TemplateRule], t: int) -> list[PropRule]:
+    """The template rules placed at step t."""
+
+    def place(a: TAtom) -> PAtom:
+        step = t + a.rel
+        # Cumulative rules for step t may only mention steps 0..t; anything
+        # later would let a later increment retroactively change this one.
+        assert 0 <= step <= t, f"rule at step {t} mentions step {step}: {a}"
+        return PAtom(step, a.const, a.value)
+
+    out = []
+    for r in template:
+        head = None if r.head is None else place(r.head)
+        out.append(PropRule(head, map_leaves(r.body, place), r.tag))
+    return out
+
 
 @dataclass
 class IncrementalProgram:
@@ -301,22 +268,7 @@ class IncrementalProgram:
     def step_rules(self, t: int) -> list[PropRule]:
         if t < 1:
             raise TranslateError(f"step rules start at 1, got {t}", NO_SPAN)
-        rules = [
-            PropRule(
-                None if r.head is None else PAtom(t + r.head.rel, r.head.const, r.head.value),
-                instantiate(r.body, t),
-                r.tag,
-            )
-            for r in self.template
-        ]
-        # Cumulative rules for step t may only mention steps 0..t; anything
-        # later would let a later increment retroactively change this one.
-        for rule in rules:
-            for atom in _rule_atoms(rule):
-                assert 0 <= atom.step <= t, (
-                    f"rule at step {t} mentions step {atom.step}: {rule.tag}"
-                )
-        return rules
+        return _instantiate(self.template, t)
 
     def query_rules_at(self, t: int) -> list[PropRule]:
         return query_rules(self.query, self.gls, t)
@@ -324,38 +276,49 @@ class IncrementalProgram:
     def timed_consts(self, m: int) -> list[TimedConst]:
         return _timed_consts(self.gls, m)
 
+    def program(self, m: int) -> PropProgram:
+        """The whole-horizon program: base, step rules 1..m, query at m."""
+        if m < 0:
+            raise TranslateError(f"horizon must be at least 0, got {m}", NO_SPAN)
+        rules = list(self.base)
+        for t in range(1, m + 1):
+            rules.extend(self.step_rules(t))
+        rules.extend(self.query_rules_at(m))
+        return PropProgram(m, rules, self.timed_consts(m), self.gls)
+
 
 def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalProgram:
     _check_domains(gls)
-    base: list[PropRule] = []
-    for tc in _timed_consts(gls, 0):
-        base.extend(_uec_rules(tc))
-    base.extend(_choice_rules(gls))
-    base.extend(_static_rules_at(gls, 0))
-
     template: list[TemplateRule] = []
+    fluent_uec: list[TemplateRule] = []
     actions = set(gls.action_ids())
     for gc in gls.symbols.order:
         rel = -1 if gc.cid in actions else 0
         atoms = tuple(TAtom(rel, gc.cid, v) for v in gc.dom)
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                template.append(
-                    TemplateRule(None, mvpf.And(atoms[i], atoms[j]), "uec-unique")
-                )
-        template.append(
-            TemplateRule(None, mvpf.Neg(mvpf.disj_all(list(atoms))), "uec-exists")
+        uec = [
+            TemplateRule(None, mvpf.And(atoms[i], atoms[j]), "uec-unique")
+            for i in range(len(atoms))
+            for j in range(i + 1, len(atoms))
+        ]
+        uec.append(TemplateRule(None, mvpf.Neg(mvpf.disj_all(list(atoms))), "uec-exists"))
+        template.extend(uec)
+        if rel == 0:
+            fluent_uec.extend(uec)
+    static = [
+        TemplateRule(
+            None if law.head is None else TAtom(0, *law.head),
+            mvpf.Neg(mvpf.Neg(at_rel(law.cond, 0))),
+            "static",
         )
-    for law in gls.static:
-        head = None if law.head is None else TAtom(0, *law.head)
-        template.append(
-            TemplateRule(head, mvpf.Neg(mvpf.Neg(at_rel(law.cond, 0))), "static")
-        )
+        for law in gls.static
+    ]
+    template.extend(static)
     for law in gls.action_dynamic:
         head = None if law.head is None else TAtom(-1, *law.head)
         template.append(
             TemplateRule(head, mvpf.Neg(mvpf.Neg(at_rel(law.cond, -1))), "action")
         )
+    # the law `caused F if G after H` fires at t from t-1
     for law in gls.fluent_dynamic:
         head = None if law.head is None else TAtom(0, *law.head)
         body = mvpf.And(
@@ -363,6 +326,9 @@ def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalPro
         )
         template.append(TemplateRule(head, body, "transition"))
 
+    # step 0 has no actions and no predecessor: fluent uniqueness and
+    # existence, the initial-state choice, and the static laws
+    base = _instantiate(fluent_uec, 0) + _choice_rules(gls) + _instantiate(static, 0)
     return IncrementalProgram(
         gls, query, base, template, query.min_step, query.max_step
     )
@@ -372,19 +338,24 @@ def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalPro
 # Oracle route: the same translation as a timed multi-valued theory
 
 class TimedIndex:
-    """Interns (step, constant) pairs as fresh multi-valued constants."""
+    """Interns (step, constant) pairs as fresh multi-valued constants.
+
+    next_id is the id the next new pair gets.  horizon_theory starts it
+    above every value id so that, as in the symbol table, constant ids and
+    value ids never collide.
+    """
 
     def __init__(self) -> None:
         self._fwd: dict[tuple[int, int], int] = {}
         self._rev: dict[int, tuple[int, int]] = {}
         self._dom: dict[int, tuple[int, ...]] = {}
-        self._next = 0
+        self.next_id = 0
 
     def timed(self, step: int, const: int, dom: tuple[int, ...]) -> int:
         key = (step, const)
         if key not in self._fwd:
-            tid = self._next
-            self._next += 1
+            tid = self.next_id
+            self.next_id += 1
             self._fwd[key] = tid
             self._rev[tid] = key
             self._dom[tid] = dom
@@ -410,6 +381,7 @@ def horizon_theory(
         raise TranslateError(f"horizon must be at least 0, got {m}", NO_SPAN)
     index = TimedIndex()
     doms = {gc.cid: gc.dom for gc in gls.symbols.order}
+    index.next_id = 1 + max((v for dom in doms.values() for v in dom), default=-1)
 
     def timed_f(f, step: int):
         return map_leaves(
@@ -464,14 +436,7 @@ def horizon_theory(
             )
     if query is not None:
         for tref, f in query.lines:
-            step = tref.resolve(m)
-            is_action = _mentions_action(f, gls)
-            limit = m - 1 if is_action else m
-            if step < 0 or step > limit:
-                raise QueryStepOutOfRange(
-                    f"query '{query.label}': step {step} out of range 0..{limit}",
-                    NO_SPAN,
-                )
+            step = _query_step(query, tref, f, gls, m)
             formulas.append(mvpf.Impl(mvpf.Neg(timed_f(f, step)), mvpf.BOT))
 
     theory = mvpf.MvTheory(index.signature(), tuple(formulas))

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from cplusplan import cli
 from cplusplan.cli import UsageError, main, parse_args
 from cplusplan.suite import EXAMPLES_DIR
 
@@ -250,6 +251,44 @@ class TestStageCuts:
         rc, out, _ = run(["--from-grounder", str(path)])
         assert rc == 0
         assert "found step 1, 1 model" in out
+
+    def test_static_mode_solves_an_incremental_dump(self, tmp_path):
+        _, dump, _ = run(["--to-grounder", ex("bw-test"), "query=simple"])
+        path = tmp_path / "inc.dump"
+        path.write_text(dump)
+        rc, out, _ = run(["--mode=static", "--from-grounder", str(path)])
+        assert rc == 0
+        assert "query 'simple': found step 2, 1 model" in out
+
+    def test_unrequested_dumps_are_not_serialized(self, monkeypatch):
+        def untimed(result):
+            rc, out, err = result
+            return rc, [l for l in out.splitlines() if not l.startswith("timings:")], err
+
+        runs = [[f"--mode={mode}", ex("bw-pair"), "query=tower"]
+                for mode in ("incremental", "static")]
+        want = [untimed(run(args)) for args in runs]
+
+        def refuse(*_):
+            raise AssertionError("exporter called for a dump nobody asked for")
+
+        for name in ("export_ground", "export_incremental", "export_prop"):
+            monkeypatch.setattr(cli, name, refuse)
+        got = [untimed(run(args)) for args in runs]
+        assert got == want
+        assert [rc for rc, _, _ in got] == [0, 0]
+
+    @pytest.mark.parametrize(
+        "mode, exporter",
+        [("incremental", "export_incremental"), ("static", "export_prop")],
+    )
+    def test_requested_dump_calls_the_exporter(self, monkeypatch, mode, exporter):
+        calls = []
+        monkeypatch.setattr(cli, exporter, lambda prog: calls.append(prog) or "dump\n")
+        rc, out, _ = run([f"--mode={mode}", "--to-grounder", ex("bw-pair"), "query=tower"])
+        assert rc == 0
+        assert out == "dump\n"
+        assert len(calls) == 1
 
     def test_to_solver_splits_payload_from_summary(self):
         rc, out, err = run(["--to-solver", ex("bw-pair"), "query=tower"])

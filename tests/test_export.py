@@ -1,29 +1,19 @@
-"""Dump round trips, the normal-rule rendering, and format errors."""
+"""Dump round trips and format errors."""
 
 import pytest
 
-from cplusplan import export, mvpf
-from cplusplan.export import (
-    ExportError,
-    ExportProfile,
-    FormatError,
-    OutsideNormalFragment,
-)
-from cplusplan.ground import SymbolTable, ground_description
+from cplusplan import export
+from cplusplan.export import FormatError
+from cplusplan.ground import ground_description
 from cplusplan.parser import parse_text
 from cplusplan.plans import model_atom_names
 from cplusplan.solve import (
     SolveConfig,
     Stats,
-    brute_force_models,
     enumerate_models,
     solve_incremental,
 )
-from cplusplan.translate import (
-    incremental_program,
-    rule_formula,
-    to_prop,
-)
+from cplusplan.translate import incremental_program, to_prop
 
 BW = """
 :- sorts location >> block.
@@ -109,10 +99,6 @@ class TestNativeGround:
         assert gls2.queries == {}
         assert signature_fingerprint(gls2) == signature_fingerprint(gls)
 
-    def test_ground_has_no_asp_normal_form(self, bw):
-        with pytest.raises(ExportError):
-            export.export_ground(bw, ExportProfile(flavor="asp-normal"))
-
 
 class TestFormatErrors:
     def test_truncated_file(self, bw):
@@ -185,15 +171,6 @@ class TestNativeProp:
         assert len(prog2.rules) == len(prog.rules)
         assert [r.tag for r in prog2.rules] == [r.tag for r in prog.rules]
 
-    def test_include_uec_off(self, bw):
-        prog = to_prop(bw, 1, bw.queries["tower"])
-        text = export.export_prop(prog, ExportProfile(include_uec=False))
-        assert "uec-" not in text
-        kept = export.import_prop(text)
-        assert len(kept.rules) == sum(
-            1 for r in prog.rules if not r.tag.startswith("uec-")
-        )
-
     def test_reimported_prop_enumerates_identically(self, chain):
         prog = to_prop(chain, 1, chain.queries["q"])
         prog2 = export.import_prop(export.export_prop(prog))
@@ -236,89 +213,6 @@ class TestNativeIncremental:
         inc = incremental_program(bw, bw.queries["open"])
         inc2 = export.import_incremental(export.export_incremental(inc))
         assert inc2.max_step is None
-
-
-class TestAspNormal:
-    def test_inertia_rendering(self, chain):
-        prog = to_prop(chain, 1, chain.queries["q"])
-        text = export.export_prop(prog, ExportProfile(flavor="asp-normal"))
-        assert "c_1_1 :- not not c_1_1, c_1_0." in text
-        assert ":- c_1_0, c_2_0." in text
-        assert "c_1_0 ; c_2_0." in text
-        assert ":- not c_1_0." in text
-
-    def test_mapping_comments(self, chain):
-        prog = to_prop(chain, 1, chain.queries["q"])
-        with_map = export.export_prop(prog, ExportProfile(flavor="asp-normal"))
-        assert "%   c_1_0 = 0:c=1" in with_map
-        without = export.export_prop(
-            prog, ExportProfile(flavor="asp-normal", symbol_table=False)
-        )
-        assert "c_1_0 = " not in without
-
-    def test_include_uec_off(self, chain):
-        prog = to_prop(chain, 1, chain.queries["q"])
-        text = export.export_prop(
-            prog, ExportProfile(flavor="asp-normal", include_uec=False)
-        )
-        assert ";" not in text
-        assert ":- c_1_0, c_2_0." not in text
-
-    def test_outside_fragment_on_nested_connectives(self, bw):
-        prog = to_prop(bw, 1, bw.queries["tower"])
-        with pytest.raises(OutsideNormalFragment) as e:
-            export.export_prop(prog, ExportProfile(flavor="asp-normal"))
-        assert e.value.rule_id >= 0
-
-    def test_normal_reader_model_sets_match(self, chain):
-        prog = to_prop(chain, 1, chain.queries["q"])
-        ne = export.normal_export(prog)
-        rules, atoms = export.import_normal(ne.text)
-        got = {frozenset(m) for m in brute_force_models([rule_formula(r) for r in rules], atoms)}
-        want = {
-            frozenset(ne.atom_names[a] for a in m)
-            for m in enumerate_models(list(prog.rules), prog.timed_consts, ALL, Stats())
-        }
-        assert got == want
-        assert len(got) == 1
-
-    def test_normal_reader_inverts_disjunction(self):
-        rules, atoms = export.import_normal("a_1 ; a_2.\n")
-        assert atoms == ["a_1", "a_2"]
-        assert rules[0].head is None
-        assert rules[0].body == mvpf.Neg(mvpf.Or("a_1", "a_2"))
-
-    def test_normal_reader_rejects_junk(self):
-        with pytest.raises(FormatError):
-            export.import_normal("a :- b\n")  # no period
-        with pytest.raises(FormatError):
-            export.import_normal("a :- not not not b.\n")
-
-    def test_incremental_sections_labeled(self, chain):
-        inc = incremental_program(chain, chain.queries["q"])
-        text = export.export_incremental(inc, ExportProfile(flavor="asp-normal"))
-        assert "% section: base" in text
-        assert "% section: cumulative t=1" in text
-        assert "% section: volatile k=1" in text
-
-    def test_incremental_needs_bound(self, bw):
-        inc = incremental_program(bw, bw.queries["open"])
-        with pytest.raises(ExportError):
-            export.export_incremental(inc, ExportProfile(flavor="asp-normal"))
-
-    def test_name_collisions_get_suffixes(self):
-        sym = SymbolTable()
-        f = sym.intern_value(False)
-        t = sym.intern_value(True)
-        a = sym.add_const("p(a,b)", (), "simple", (f, t))
-        b = sym.add_const("p(a_b)", (), "simple", (f, t))
-        namer = export._Namer(sym)
-        from cplusplan.translate import PAtom
-
-        n1 = namer.name(PAtom(0, a.cid, t))
-        n2 = namer.name(PAtom(0, b.cid, t))
-        assert n1 == "p_a_b_true_0"
-        assert n2 == "p_a_b_true_0_2"
 
 
 def test_sniff_format(bw, chain):

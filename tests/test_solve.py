@@ -347,9 +347,8 @@ class TestDrivers:
         )
         gls = ground_description(parse_text(text, "<t>"))
         res = solve_incremental(incremental_program(gls, gls.queries["x"]), ALL)
-        # p is pinned to o1 at every step by the fact, found at level 0
+        # p is pinned to o1 at every step by the fact
         assert res.found_step is None
-        assert res.stats.learned_units > 0
 
 
 class TestPropHelpers:

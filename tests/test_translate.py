@@ -1,8 +1,10 @@
 """Horizon translation: rule families, step placement, both routes."""
 
+from collections import Counter
+
 import pytest
 
-from cplusplan import mvpf
+from cplusplan import mvpf, suite
 from cplusplan.ground import ground_description
 from cplusplan.parser import parse_text
 from cplusplan.translate import (
@@ -12,9 +14,13 @@ from cplusplan.translate import (
     TranslateError,
     horizon_theory,
     incremental_program,
+    map_leaves,
+    rule_formula,
     theory_to_prop,
     to_prop,
 )
+
+SHIPPED = sorted({case.name for case in suite.CASES})
 
 BW = """
 :- sorts location >> block.
@@ -137,25 +143,16 @@ class TestQueryPlacement:
             to_prop(gls, 2, gls.queries["q"])
 
     def test_mv_route_same_rejection(self):
-        gls = self.q("maxstep: move(a, b)")
-        with pytest.raises(QueryStepOutOfRange):
-            horizon_theory(gls, 2, gls.queries["q"])
+        for line in ("maxstep: move(a, b)", "3: loc(a) = b", "maxstep-3: loc(a) = b"):
+            gls = self.q(line)
+            with pytest.raises(QueryStepOutOfRange) as prop:
+                to_prop(gls, 2, gls.queries["q"])
+            with pytest.raises(QueryStepOutOfRange) as mv:
+                horizon_theory(gls, 2, gls.queries["q"])
+            assert str(mv.value) == str(prop.value), line
 
 
 class TestIncrementalStructure:
-    def test_accumulated_equals_static(self, bw):
-        """Base plus step rules 1..k is the same rule set as the whole-
-        horizon translation, reordered."""
-        q = bw.queries["q"]
-        inc = incremental_program(bw, q)
-        for k in range(0, 4):
-            acc = list(inc.base)
-            for t in range(1, k + 1):
-                acc.extend(inc.step_rules(t))
-            acc.extend(inc.query_rules_at(k))
-            static = to_prop(bw, k, q).rules
-            assert sorted(map(repr, acc)) == sorted(map(repr, static)), k
-
     def test_step_rules_start_at_one(self, bw):
         inc = incremental_program(bw, bw.queries["q"])
         with pytest.raises(TranslateError):
@@ -186,6 +183,38 @@ class TestOracleRoute:
             + len(bw.fluent_dynamic) * m
         )
         assert len(theory.formulas) == expect
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_theory_builds_on_shipped_examples(self, name):
+        gls = suite.load_example(name)
+        for k in range(3):
+            theory, _ = horizon_theory(gls, k)
+            n_consts = len(gls.symbols.order) * (k + 1) - len(gls.action_ids())
+            assert len(theory.signature.constants) == n_consts
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_static_program_matches_theory(self, name):
+        """to_prop minus the uniqueness/existence constraints is the oracle
+        theory, formula for formula, with atoms decoded through the index."""
+        gls = suite.load_example(name)
+        for query in [None, *gls.queries.values()]:
+            for k in range(4):
+                try:
+                    prog = to_prop(gls, k, query)
+                except QueryStepOutOfRange:
+                    with pytest.raises(QueryStepOutOfRange):
+                        horizon_theory(gls, k, query)
+                    continue
+                theory, index = horizon_theory(gls, k, query)
+
+                def decode(a):
+                    return PAtom(*index.decode(a.const), a.value)
+
+                got = Counter(
+                    rule_formula(r) for r in prog.rules if not r.tag.startswith("uec-")
+                )
+                want = Counter(map_leaves(f, decode) for f in theory.formulas)
+                assert got == want, (name, query and query.label, k)
 
     def test_decode_round_trip(self, bw):
         theory, index = horizon_theory(bw, 1)
