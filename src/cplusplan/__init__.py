@@ -1,9 +1,11 @@
 """cplusplan: a planner for action descriptions in the definite fragment of C+.
 
 The pipeline runs in four stages: parse a CCalc-style description, ground
-its causal laws, translate the result into a Boolean rule program for a
-chosen horizon (all at once or incrementally step by step), and enumerate
-the program's stable models, which correspond one to one with the plans.
+its causal laws, translate the result into a Boolean rule program that
+grows step by step with the horizon, and enumerate the program's stable
+models, which correspond one to one with the plans.  The horizon search
+starts at the query's lower step bound and stops at the first horizon
+with models.
 
 The usual flow through the public names below:
 
@@ -19,7 +21,7 @@ The usual flow through the public names below:
 from .ground import GroundLawSet, ground_description
 from .parser import parse_files, parse_text
 from .plans import render_plan_view, to_plan_view
-from .solve import SolveConfig, solve_incremental, solve_static
+from .solve import SolveConfig, solve_incremental
 from .translate import incremental_program, to_prop
 
 __version__ = "0.1.0"
@@ -33,7 +35,6 @@ __all__ = [
     "parse_text",
     "render_plan_view",
     "solve_incremental",
-    "solve_static",
     "to_plan_view",
     "to_prop",
     "__version__",

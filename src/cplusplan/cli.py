@@ -39,7 +39,7 @@ from .parser import (
     parse_query_override,
 )
 from .plans import model_atom_names, render_plan_view, to_plan_view
-from .solve import SolveConfig, Stats, enumerate_models, solve_incremental
+from .solve import SolveConfig, Stats, enumerate_models, solve_horizons
 from .syntax import LangError
 from .translate import IncrementalProgram, PropProgram, incremental_program
 
@@ -51,7 +51,7 @@ usage: cplusplan [FLAGS] FILE... [OVERRIDE...] [COUNT]
 Finds shortest plans for multi-valued action descriptions.
 
 flags:
-  --mode=incremental|static   search strategy (default incremental)
+  --mode=incremental|static   grounder dump format (default incremental)
   --language=cplus            input language (only cplus in this build)
   --to-STAGE                  stop after STAGE; its payload goes to stdout
   --from-STAGE                treat FILE as a STAGE dump
@@ -232,52 +232,29 @@ def _run_query(
 
     t0 = time.perf_counter()
     if pre_inc is not None:
-        inc = dataclasses.replace(pre_inc, min_step=q.min_step, max_step=q.max_step)
+        inc = dataclasses.replace(pre_inc, query=q)
     else:
         inc = incremental_program(gls, q)
     timings["grounder"] = timings.get("grounder", 0.0) + time.perf_counter() - t0
 
     if cfg.mode == "incremental":
         _emit(cfg, "grounder", lambda: export_incremental(inc), out)
-        if STAGES.index(cfg.stage_to) < STAGES.index("solver"):
-            return Outcome(q.label, None, [], q.min_step, q.max_step)
-        t0 = time.perf_counter()
-        res = solve_incremental(inc, config)
-        timings["solver"] = timings.get("solver", 0.0) + time.perf_counter() - t0
-        solved = [(res.found_step, res.models)] if res.models else []
-        return Outcome(q.label, res.found_step, solved, q.min_step, q.max_step)
+    else:
+        _emit(cfg, "grounder", lambda: export_prop(inc.program(q.min_step)), out)
+    if STAGES.index(cfg.stage_to) < STAGES.index("solver"):
+        return Outcome(q.label, None, [], q.min_step, q.max_step)
 
-    # static mode: one full program per horizon, cut from the template
-    stats = Stats()
     solved = []
     found = None
-    emitted = False
-    k = q.min_step
-    while True:
-        t0 = time.perf_counter()
-        prog = inc.program(k)
-        timings["grounder"] = timings.get("grounder", 0.0) + time.perf_counter() - t0
-        if not emitted:
-            _emit(cfg, "grounder", lambda: export_prop(prog), out)
-            emitted = True
-        if STAGES.index(cfg.stage_to) < STAGES.index("solver"):
-            return Outcome(q.label, None, [], q.min_step, q.max_step)
-        t0 = time.perf_counter()
-        models = list(
-            enumerate_models(prog.rules, prog.timed_consts, config, stats)
-        )
-        timings["solver"] = timings.get("solver", 0.0) + time.perf_counter() - t0
-        if cfg.all_steps:
-            solved.append((k, models))
-        elif models:
+    t0 = time.perf_counter()
+    for k, models in solve_horizons(inc, config, Stats()):
+        if models or cfg.all_steps:
             solved.append((k, models))
         if models and found is None:
             found = k
             if not cfg.all_steps:
                 break
-        if k >= q.max_step:
-            break
-        k += 1
+    timings["solver"] = timings.get("solver", 0.0) + time.perf_counter() - t0
     return Outcome(q.label, found, solved, q.min_step, q.max_step)
 
 

@@ -581,7 +581,7 @@ def import_incremental(text: str) -> IncrementalProgram:
     gls = interner.ground_law_set()
     query = GroundQuery(label, lo, hi, tuple(qlines))
     gls.queries = {label: query}
-    return IncrementalProgram(gls, query, base, template, lo, hi)
+    return IncrementalProgram(gls, query, base, template)
 
 
 def _rule_leaves(rule: PropRule):

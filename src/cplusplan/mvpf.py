@@ -119,13 +119,6 @@ def impl(left: MvFormula, right: MvFormula) -> MvFormula:
     return Impl(left, right)
 
 
-def conj_all(parts: Iterable[MvFormula]) -> MvFormula:
-    out: MvFormula = TOP
-    for p in parts:
-        out = conj(out, p)
-    return out
-
-
 def disj_all(parts: Iterable[MvFormula]) -> MvFormula:
     out: MvFormula = BOT
     for p in parts:

@@ -14,6 +14,12 @@ two program-level additions:
 Both are needed: the clauses make the search practical, the check keeps
 it exact for non-tight programs.
 
+One driver, ``solve_horizons``, walks a query's step range.  It grows a
+single rule list, each step's rules instantiated once, and searches
+horizon k with the query rules for k added.  That list is
+``IncrementalProgram.program(k)`` rule for rule, so the paper's static
+and incremental modes share the one driver.
+
 A separate brute-force enumerator (direct formula evaluation, subset
 minimality by exhaustion) serves as the oracle in tests.  It shares the
 formula node types and nothing else.
@@ -30,11 +36,10 @@ from .syntax import NO_SPAN
 from .translate import (
     IncrementalProgram,
     PAtom,
-    PropProgram,
     PropRule,
     TimedConst,
     UnboundedRange,
-    incremental_program,
+    formula_leaves,
     rule_formula,
 )
 
@@ -51,7 +56,6 @@ class Stats:
 class SolveConfig:
     max_solutions: int = 1  # 0 enumerates every model
     seed: int = 0
-    check_stability: bool = True
     max_checked: int = 0  # 0 means no cap on candidate models checked
 
 
@@ -96,20 +100,6 @@ def preduct(f, model: frozenset):
     if isinstance(f, mvpf.Impl):
         return mvpf.Impl(preduct(f.left, model), preduct(f.right, model))
     return f  # atom true in the model, or a satisfied leaf
-
-
-def atoms_of_formula(f) -> set:
-    out = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, PAtom):
-            out.add(g)
-        elif isinstance(g, mvpf.Neg):
-            stack.append(g.sub)
-        elif isinstance(g, (mvpf.And, mvpf.Or, mvpf.Impl)):
-            stack.extend((g.left, g.right))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +388,7 @@ def enumerate_models(
         for r in rules:
             if r.head is not None:
                 seen[r.head] = True
-            for a in atoms_of_formula(r.body):
+            for a in formula_leaves(r.body):
                 seen[a] = True
         for a in extra_atoms or []:
             seen[a] = True
@@ -476,7 +466,7 @@ def enumerate_models(
                 raise ResourceLimit(
                     f"models-checked cap exceeded ({config.max_checked})"
                 )
-            if not config.check_stability or is_stable_model(rules, model, stats):
+            if is_stable_model(rules, model, stats):
                 yield model
                 yielded += 1
                 if config.max_solutions and yielded >= config.max_solutions:
@@ -503,62 +493,38 @@ def enumerate_models(
 # ---------------------------------------------------------------------------
 # Drivers
 
-def solve_incremental(inc: IncrementalProgram, config: SolveConfig) -> SolveResult:
+def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
+    """Yields (k, models) for each horizon k in the query's step range.
+
+    Each step's rules are instantiated once and kept for every later
+    horizon; the query rules for horizon k are added for that horizon
+    only.  The caller decides when to stop.
+    """
     if inc.max_step is None:
         raise UnboundedRange(
             "no upper step bound; set maxstep explicitly", NO_SPAN
         )
-    stats = Stats()
-    persistent: list[PropRule] = []
-    instantiated: set[int] = set()
-    grounded_to = -1
-
-    k = inc.min_step
-    while True:
-        if grounded_to < 0:
-            persistent.extend(inc.base)
-            stats.grounded_rules += len(inc.base)
-            grounded_to = 0
+    persistent = list(inc.base)
+    stats.grounded_rules += len(persistent)
+    grounded_to = 0
+    for k in range(inc.min_step, inc.max_step + 1):
         while grounded_to < k:
-            t = grounded_to + 1
-            assert t not in instantiated, f"step {t} instantiated twice"
-            instantiated.add(t)
-            step_rules = inc.step_rules(t)
+            grounded_to += 1
+            step_rules = inc.step_rules(grounded_to)
             persistent.extend(step_rules)
             stats.grounded_rules += len(step_rules)
-            grounded_to = t
         stats.steps_grounded += 1
-
         volatile = inc.query_rules_at(k)
         stats.grounded_rules += len(volatile)
-        models = list(
+        yield k, list(
             enumerate_models(persistent + volatile, inc.timed_consts(k), config, stats)
         )
-        if models:
-            return SolveResult(k, models, stats)
-        if inc.max_step is not None and k >= inc.max_step:
-            return SolveResult(None, [], stats)
-        k += 1
 
 
-def solve_static(gls, query, config: SolveConfig) -> SolveResult:
-    """Rebuilds the whole program from the template at every horizon."""
-    if query.max_step is None:
-        raise UnboundedRange(
-            "no upper step bound; set maxstep explicitly", NO_SPAN
-        )
+def solve_incremental(inc: IncrementalProgram, config: SolveConfig) -> SolveResult:
+    """The first horizon in the query's step range that has models."""
     stats = Stats()
-    inc = incremental_program(gls, query)
-    k = query.min_step
-    while True:
-        program: PropProgram = inc.program(k)
-        stats.grounded_rules += len(program.rules)
-        stats.steps_grounded += 1
-        models = list(
-            enumerate_models(program.rules, program.timed_consts, config, stats)
-        )
+    for k, models in solve_horizons(inc, config, stats):
         if models:
             return SolveResult(k, models, stats)
-        if query.max_step is not None and k >= query.max_step:
-            return SolveResult(None, [], stats)
-        k += 1
+    return SolveResult(None, [], stats)

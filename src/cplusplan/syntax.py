@@ -489,7 +489,7 @@ class ActionDescription:
 
 
 # ---------------------------------------------------------------------------
-# Classification and the definiteness check
+# Classification and head shape
 
 class Classification(enum.Enum):
     CONSTANT_FREE = "constant-free"
@@ -530,8 +530,9 @@ def classify_formula(f: Formula, desc: ActionDescription) -> Classification:
 def head_atom_constref(f: Formula, desc: ActionDescription) -> ConstRef | None:
     """The constant of a head, when the head is a single equality atom.
 
-    Returns None for heads that are not of atom shape (those are reported
-    as definiteness violations).  `false` heads are handled by the caller.
+    Returns None for heads that are not of atom shape; the grounder
+    rejects those as outside the definite fragment.  `false` heads are
+    handled by the caller.
     """
     if not isinstance(f, Atom):
         return None
@@ -548,37 +549,6 @@ def head_atom_constref(f: Formula, desc: ActionDescription) -> ConstRef | None:
     if isinstance(f.right, ConstRef) and not f.right.args_have_constants() and not left_refs:
         return f.right
     return None
-
-
-@dataclass(frozen=True)
-class Violation:
-    reason: str
-    span: Span = field(default=NO_SPAN, compare=False)
-
-
-def check_definite(desc: ActionDescription) -> list[Violation]:
-    """Expand shorthands and verify every head is an atom or `false`."""
-    from . import ground  # deferred, the grounder imports this module
-
-    violations: list[Violation] = []
-    for law in desc.laws:
-        try:
-            cores = ground.expand_shorthand(law, desc)
-        except LangError as err:
-            violations.append(Violation(str(err), getattr(law, "span", NO_SPAN)))
-            continue
-        for core in cores:
-            if isinstance(core.head, FalseF):
-                continue
-            ref = head_atom_constref(core.head, desc)
-            if ref is None:
-                violations.append(
-                    Violation(
-                        "law head must be a single constant atom or 'false'",
-                        core.span,
-                    )
-                )
-    return violations
 
 
 # ---------------------------------------------------------------------------

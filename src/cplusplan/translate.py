@@ -262,8 +262,14 @@ class IncrementalProgram:
     query: GroundQuery
     base: list[PropRule]
     template: list[TemplateRule]
-    min_step: int
-    max_step: int | None  # None is unbounded
+
+    @property
+    def min_step(self) -> int:
+        return self.query.min_step
+
+    @property
+    def max_step(self) -> int | None:  # None is unbounded
+        return self.query.max_step
 
     def step_rules(self, t: int) -> list[PropRule]:
         if t < 1:
@@ -329,9 +335,7 @@ def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalPro
     # step 0 has no actions and no predecessor: fluent uniqueness and
     # existence, the initial-state choice, and the static laws
     base = _instantiate(fluent_uec, 0) + _choice_rules(gls) + _instantiate(static, 0)
-    return IncrementalProgram(
-        gls, query, base, template, query.min_step, query.max_step
-    )
+    return IncrementalProgram(gls, query, base, template)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ from cplusplan.solve import (
     brute_force_models,
     enumerate_models,
     solve_incremental,
-    solve_static,
 )
 from cplusplan.syntax import TimeRef
 from cplusplan.translate import (
+    IncrementalProgram,
     PAtom,
     PropRule,
     TimedConst,
@@ -291,9 +291,17 @@ def test_criterion_5_planning_benchmarks():
 # ---------------------------------------------------------------------------
 # 6. Grounding accounting: each increment once, never rebuilt
 
-def test_criterion_6_grounding_accounting():
+def test_criterion_6_grounding_accounting(monkeypatch):
     with criterion(6, "grounding-accounting", budget=120.0):
         blocked = (TimeRef("maxstep", 0), mvpf.BOT)
+        instantiated = []
+        step_rules = IncrementalProgram.step_rules
+
+        def counted(inc, t):
+            instantiated.append(t)
+            return step_rules(inc, t)
+
+        monkeypatch.setattr(IncrementalProgram, "step_rules", counted)
         for case in suite.default_cases():
             gls = suite.load_example(case.name)
             q = gls.queries[case.query]
@@ -313,12 +321,15 @@ def test_criterion_6_grounding_accounting():
             )
             assert inc_res.stats.grounded_rules == expected_rules, case.name
 
-            static_res = solve_static(gls, dead, SolveConfig())
-            assert static_res.found_step is None
-            assert static_res.stats.steps_grounded == 4, case.name
-            assert (
-                static_res.stats.grounded_rules > inc_res.stats.grounded_rules
-            ), case.name
+            # static mode, too, instantiates each step once per query
+            instantiated.clear()
+            src = str(suite.EXAMPLES_DIR / case.name)
+            rc = main(["--mode=static", src, f"query={case.query}"],
+                      io.StringIO(), io.StringIO(), io.StringIO())
+            found = case.expected_found_step
+            assert rc == (1 if found is None else 0), case.name
+            last = q.max_step if found is None else found
+            assert instantiated == list(range(1, last + 1)), case.name
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from cplusplan import cli
 from cplusplan.cli import UsageError, main, parse_args
-from cplusplan.suite import EXAMPLES_DIR
+from cplusplan.suite import EXAMPLES_DIR, default_cases
 
 
 def run(args, stdin=""):
@@ -197,12 +197,16 @@ class TestBatchOutput:
         assert rc == 2
         assert "exceeds" in err
 
-    def test_static_mode_matches_incremental(self):
-        rc_i, out_i, _ = run([ex("bw-test"), "query=simple"])
-        rc_s, out_s, _ = run(["--mode=static", ex("bw-test"), "query=simple"])
-        assert rc_i == rc_s == 0
-        pick = lambda t: [l for l in t.splitlines() if l.startswith("query")]
-        assert pick(out_i) == pick(out_s)
+    @pytest.mark.parametrize(
+        "case", default_cases(), ids=lambda c: f"{c.name}.{c.query}"
+    )
+    def test_static_mode_matches_incremental(self, case):
+        def untimed(mode):
+            rc, out, err = run([f"--mode={mode}", ex(case.name), f"query={case.query}"])
+            drop = lambda t: [l for l in t.splitlines() if not l.startswith("timings:")]
+            return rc, drop(out), drop(err)
+
+        assert untimed("static") == untimed("incremental")
 
     def test_all_steps_reports_every_horizon(self):
         rc, out, _ = run(

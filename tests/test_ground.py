@@ -11,7 +11,7 @@ from cplusplan.ground import (
     ground_description,
 )
 from cplusplan.parser import parse_text
-from cplusplan.syntax import LawShape, check_definite
+from cplusplan.syntax import LawShape
 
 
 def desc_of(text):
@@ -140,8 +140,8 @@ class TestExpansionErrors:
 
     def test_definiteness_violation_reported(self):
         d = desc_of(BW + "caused loc(a) = table ++ loc(b) = table.")
-        violations = check_definite(d)
-        assert violations and "head" in violations[0].reason
+        with pytest.raises(GroundError, match="law head must be a single constant atom"):
+            ground_description(d)
 
 
 class TestInstantiation:

@@ -18,8 +18,8 @@ from cplusplan.solve import (
     is_stable_model,
     peval,
     preduct,
+    solve_horizons,
     solve_incremental,
-    solve_static,
 )
 from cplusplan.translate import (
     PAtom,
@@ -166,9 +166,7 @@ class TestAgainstBruteForce:
 
 
 def _body_atoms(rule):
-    from cplusplan.solve import atoms_of_formula
-
-    return atoms_of_formula(rule.body)
+    return set(translate.formula_leaves(rule.body))
 
 
 def random_program(rng, n_atoms, n_rules):
@@ -267,13 +265,6 @@ def keys(result):
 
 
 class TestDrivers:
-    def test_incremental_matches_static(self, bw):
-        q = bw.queries["tower"]
-        inc = solve_incremental(incremental_program(bw, q), ALL)
-        sta = solve_static(bw, q, ALL)
-        assert inc.found_step == sta.found_step == 1
-        assert keys(inc) == keys(sta)
-
     def test_exhaustion(self, bw):
         q = bw.queries["impossible"]
         res = solve_incremental(incremental_program(bw, q), ALL)
@@ -281,16 +272,13 @@ class TestDrivers:
         assert res.models == []
         assert res.stats.steps_grounded == 2  # horizons 0 and 1
 
-    def test_steps_grounded_counts_iterations(self, bw):
-        q = bw.queries["impossible"]
-        sta = solve_static(bw, q, ALL)
-        assert sta.stats.steps_grounded == 2
-
-    def test_static_grounds_more_for_later_horizons(self, bw):
-        q = bw.queries["impossible"]
-        inc = solve_incremental(incremental_program(bw, q), ALL)
-        sta = solve_static(bw, q, ALL)
-        assert sta.stats.grounded_rules > inc.stats.grounded_rules
+    def test_inverted_range_has_no_horizon(self, bw):
+        q = dataclasses.replace(bw.queries["tower"], min_step=3, max_step=1)
+        inc = incremental_program(bw, q)
+        assert list(solve_horizons(inc, ALL, Stats())) == []
+        res = solve_incremental(inc, ALL)
+        assert res.found_step is None
+        assert res.models == []
 
     def test_max_solutions(self, bw):
         q = bw.queries["tower"]
@@ -318,8 +306,6 @@ class TestDrivers:
         open_q = dataclasses.replace(q, max_step=None)
         with pytest.raises(UnboundedRange):
             solve_incremental(incremental_program(bw, open_q), ALL)
-        with pytest.raises(UnboundedRange):
-            solve_static(bw, open_q, ALL)
 
     def test_models_checked_cap(self, bw):
         q = bw.queries["tower"]
