@@ -50,7 +50,6 @@ from .syntax import (
     Term,
     TimeRef,
     TRUE,
-    TrueF,
     WhereAnd,
     WhereCmp,
     WhereExpr,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,7 +51,7 @@ CASES: tuple[ExampleCase, ...] = (
     ExampleCase("hanoi", "transfer", "bfs-transition-system", 7),
     ExampleCase("ferryman", "cross", "bfs-transition-system", 7),
     ExampleCase("hanoi-stress", "transfer", "bfs-transition-system", 63, stress=True),
-    ExampleCase("ferryman-stress", "cross", "bfs-transition-system", 5, stress=True),
+    ExampleCase("ferryman-stress", "cross", "bfs-transition-system", 9, stress=True),
 )
 
 
@@ -82,7 +81,12 @@ def view_fluents(step: PlanStep) -> dict[str, str]:
     return {a.const: a.value for a in step.fluents}
 
 def view_actions(step: PlanStep) -> set[str]:
-    return {a.const for a in step.actions if a.truth}
+    """True boolean actions by name, every other action as `name=value`."""
+    return {
+        a.const if a.boolean else f"{a.const}={a.value}"
+        for a in step.actions
+        if a.truth or not a.boolean
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,66 @@ class FerrymanOracle:
         return frozenset(out)
 
 
+class HeadcountOracle:
+    """Wolves and sheep counted by head, as in ferryman-stress.
+
+    States are (boat side, wolves, sheep) with the counts on the left
+    bank; an action is (cross, wolves riding, sheep riding).
+    """
+
+    def __init__(self, heads: int, load: int):
+        self.heads = heads
+        self.load = load
+
+    def _safe(self, wolves: int, sheep: int) -> bool:
+        # sheep outnumbered but not absent, on the left or the right bank
+        return not (0 < sheep < wolves or wolves < sheep < self.heads)
+
+    def initial_states(self):
+        yield ("l", self.heads, self.heads)
+
+    def is_goal(self, s: tuple) -> bool:
+        return s[1] == 0 and s[2] == 0
+
+    def candidate_actions(self, s: tuple):
+        yield (False, 0, 0)
+        for w in range(self.load + 1):
+            for sh in range(self.load + 1 - w):
+                yield (True, w, sh)
+
+    def step(self, s: tuple, act: tuple) -> tuple | None:
+        boat, wolves, sheep = s
+        cross, w, sh = act
+        if not cross:
+            return s if w == sh == 0 else None  # riders need a crossing
+        if w + sh > self.load:
+            return None
+        if boat == "l":
+            if w > wolves or sh > sheep:
+                return None  # more riders than the bank holds
+            nxt = ("r", wolves - w, sheep - sh)
+        else:
+            if w > self.heads - wolves or sh > self.heads - sheep:
+                return None
+            nxt = ("l", wolves + w, sheep + sh)
+        return nxt if self._safe(nxt[1], nxt[2]) else None
+
+    def state_of(self, fluents: dict[str, str]) -> tuple:
+        return (fluents["boat"], int(fluents["wolves"]), int(fluents["sheep"]))
+
+    def actions_of(self, names: set[str]) -> tuple:
+        riders = {"wride": 0, "sride": 0}
+        cross = False
+        for name in names:
+            if name == "cross":
+                cross = True
+                continue
+            const, _, value = name.partition("=")
+            assert const in riders, name
+            riders[const] = int(value)
+        return (cross, riders["wride"], riders["sride"])
+
+
 # ---------------------------------------------------------------------------
 # Oracle registry, BFS, and plan replay
 
@@ -313,7 +377,7 @@ def oracle_for(case: ExampleCase):
             (("wolf", "sheep"), ("sheep", "cabbage")),
         )
     if key == ("ferryman-stress", "cross"):
-        return FerrymanOracle(tuple(str(i) for i in range(1, 11)), 4)
+        return HeadcountOracle(10, 4)
     raise KeyError(key)
 
 

@@ -26,11 +26,11 @@ smaller domains are rejected here and only here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import mvpf
 from .ground import GroundLawSet, GroundQuery
-from .syntax import LangError, NO_SPAN, Span, TimeRef
+from .syntax import LangError, NO_SPAN, TimeRef
 
 
 class TranslateError(LangError):

@@ -15,7 +15,7 @@ import time
 from cplusplan import mvpf, suite
 from cplusplan.cli import main
 from cplusplan.ground import GroundQuery
-from cplusplan.plans import model_atom_names, to_plan_view
+from cplusplan.plans import to_plan_view
 from cplusplan.solve import (
     SolveConfig,
     Stats,

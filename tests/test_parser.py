@@ -1,7 +1,5 @@
 """Input language parsing: sections, laws, formulas, queries, includes."""
 
-import os
-
 import pytest
 
 from cplusplan.parser import (

@@ -1,5 +1,7 @@
 """Plan views: grouping, ordering, and deterministic rendering."""
 
+import dataclasses
+
 import pytest
 
 from cplusplan.ground import ground_description
@@ -31,12 +33,24 @@ nonexecutable move(B, L) if loc(B1) = L & L \\= table.
 
 @pytest.fixture(scope="module")
 def solved():
+    """The plan at step 1 that executes exactly one move.
+
+    Step 1 has other plans too (a no-op move may ride along), and which
+    comes first depends on the search, so all of them are enumerated.
+    """
     gls = ground_description(parse_text(BW, "<t>"))
     res = solve_incremental(
-        incremental_program(gls, gls.queries["tower"]), SolveConfig(max_solutions=1)
+        incremental_program(gls, gls.queries["tower"]), SolveConfig(max_solutions=0)
     )
     assert res.found_step == 1
-    return gls, res
+    actions = set(gls.action_ids())
+    true = gls.symbols.vid_of(True)
+    one_move = [
+        m for m in res.models
+        if sum(a.const in actions and a.value == true for a in m) == 1
+    ]
+    assert one_move
+    return gls, dataclasses.replace(res, models=one_move)
 
 
 def test_view_shape(solved):

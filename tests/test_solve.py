@@ -1,21 +1,29 @@
 """Search correctness: against brute force, and on the known anchors."""
 
 import dataclasses
+import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from cplusplan import mvpf, translate
+import cplusplan
+from cplusplan import mvpf, solve, suite, translate
 from cplusplan.ground import ground_description
 from cplusplan.parser import parse_text
 from cplusplan.solve import (
+    Dpll,
     ResourceLimit,
     SolveConfig,
     Stats,
     brute_force_models,
     enumerate_models,
     is_stable_model,
+    is_tight,
     peval,
     preduct,
     solve_horizons,
@@ -31,7 +39,6 @@ from cplusplan.translate import (
     model_key,
     rule_formula,
     theory_to_prop,
-    to_prop,
 )
 
 ALL = SolveConfig(max_solutions=0)
@@ -357,3 +364,192 @@ class TestPropHelpers:
         m = frozenset({A})
         f = mvpf.Neg(mvpf.Neg(A))
         assert preduct(f, m) == mvpf.Neg(mvpf.BOT)
+
+
+class TestEngine:
+    """The conflict-driven search on plain CNFs."""
+
+    def test_pigeonhole_four_into_three_is_unsat(self):
+        def var(p, h):  # pigeon p sits in hole h
+            return 2 + 3 * p + h
+
+        clauses = [[1]] + [[var(p, h) for h in range(3)] for p in range(4)]
+        for h in range(3):
+            for p, q in itertools.combinations(range(4), 2):
+                clauses.append([-var(p, h), -var(q, h)])
+        stats = Stats()
+        solver = Dpll(13, clauses, stats)
+        assert not solver.solve()
+        assert solver.conflicts > 0
+
+    def test_backjump_skips_unrelated_levels(self, monkeypatch):
+        # decisions run 2, 3, 4, 5 (lowest first, true first); deciding 5
+        # under 2 clashes on 6, and the learned clause (-2 | -5) sends the
+        # search back to level 1 past the unrelated decisions 3 and 4
+        clauses = [[1], [-2, -5, 6], [-2, -5, -6], [3, 4, 5, 2]]
+        jumps = []
+        backtrack = Dpll.backtrack
+
+        def record(self, lvl):
+            jumps.append((len(self.trail_lim), lvl))
+            backtrack(self, lvl)
+
+        monkeypatch.setattr(Dpll, "backtrack", record)
+        solver = Dpll(6, clauses, Stats())
+        assert solver.solve()
+        assert (4, 1) in jumps
+        model = {v for v in range(1, 7) if solver.val[v] == 1}
+        for cl in clauses:
+            assert any((l > 0) == (abs(l) in model) for l in cl)
+        assert 2 in model and 5 not in model
+
+    def test_blocking_enumerates_every_assignment_once(self):
+        clauses = [[1], [2, 3, 4]]
+        solver = Dpll(4, clauses, Stats())
+        found = []
+        while solver.solve():
+            found.append(tuple(solver.val[v] for v in (2, 3, 4)))
+            assert len(found) <= 7
+            if not solver.block([-v if solver.val[v] == 1 else v for v in (2, 3, 4)]):
+                break
+        assert not solver.solve()
+        assert len(found) == len(set(found)) == 7
+
+    def test_random_cnfs_against_exhaustion(self):
+        rng = random.Random(4417)
+        for trial in range(150):
+            n = rng.randint(2, 7)
+            clauses = [[1]] + [
+                [rng.choice((-1, 1)) * rng.randint(2, n + 1)
+                 for _ in range(rng.randint(1, 4))]
+                for _ in range(rng.randint(1, 4 * n))
+            ]
+            expect = {
+                bits
+                for bits in itertools.product((-1, 1), repeat=n)
+                if all(any((l > 0) == (bits[abs(l) - 2] > 0) for l in cl)
+                       for cl in clauses[1:])
+            }
+            solver = Dpll(n + 1, [list(cl) for cl in clauses], Stats())
+            got = []
+            while solver.solve():
+                got.append(tuple(solver.val[v] for v in range(2, n + 2)))
+                assert len(got) <= len(expect), (trial, clauses)
+                if not solver.block([-v * solver.val[v] for v in range(2, n + 2)]):
+                    break
+            assert len(got) == len(set(got)), trial
+            assert set(got) == expect, (trial, clauses)
+
+    def test_counts_repeat_across_hash_seeds(self):
+        """found_step and Stats.propagations do not depend on str hashing."""
+        script = (
+            "import json\n"
+            "from cplusplan import suite\n"
+            "case = next(c for c in suite.CASES if (c.name, c.query) == ('bw-test', 'simple'))\n"
+            "_, res = suite.run_case(case)\n"
+            "print(json.dumps([res.found_step, res.stats.propagations]))\n"
+        )
+        src = str(Path(cplusplan.__file__).resolve().parents[1])
+        runs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True,
+            ).stdout
+            runs.append(json.loads(out))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 2
+
+
+def _loop_programs():
+    return {
+        "direct": [PropRule(A, A, "static")],
+        "mutual": [PropRule(A, B, "static"), PropRule(B, A, "static")],
+        "external": [
+            PropRule(A, B, "static"),
+            PropRule(B, A, "static"),
+            PropRule(A, mvpf.TOP, "static"),
+        ],
+        "implication": [
+            PropRule(A, mvpf.Impl(B, mvpf.BOT), "r"),
+            PropRule(B, mvpf.Neg(A), "r"),
+        ],
+    }
+
+
+DEFAULT = suite.default_cases()
+
+
+@pytest.fixture
+def stability_calls(monkeypatch):
+    """Records every stability check, still running it."""
+    calls = []
+    check = solve.is_stable_model
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(solve, "is_stable_model", counted)
+    return calls
+
+
+class TestTightness:
+    """The stability check is skipped exactly when the program is tight."""
+
+    @pytest.mark.parametrize(
+        "name", sorted({c.name for c in suite.CASES}), ids=str
+    )
+    def test_shipped_programs_are_tight(self, name):
+        gls = suite.load_example(name)
+        for query in gls.queries.values():
+            inc = incremental_program(gls, query)
+            for k in range(4):
+                assert is_tight(inc.program(k).rules), (query.label, k)
+
+    @pytest.mark.parametrize("case", DEFAULT, ids=lambda c: f"{c.name}-{c.query}")
+    def test_tight_search_never_checks(self, case, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("stability check on a tight program")
+
+        monkeypatch.setattr(solve, "is_stable_model", refuse)
+        _, res = suite.run_case(case, ALL)
+        assert res.found_step == case.expected_found_step
+
+    @pytest.mark.parametrize("name", sorted(_loop_programs()))
+    def test_loops_and_implications_keep_the_check(self, name, stability_calls):
+        rules = _loop_programs()[name]
+        assert not is_tight(rules)
+        got, stats = models(rules, None)
+        assert len(stability_calls) == stats.models_checked > 0
+        atoms = [A, B] if name != "direct" else [A]
+        assert got == set(brute_force_models([rule_formula(r) for r in rules], atoms))
+
+    def test_implication_under_negation_stays_tight(self):
+        rules = [PropRule(A, mvpf.Neg(mvpf.Impl(B, A)), "r")]
+        assert is_tight(rules)
+
+    def test_unsupported_atoms_keep_the_check(self, stability_calls):
+        # support off, or an atom outside the groups: no completion to lean on
+        rules = [PropRule(A, mvpf.Neg(mvpf.Neg(A)), "choice")]
+        stats = Stats()
+        got = set(enumerate_models(rules, None, ALL, stats, support=False))
+        assert got == {frozenset(), frozenset({A})}
+        assert len(stability_calls) == stats.models_checked == 2
+        group = [TimedConst(0, 1, (A,))]
+        rules = [PropRule(A, mvpf.Neg(mvpf.Neg(B)), "r"),
+                 PropRule(B, mvpf.Neg(mvpf.Neg(B)), "r")]
+        stats = Stats()
+        got = set(enumerate_models(rules, group, ALL, stats))
+        assert got == {frozenset(), frozenset({A, B})}
+        assert len(stability_calls) == 2 + stats.models_checked > 2
+
+    @pytest.mark.parametrize("case", DEFAULT, ids=lambda c: f"{c.name}-{c.query}")
+    def test_skip_keeps_the_model_set(self, case, monkeypatch):
+        _, skipped = suite.run_case(case, ALL)
+        monkeypatch.setattr(solve, "is_tight", lambda rules: False)
+        _, checked = suite.run_case(case, ALL)
+        assert checked.found_step == skipped.found_step
+        assert set(checked.models) == set(skipped.models)
+        assert len(checked.models) == len(skipped.models)
