@@ -4,6 +4,10 @@ One line-oriented format that round-trips losslessly (up to id
 interning).  Header lines declare the constants with their domains; every
 rule or law is one line, formulas fully parenthesized; a final ``#end.``
 line guards against truncation.
+
+Each connective node is one group, ``(a & b & c)``, with one connective
+and, for ``->``, two operands.  The reader splices nested groups of the
+same connective, so the older spelling ``((a & b) & c)`` still reads.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ _SHAPE_TEXT = {
 }
 _TEXT_SHAPE = {v: k for k, v in _SHAPE_TEXT.items()}
 
-_OPS = {mvpf.And: "&", mvpf.Or: "|", mvpf.Impl: "->"}
+_SEPS = {mvpf.And: " & ", mvpf.Or: " | "}
+_CONNECTIVES = {"&": mvpf.And, "|": mvpf.Or, "->": mvpf.Impl}
 
 
 def _q(s: str) -> str:
@@ -55,13 +60,16 @@ def _q(s: str) -> str:
 
 
 def _fmt(f, leaf) -> str:
-    if isinstance(f, mvpf.Bot):
+    cls = type(f)
+    if cls is mvpf.Bot:
         return "false"
-    if isinstance(f, mvpf.Neg):
+    if cls is mvpf.Neg:
         return "-" + _fmt(f.sub, leaf)
-    op = _OPS.get(type(f))
-    if op is not None:
-        return f"({_fmt(f.left, leaf)} {op} {_fmt(f.right, leaf)})"
+    sep = _SEPS.get(cls)
+    if sep is not None:
+        return "(" + sep.join([_fmt(g, leaf) for g in f.parts]) + ")"
+    if cls is mvpf.Impl:
+        return f"({_fmt(f.left, leaf)} -> {_fmt(f.right, leaf)})"
     return leaf(f)
 
 
@@ -269,17 +277,24 @@ def _parse_formula(ln: _Line, atom):
         return mvpf.Neg(_parse_formula(ln, atom))
     if text == "(":
         ln.next()
-        left = _parse_formula(ln, atom)
-        okind, op = ln.next()
-        right = _parse_formula(ln, atom)
-        ln.expect(")")
-        if op == "&":
-            return mvpf.And(left, right)
-        if op == "|":
-            return mvpf.Or(left, right)
-        if op == "->":
-            return mvpf.Impl(left, right)
-        raise FormatError(ln.lineno, f"unknown connective {op!r}")
+        parts = [_parse_formula(ln, atom)]
+        op = None
+        while True:
+            _, got = ln.next()
+            if got == ")" and op is not None:
+                break
+            if got not in _CONNECTIVES:
+                raise FormatError(ln.lineno, f"unknown connective {got!r}")
+            if op is not None and got != op:
+                raise FormatError(ln.lineno, f"{op!r} and {got!r} mixed in one group")
+            op = got
+            parts.append(_parse_formula(ln, atom))
+        cls = _CONNECTIVES[op]
+        if cls is not mvpf.Impl:
+            return mvpf.join(cls, parts)
+        if len(parts) != 2:
+            raise FormatError(ln.lineno, f"'->' takes two operands, found {len(parts)}")
+        return mvpf.Impl(*parts)
     if text == "false":
         ln.next()
         return mvpf.BOT

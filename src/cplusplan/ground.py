@@ -115,7 +115,7 @@ def expand_shorthand(law: ShorthandLaw, desc: ActionDescription) -> list[CoreLaw
         if ref is None:
             raise GroundError("default needs a single constant atom", span)
         decl = desc.constants[ref.name]
-        body = AndF(law.head, law.cond) if not isinstance(law.cond, TrueF) else law.head
+        body = law.head if isinstance(law.cond, TrueF) else mvpf.join(AndF, (law.head, law.cond))
         if decl.kind.is_action:
             return [CoreLaw(LawShape.ACTION_DYNAMIC, law.head, body, None, law.where, span)]
         return [_static(law.head, body, law.where, span, desc)]
@@ -150,12 +150,12 @@ def expand_shorthand(law: ShorthandLaw, desc: ActionDescription) -> list[CoreLaw
             "and give static laws for it",
             span,
         )
-    if isinstance(law, CausesLaw):
-        after = law.action if isinstance(law.cond, TrueF) else AndF(law.action, law.cond)
-        return [_fluent_dynamic(law.effect, TrueF(), after, law.where, span, desc)]
-    if isinstance(law, NonexecutableLaw):
-        after = law.action if isinstance(law.cond, TrueF) else AndF(law.action, law.cond)
-        return [_fluent_dynamic(FalseF(), TrueF(), after, law.where, span, desc)]
+    if isinstance(law, (CausesLaw, NonexecutableLaw)):
+        after = law.action
+        if not isinstance(law.cond, TrueF):
+            after = mvpf.join(AndF, (law.action, law.cond))
+        head = law.effect if isinstance(law, CausesLaw) else FalseF()
+        return [_fluent_dynamic(head, TrueF(), after, law.where, span, desc)]
     if isinstance(law, AlwaysLaw):
         return [_fluent_dynamic(FalseF(), TrueF(), Not(law.formula), law.where, span, desc)]
     raise TypeError(f"not a shorthand law: {law!r}")
@@ -414,7 +414,7 @@ class _Resolver:
         for vid in gc.dom:
             if _compare(op, self.symbols.values[vid], value, span):
                 parts.append(mvpf.MvAtom(gc.cid, vid))
-        return mvpf.disj_all(parts)
+        return mvpf.disj(*parts)
 
     def _const_const(self, op: str, a: GroundConst, b: GroundConst, span: Span) -> mvpf.MvFormula:
         parts = []
@@ -424,7 +424,7 @@ class _Resolver:
                     parts.append(
                         mvpf.conj(mvpf.MvAtom(a.cid, va), mvpf.MvAtom(b.cid, vb))
                     )
-        return mvpf.disj_all(parts)
+        return mvpf.disj(*parts)
 
     def formula(self, f: Formula, subst: dict, span: Span) -> mvpf.MvFormula:
         if isinstance(f, TrueF):
@@ -436,9 +436,9 @@ class _Resolver:
         if isinstance(f, Not):
             return mvpf.neg(self.formula(f.sub, subst, span))
         if isinstance(f, AndF):
-            return mvpf.conj(self.formula(f.left, subst, span), self.formula(f.right, subst, span))
+            return mvpf.conj(*[self.formula(g, subst, span) for g in f.parts])
         if isinstance(f, OrF):
-            return mvpf.disj(self.formula(f.left, subst, span), self.formula(f.right, subst, span))
+            return mvpf.disj(*[self.formula(g, subst, span) for g in f.parts])
         if isinstance(f, ImplF):
             return mvpf.impl(self.formula(f.left, subst, span), self.formula(f.right, subst, span))
         raise TypeError(f"not a formula: {f!r}")

@@ -6,6 +6,10 @@ its domain.  Formulas are built from equality atoms ``c=v`` with the usual
 connectives; ``true`` is kept as the negation of ``false`` so the connective
 set stays minimal.
 
+Conjunction and disjunction are n-ary: an `And` or `Or` holds two or more
+parts, none of its own class, so a walker goes one level deep per chain.
+`join`, `conj` and `disj` splice chains as they build them.
+
 Stability is defined through the reduct: relative to an interpretation I,
 every maximal subformula that I does not satisfy is replaced by ``false``.
 I is a stable model of a theory when I is the *only* interpretation that
@@ -48,14 +52,12 @@ class Neg:
 
 @dataclass(frozen=True, slots=True)
 class And:
-    left: "MvFormula"
-    right: "MvFormula"
+    parts: tuple["MvFormula", ...]
 
 
 @dataclass(frozen=True, slots=True)
 class Or:
-    left: "MvFormula"
-    right: "MvFormula"
+    parts: tuple["MvFormula", ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,24 +91,34 @@ def neg(f: MvFormula) -> MvFormula:
     return Neg(f)
 
 
-def conj(left: MvFormula, right: MvFormula) -> MvFormula:
-    if isinstance(left, Bot) or isinstance(right, Bot):
-        return BOT
-    if is_top(left):
-        return right
-    if is_top(right):
-        return left
-    return And(left, right)
+def conj(*parts: MvFormula) -> MvFormula:
+    out: list[MvFormula] = []
+    for p in parts:
+        cls = p.__class__
+        if cls is And:
+            out.extend(p.parts)
+        elif cls is Bot:
+            return BOT
+        elif cls is not Neg or p.sub.__class__ is not Bot:
+            out.append(p)
+    if len(out) > 1:
+        return And(tuple(out))
+    return out[0] if out else TOP
 
 
-def disj(left: MvFormula, right: MvFormula) -> MvFormula:
-    if is_top(left) or is_top(right):
-        return TOP
-    if isinstance(left, Bot):
-        return right
-    if isinstance(right, Bot):
-        return left
-    return Or(left, right)
+def disj(*parts: MvFormula) -> MvFormula:
+    out: list[MvFormula] = []
+    for p in parts:
+        cls = p.__class__
+        if cls is Or:
+            out.extend(p.parts)
+        elif cls is Neg and p.sub.__class__ is Bot:
+            return TOP
+        elif cls is not Bot:
+            out.append(p)
+    if len(out) > 1:
+        return Or(tuple(out))
+    return out[0] if out else BOT
 
 
 def impl(left: MvFormula, right: MvFormula) -> MvFormula:
@@ -119,11 +131,16 @@ def impl(left: MvFormula, right: MvFormula) -> MvFormula:
     return Impl(left, right)
 
 
-def disj_all(parts: Iterable[MvFormula]) -> MvFormula:
-    out: MvFormula = BOT
+def join(cls: type, parts: Iterable) -> object:
+    """The n-ary connective `cls` (And, Or, AndF or OrF) over parts, those
+    of class `cls` spliced in; true and false parts stay."""
+    out: list = []
     for p in parts:
-        out = disj(out, p)
-    return out
+        if p.__class__ is cls:
+            out.extend(p.parts)
+        else:
+            out.append(p)
+    return cls(tuple(out)) if len(out) > 1 else out[0]
 
 
 @dataclass(frozen=True)
@@ -169,9 +186,9 @@ def satisfies(interp: Interpretation, f: MvFormula) -> bool:
     if isinstance(f, Neg):
         return not satisfies(interp, f.sub)
     if isinstance(f, And):
-        return satisfies(interp, f.left) and satisfies(interp, f.right)
+        return all(satisfies(interp, g) for g in f.parts)
     if isinstance(f, Or):
-        return satisfies(interp, f.left) or satisfies(interp, f.right)
+        return any(satisfies(interp, g) for g in f.parts)
     if isinstance(f, Impl):
         return (not satisfies(interp, f.left)) or satisfies(interp, f.right)
     raise TypeError(f"not a formula node: {f!r}")
@@ -194,10 +211,8 @@ def reduct(f: MvFormula, interp: Interpretation) -> MvFormula:
         return f
     if isinstance(f, Neg):
         return Neg(reduct(f.sub, interp))
-    if isinstance(f, And):
-        return And(reduct(f.left, interp), reduct(f.right, interp))
-    if isinstance(f, Or):
-        return Or(reduct(f.left, interp), reduct(f.right, interp))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(reduct(g, interp) for g in f.parts))
     if isinstance(f, Impl):
         return Impl(reduct(f.left, interp), reduct(f.right, interp))
     raise TypeError(f"not a formula node: {f!r}")
@@ -251,13 +266,3 @@ def enumerate_stable(theory: MvTheory, cap: int = ORACLE_CAP) -> list[dict[int, 
         if unique:
             models.append(cand)
     return models
-
-
-def atoms_of(f: MvFormula) -> Iterator[MvAtom]:
-    if isinstance(f, MvAtom):
-        yield f
-    elif isinstance(f, Neg):
-        yield from atoms_of(f.sub)
-    elif isinstance(f, (And, Or, Impl)):
-        yield from atoms_of(f.left)
-        yield from atoms_of(f.right)

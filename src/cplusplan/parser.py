@@ -18,6 +18,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
+from .mvpf import join
 from .syntax import (
     ActionDescription,
     AlwaysLaw,
@@ -356,11 +357,11 @@ class _Parser:
             else:
                 tref = self.time_ref()
                 self.eat_sym(":")
-                f = self.formula()
+                parts = [self.formula()]
                 while self.at_sym(","):
                     self.advance()
-                    f = AndF(f, self.formula())
-                lines.append((tref, f))
+                    parts.append(self.formula())
+                lines.append((tref, join(AndF, parts)))
             if self.at_sym(";"):
                 self.advance()
                 continue
@@ -522,18 +523,18 @@ class _Parser:
         return left
 
     def disjunction(self) -> Formula:
-        f = self.conjunction()
+        parts = [self.conjunction()]
         while self.at_sym("++"):
             self.advance()
-            f = OrF(f, self.conjunction())
-        return f
+            parts.append(self.conjunction())
+        return join(OrF, parts)
 
     def conjunction(self) -> Formula:
-        f = self.unary()
+        parts = [self.unary()]
         while self.at_sym("&"):
             self.advance()
-            f = AndF(f, self.unary())
-        return f
+            parts.append(self.unary())
+        return join(AndF, parts)
 
     def unary(self) -> Formula:
         if self.at_sym("-"):
@@ -631,10 +632,8 @@ def _resolve_formula(f: Formula, desc: ActionDescription) -> Formula:
         if isinstance(sub, Atom) and sub.right is None and isinstance(sub.left, ConstRef):
             return Atom(sub.left, "=", Sym(False))
         return Not(sub)
-    if isinstance(f, AndF):
-        return AndF(_resolve_formula(f.left, desc), _resolve_formula(f.right, desc))
-    if isinstance(f, OrF):
-        return OrF(_resolve_formula(f.left, desc), _resolve_formula(f.right, desc))
+    if isinstance(f, (AndF, OrF)):
+        return type(f)(tuple(_resolve_formula(g, desc) for g in f.parts))
     if isinstance(f, ImplF):
         return ImplF(_resolve_formula(f.left, desc), _resolve_formula(f.right, desc))
     return f

@@ -82,9 +82,9 @@ def peval(f, model: frozenset) -> bool:
     if isinstance(f, mvpf.Neg):
         return not peval(f.sub, model)
     if isinstance(f, mvpf.And):
-        return peval(f.left, model) and peval(f.right, model)
+        return all(peval(g, model) for g in f.parts)
     if isinstance(f, mvpf.Or):
-        return peval(f.left, model) or peval(f.right, model)
+        return any(peval(g, model) for g in f.parts)
     if isinstance(f, mvpf.Impl):
         return not peval(f.left, model) or peval(f.right, model)
     return f in model  # anything else is an atom
@@ -96,10 +96,8 @@ def preduct(f, model: frozenset):
         return mvpf.BOT
     if isinstance(f, mvpf.Neg):
         return mvpf.Neg(preduct(f.sub, model))
-    if isinstance(f, mvpf.And):
-        return mvpf.And(preduct(f.left, model), preduct(f.right, model))
-    if isinstance(f, mvpf.Or):
-        return mvpf.Or(preduct(f.left, model), preduct(f.right, model))
+    if isinstance(f, (mvpf.And, mvpf.Or)):
+        return type(f)(tuple(preduct(g, model) for g in f.parts))
     if isinstance(f, mvpf.Impl):
         return mvpf.Impl(preduct(f.left, model), preduct(f.right, model))
     return f  # atom true in the model, or a satisfied leaf
@@ -166,18 +164,14 @@ class CnfBuilder:
         cached = self._cache.get(f)
         if cached is not None:
             return cached
-        if isinstance(f, mvpf.And):
-            ops = [self.lit(g) for g in _flatten(f, mvpf.And)]
+        if isinstance(f, (mvpf.And, mvpf.Or)):
+            # an Or is the And of the negated parts, negated
+            s = 1 if isinstance(f, mvpf.And) else -1
+            ops = [s * self.lit(g) for g in f.parts]
             g = self.new_var()
             for l in ops:
-                self.clauses.append([-g, l])
-            self.clauses.append([g] + [-l for l in ops])
-        elif isinstance(f, mvpf.Or):
-            ops = [self.lit(g) for g in _flatten(f, mvpf.Or)]
-            g = self.new_var()
-            for l in ops:
-                self.clauses.append([g, -l])
-            self.clauses.append([-g] + ops)
+                self.clauses.append([-s * g, l])
+            self.clauses.append([s * g] + [-l for l in ops])
         elif isinstance(f, mvpf.Impl):
             la, lb = self.lit(f.left), self.lit(f.right)
             g = self.new_var()
@@ -207,19 +201,6 @@ class CnfBuilder:
                 by_head.setdefault(r.head, []).append(self.lit(r.body))
         for a in atoms:
             self.clauses.append([-self.atom_var(a)] + by_head.get(a, []))
-
-
-def _flatten(f, cls):
-    out = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, cls):
-            stack.append(g.right)
-            stack.append(g.left)
-        else:
-            out.append(g)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +557,7 @@ def is_tight(rules: list[PropRule]) -> bool:
             g = stack.pop()
             cls = type(g)
             if cls is mvpf.And or cls is mvpf.Or:
-                stack.append(g.left)
-                stack.append(g.right)
+                stack.extend(g.parts)
             elif cls is mvpf.Impl:
                 return False
             elif cls is PAtom:
@@ -612,7 +592,6 @@ def enumerate_models(
     config: SolveConfig,
     stats: Stats,
     extra_atoms: list[PAtom] | None = None,
-    support: bool = True,
 ):
     """Yields stable models.
 
@@ -642,10 +621,9 @@ def enumerate_models(
         builder.atom_var(a)
     for r in rules:
         builder.add_rule(r)
-    if support:
-        builder.add_support_clauses(rules, atom_universe)
+    builder.add_support_clauses(rules, atom_universe)
     # every atom has a support clause only when the rules add no atom
-    check = not (support and len(builder.var_of) == len(atom_universe) and is_tight(rules))
+    check = not (len(builder.var_of) == len(atom_universe) and is_tight(rules))
 
     solver = Dpll(builder.nvars, builder.clauses, stats)
     if config.seed:

@@ -9,6 +9,8 @@ Formulas are schematic: atoms compare two terms, where a term is an object
 or variable symbol, an integer arithmetic expression, or a reference to a
 declared constant.  Which side of an atom is the constant (if any) is only
 pinned down during resolution, after all includes have been read.
+
+`AndF` and `OrF` are n-ary and flat, as `And` and `Or` in `mvpf` are.
 """
 
 from __future__ import annotations
@@ -124,14 +126,12 @@ class Not:
 
 @dataclass(frozen=True, slots=True)
 class AndF:
-    left: "Formula"
-    right: "Formula"
+    parts: tuple["Formula", ...]
 
 
 @dataclass(frozen=True, slots=True)
 class OrF:
-    left: "Formula"
-    right: "Formula"
+    parts: tuple["Formula", ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +150,10 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     yield f
     if isinstance(f, Not):
         yield from subformulas(f.sub)
-    elif isinstance(f, (AndF, OrF, ImplF)):
+    elif isinstance(f, (AndF, OrF)):
+        for g in f.parts:
+            yield from subformulas(g)
+    elif isinstance(f, ImplF):
         yield from subformulas(f.left)
         yield from subformulas(f.right)
 
@@ -607,20 +610,10 @@ def formula_text(f: Formula, level: int = 0) -> str:
     if isinstance(f, Not):
         inner = formula_text(f.sub, _LEVEL["unary"])
         text = f"-{inner}"
-    elif isinstance(f, AndF):
-        text = (
-            f"{formula_text(f.left, _LEVEL['and'] - 1)}"
-            f" & {formula_text(f.right, _LEVEL['and'])}"
-        )
-        if level >= _LEVEL["and"]:
-            text = f"({text})"
-        return text
-    elif isinstance(f, OrF):
-        text = (
-            f"{formula_text(f.left, _LEVEL['or'] - 1)}"
-            f" ++ {formula_text(f.right, _LEVEL['or'])}"
-        )
-        if level >= _LEVEL["or"]:
+    elif isinstance(f, (AndF, OrF)):
+        me, sep = (_LEVEL["and"], " & ") if isinstance(f, AndF) else (_LEVEL["or"], " ++ ")
+        text = sep.join(formula_text(g, me) for g in f.parts)
+        if level >= me:
             text = f"({text})"
         return text
     elif isinstance(f, ImplF):

@@ -99,7 +99,9 @@ def map_leaves(f, fn):
     cls = type(f)
     if cls is mvpf.Neg:
         return mvpf.Neg(map_leaves(f.sub, fn))
-    if cls is mvpf.And or cls is mvpf.Or or cls is mvpf.Impl:
+    if cls is mvpf.And or cls is mvpf.Or:
+        return cls(tuple([map_leaves(g, fn) for g in f.parts]))
+    if cls is mvpf.Impl:
         return cls(map_leaves(f.left, fn), map_leaves(f.right, fn))
     if cls is mvpf.Bot:
         return f
@@ -112,7 +114,9 @@ def formula_leaves(f):
         g = stack.pop()
         if isinstance(g, mvpf.Neg):
             stack.append(g.sub)
-        elif isinstance(g, (mvpf.And, mvpf.Or, mvpf.Impl)):
+        elif isinstance(g, (mvpf.And, mvpf.Or)):
+            stack.extend(reversed(g.parts))
+        elif isinstance(g, mvpf.Impl):
             stack.append(g.right)
             stack.append(g.left)
         elif not isinstance(g, mvpf.Bot):
@@ -302,11 +306,11 @@ def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalPro
         rel = -1 if gc.cid in actions else 0
         atoms = tuple(TAtom(rel, gc.cid, v) for v in gc.dom)
         uec = [
-            TemplateRule(None, mvpf.And(atoms[i], atoms[j]), "uec-unique")
+            TemplateRule(None, mvpf.And((atoms[i], atoms[j])), "uec-unique")
             for i in range(len(atoms))
             for j in range(i + 1, len(atoms))
         ]
-        uec.append(TemplateRule(None, mvpf.Neg(mvpf.disj_all(list(atoms))), "uec-exists"))
+        uec.append(TemplateRule(None, mvpf.Neg(mvpf.disj(*atoms)), "uec-exists"))
         template.extend(uec)
         if rel == 0:
             fluent_uec.extend(uec)
@@ -327,8 +331,8 @@ def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalPro
     # the law `caused F if G after H` fires at t from t-1
     for law in gls.fluent_dynamic:
         head = None if law.head is None else TAtom(0, *law.head)
-        body = mvpf.And(
-            mvpf.Neg(mvpf.Neg(at_rel(law.cond, 0))), at_rel(law.after, -1)
+        body = mvpf.join(
+            mvpf.And, (mvpf.Neg(mvpf.Neg(at_rel(law.cond, 0))), at_rel(law.after, -1))
         )
         template.append(TemplateRule(head, body, "transition"))
 
@@ -431,10 +435,10 @@ def horizon_theory(
         for law in gls.fluent_dynamic:
             formulas.append(
                 mvpf.Impl(
-                    mvpf.And(
+                    mvpf.join(mvpf.And, (
                         mvpf.Neg(mvpf.Neg(timed_f(law.cond, step))),
                         timed_f(law.after, step - 1),
-                    ),
+                    )),
                     timed_head(law.head, step),
                 )
             )
@@ -473,8 +477,8 @@ def theory_to_prop(theory: mvpf.MvTheory) -> tuple[list, list[PAtom]]:
         atoms.extend(catoms)
         for i in range(len(catoms)):
             for j in range(i + 1, len(catoms)):
-                formulas.append(mvpf.Impl(mvpf.And(catoms[i], catoms[j]), mvpf.BOT))
-        formulas.append(mvpf.Impl(mvpf.Neg(mvpf.disj_all(catoms)), mvpf.BOT))
+                formulas.append(mvpf.Impl(mvpf.And((catoms[i], catoms[j])), mvpf.BOT))
+        formulas.append(mvpf.Impl(mvpf.Neg(mvpf.disj(*catoms)), mvpf.BOT))
     for f in theory.formulas:
         formulas.append(map_leaves(f, lambda a: PAtom(0, a.const, a.value)))
     return formulas, atoms

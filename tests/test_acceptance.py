@@ -78,8 +78,8 @@ def _uec_prop_rules(atoms):
     rules = []
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):
-            rules.append(PropRule(None, mvpf.And(atoms[i], atoms[j]), "uec-unique"))
-    rules.append(PropRule(None, mvpf.Neg(mvpf.disj_all(atoms)), "uec-exists"))
+            rules.append(PropRule(None, mvpf.And((atoms[i], atoms[j])), "uec-unique"))
+    rules.append(PropRule(None, mvpf.Neg(mvpf.disj(*atoms)), "uec-exists"))
     return rules
 
 
@@ -151,9 +151,9 @@ def test_criterion_2_random_theory_bijection():
                 if roll < 0.56:
                     return mvpf.Neg(formula(depth - 1))
                 if roll < 0.7:
-                    return mvpf.And(formula(depth - 1), formula(depth - 1))
+                    return mvpf.And((formula(depth - 1), formula(depth - 1)))
                 if roll < 0.84:
-                    return mvpf.Or(formula(depth - 1), formula(depth - 1))
+                    return mvpf.Or((formula(depth - 1), formula(depth - 1)))
                 return mvpf.Impl(formula(depth - 1), formula(depth - 1))
 
             theory = mvpf.MvTheory(
@@ -245,8 +245,8 @@ def test_criterion_4_random_program_enumeration():
                 if roll < 0.7:
                     return mvpf.Neg(body(depth - 1))
                 if roll < 0.85:
-                    return mvpf.And(body(depth - 1), body(depth - 1))
-                return mvpf.Or(body(depth - 1), body(depth - 1))
+                    return mvpf.And((body(depth - 1), body(depth - 1)))
+                return mvpf.Or((body(depth - 1), body(depth - 1)))
 
             rules = []
             for r in range(rng.randint(2, 8)):

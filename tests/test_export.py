@@ -157,6 +157,43 @@ class TestFormatErrors:
             export.import_ground("")
 
 
+GROUP_HEAD = "".join(
+    ["#format ground-laws 1.\n"]
+    + [f'#const "{n}" simple ("1", "2").\n' for n in "abc"]
+)
+A, B, C = '"a"="1"', '"b"="1"', '"c"="1"'
+
+
+def read_cond(formula: str):
+    """The condition of a one-law ground dump; the law sits on line 5."""
+    text = GROUP_HEAD + f"#law static false <- {formula}.\n#end.\n"
+    return export.import_ground(text).static[0].cond
+
+
+class TestGroups:
+    def test_nested_spelling_reads_spliced(self):
+        flat_or = read_cond(f"({A} | {B} | {C})")
+        assert read_cond(f"(({A} | {B}) | {C})") == flat_or
+        assert len(flat_or.parts) == 3
+        flat_and = read_cond(f"({A} & {B} & {C})")
+        assert read_cond(f"({A} & ({B} & {C}))") == flat_and
+        assert len(flat_and.parts) == 3
+
+    def test_other_connectives_stay_nested(self):
+        f = read_cond(f"({A} & -({B} & {C}))")
+        assert len(f.parts) == 2
+        assert len(f.parts[1].sub.parts) == 2
+
+    @pytest.mark.parametrize(
+        "formula", [f"({A} & {B} | {C})", f"({A} -> {B} -> {C})"],
+        ids=["mixed", "three-operand-impl"],
+    )
+    def test_malformed_group(self, formula):
+        with pytest.raises(FormatError) as e:
+            read_cond(formula)
+        assert e.value.line == 5
+
+
 class TestNativeProp:
     def test_round_trip(self, bw):
         prog = to_prop(bw, 2, bw.queries["tower"])

@@ -232,8 +232,8 @@ class TestAtomResolution:
         gls = ground(BW + "caused false if loc(a) = loc(b).")
         (law,) = gls.static
         # disjunction over the shared domain {table, a, b}
-        expect = mvpf.disj_all(
-            [
+        expect = mvpf.disj(
+            *[
                 mvpf.conj(atom(gls, "loc(a)", v), atom(gls, "loc(b)", v))
                 for v in ("table", "a", "b")
             ]

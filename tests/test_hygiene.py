@@ -1,0 +1,80 @@
+"""Source hygiene: no unused imports, no unreferenced top-level code.
+
+A static scan with the standard-library ``ast``: every name a module under
+``src/cplusplan`` imports is used in that module, and every top-level
+function or class there is referenced somewhere in ``src/``, ``tests/`` or
+``perfbench/`` outside its own body.  A reference is a name, an attribute,
+or a string equal to the name (tools patch functions by their name).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cplusplan"
+MODULES = sorted(PACKAGE.glob("*.py"))
+SCANNED = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    return [name for name in imported if name not in used]
+
+
+def _references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
+    """Names, attributes and strings in the tree, outside the node `skip`."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(_tree(path)) == []
+
+
+def test_every_top_level_definition_is_referenced():
+    trees = {p: _tree(p) for p in SCANNED}
+    refs = {p: _references(t) for p, t in trees.items()}
+    unreferenced = []
+    for path in MODULES:
+        elsewhere = set().union(*(r for q, r in refs.items() if q != path))
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name in elsewhere or node.name in _references(trees[path], skip=node):
+                continue
+            unreferenced.append(f"{path.name}:{node.name}")
+    assert unreferenced == []

@@ -85,7 +85,7 @@ class TestGuardedChoicePlusFact:
 
     theory = MvTheory(
         SIG,
-        (And(rule(atom(V1), Neg(Neg(atom(V1)))), atom(V2)),),
+        (And((rule(atom(V1), Neg(Neg(atom(V1)))), atom(V2))),),
     )
 
     def test_stable_models(self):
@@ -151,8 +151,8 @@ def formulas(sig):
     def extend(children):
         return st.one_of(
             children.map(Neg),
-            st.tuples(children, children).map(lambda t: And(*t)),
-            st.tuples(children, children).map(lambda t: Or(*t)),
+            st.tuples(children, children).map(And),
+            st.tuples(children, children).map(Or),
             st.tuples(children, children).map(lambda t: Impl(*t)),
         )
 

@@ -222,7 +222,7 @@ class TestFormulas:
         f = self.f("-loc(B) = table ++ loc(B) = L & loc(B1) = L ->> loc(B) = B1")
         assert isinstance(f, ImplF)
         assert isinstance(f.left, OrF)
-        assert isinstance(f.left.right, AndF)
+        assert isinstance(f.left.parts[1], AndF)
 
     def test_neg_of_equality_atom(self):
         f = self.f("-(loc(B) = table)")
