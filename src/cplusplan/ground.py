@@ -334,6 +334,14 @@ class _Resolver:
         self.desc = desc
         self.symbols = symbols
         self.known_objects = set(desc.object_sorts().keys())
+        self._members: dict[str, frozenset] = {}
+
+    def sort_members(self, sort: str) -> frozenset:
+        """The sort's objects, subsorts included; kept per sort."""
+        members = self._members.get(sort)
+        if members is None:
+            members = self._members[sort] = frozenset(self.desc.sort_members(sort))
+        return members
 
     def eval_term(self, t: Term, subst: dict, span: Span):
         """Returns ('const', GroundConst) or ('obj', value)."""
@@ -357,7 +365,7 @@ class _Resolver:
                     raise GroundError(
                         f"constant argument of '{t.name}' must be an object", span
                     )
-                if val not in self.desc.sort_members(argsort):
+                if val not in self.sort_members(argsort):
                     raise GroundError(
                         f"'{value_name(val)}' is not of sort '{argsort}' "
                         f"(argument of '{t.name}')",

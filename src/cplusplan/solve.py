@@ -17,11 +17,22 @@ dump, written by hand, or with a positive loop) each candidate must pass
 a stability check: it must be the unique minimal model of the program's
 reduct, which the same search decides by asking for a proper sub-model.
 
-One driver, ``solve_horizons``, walks a query's step range.  It grows a
-single rule list, each step's rules instantiated once, and searches
-horizon k with the query rules for k added.  That list is
-``IncrementalProgram.program(k)`` rule for rule, so the paper's static
-and incremental modes share the one driver.
+One driver, ``solve_horizons``, walks a query's step range with one live
+solver, as iclingo does for the paper's incremental mode.  Each step's
+rules are instantiated and encoded once, and their clauses stay in the
+one search for every later horizon, with the clauses learned from them.
+An atom's support clause joins them once no later step can add a rule
+for it: for the translator's programs, step t completes the fluents at
+t and the actions at t-1.  What holds for horizon k alone (its query
+rules, the support clauses still open and the blocking clauses of its
+candidates) is guarded by a fresh literal a_k that the search assumes
+(MiniSat-style solving under assumptions), and the next horizon asserts
+-a_k, which retires those clauses and the learned ones that depended on
+them.  The range's last horizon has nothing to retract, so it is
+asserted unguarded; a single fixed horizon is therefore searched just
+as one whole-horizon program is, and the horizon-k models are those of
+``IncrementalProgram.program(k)``, so the paper's static and
+incremental modes share the one driver.
 
 A separate brute-force enumerator (direct formula evaluation, subset
 minimality by exhaustion) serves as the oracle in tests.  It shares the
@@ -31,8 +42,10 @@ formula node types and nothing else.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from . import mvpf
 from .syntax import NO_SPAN
@@ -48,11 +61,28 @@ from .translate import (
 
 
 @dataclass
+class HorizonRecord:
+    """The live solver after one horizon's search, and what it cost."""
+
+    k: int
+    vars: int
+    clauses: int  # encoded for good so far
+    learned: int  # learned clauses kept
+    decisions: int
+    conflicts: int
+    propagations: int
+    candidates: int
+
+
+@dataclass
 class Stats:
     grounded_rules: int = 0
     steps_grounded: int = 0
     propagations: int = 0
+    decisions: int = 0
+    conflicts: int = 0
     models_checked: int = 0
+    horizons: list[HorizonRecord] = field(default_factory=list)
 
 
 @dataclass
@@ -133,14 +163,22 @@ def _minimal(formulas: list, model: frozenset) -> bool:
 
 class CnfBuilder:
     """Tseitin encoding.  Var 1 is reserved true; atom vars are interned
-    ahead of auxiliaries so atom numbering is stable for a given program."""
+    ahead of auxiliaries so atom numbering is stable for a given program.
+
+    New clauses collect in ``clauses`` until their owner takes them.  While
+    ``guard`` is set, they go to ``guarded`` instead, each with the guard's
+    negation added, and the subformulas first encoded then are forgotten
+    by ``forget_guarded``, since their definitions leave with the guard.
+    """
 
     def __init__(self) -> None:
         self.nvars = 1
         self.clauses: list[list[int]] = [[1]]
+        self.guard = 0
+        self.guarded: list[list[int]] = []
         self.var_of: dict[PAtom, int] = {}
-        self.atom_of: dict[int, PAtom] = {}
         self._cache: dict = {}
+        self._guarded_keys: list = []
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -151,8 +189,14 @@ class CnfBuilder:
         if v is None:
             v = self.new_var()
             self.var_of[a] = v
-            self.atom_of[v] = a
         return v
+
+    def _emit(self, cl: list[int]) -> None:
+        if self.guard:
+            cl.append(-self.guard)
+            self.guarded.append(cl)
+        else:
+            self.clauses.append(cl)
 
     def lit(self, f) -> int:
         if isinstance(f, PAtom):
@@ -170,37 +214,43 @@ class CnfBuilder:
             ops = [s * self.lit(g) for g in f.parts]
             g = self.new_var()
             for l in ops:
-                self.clauses.append([-s * g, l])
-            self.clauses.append([s * g] + [-l for l in ops])
+                self._emit([-s * g, l])
+            self._emit([s * g] + [-l for l in ops])
         elif isinstance(f, mvpf.Impl):
             la, lb = self.lit(f.left), self.lit(f.right)
             g = self.new_var()
-            self.clauses.append([-g, -la, lb])
-            self.clauses.append([g, la])
-            self.clauses.append([g, -lb])
+            self._emit([-g, -la, lb])
+            self._emit([g, la])
+            self._emit([g, -lb])
         else:
             raise TypeError(f"not a propositional formula: {f!r}")
         self._cache[f] = g
+        if self.guard:
+            self._guarded_keys.append(f)
         return g
 
-    def add_rule(self, rule: PropRule) -> None:
+    def forget_guarded(self) -> None:
+        for f in self._guarded_keys:
+            del self._cache[f]
+        self._guarded_keys = []
+
+    def add_rule(self, rule: PropRule) -> int:
+        """Adds the rule's clause and returns its body literal."""
         lb = self.lit(rule.body)
         if rule.head is None:
-            self.clauses.append([-lb])
+            self._emit([-lb])
         else:
-            self.clauses.append([self.atom_var(rule.head), -lb])
+            self._emit([self.atom_var(rule.head), -lb])
+        return lb
 
     def add_formula(self, f) -> None:
-        self.clauses.append([self.lit(f)])
+        self._emit([self.lit(f)])
 
-    def add_support_clauses(self, rules: list[PropRule], atoms: list[PAtom]) -> None:
-        """`atom implies some rule body`; sound for atomic-head programs."""
-        by_head: dict[PAtom, list[int]] = {}
-        for r in rules:
-            if r.head is not None:
-                by_head.setdefault(r.head, []).append(self.lit(r.body))
+    def add_support_clauses(self, atoms: list[PAtom], bodies: dict[PAtom, list[int]]) -> None:
+        """`atom implies some rule body`, bodies giving each head's body
+        literals; sound for atomic-head programs."""
         for a in atoms:
-            self.clauses.append([-self.atom_var(a)] + by_head.get(a, []))
+            self._emit([-self.atom_var(a), *bodies.get(a, ())])
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +286,15 @@ class Dpll:
     are saved on backtracking, and the search restarts on the Luby
     sequence.  The name is kept for tools that wrap ``propagate`` and
     ``push_level`` by it.
+
+    The solver can be extended between searches (``grow``, ``add_clause``)
+    and searched under an assumption literal, which ``retire`` later
+    asserts false together with every clause it guards.
     """
 
     def __init__(self, nvars: int, clauses: list[list[int]], stats: Stats):
         self.stats = stats
+        self.nvars = nvars
         size = 2 * nvars + 1
         self.val = [0] * size  # by literal: 1 true, -1 false, 0 unset
         self.implied: list[list[int]] = [[] for _ in range(size)]
@@ -257,6 +312,9 @@ class Dpll:
         self.conflicts = 0
         self.restarts = 0
         self.next_restart = _RESTART_UNIT
+        self.learnts: list[list[int]] = []  # of two or more literals
+        self.assumption = 0
+        self.guarded: list[list[int]] = []  # clauses that mention -assumption
         # the queue: variable 1 is the front, each variable's older
         # neighbour is the next one up; stamps order the queue
         self.older = [v + 1 for v in range(nvars + 1)]
@@ -264,7 +322,7 @@ class Dpll:
         self.newer = [v - 1 for v in range(nvars + 1)]
         self.newer[0] = 0
         self.stamp = [nvars + 1 - v for v in range(nvars + 1)]
-        self.stamp[0] = 0
+        self.stamp[0] = -math.inf  # below the stamps of variables grown later
         self.clock = nvars
         self.front = self.search = 1 if nvars else 0
         self.ok = True
@@ -284,6 +342,83 @@ class Dpll:
         else:
             self.watches[cl[0]].append(cl)
             self.watches[cl[1]].append(cl)
+
+    def grow(self, nvars: int) -> None:
+        """Makes room for variables up to nvars, queued behind all the
+        others in variable order, lowest first."""
+        old = self.nvars
+        add = nvars - old
+        if add <= 0:
+            return
+        # the negative half of a literal-indexed list stays at its far end
+        self.val[old + 1:old + 1] = [0] * (2 * add)
+        self.implied[old + 1:old + 1] = [[] for _ in range(2 * add)]
+        self.watches[old + 1:old + 1] = [[] for _ in range(2 * add)]
+        self.level += [0] * add
+        self.reason += [None] * add
+        self.phase += [1] * add
+        self.seen += [0] * add
+        older, newer, stamp = self.older, self.newer, self.stamp
+        tail = self.front
+        while older[tail]:
+            tail = older[tail]
+        older += range(old + 2, nvars + 2)
+        older[nvars] = 0
+        newer += range(old, nvars)
+        newer[old + 1] = tail
+        older[tail] = old + 1  # older[0] when the queue was empty
+        low = stamp[tail] if tail else 0
+        stamp += range(low - 1, low - 1 - add, -1)
+        if not self.front:
+            self.front = old + 1
+        if not self.search:
+            self.search = old + 1
+        self.nvars = nvars
+
+    def add_clause(self, cl: list[int], guarded: bool = False) -> None:
+        """Adds a clause for good, at level 0, undoing any decisions first.
+
+        Literals false at level 0 move behind the watched pair, in place; a
+        clause true there is dropped.  A guarded clause mentions the
+        negation of the next assumption and leaves with it (``retire``).
+        """
+        if self.trail_lim:
+            self.backtrack(0)
+        val = self.val
+        n = 0
+        for i, lit in enumerate(cl):
+            x = val[lit]
+            if x > 0:
+                return
+            if not x:
+                cl[i] = cl[n]
+                cl[n] = lit
+                n += 1
+        if n > 1:
+            self._attach(cl)
+            if guarded:
+                self.guarded.append(cl)
+        elif n:
+            self._assign(cl[0], None)
+        else:
+            self.ok = False
+
+    def retire(self, a: int) -> None:
+        """Asserts -a for good and drops the clauses guarded by it."""
+        self.backtrack(0)
+        na = -a
+        implied, watches = self.implied, self.watches
+        for x in implied[na]:  # each two-literal clause (-a | x)
+            implied[x] = [y for y in implied[x] if y != na]
+        implied[na] = []
+        gone = {id(cl) for cl in self.guarded}
+        for lit in {lit for cl in self.guarded if len(cl) > 2 for lit in cl[:2]}:
+            watches[lit] = [cl for cl in watches[lit] if id(cl) not in gone]
+        self.learnts = [cl for cl in self.learnts if id(cl) not in gone]
+        self.guarded = []
+        self.assumption = 0
+        if not self.val[na]:
+            self._assign(na, None)
 
     def _assign(self, lit: int, reason) -> None:
         self.val[lit] = 1
@@ -391,9 +526,15 @@ class Dpll:
         self.search = search
 
     def _analyze(self) -> tuple[list[int], int]:
-        """The first-UIP clause of the conflict and the level to jump to."""
+        """The first-UIP clause of the conflict and the level to jump to.
+
+        Under an assumption, every level-1 literal is implied by it, so the
+        clause holds them all as one literal, the assumption's negation.
+        """
         level, reason, trail, seen = self.level, self.reason, self.trail, self.seen
         dl = len(self.trail_lim)
+        floor = 1 if self.assumption else 0
+        fold = False
         learnt = [0]
         marked = []
         pending = 0
@@ -407,8 +548,10 @@ class Dpll:
                     marked.append(v)
                     if level[v] == dl:
                         pending += 1
-                    else:
+                    elif level[v] > floor:
                         learnt.append(q)
+                    else:
+                        fold = True
             idx -= 1
             while not seen[abs(trail[idx])]:
                 idx -= 1
@@ -426,8 +569,12 @@ class Dpll:
             r = reason[abs(q)]
             if r.__class__ is int:
                 r = (r,)
-            if r is None or any(not seen[abs(x)] and level[abs(x)] for x in r):
+            if r is None or any(not seen[abs(x)] and level[abs(x)] > floor for x in r):
                 out.append(q)
+            elif floor and not fold:
+                fold = any(level[abs(x)] == 1 for x in r)
+        if fold:
+            out.append(-self.assumption)
         back = 0
         if len(out) > 1:
             top = max(range(1, len(out)), key=lambda i: level[abs(out[i])])
@@ -466,39 +613,64 @@ class Dpll:
         self.search = v
         return v
 
-    def solve(self) -> bool:
+    def solve(self, assume: int = 0) -> bool:
         """Extends the assignment to a total one satisfying every clause.
 
         After a True, the caller may ``block`` the assignment and call
-        again for the next one; False means there is no further one.
+        again for the next one; False means there is no further one.  A
+        nonzero assume is decided first, at level 1, and never undone by
+        the search: restarts go back to it, and False then means no
+        further assignment with it.  Clauses blocked under it, and learned
+        clauses that depend on it, are guarded by it.
         """
         if not self.ok:
             return False
+        self.assumption = assume
+        floor = 1 if assume else 0
+        stats = self.stats
         while True:
             if self.propagate():
+                if len(self.trail_lim) < floor:
+                    if self.val[assume] < 0:
+                        return False
+                    self.push_level()
+                    if not self.val[assume]:
+                        self._assign(assume, None)
+                    continue
                 v = self._decide()
                 if not v:
                     return True
+                stats.decisions += 1
                 self.push_level()
                 self._assign(v if self.phase[v] > 0 else -v, None)
                 continue
-            if not self.trail_lim:
-                self.ok = False
+            if len(self.trail_lim) <= floor:
+                if self.trail_lim:  # the assumption is refuted
+                    self.backtrack(0)
+                else:
+                    self.ok = False
                 return False
             learnt, back = self._analyze()
             self.backtrack(back)
             if len(learnt) > 1:
                 self._attach(learnt)
+                self.learnts.append(learnt)
+                if assume and -assume in learnt:
+                    self.guarded.append(learnt)
             self._assign(learnt[0], learnt)
             self.conflicts += 1
+            stats.conflicts += 1
             if self.conflicts >= self.next_restart:
                 self.restarts += 1
                 self.next_restart += _RESTART_UNIT * _luby(self.restarts + 1)
-                self.backtrack(0)
+                self.backtrack(floor)
 
     def block(self, clause: list[int]) -> bool:
         """Adds a clause that the total assignment falsifies and jumps back
-        far enough for search to go on; False when nothing is left."""
+        far enough for search to go on; False when nothing is left.  Under
+        an assumption, the clause is guarded by it."""
+        if self.assumption:
+            clause.append(-self.assumption)
         level = self.level
         clause.sort(key=lambda l: level[abs(l)], reverse=True)
         if not clause or not level[abs(clause[0])]:
@@ -511,6 +683,8 @@ class Dpll:
         top, second = level[abs(clause[0])], level[abs(clause[1])]
         self.backtrack(second if second < top else top - 1)
         self._attach(clause)
+        if self.assumption:
+            self.guarded.append(clause)
         if second < top:
             self._assign(clause[0], clause)
         return True
@@ -536,19 +710,14 @@ def is_stable_model(rules: list[PropRule], model: frozenset[PAtom], stats: Stats
     return not Dpll(builder.nvars, builder.clauses, stats).solve()
 
 
-def is_tight(rules: list[PropRule]) -> bool:
-    """Is the program tight, so that every model of its completion is stable?
-
-    True when no body has an implication outside every negation and the
-    positive dependency graph (an edge from a head to each body atom
-    outside every negation) is acyclic: Fages' theorem, which Erdem and
-    Lifschitz extend to nested bodies.  A negated subformula is true or
-    false as a whole in the reduct, so what sits under it never matters;
-    the reduct of a constraint that a candidate satisfies is always true,
-    so only rules with a head are walked.
-    """
+def _dependencies(rules: list[PropRule]) -> list[tuple[PAtom, PAtom]] | None:
+    """The positive dependency edges: from a rule's head to each body atom
+    outside every negation.  None when a body has an implication outside
+    every negation.  A negated subformula is true or false as a whole in
+    the reduct, so what sits under it never matters; the reduct of a
+    constraint that a candidate satisfies is always true, so only rules
+    with a head are walked."""
     edges: list[tuple[PAtom, PAtom]] = []
-    by_step = True  # every edge runs to an earlier step: acyclic at once
     for r in rules:
         if r.head is None:
             continue
@@ -559,11 +728,30 @@ def is_tight(rules: list[PropRule]) -> bool:
             if cls is mvpf.And or cls is mvpf.Or:
                 stack.extend(g.parts)
             elif cls is mvpf.Impl:
-                return False
+                return None
             elif cls is PAtom:
                 edges.append((r.head, g))
-                by_step = by_step and g.step < r.head.step
-    if by_step:
+    return edges
+
+
+def _step_ordered(rules: list[PropRule]) -> bool:
+    """Does every positive dependency run to an earlier step?  Then so
+    does every one of any union of such rule lists, which is tight."""
+    edges = _dependencies(rules)
+    return edges is not None and all(body.step < head.step for head, body in edges)
+
+
+def is_tight(rules: list[PropRule]) -> bool:
+    """Is the program tight, so that every model of its completion is stable?
+
+    True when no body has an implication outside every negation and the
+    positive dependency graph is acyclic: Fages' theorem, which Erdem and
+    Lifschitz extend to nested bodies.
+    """
+    edges = _dependencies(rules)
+    if edges is None:
+        return False
+    if all(body.step < head.step for head, body in edges):
         return True
     # Kahn's algorithm: the graph is acyclic when every node gets removed
     succ: dict[PAtom, list[PAtom]] = {}
@@ -586,12 +774,106 @@ def is_tight(rules: list[PropRule]) -> bool:
 # ---------------------------------------------------------------------------
 # Enumeration
 
+class LiveSolver:
+    """One query's CNF and search, carried from horizon to horizon.
+
+    The caller sets ``horizon`` before each horizon's call.  Each rule is
+    encoded once, when its horizon first needs it.  An atom's support
+    clause is added for good once no later step can give it a rule: for
+    an atom at step s, that is after step s, or s+1 when its constant
+    heads a template rule at t-1.  Until then, and for the query rules of
+    horizon k with the clauses that define their bodies, clauses are
+    guarded by a fresh literal a_k, which the search assumes; the next
+    horizon retires a_k.  Nothing is guarded at horizon ``last``, as no
+    horizon follows it; a fresh LiveSolver() thus solves one program as
+    it stands.  Tightness is decided from each block of rules as it
+    comes: when every positive dependency runs to an earlier step, so
+    does every one of the union.  Only otherwise is the whole program
+    walked again at each horizon.
+    """
+
+    def __init__(self, template=(), last: int | None = None) -> None:
+        self.builder = CnfBuilder()
+        self.solver: Dpll | None = None
+        self.rules: list[PropRule] = []
+        self.bodies: dict[PAtom, list[int]] = {}
+        self.universe: set[PAtom] = set()
+        self.unsupported: list[PAtom] = []  # support still open
+        self.clauses = 0  # handed to the solver for good
+        self.lag = {r.head.const: 1 for r in template
+                    if r.head is not None and r.head.rel < 0}
+        self.ordered = True
+        self.horizon = self.last = last
+        self.guard = 0
+        self.rng: random.Random | None = None
+
+    def extend(self, rules, query, universe, config: SolveConfig, stats: Stats) -> bool:
+        """Adds the horizon's rules, query and support clauses, and tells
+        whether its candidates need the stability check."""
+        b = self.builder
+        if self.guard:
+            self.solver.retire(self.guard)
+            b.forget_guarded()
+        fresh = [a for a in universe if a not in self.universe]
+        self.universe.update(fresh)
+        for a in fresh:
+            b.atom_var(a)
+        bodies = self.bodies
+        for r in rules:
+            lb = b.add_rule(r)
+            if r.head is not None:
+                bodies.setdefault(r.head, []).append(lb)
+        self.rules += rules
+        self.ordered = self.ordered and _step_ordered(rules)
+        final = self.horizon == self.last
+        closed, still = [], []
+        for a in self.unsupported + fresh:
+            if final or a.step + self.lag.get(a.const, 0) <= self.horizon:
+                closed.append(a)
+            else:
+                still.append(a)
+        b.add_support_clauses(closed, bodies)
+        self.unsupported = still
+        self.guard = b.guard = 0 if final else b.new_var()
+        for r in query:
+            b.add_rule(r)
+        b.add_support_clauses(still, bodies)
+        b.guard = 0
+
+        self.clauses += len(b.clauses)
+        if self.solver is None:
+            self.solver = Dpll(b.nvars, b.clauses, stats)
+            first = 0
+        else:
+            first = self.solver.nvars + 1
+            self.solver.grow(b.nvars)
+            for cl in b.clauses:
+                self.solver.add_clause(cl)
+        for cl in b.guarded:
+            self.solver.add_clause(cl, guarded=True)
+        b.clauses, b.guarded = [], []
+        if config.seed:
+            self.rng = self.rng or random.Random(config.seed)
+            phase = self.solver.phase
+            for v in range(first, b.nvars + 1):
+                phase[v] = self.rng.choice((-1, 1))
+
+        # every atom has a support clause only when the rules add no atom
+        if len(b.var_of) != len(universe):
+            return True
+        if self.ordered and _step_ordered(query):
+            return False
+        return not is_tight(self.rules + list(query))
+
+
 def enumerate_models(
     rules: list[PropRule],
     groups: list[TimedConst] | None,
     config: SolveConfig,
     stats: Stats,
     extra_atoms: list[PAtom] | None = None,
+    live: LiveSolver | None = None,
+    query: Sequence[PropRule] = (),
 ):
     """Yields stable models.
 
@@ -601,15 +883,18 @@ def enumerate_models(
     total assignment of the search is a candidate; it is blocked after
     its check, so every candidate is met once.  The stability check runs
     only when the program is not known to be tight.
+
+    With live, the call searches the live solver's next horizon: rules
+    are only those new to it and stay for later horizons, while query
+    holds the constraints for this horizon alone.
     """
-    builder = CnfBuilder()
-    atom_universe: list[PAtom] = []
+    if live is None:
+        live = LiveSolver()
     if groups is not None:
-        for tc in groups:
-            atom_universe.extend(tc.values)
+        atom_universe = [a for tc in groups for a in tc.values]
     else:
         seen = dict()
-        for r in rules:
+        for r in itertools.chain(rules, query):
             if r.head is not None:
                 seen[r.head] = True
             for a in formula_leaves(r.body):
@@ -617,29 +902,22 @@ def enumerate_models(
         for a in extra_atoms or []:
             seen[a] = True
         atom_universe = sorted(seen, key=lambda a: (a.step, a.const, a.value))
-    for a in atom_universe:
-        builder.atom_var(a)
-    for r in rules:
-        builder.add_rule(r)
-    builder.add_support_clauses(rules, atom_universe)
-    # every atom has a support clause only when the rules add no atom
-    check = not (len(builder.var_of) == len(atom_universe) and is_tight(rules))
+    check = live.extend(rules, query, atom_universe, config, stats)
 
-    solver = Dpll(builder.nvars, builder.clauses, stats)
-    if config.seed:
-        rng = random.Random(config.seed)
-        solver.phase = [rng.choice((-1, 1)) for _ in solver.phase]
-    atoms = list(builder.var_of.items())
+    solver = live.solver
+    guard = live.guard
+    atoms = list(live.builder.var_of.items())
     val = solver.val
+    program = live.rules + list(query) if check else None
     yielded = 0
-    while solver.solve():
+    while solver.solve(guard):
         model = frozenset(a for a, v in atoms if val[v] == 1)
         stats.models_checked += 1
         if config.max_checked and stats.models_checked > config.max_checked:
             raise ResourceLimit(
                 f"models-checked cap exceeded ({config.max_checked})"
             )
-        if not check or is_stable_model(rules, model, stats):
+        if not check or is_stable_model(program, model, stats):
             yield model
             yielded += 1
             if config.max_solutions and yielded >= config.max_solutions:
@@ -654,29 +932,49 @@ def enumerate_models(
 def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
     """Yields (k, models) for each horizon k in the query's step range.
 
-    Each step's rules are instantiated once and kept for every later
-    horizon; the query rules for horizon k are added for that horizon
-    only.  The caller decides when to stop.
+    One LiveSolver serves the whole range.  Each step's rules are
+    instantiated and encoded once, and its clauses, with the support
+    clauses the step completes (fluents at t, actions at t-1), stay in
+    the one CDCL search for every later horizon, as do the clauses it
+    learns from them.  Horizon k's query rules, the support clauses still
+    open and the blocking clauses of its candidates are guarded by a
+    fresh literal a_k, which the search assumes at level 1; the next
+    horizon asserts -a_k, and the clauses it satisfies leave the watch
+    lists.  The range's last horizon needs no retraction, so it is
+    asserted unguarded and searched as a single program would be.  Each
+    horizon appends a HorizonRecord to stats.horizons.  The caller
+    decides when to stop.
     """
     if inc.max_step is None:
         raise UnboundedRange(
             "no upper step bound; set maxstep explicitly", NO_SPAN
         )
-    persistent = list(inc.base)
-    stats.grounded_rules += len(persistent)
+    live = LiveSolver(inc.template, inc.max_step)
+    new = list(inc.base)
+    stats.grounded_rules += len(new)
     grounded_to = 0
     for k in range(inc.min_step, inc.max_step + 1):
         while grounded_to < k:
             grounded_to += 1
             step_rules = inc.step_rules(grounded_to)
-            persistent.extend(step_rules)
+            new += step_rules
             stats.grounded_rules += len(step_rules)
         stats.steps_grounded += 1
-        volatile = inc.query_rules_at(k)
-        stats.grounded_rules += len(volatile)
-        yield k, list(
-            enumerate_models(persistent + volatile, inc.timed_consts(k), config, stats)
-        )
+        query = inc.query_rules_at(k)
+        stats.grounded_rules += len(query)
+        before = (stats.decisions, stats.conflicts, stats.propagations, stats.models_checked)
+        live.horizon = k
+        models = list(enumerate_models(
+            new, inc.timed_consts(k), config, stats, live=live, query=query
+        ))
+        new = []
+        s = live.solver
+        stats.horizons.append(HorizonRecord(
+            k, s.nvars, live.clauses, len(s.learnts),
+            stats.decisions - before[0], stats.conflicts - before[1],
+            stats.propagations - before[2], stats.models_checked - before[3],
+        ))
+        yield k, models
 
 
 def solve_incremental(inc: IncrementalProgram, config: SolveConfig) -> SolveResult:

@@ -541,10 +541,151 @@ class TestTightness:
         assert len(stability_calls) == stats.models_checked == 2
 
     @pytest.mark.parametrize("case", DEFAULT, ids=lambda c: f"{c.name}-{c.query}")
-    def test_skip_keeps_the_model_set(self, case, monkeypatch):
+    def test_skip_keeps_the_model_set(self, case, monkeypatch, stability_calls):
         _, skipped = suite.run_case(case, ALL)
         monkeypatch.setattr(solve, "is_tight", lambda rules: False)
+        monkeypatch.setattr(solve, "_step_ordered", lambda rules: False)
         _, checked = suite.run_case(case, ALL)
+        assert checked.stats.models_checked == 0 or stability_calls
         assert checked.found_step == skipped.found_step
         assert set(checked.models) == set(skipped.models)
         assert len(checked.models) == len(skipped.models)
+
+
+# the default cases' ranges, cut where enumerating every plan stays cheap
+LIVE_RANGES = {
+    ("bw-pair", "tower"): (0, 4),
+    ("bw-test", "simple"): (0, 4),
+    ("bw-test", "impossible"): (0, 6),
+    ("hanoi", "transfer"): (0, 7),
+    ("ferryman", "cross"): (0, 9),
+}
+
+# p at t-1 gains a rule from step t, after p at t-1 has entered the search
+GROWING_SUPPORT = """\
+#format incremental-program 1.
+#range 0 3.
+#query "q".
+#const "p" simple ("f", "t").
+#const "go" action ("f", "t").
+#section base.
+#rule uec-unique false <- (0:"p"="f" & 0:"p"="t").
+#rule uec-exists false <- -(0:"p"="f" | 0:"p"="t").
+#rule default 0:"p"="f" <- --0:"p"="f".
+#section cumulative.
+#rule uec-unique false <- (t:"p"="f" & t:"p"="t").
+#rule uec-exists false <- -(t:"p"="f" | t:"p"="t").
+#rule uec-unique false <- (t-1:"go"="f" & t-1:"go"="t").
+#rule uec-exists false <- -(t-1:"go"="f" | t-1:"go"="t").
+#rule choice t-1:"go"="f" <- --t-1:"go"="f".
+#rule choice t-1:"go"="t" <- --t-1:"go"="t".
+#rule default t:"p"="f" <- --t:"p"="f".
+#rule back t-1:"p"="t" <- t-1:"go"="t".
+#section volatile.
+#qline at maxstep+0 "p"="f".
+#end.
+"""
+
+
+def fresh_horizons(inc):
+    """Each horizon's models from a solver built for it alone."""
+    return [
+        (k, list(enumerate_models(inc.program(k).rules, inc.timed_consts(k), ALL, Stats())))
+        for k in range(inc.min_step, inc.max_step + 1)
+    ]
+
+
+def assert_same_horizons(live, fresh):
+    assert [k for k, _ in live] == [k for k, _ in fresh]
+    for (k, got), (_, want) in zip(live, fresh):
+        assert len(got) == len(set(got)), k
+        assert set(got) == set(want), k
+
+
+class TestLiveSolver:
+    """One solver per query, carried across horizons, against fresh ones."""
+
+    @pytest.mark.parametrize("key", sorted(LIVE_RANGES), ids="-".join)
+    def test_every_horizon_matches_a_fresh_solver(self, key):
+        name, label = key
+        lo, hi = LIVE_RANGES[key]
+        gls = suite.load_example(name)
+        q = dataclasses.replace(gls.queries[label], min_step=lo, max_step=hi)
+        inc = incremental_program(gls, q)
+        assert_same_horizons(list(solve_horizons(inc, ALL, Stats())), fresh_horizons(inc))
+
+    def test_support_that_grows_after_its_atom_appears(self):
+        from cplusplan.export import import_incremental
+
+        inc = import_incremental(GROWING_SUPPORT)
+        live = list(solve_horizons(inc, ALL, Stats()))
+        assert_same_horizons(live, fresh_horizons(inc))
+        # every choice of go at steps 0..k-1 is a plan
+        assert [len(m) for _, m in live] == [1, 2, 4, 8]
+
+    def test_assumption_refuted_then_solver_goes_on(self):
+        solver = Dpll(5, [[1], [2, 3]], Stats())
+        solver.add_clause([-2, -4], guarded=True)
+        solver.add_clause([-3, -4, 5], guarded=True)
+        solver.add_clause([-5, -4], guarded=True)
+        assert not solver.solve(4)
+        solver.retire(4)
+        assert solver.val[-4] == 1 and solver.guarded == []
+        solver.grow(6)
+        solver.add_clause([-2, -6], guarded=True)
+        assert solver.solve(6)
+        assert solver.val[3] == 1 and solver.val[2] == -1
+        solver.retire(6)
+        assert solver.solve()
+        assert solver.val[-6] == 1
+
+    def test_blocking_under_an_assumption_leaves_with_it(self):
+        solver = Dpll(4, [[1], [2, 3]], Stats())
+        found = 0
+        while solver.solve(4):
+            found += 1
+            if not solver.block([-v if solver.val[v] == 1 else v for v in (2, 3)]):
+                break
+        assert found == 3
+        solver.retire(4)
+        solver.grow(5)
+        found = 0
+        while solver.solve(5):
+            found += 1
+            if not solver.block([-v if solver.val[v] == 1 else v for v in (2, 3)]):
+                break
+        assert found == 3
+
+    def test_clauses_added_at_level_0_after_a_solve(self):
+        solver = Dpll(3, [[1], [2, 3]], Stats())
+        assert solver.solve()
+        solver.add_clause([-2])
+        solver.add_clause([-3, -1, 2])  # 1 and -2 hold for good: this is [-3]
+        assert not solver.solve()
+
+        solver = Dpll(3, [[1], [2, 3]], Stats())
+        assert solver.solve()
+        solver.add_clause([-2])
+        solver.add_clause([3, -1, 2])  # and this is [3]
+        assert solver.solve()
+        assert solver.val[2] == -1 and solver.val[3] == 1
+        assert solver.solve()  # the assignment is kept until blocked
+        solver.grow(5)
+        solver.add_clause([4, 5, -1])
+        solver.add_clause([-4])
+        assert solver.solve()
+        assert solver.val[5] == 1
+        solver.add_clause([-5, 2])
+        assert not solver.solve()
+
+    def test_records_show_learned_clauses_carried_over(self):
+        (case,) = [c for c in suite.CASES if c.name == "ferryman-stress"]
+        _, res = suite.run_case(case, SolveConfig(max_solutions=1))
+        records = res.stats.horizons
+        assert [h.k for h in records] == list(range(0, res.found_step + 1))
+        assert records[-1].candidates == 1
+        assert records[-1].vars > records[0].vars
+        # a horizon keeps more learned clauses than it had conflicts, so
+        # some were learned at an earlier horizon
+        assert any(h.learned > h.conflicts for h in records[1:])
+        assert sum(h.conflicts for h in records) == res.stats.conflicts

@@ -179,13 +179,15 @@ class TestGuards:
             suite.oracle_for(suite.ExampleCase("bw", "nope", "bfs-transition-system", 0))
 
 
-@pytest.mark.stress
 class TestStress:
+    @pytest.mark.stress
     @pytest.mark.parametrize("case", STRESS, ids=case_id)
     def test_bfs_matches_committed_answer(self, case):
         found = suite.run_oracle_bfs(suite.oracle_for(case))
         assert found == case.expected_found_step
 
+    # carried over learned clauses matter here: hundreds of conflicts a
+    # horizon, and the run stays well under a second
     def test_ferryman_solver_agrees_and_replays(self):
         (case,) = [c for c in STRESS if c.name == "ferryman-stress"]
         gls, res = suite.run_case(case, SolveConfig(max_solutions=1))
@@ -195,6 +197,7 @@ class TestStress:
             view = to_plan_view(m, gls, res.found_step, case.query)
             assert suite.replay_plan(oracle, view)
 
+    @pytest.mark.stress
     def test_hanoi_solver_agrees_and_replays(self):
         (case,) = [c for c in STRESS if c.name == "hanoi-stress"]
         gls, res = suite.run_case(case, SolveConfig(max_solutions=1))
@@ -202,6 +205,7 @@ class TestStress:
         view = to_plan_view(res.models[0], gls, res.found_step, case.query)
         assert suite.replay_plan(suite.oracle_for(case), view)
 
+    @pytest.mark.stress
     def test_hanoi_grounds_the_whole_horizon(self):
         # the one horizon of the deep case is large: the search above
         # closes it, over every rule counted here
