@@ -678,6 +678,47 @@ class TestLiveSolver:
         solver.add_clause([-5, 2])
         assert not solver.solve()
 
+    def test_random_horizons_against_exhaustion(self, monkeypatch):
+        """Permanent clauses grow and each horizon's guarded ones come and
+        go; every horizon enumerates exactly the assignments exhaustion
+        finds.  Restarting after every conflict exercises the return to
+        level 1."""
+        monkeypatch.setattr(solve, "_RESTART_UNIT", 1)
+        rng = random.Random(6113)
+
+        def clause(vs):
+            return [rng.choice((-1, 1)) * v for v in rng.sample(vs, min(3, len(vs)))]
+
+        for trial in range(40):
+            problem = list(range(2, 7))
+            kept = [clause(problem) for _ in range(4)]
+            solver = Dpll(6, [[1]] + [list(cl) for cl in kept], Stats())
+            for horizon in range(4):
+                nvars = solver.nvars + rng.randint(0, 2)
+                problem += range(solver.nvars + 1, nvars + 1)
+                guard = nvars + 1
+                solver.grow(guard)
+                for _ in range(rng.randint(0, 3)):
+                    kept.append(clause(problem))
+                    solver.add_clause(list(kept[-1]))
+                volatile = [clause(problem) for _ in range(rng.randint(1, 6))]
+                for cl in volatile:
+                    solver.add_clause(cl + [-guard], guarded=True)
+                found = []
+                while solver.solve(guard):
+                    found.append(frozenset(v for v in problem if solver.val[v] == 1))
+                    if not solver.block([-v if solver.val[v] == 1 else v for v in problem]):
+                        break
+                want = set()
+                for bits in itertools.product((False, True), repeat=len(problem)):
+                    true = {v for v, b in zip(problem, bits) if b}
+                    if all(any((l > 0) == (abs(l) in true) for l in cl)
+                           for cl in kept + volatile):
+                        want.add(frozenset(true))
+                assert len(found) == len(set(found)), (trial, horizon)
+                assert set(found) == want, (trial, horizon)
+                solver.retire(guard)
+
     def test_records_show_learned_clauses_carried_over(self):
         (case,) = [c for c in suite.CASES if c.name == "ferryman-stress"]
         _, res = suite.run_case(case, SolveConfig(max_solutions=1))
