@@ -288,8 +288,8 @@ class Dpll:
     ``push_level`` by it.
 
     The solver can be extended between searches (``grow``, ``add_clause``)
-    and searched under an assumption literal, which ``retire`` later
-    asserts false together with every clause it guards.
+    and searched under an assumption literal; ``retire`` later asserts
+    the literal false and drops every clause it guards.
     """
 
     def __init__(self, nvars: int, clauses: list[list[int]], stats: Stats):
