@@ -1,9 +1,11 @@
 """Dumps and readers for the intermediate program forms.
 
 One line-oriented format that round-trips losslessly (up to id
-interning).  Header lines declare the constants with their domains; every
-rule or law is one line, formulas fully parenthesized; a final ``#end.``
-line guards against truncation.
+interning).  Header lines declare the constants with their domains, and
+thereby that each takes exactly one value per step; every rule or law is
+one line, formulas fully parenthesized; a final ``#end.`` line guards
+against truncation.  Older dumps also spell that constraint as ``uec-``
+rules, which are redundant and still read.
 
 Each connective node is one group, ``(a & b & c)``, with one connective
 and, for ``->``, two operands.  The reader splices nested groups of the

@@ -5,7 +5,10 @@ encoding of the rules, together with support clauses: every stable model
 of a program whose rules all have atomic (or false) heads is supported,
 so each atom may be constrained to imply the disjunction of its rule
 bodies.  Rules and support clauses together are the program's
-completion.
+completion.  The encoder adds what the rules leave out, that each
+``TimedConst`` group takes exactly one value (clingo's ``1{...}1`` in the
+paper's tool chain); the stability check needs none of it, as a
+constraint the candidate satisfies reduces to true.
 
 Each total assignment the search reaches is a candidate, and is blocked
 once it has been looked at.  When the program is tight, every model of
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -88,7 +90,6 @@ class Stats:
 @dataclass
 class SolveConfig:
     max_solutions: int = 1  # 0 enumerates every model
-    seed: int = 0
     max_checked: int = 0  # 0 means no cap on candidate models checked
 
 
@@ -160,6 +161,12 @@ def _minimal(formulas: list, model: frozenset) -> bool:
 
 # ---------------------------------------------------------------------------
 # CNF construction
+
+# Pairwise at-most-one up to this width, a sequential counter above it.
+# ferryman-stress 0..9 (widths 2, 5, 11) met 808 conflicts with the cut at
+# 5 or 6, 1,053 at 2-4, 918 with counters and 901 with pairs throughout.
+_PAIRWISE_MAX = 6
+
 
 class CnfBuilder:
     """Tseitin encoding.  Var 1 is reserved true; atom vars are interned
@@ -245,6 +252,25 @@ class CnfBuilder:
 
     def add_formula(self, f) -> None:
         self._emit([self.lit(f)])
+
+    def add_exactly_one(self, atoms: Sequence[PAtom]) -> None:
+        """Some atom and at most one: pairwise up to _PAIRWISE_MAX atoms,
+        else a sequential counter (Sinz 2005)."""
+        xs = [self.atom_var(a) for a in atoms]
+        self._emit(list(xs))
+        if len(xs) <= _PAIRWISE_MAX:
+            for x, y in itertools.combinations(xs, 2):
+                self._emit([-x, -y])
+            return
+        s = self.new_var()
+        self._emit([-xs[0], s])
+        for x in xs[1:-1]:
+            t = self.new_var()
+            self._emit([-x, t])
+            self._emit([-s, t])
+            self._emit([-x, -s])
+            s = t
+        self._emit([-xs[-1], -s])
 
     def add_support_clauses(self, atoms: list[PAtom], bodies: dict[PAtom, list[int]]) -> None:
         """`atom implies some rule body`, bodies giving each head's body
@@ -778,18 +804,19 @@ class LiveSolver:
     """One query's CNF and search, carried from horizon to horizon.
 
     The caller sets ``horizon`` before each horizon's call.  Each rule is
-    encoded once, when its horizon first needs it.  An atom's support
-    clause is added for good once no later step can give it a rule: for
-    an atom at step s, that is after step s, or s+1 when its constant
-    heads a template rule at t-1.  Until then, and for the query rules of
-    horizon k with the clauses that define their bodies, clauses are
-    guarded by a fresh literal a_k, which the search assumes; the next
-    horizon retires a_k.  Nothing is guarded at horizon ``last``, as no
-    horizon follows it; a fresh LiveSolver() thus solves one program as
-    it stands.  Tightness is decided from each block of rules as it
-    comes: when every positive dependency runs to an earlier step, so
-    does every one of the union.  Only otherwise is the whole program
-    walked again at each horizon.
+    encoded once, when its horizon first needs it, after the exactly-one
+    clauses of the groups new to that horizon, which are added for good.
+    An atom's support clause is added for good once no later step can
+    give it a rule: for an atom at step s, that is after step s, or s+1
+    when its constant heads a template rule at t-1.  Until then, and for
+    the query rules of horizon k with the clauses that define their
+    bodies, clauses are guarded by a fresh literal a_k, which the search
+    assumes; the next horizon retires a_k.  Nothing is guarded at horizon
+    ``last``, as no horizon follows it; a fresh LiveSolver() thus solves
+    one program as it stands.  Tightness is decided from each block of
+    rules as it comes: when every positive dependency runs to an earlier
+    step, so does every one of the union.  Only otherwise is the whole
+    program walked again at each horizon.
     """
 
     def __init__(self, template=(), last: int | None = None) -> None:
@@ -805,19 +832,21 @@ class LiveSolver:
         self.ordered = True
         self.horizon = self.last = last
         self.guard = 0
-        self.rng: random.Random | None = None
 
-    def extend(self, rules, query, universe, config: SolveConfig, stats: Stats) -> bool:
-        """Adds the horizon's rules, query and support clauses, and tells
-        whether its candidates need the stability check."""
+    def extend(self, rules, query, groups, universe, stats: Stats) -> bool:
+        """Adds the horizon's new groups, rules, query and support clauses,
+        and tells whether its candidates need the stability check."""
         b = self.builder
         if self.guard:
             self.solver.retire(self.guard)
             b.forget_guarded()
         fresh = [a for a in universe if a not in self.universe]
+        new_groups = [tc.values for tc in groups if tc.values[0] not in self.universe]
         self.universe.update(fresh)
         for a in fresh:
             b.atom_var(a)
+        for values in new_groups:
+            b.add_exactly_one(values)
         bodies = self.bodies
         for r in rules:
             lb = b.add_rule(r)
@@ -843,20 +872,13 @@ class LiveSolver:
         self.clauses += len(b.clauses)
         if self.solver is None:
             self.solver = Dpll(b.nvars, b.clauses, stats)
-            first = 0
         else:
-            first = self.solver.nvars + 1
             self.solver.grow(b.nvars)
             for cl in b.clauses:
                 self.solver.add_clause(cl)
         for cl in b.guarded:
             self.solver.add_clause(cl, guarded=True)
         b.clauses, b.guarded = [], []
-        if config.seed:
-            self.rng = self.rng or random.Random(config.seed)
-            phase = self.solver.phase
-            for v in range(first, b.nvars + 1):
-                phase[v] = self.rng.choice((-1, 1))
 
         # every atom has a support clause only when the rules add no atom
         if len(b.var_of) != len(universe):
@@ -877,9 +899,9 @@ def enumerate_models(
 ):
     """Yields stable models.
 
-    groups gives the atoms of the one-value-per-constant structure in
-    step order; without it the atoms are those the rules and extra_atoms
-    mention (arbitrary atomic-head programs, e.g. read from dumps).  Each
+    groups gives the timed constants in step order, each to take exactly
+    one value; without it the atoms are those the rules and extra_atoms
+    mention, unconstrained (arbitrary atomic-head programs).  Each
     total assignment of the search is a candidate; it is blocked after
     its check, so every candidate is met once.  The stability check runs
     only when the program is not known to be tight.
@@ -902,7 +924,7 @@ def enumerate_models(
         for a in extra_atoms or []:
             seen[a] = True
         atom_universe = sorted(seen, key=lambda a: (a.step, a.const, a.value))
-    check = live.extend(rules, query, atom_universe, config, stats)
+    check = live.extend(rules, query, groups or (), atom_universe, stats)
 
     solver = live.solver
     guard = live.guard
@@ -932,18 +954,10 @@ def enumerate_models(
 def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
     """Yields (k, models) for each horizon k in the query's step range.
 
-    One LiveSolver serves the whole range.  Each step's rules are
-    instantiated and encoded once, and its clauses, with the support
-    clauses the step completes (fluents at t, actions at t-1), stay in
-    the one CDCL search for every later horizon, as do the clauses it
-    learns from them.  Horizon k's query rules, the support clauses still
-    open and the blocking clauses of its candidates are guarded by a
-    fresh literal a_k, which the search assumes at level 1; the next
-    horizon asserts -a_k, and the clauses it satisfies leave the watch
-    lists.  The range's last horizon needs no retraction, so it is
-    asserted unguarded and searched as a single program would be.  Each
-    horizon appends a HorizonRecord to stats.horizons.  The caller
-    decides when to stop.
+    One LiveSolver serves the whole range, as the module docstring
+    describes.  Each step's rules are instantiated once.  Each horizon
+    appends a HorizonRecord to stats.horizons.  The caller decides when
+    to stop.
     """
     if inc.max_step is None:
         raise UnboundedRange(

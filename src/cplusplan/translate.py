@@ -18,10 +18,10 @@ become rules with the condition part double-negated, which keeps every
 rule head free of circular justification except through the previous
 step.  Initial states are opened up by choice rules over simple fluents.
 
-The propositional route additionally pins each timed constant to exactly
-one value (uniqueness and existence constraints); that reduction needs
-at least two values per domain to be a bijection on stable models, so
-smaller domains are rejected here and only here.
+That each timed constant takes exactly one value is left to the
+``TimedConst`` groups, which the search encodes.  The reduction needs at
+least two values per domain to be a bijection on stable models, so
+smaller domains are rejected here.
 """
 
 from __future__ import annotations
@@ -163,9 +163,6 @@ class PropProgram:
     timed_consts: list[TimedConst]
     gls: GroundLawSet
 
-    def atoms(self) -> list[PAtom]:
-        return [a for tc in self.timed_consts for a in tc.values]
-
 
 def _check_domains(gls: GroundLawSet) -> None:
     for gc in gls.symbols.order:
@@ -299,21 +296,6 @@ class IncrementalProgram:
 
 def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalProgram:
     _check_domains(gls)
-    template: list[TemplateRule] = []
-    fluent_uec: list[TemplateRule] = []
-    actions = set(gls.action_ids())
-    for gc in gls.symbols.order:
-        rel = -1 if gc.cid in actions else 0
-        atoms = tuple(TAtom(rel, gc.cid, v) for v in gc.dom)
-        uec = [
-            TemplateRule(None, mvpf.And((atoms[i], atoms[j])), "uec-unique")
-            for i in range(len(atoms))
-            for j in range(i + 1, len(atoms))
-        ]
-        uec.append(TemplateRule(None, mvpf.Neg(mvpf.disj(*atoms)), "uec-exists"))
-        template.extend(uec)
-        if rel == 0:
-            fluent_uec.extend(uec)
     static = [
         TemplateRule(
             None if law.head is None else TAtom(0, *law.head),
@@ -322,7 +304,7 @@ def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalPro
         )
         for law in gls.static
     ]
-    template.extend(static)
+    template = list(static)
     for law in gls.action_dynamic:
         head = None if law.head is None else TAtom(-1, *law.head)
         template.append(
@@ -336,9 +318,9 @@ def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalPro
         )
         template.append(TemplateRule(head, body, "transition"))
 
-    # step 0 has no actions and no predecessor: fluent uniqueness and
-    # existence, the initial-state choice, and the static laws
-    base = _instantiate(fluent_uec, 0) + _choice_rules(gls) + _instantiate(static, 0)
+    # step 0 has no actions and no predecessor: the initial-state choice
+    # and the static laws
+    base = _choice_rules(gls) + _instantiate(static, 0)
     return IncrementalProgram(gls, query, base, template)
 
 
@@ -382,8 +364,8 @@ def horizon_theory(
 ) -> tuple[mvpf.MvTheory, TimedIndex]:
     """The translation as an MvTheory, for the exhaustive-semantics route.
 
-    Identical rule structure to to_prop minus the uniqueness/existence
-    constraints, which the multi-valued signature makes redundant.
+    Identical rule structure to to_prop; the multi-valued signature does
+    the job of to_prop's TimedConst groups.
     """
     if m < 0:
         raise TranslateError(f"horizon must be at least 0, got {m}", NO_SPAN)

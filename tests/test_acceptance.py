@@ -72,58 +72,55 @@ class criterion:
 
 
 # ---------------------------------------------------------------------------
-# 1. The three anchor theories, by exhaustion and by the production solver
-
-def _uec_prop_rules(atoms):
-    rules = []
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            rules.append(PropRule(None, mvpf.And((atoms[i], atoms[j])), "uec-unique"))
-    rules.append(PropRule(None, mvpf.Neg(mvpf.disj(*atoms)), "uec-exists"))
-    return rules
-
+# 1. The anchor theories, by exhaustion and by the production solver
 
 def test_criterion_1_anchor_theories():
     with criterion(1, "anchor-theories-dual-route", budget=1.0):
-        sig = mvpf.Signature((0,), {0: (1, 2, 3)})
-        c1, c2 = mvpf.MvAtom(0, 1), mvpf.MvAtom(0, 2)
-        self_rule = mvpf.Impl(c1, c1)
-        closed_rule = mvpf.Impl(mvpf.Neg(mvpf.Neg(c1)), c1)
-        anchors = [
-            (mvpf.MvTheory(sig, (self_rule,)), []),
-            (mvpf.MvTheory(sig, (closed_rule,)), [{0: 1}]),
-            (mvpf.MvTheory(sig, (closed_rule, c2)), [{0: 2}]),
-        ]
-        atoms = [PAtom(0, 0, v) for v in (1, 2, 3)]
-        groups = [TimedConst(0, 0, tuple(atoms))]
-        for theory, expected in anchors:
-            want = {frozenset(e.items()) for e in expected}
-            got_mv = {
-                frozenset(i.items()) for i in mvpf.enumerate_stable(theory)
-            }
-            assert got_mv == want, theory.formulas
+        # domain widths on both sides of the encoder's pairwise/counter cut
+        for width in (2, 3, 5, 11):
+            _anchor_theories(tuple(range(1, width + 1)))
 
-            # same theory as atomic-head rules through the search path
-            rules = list(_uec_prop_rules(atoms))
-            for f in theory.formulas:
-                e = map_leaves(f, lambda a: PAtom(0, a.const, a.value))
-                if isinstance(e, mvpf.Impl):
-                    rules.append(PropRule(e.right, e.left, "law"))
-                else:
-                    rules.append(PropRule(e, mvpf.Neg(mvpf.BOT), "fact"))
-            got_prop = {
-                frozenset(prop_model_to_interp(m).items())
-                for m in enumerate_models(rules, groups, ALL, Stats())
-            }
-            assert got_prop == want, theory.formulas
 
-            # and the formula-level reduction agrees too
-            formulas, funiverse = theory_to_prop(theory)
-            got_brute = {
-                frozenset(prop_model_to_interp(m).items())
-                for m in brute_force_models(formulas, funiverse)
-            }
-            assert got_brute == want, theory.formulas
+def _anchor_theories(values):
+    sig = mvpf.Signature((0,), {0: values})
+    c1, c2 = mvpf.MvAtom(0, 1), mvpf.MvAtom(0, 2)
+    self_rule = mvpf.Impl(c1, c1)
+    closed_rule = mvpf.Impl(mvpf.Neg(mvpf.Neg(c1)), c1)
+    anchors = [
+        (mvpf.MvTheory(sig, (self_rule,)), []),
+        (mvpf.MvTheory(sig, (closed_rule,)), [{0: 1}]),
+        (mvpf.MvTheory(sig, (closed_rule, c2)), [{0: 2}]),
+        # a choice for every value: at most one value still holds
+        (mvpf.MvTheory(sig, tuple(
+            mvpf.Impl(mvpf.Neg(mvpf.Neg(mvpf.MvAtom(0, v))), mvpf.MvAtom(0, v))
+            for v in values
+        )), [{0: v} for v in values]),
+    ]
+    groups = [TimedConst(0, 0, tuple(PAtom(0, 0, v) for v in values))]
+    for theory, expected in anchors:
+        want = {frozenset(e.items()) for e in expected}
+        got_mv = {
+            frozenset(i.items()) for i in mvpf.enumerate_stable(theory)
+        }
+        assert got_mv == want, (len(values), theory.formulas)
+        # compared as atom sets, so that two values of one constant show
+        want_prop = {interp_to_prop_model(e, sig) for e in expected}
+
+        # same theory as atomic-head rules through the search path
+        rules = []
+        for f in theory.formulas:
+            e = map_leaves(f, lambda a: PAtom(0, a.const, a.value))
+            if isinstance(e, mvpf.Impl):
+                rules.append(PropRule(e.right, e.left, "law"))
+            else:
+                rules.append(PropRule(e, mvpf.Neg(mvpf.BOT), "fact"))
+        got_prop = set(enumerate_models(rules, groups, ALL, Stats()))
+        assert got_prop == want_prop, (len(values), theory.formulas)
+
+        # and the formula-level reduction agrees too
+        formulas, funiverse = theory_to_prop(theory)
+        got_brute = set(brute_force_models(formulas, funiverse))
+        assert got_brute == want_prop, (len(values), theory.formulas)
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,6 @@ class TestGuards:
 
 
 class TestStress:
-    @pytest.mark.stress
     @pytest.mark.parametrize("case", STRESS, ids=case_id)
     def test_bfs_matches_committed_answer(self, case):
         found = suite.run_oracle_bfs(suite.oracle_for(case))
@@ -205,7 +204,6 @@ class TestStress:
         view = to_plan_view(res.models[0], gls, res.found_step, case.query)
         assert suite.replay_plan(suite.oracle_for(case), view)
 
-    @pytest.mark.stress
     def test_hanoi_grounds_the_whole_horizon(self):
         # the one horizon of the deep case is large: the search above
         # closes it, over every rule counted here
@@ -216,5 +214,5 @@ class TestStress:
         for t in range(1, 64):
             total += len(inc.step_rules(t))
         total += len(inc.query_rules_at(63))
-        assert total == 34442
+        assert total == 30638
         assert len(inc.timed_consts(63)) == 1518

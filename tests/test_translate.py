@@ -53,11 +53,8 @@ class TestStaticTranslation:
         m = 2
         prog = to_prop(bw, m)
         t = tags(prog.rules)
-        # 2 fluents at 3 steps, 6 actions at 2 steps
-        n_consts = 2 * 3 + 6 * 2
-        # fluent domains have 3 values, action domains 2
-        assert t["uec-unique"] == 2 * 3 * 3 + 6 * 2 * 1
-        assert t["uec-exists"] == n_consts
+        # one value per constant is the groups' job, not the rules'
+        assert not [tag for tag in t if tag.startswith("uec-")]
         assert t["choice"] == 2 * 3  # simple fluents at step 0, every value
         assert t["static"] == len(bw.static) * (m + 1)
         assert t["action"] == len(bw.action_dynamic) * m
@@ -194,8 +191,8 @@ class TestOracleRoute:
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_static_program_matches_theory(self, name):
-        """to_prop minus the uniqueness/existence constraints is the oracle
-        theory, formula for formula, with atoms decoded through the index."""
+        """to_prop is the oracle theory, formula for formula, with atoms
+        decoded through the index."""
         gls = suite.load_example(name)
         for query in [None, *gls.queries.values()]:
             for k in range(4):
@@ -210,9 +207,7 @@ class TestOracleRoute:
                 def decode(a):
                     return PAtom(*index.decode(a.const), a.value)
 
-                got = Counter(
-                    rule_formula(r) for r in prog.rules if not r.tag.startswith("uec-")
-                )
+                got = Counter(rule_formula(r) for r in prog.rules)
                 want = Counter(map_leaves(f, decode) for f in theory.formulas)
                 assert got == want, (name, query and query.label, k)
 
