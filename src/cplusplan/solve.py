@@ -257,20 +257,20 @@ class CnfBuilder:
         """Some atom and at most one: pairwise up to _PAIRWISE_MAX atoms,
         else a sequential counter (Sinz 2005)."""
         xs = [self.atom_var(a) for a in atoms]
-        self._emit(list(xs))
         if len(xs) <= _PAIRWISE_MAX:
             for x, y in itertools.combinations(xs, 2):
                 self._emit([-x, -y])
-            return
-        s = self.new_var()
-        self._emit([-xs[0], s])
-        for x in xs[1:-1]:
-            t = self.new_var()
-            self._emit([-x, t])
-            self._emit([-s, t])
-            self._emit([-x, -s])
-            s = t
-        self._emit([-xs[-1], -s])
+        else:
+            s = self.new_var()
+            self._emit([-xs[0], s])
+            for x in xs[1:-1]:
+                t = self.new_var()
+                self._emit([-x, t])
+                self._emit([-s, t])
+                self._emit([-x, -s])
+                s = t
+            self._emit([-xs[-1], -s])
+        self._emit(xs)
 
     def add_support_clauses(self, atoms: list[PAtom], bodies: dict[PAtom, list[int]]) -> None:
         """`atom implies some rule body`, bodies giving each head's body
