@@ -21,12 +21,12 @@ a stability check: it must be the unique minimal model of the program's
 reduct, which the same search decides by asking for a proper sub-model.
 
 One driver, ``solve_horizons``, walks a query's step range with one live
-solver, as iclingo does for the paper's incremental mode.  Each step's
-rules are instantiated and encoded once, and their clauses stay in the
-one search for every later horizon, with the clauses learned from them.
-An atom's support clause joins them once no later step can add a rule
-for it: for the translator's programs, step t completes the fluents at
-t and the actions at t-1.  What holds for horizon k alone (its query
+solver, as iclingo does for the paper's incremental mode.  Each step is
+encoded once, and its clauses stay in the one search for every later
+horizon, with the clauses learned from them.  An atom's support clause
+joins them once no later step can add a rule for it: for the
+translator's programs, step t completes the fluents at t and the
+actions at t-1.  What holds for horizon k alone (its query
 rules, the support clauses still open and the blocking clauses of its
 candidates) is guarded by a fresh literal a_k that the search assumes
 (MiniSat-style solving under assumptions), and the next horizon asserts
@@ -37,6 +37,16 @@ as one whole-horizon program is, and the horizon-k models are those of
 ``IncrementalProgram.program(k)``, so the paper's static and
 incremental modes share the one driver.
 
+``solve_horizons`` builds no rules.  The query's base, step template
+and query lines are compiled once (``StepCode``) to op lists over
+hash-consed formula nodes, and step t is encoded by running the
+template's op list at t: no formula is built, and a gate is shared with
+every earlier step, the base or the query that has the same subformula.
+``PropRule`` lists are built only for a program whose candidates need
+the stability check.  Programs that come as rule lists (fixed-horizon
+dumps, the reducts of the stability check) take the formula path of the
+same encoder.
+
 A separate brute-force enumerator (direct formula evaluation, subset
 minimality by exhaustion) serves as the oracle in tests.  It shares the
 formula node types and nothing else.
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -55,9 +66,12 @@ from .translate import (
     IncrementalProgram,
     PAtom,
     PropRule,
+    TAtom,
     TimedConst,
+    TranslateError,
     UnboundedRange,
     formula_leaves,
+    query_steps,
     rule_formula,
 )
 
@@ -74,6 +88,9 @@ class HorizonRecord:
     conflicts: int
     propagations: int
     candidates: int
+    rules: int  # placed at this horizon: new steps, and the query
+    cnf_s: float  # encoding the horizon and handing it to the search
+    search_s: float  # the rest: search, blocking and stability checks
 
 
 @dataclass
@@ -172,10 +189,16 @@ class CnfBuilder:
     """Tseitin encoding.  Var 1 is reserved true; atom vars are interned
     ahead of auxiliaries so atom numbering is stable for a given program.
 
+    A formula reaches the clauses either as a tree (``lit``, ``add_rule``)
+    or compiled (``place``, for a ``StepCode``); one builder takes one of
+    the two.  Both define their gates through ``gate``, which caches each
+    gate's variable under the formula's key: the tree itself, or its
+    compiled node and step.
+
     New clauses collect in ``clauses`` until their owner takes them.  While
     ``guard`` is set, they go to ``guarded`` instead, each with the guard's
-    negation added, and the subformulas first encoded then are forgotten
-    by ``forget_guarded``, since their definitions leave with the guard.
+    negation added, and the gates first defined then are forgotten by
+    ``forget_guarded``, since their definitions leave with the guard.
     """
 
     def __init__(self) -> None:
@@ -184,6 +207,7 @@ class CnfBuilder:
         self.guard = 0
         self.guarded: list[list[int]] = []
         self.var_of: dict[PAtom, int] = {}
+        self._at: dict[tuple[int, int, int], int] = {}  # var_of by (step, const, value)
         self._cache: dict = {}
         self._guarded_keys: list = []
 
@@ -205,6 +229,23 @@ class CnfBuilder:
         else:
             self.clauses.append(cl)
 
+    def gate(self, key, s: int, ops: list[int], long_first: bool = False) -> int:
+        """Defines a fresh variable g as the conjunction of ops (s = 1), or
+        as the disjunction of their negations (s = -1), and caches it under
+        key.  An implication a -> b is the disjunction of -a and b, written
+        with its long clause first."""
+        g = self.new_var()
+        if long_first:
+            self._emit([s * g] + [-l for l in ops])
+        for l in ops:
+            self._emit([-s * g, l])
+        if not long_first:
+            self._emit([s * g] + [-l for l in ops])
+        self._cache[key] = g
+        if self.guard:
+            self._guarded_keys.append(key)
+        return g
+
     def lit(self, f) -> int:
         if isinstance(f, PAtom):
             return self.atom_var(f)
@@ -218,36 +259,69 @@ class CnfBuilder:
         if isinstance(f, (mvpf.And, mvpf.Or)):
             # an Or is the And of the negated parts, negated
             s = 1 if isinstance(f, mvpf.And) else -1
-            ops = [s * self.lit(g) for g in f.parts]
-            g = self.new_var()
-            for l in ops:
-                self._emit([-s * g, l])
-            self._emit([s * g] + [-l for l in ops])
-        elif isinstance(f, mvpf.Impl):
+            return self.gate(f, s, [s * self.lit(g) for g in f.parts])
+        if isinstance(f, mvpf.Impl):
             la, lb = self.lit(f.left), self.lit(f.right)
-            g = self.new_var()
-            self._emit([-g, -la, lb])
-            self._emit([g, la])
-            self._emit([g, -lb])
-        else:
-            raise TypeError(f"not a propositional formula: {f!r}")
-        self._cache[f] = g
-        if self.guard:
-            self._guarded_keys.append(f)
-        return g
+            return self.gate(f, -1, [la, -lb], long_first=True)
+        raise TypeError(f"not a propositional formula: {f!r}")
+
+    def place(self, ops: list[tuple], t: int, bodies: dict[int, list[int]] | None = None) -> None:
+        """Encodes compiled rules (see ``StepCode``) placed at step t; with
+        bodies, each head's variable collects its rules' body literals."""
+        cache = self._cache
+        at = self._at
+        emit = self._emit
+        regs = [0] * len(ops)
+        for i, op in enumerate(ops):
+            code = op[0]
+            if code == _RULE:
+                lb = regs[op[1]]
+                if op[2] is None:
+                    emit([-lb])
+                    continue
+                v = regs[op[2]]
+                emit([v, -lb])
+                if bodies is not None:
+                    bodies.setdefault(v, []).append(lb)
+            elif code == _GATE:
+                top = op[3]
+                key = (op[2], None if top is None else t + top)
+                g = cache.get(key)
+                if g is None:
+                    s = op[1]
+                    if s:
+                        g = self.gate(key, s, [s * regs[j] for j in op[4]])
+                    else:
+                        la, lb = op[4]
+                        g = self.gate(key, -1, [regs[la], -regs[lb]], long_first=True)
+                regs[i] = g
+            elif code == _NEG:
+                regs[i] = -regs[op[1]]
+            elif code == _ATOM:
+                key = (t + op[1], op[2], op[3])
+                v = at.get(key)
+                if v is None:
+                    v = at[key] = self.atom_var(PAtom(*key))
+                regs[i] = v
+            else:
+                regs[i] = op[1]
 
     def forget_guarded(self) -> None:
-        for f in self._guarded_keys:
-            del self._cache[f]
+        for key in self._guarded_keys:
+            del self._cache[key]
         self._guarded_keys = []
 
-    def add_rule(self, rule: PropRule) -> int:
-        """Adds the rule's clause and returns its body literal."""
+    def add_rule(self, rule: PropRule, bodies: dict[int, list[int]] | None = None) -> int:
+        """Adds the rule's clause and returns its body literal; with
+        bodies, files the literal under the head's variable."""
         lb = self.lit(rule.body)
         if rule.head is None:
             self._emit([-lb])
         else:
-            self._emit([self.atom_var(rule.head), -lb])
+            v = self.atom_var(rule.head)
+            self._emit([v, -lb])
+            if bodies is not None:
+                bodies.setdefault(v, []).append(lb)
         return lb
 
     def add_formula(self, f) -> None:
@@ -272,11 +346,140 @@ class CnfBuilder:
             self._emit([-xs[-1], -s])
         self._emit(xs)
 
-    def add_support_clauses(self, atoms: list[PAtom], bodies: dict[PAtom, list[int]]) -> None:
-        """`atom implies some rule body`, bodies giving each head's body
-        literals; sound for atomic-head programs."""
+    def add_support_clauses(self, atoms: list[PAtom], bodies: dict[int, list[int]]) -> None:
+        """`atom implies some rule body`, bodies giving the body literals
+        of each head variable's rules; sound for atomic-head programs."""
         for a in atoms:
-            self._emit([-self.atom_var(a), *bodies.get(a, ())])
+            v = self.atom_var(a)
+            self._emit([-v, *bodies.get(v, ())])
+
+
+# ---------------------------------------------------------------------------
+# The compiled program
+
+# Op codes.  An op computes the literal of one formula node into the
+# register numbered by its position; a rule op adds its rule's clause.
+#   (_LIT, lit)                      a constant
+#   (_ATOM, rel, const, value)       the atom's variable at step t + rel
+#   (_NEG, reg)                      the negated literal of a register
+#   (_GATE, s, node, top, regs)      a gate over registers: s is 1 for And,
+#                                    -1 for Or, 0 for Impl (left, right)
+#   (_RULE, body, head)              registers; head None for a constraint
+_LIT, _ATOM, _NEG, _GATE, _RULE = range(5)
+
+
+class StepCode:
+    """A query's program, compiled once for the encoder: the base, the
+    step template and each query line as op lists over one table of
+    hash-consed formula nodes.
+
+    The steps of a node's atoms are relative to the step t it is placed
+    at: rel 0 or -1 in the template, the step itself in the base (placed
+    at 0), 0 in a query line (placed at the line's step).  The table holds
+    each node up to a shift of all its steps, so a compiled node is a
+    table id with ``top``, the highest rel among its atoms (None when it
+    has none), and a gate placed at t has the key (id, t + top): equal
+    keys are equal formulas over absolute steps.  A template node whose
+    atoms are all at t-1 thus meets its twin at t placed a step earlier,
+    and a node without atoms is the same at every step, which shares
+    gates across steps, the base and the query exactly as a cache keyed by
+    ``PropRule`` formulas would.
+
+    An op list is in post-order with each node once, and a rule's op
+    comes after those of its body and head, so placing it defines gates
+    and atom variables in the order ``CnfBuilder.add_rule`` would.
+    Interning walks with an explicit stack.
+    """
+
+    def __init__(self, inc: IncrementalProgram) -> None:
+        self.inc = inc
+        self._ids: dict[tuple, int] = {}
+        self.base = self._compile([(r.head, r.body) for r in inc.base])
+        self.step = self._compile([(r.head, r.body) for r in inc.template])
+        for op in self.step:
+            if op[0] == _ATOM and not -1 <= op[1] <= 0:
+                # a later step would let a later increment change this one
+                raise TranslateError(
+                    f"template atom at step t{op[1]:+d}; only t and t-1 exist", NO_SPAN)
+        self.lines = [self._compile([(None, mvpf.Neg(f))]) for _, f in inc.query.lines]
+
+    def _compile(self, rules) -> list[tuple]:
+        """The rules' op list.  A leaf's rel is a TAtom's rel, a PAtom's
+        step, and 0 for a query line's atom."""
+        ids = self._ids
+        ops: list[tuple] = []
+        # each node gets one op: (register, id, top) by leaf and by the
+        # register a negation negates, the register by a gate's (id, top)
+        leaves: dict = {}
+        negs: dict[int, tuple] = {}
+        gates: dict[tuple, int] = {}
+        for head, body in rules:
+            done: list[tuple] = []  # (register, id, top) of finished nodes
+            # the head is an atom like any other, after the body
+            stack = [body] if head is None else [head, body]
+            while stack:
+                f = stack.pop()
+                cls = f.__class__
+                if cls is mvpf.Neg:  # a chain of n negations
+                    n = 0
+                    while cls is mvpf.Neg:
+                        f = f.sub
+                        cls = f.__class__
+                        n += 1
+                    stack.append(n)
+                    stack.append(f)
+                elif cls is int:  # negate the last node done f times
+                    node = done[-1]
+                    for _ in range(f):
+                        reg, kid, top = node
+                        node = negs.get(reg)
+                        if node is None:
+                            nid = ids.setdefault((_NEG, kid), len(ids))
+                            node = negs[reg] = (len(ops), nid, top)
+                            ops.append((_NEG, reg))
+                    done[-1] = node
+                elif cls is tuple:  # (connective, parts), its parts done
+                    f, n = f
+                    kids = done[len(done) - n:]
+                    del done[len(done) - n:]
+                    cls = f.__class__
+                    s = 1 if cls is mvpf.And else -1 if cls is mvpf.Or else 0
+                    tops = [k[2] for k in kids if k[2] is not None]
+                    top = max(tops) if tops else None
+                    shape = tuple([(kid, None if kt is None else kt - top) for _, kid, kt in kids])
+                    nid = ids.setdefault((_GATE, s, shape), len(ids))
+                    reg = gates.get((nid, top))
+                    if reg is None:
+                        reg = gates[nid, top] = len(ops)
+                        ops.append((_GATE, s, nid, top, tuple([k[0] for k in kids])))
+                    done.append((reg, nid, top))
+                elif cls is mvpf.And or cls is mvpf.Or:
+                    stack.append((f, len(f.parts)))
+                    stack.extend(reversed(f.parts))
+                elif cls is mvpf.Impl:
+                    stack.append((f, 2))
+                    stack.append(f.right)
+                    stack.append(f.left)
+                else:
+                    if cls is TAtom:
+                        key = (f.rel, f.const, f.value)
+                    elif cls is PAtom:
+                        key = (f.step, f.const, f.value)
+                    else:
+                        key = None if cls is mvpf.Bot else (0, f.const, f.value)
+                    node = leaves.get(key)
+                    if node is None:
+                        if key is None:
+                            node = (len(ops), ids.setdefault((_LIT,), len(ids)), None)
+                            ops.append((_LIT, -1))
+                        else:
+                            rel, c, v = key
+                            node = (len(ops), ids.setdefault((_ATOM, c, v), len(ids)), rel)
+                            ops.append((_ATOM, rel, c, v))
+                        leaves[key] = node
+                    done.append(node)
+            ops.append((_RULE, done[0][0], None if head is None else done[1][0]))
+        return ops
 
 
 # ---------------------------------------------------------------------------
@@ -592,13 +795,23 @@ class Dpll:
         # drop a literal whose reason lies wholly inside the clause
         out = [learnt[0]]
         for q in learnt[1:]:
-            r = reason[abs(q)]
+            r = reason[q if q > 0 else -q]
+            if r is None:
+                out.append(q)
+                continue
             if r.__class__ is int:
                 r = (r,)
-            if r is None or any(not seen[abs(x)] and level[abs(x)] > floor for x in r):
-                out.append(q)
-            elif floor and not fold:
-                fold = any(level[abs(x)] == 1 for x in r)
+            for x in r:
+                v = x if x > 0 else -x
+                if not seen[v] and level[v] > floor:
+                    out.append(q)
+                    break
+            else:
+                if floor and not fold:
+                    for x in r:
+                        if level[x if x > 0 else -x] == 1:
+                            fold = True
+                            break
         if fold:
             out.append(-self.assumption)
         back = 0
@@ -736,14 +949,14 @@ def is_stable_model(rules: list[PropRule], model: frozenset[PAtom], stats: Stats
     return not Dpll(builder.nvars, builder.clauses, stats).solve()
 
 
-def _dependencies(rules: list[PropRule]) -> list[tuple[PAtom, PAtom]] | None:
+def _dependencies(rules) -> list[tuple] | None:
     """The positive dependency edges: from a rule's head to each body atom
     outside every negation.  None when a body has an implication outside
     every negation.  A negated subformula is true or false as a whole in
     the reduct, so what sits under it never matters; the reduct of a
     constraint that a candidate satisfies is always true, so only rules
-    with a head are walked."""
-    edges: list[tuple[PAtom, PAtom]] = []
+    with a head are walked.  Template rules give edges between TAtoms."""
+    edges: list[tuple] = []
     for r in rules:
         if r.head is None:
             continue
@@ -755,16 +968,22 @@ def _dependencies(rules: list[PropRule]) -> list[tuple[PAtom, PAtom]] | None:
                 stack.extend(g.parts)
             elif cls is mvpf.Impl:
                 return None
-            elif cls is PAtom:
+            elif cls is PAtom or cls is TAtom:
                 edges.append((r.head, g))
     return edges
 
 
-def _step_ordered(rules: list[PropRule]) -> bool:
+def _step_ordered(rules) -> bool:
     """Does every positive dependency run to an earlier step?  Then so
-    does every one of any union of such rule lists, which is tight."""
+    does every one of any union of such rule lists, which is tight.  For
+    template rules, whose steps are relative, the answer holds at every
+    step they are placed at."""
     edges = _dependencies(rules)
-    return edges is not None and all(body.step < head.step for head, body in edges)
+    return edges is not None and all(_step(body) < _step(head) for head, body in edges)
+
+
+def _step(a) -> int:
+    return a.step if a.__class__ is PAtom else a.rel
 
 
 def is_tight(rules: list[PropRule]) -> bool:
@@ -803,60 +1022,84 @@ def is_tight(rules: list[PropRule]) -> bool:
 class LiveSolver:
     """One query's CNF and search, carried from horizon to horizon.
 
-    The caller sets ``horizon`` before each horizon's call.  Each rule is
-    encoded once, when its horizon first needs it, after the exactly-one
-    clauses of the groups new to that horizon, which are added for good.
-    An atom's support clause is added for good once no later step can
-    give it a rule: for an atom at step s, that is after step s, or s+1
-    when its constant heads a template rule at t-1.  Until then, and for
-    the query rules of horizon k with the clauses that define their
-    bodies, clauses are guarded by a fresh literal a_k, which the search
-    assumes; the next horizon retires a_k.  Nothing is guarded at horizon
-    ``last``, as no horizon follows it; a fresh LiveSolver() thus solves
-    one program as it stands.  Tightness is decided from each block of
-    rules as it comes: when every positive dependency runs to an earlier
-    step, so does every one of the union.  Only otherwise is the whole
-    program walked again at each horizon.
+    The caller sets ``horizon`` before each horizon's call.  The rules
+    come either as ``PropRule`` lists, each encoded once when its horizon
+    first needs it, or compiled (``code``): then the solver places the
+    base and each step up to the horizon once, and the query lines at
+    the horizon, building no formula.  Either way they follow the
+    exactly-one clauses of the groups new to that horizon, which are added
+    for good.  An atom's support clause is added for good once no later
+    step can give it a rule: for an atom at step s, that is after step s,
+    or s+1 when its constant heads a template rule at t-1.  Until then,
+    and for the query rules of horizon k with the clauses that define
+    their bodies, clauses are guarded by a fresh literal a_k, which the
+    search assumes; the next horizon retires a_k.  Nothing is guarded at
+    horizon ``last``, as no horizon follows it; a fresh LiveSolver() thus
+    solves one program as it stands.
+
+    Tightness is decided from the rules' steps: when every positive
+    dependency runs to an earlier step, so does every one of the union.
+    A compiled program is decided once, on its base and template; rule
+    lists, block by block.  Only otherwise is the whole program, built as
+    ``PropRule`` lists for a compiled one, walked again at each horizon.
     """
 
-    def __init__(self, template=(), last: int | None = None) -> None:
+    def __init__(self, template=(), last: int | None = None,
+                 code: StepCode | None = None) -> None:
         self.builder = CnfBuilder()
         self.solver: Dpll | None = None
-        self.rules: list[PropRule] = []
-        self.bodies: dict[PAtom, list[int]] = {}
-        self.universe: set[PAtom] = set()
+        self.code = code
+        self.placed = -1  # the last step of code placed; the base is step 0
+        self.rules: list[PropRule] = []  # for code, built up to step `built`
+        self.built = -1
+        self.bodies: dict[int, list[int]] = {}
+        self.natoms = 0  # atoms of the groups and atoms added so far
         self.unsupported: list[PAtom] = []  # support still open
         self.clauses = 0  # handed to the solver for good
+        self.cnf_s = 0.0  # spent in the last extend
         self.lag = {r.head.const: 1 for r in template
                     if r.head is not None and r.head.rel < 0}
-        self.ordered = True
+        self.ordered = code is None or (
+            _step_ordered(code.inc.base) and _step_ordered(code.inc.template))
         self.horizon = self.last = last
         self.guard = 0
 
-    def extend(self, rules, query, groups, universe, stats: Stats) -> bool:
-        """Adds the horizon's new groups, rules, query and support clauses,
-        and tells whether its candidates need the stability check."""
+    def place_step(self, t: int) -> None:
+        """Places the compiled base (t = 0) or template at step t."""
+        code = self.code
+        self.builder.place(code.step if t else code.base, t, self.bodies)
+
+    def extend(self, rules, query, groups, atoms, stats: Stats) -> list[PropRule] | None:
+        """Adds the horizon's new groups and atoms, its rules and query and
+        the support clauses.  Returns the program its candidates must be
+        checked against, or None when they need no stability check.
+
+        groups and atoms are those new to the solver; rules are those new
+        to it as well, and query holds the constraints for this horizon
+        alone.  A compiled program adds its own rules and query."""
+        t0 = time.perf_counter()
+        code = self.code
+        lines = () if code is None else query_steps(code.inc.query, code.inc.gls, self.horizon)
         b = self.builder
         if self.guard:
             self.solver.retire(self.guard)
             b.forget_guarded()
-        fresh = [a for a in universe if a not in self.universe]
-        new_groups = [tc.values for tc in groups if tc.values[0] not in self.universe]
-        self.universe.update(fresh)
-        for a in fresh:
+        for a in atoms:
             b.atom_var(a)
-        for values in new_groups:
-            b.add_exactly_one(values)
+        self.natoms += len(atoms)
+        for tc in groups:
+            b.add_exactly_one(tc.values)
         bodies = self.bodies
         for r in rules:
-            lb = b.add_rule(r)
-            if r.head is not None:
-                bodies.setdefault(r.head, []).append(lb)
+            b.add_rule(r, bodies)
         self.rules += rules
         self.ordered = self.ordered and _step_ordered(rules)
+        while code is not None and self.placed < self.horizon:
+            self.placed += 1
+            self.place_step(self.placed)
         final = self.horizon == self.last
         closed, still = [], []
-        for a in self.unsupported + fresh:
+        for a in self.unsupported + list(atoms):
             if final or a.step + self.lag.get(a.const, 0) <= self.horizon:
                 closed.append(a)
             else:
@@ -866,6 +1109,9 @@ class LiveSolver:
         self.guard = b.guard = 0 if final else b.new_var()
         for r in query:
             b.add_rule(r)
+        if code is not None:
+            for step, ops in zip(lines, code.lines):
+                b.place(ops, step)
         b.add_support_clauses(still, bodies)
         b.guard = 0
 
@@ -879,13 +1125,25 @@ class LiveSolver:
         for cl in b.guarded:
             self.solver.add_clause(cl, guarded=True)
         b.clauses, b.guarded = [], []
+        self.cnf_s = time.perf_counter() - t0
 
         # every atom has a support clause only when the rules add no atom
-        if len(b.var_of) != len(universe):
-            return True
-        if self.ordered and _step_ordered(query):
-            return False
-        return not is_tight(self.rules + list(query))
+        supported = len(b.var_of) == self.natoms
+        if supported and self.ordered and _step_ordered(query):
+            return None
+        program = self.program(query)
+        return None if supported and is_tight(program) else program
+
+    def program(self, query=()) -> list[PropRule]:
+        """The rules searched at this horizon; a compiled program builds
+        them here, on first need, and keeps its steps for later ones."""
+        code = self.code
+        if code is None:
+            return self.rules + list(query)
+        while self.built < self.placed:
+            self.built += 1
+            self.rules += code.inc.step_rules(self.built) if self.built else code.inc.base
+        return self.rules + code.inc.query_rules_at(self.horizon)
 
 
 def enumerate_models(
@@ -907,8 +1165,8 @@ def enumerate_models(
     only when the program is not known to be tight.
 
     With live, the call searches the live solver's next horizon: rules
-    are only those new to it and stay for later horizons, while query
-    holds the constraints for this horizon alone.
+    and groups are only those new to it and stay for later horizons,
+    while query holds the constraints for this horizon alone.
     """
     if live is None:
         live = LiveSolver()
@@ -924,13 +1182,12 @@ def enumerate_models(
         for a in extra_atoms or []:
             seen[a] = True
         atom_universe = sorted(seen, key=lambda a: (a.step, a.const, a.value))
-    check = live.extend(rules, query, groups or (), atom_universe, stats)
+    program = live.extend(rules, query, groups or (), atom_universe, stats)
 
     solver = live.solver
     guard = live.guard
     atoms = list(live.builder.var_of.items())
     val = solver.val
-    program = live.rules + list(query) if check else None
     yielded = 0
     while solver.solve(guard):
         model = frozenset(a for a, v in atoms if val[v] == 1)
@@ -939,7 +1196,7 @@ def enumerate_models(
             raise ResourceLimit(
                 f"models-checked cap exceeded ({config.max_checked})"
             )
-        if not check or is_stable_model(program, model, stats):
+        if program is None or is_stable_model(program, model, stats):
             yield model
             yielded += 1
             if config.max_solutions and yielded >= config.max_solutions:
@@ -955,38 +1212,33 @@ def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
     """Yields (k, models) for each horizon k in the query's step range.
 
     One LiveSolver serves the whole range, as the module docstring
-    describes.  Each step's rules are instantiated once.  Each horizon
-    appends a HorizonRecord to stats.horizons.  The caller decides when
-    to stop.
+    describes, with the query's program compiled once (``StepCode``).
+    Each horizon appends a HorizonRecord to stats.horizons.  The caller
+    decides when to stop.
     """
     if inc.max_step is None:
         raise UnboundedRange(
             "no upper step bound; set maxstep explicitly", NO_SPAN
         )
-    live = LiveSolver(inc.template, inc.max_step)
-    new = list(inc.base)
-    stats.grounded_rules += len(new)
-    grounded_to = 0
+    live = LiveSolver(inc.template, inc.max_step, StepCode(inc))
+    prev = -1  # the previous horizon
     for k in range(inc.min_step, inc.max_step + 1):
-        while grounded_to < k:
-            grounded_to += 1
-            step_rules = inc.step_rules(grounded_to)
-            new += step_rules
-            stats.grounded_rules += len(step_rules)
+        placed = (len(inc.base) if prev < 0 else 0) \
+            + len(inc.template) * (k - max(prev, 0)) + len(inc.query.lines)
+        stats.grounded_rules += placed
         stats.steps_grounded += 1
-        query = inc.query_rules_at(k)
-        stats.grounded_rules += len(query)
         before = (stats.decisions, stats.conflicts, stats.propagations, stats.models_checked)
         live.horizon = k
-        models = list(enumerate_models(
-            new, inc.timed_consts(k), config, stats, live=live, query=query
-        ))
-        new = []
+        t0 = time.perf_counter()
+        models = list(enumerate_models((), inc.timed_consts(k, prev), config, stats, live=live))
+        spent = time.perf_counter() - t0
+        prev = k
         s = live.solver
         stats.horizons.append(HorizonRecord(
             k, s.nvars, live.clauses, len(s.learnts),
             stats.decisions - before[0], stats.conflicts - before[1],
             stats.propagations - before[2], stats.models_checked - before[3],
+            placed, live.cnf_s, spent - live.cnf_s,
         ))
         yield k, models
 

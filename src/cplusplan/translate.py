@@ -11,7 +11,12 @@ them rather than trusting either implementation alone:
 The propositional program has one construction, the incremental one:
 base rules for step 0, a per-step template of cumulative rules, and the
 volatile query constraints.  The whole-horizon program for a fixed m is
-the base, the template placed at steps 1..m, and the query at m.
+the base, the template placed at steps 1..m, and the query at m.  The
+search encodes the template itself, once per query, and places it at
+each step without building rules (``solve.StepCode``); the placed rules
+are built as ``PropRule`` lists only where something reads them: the
+static dump (``program``), the stability check of a program that is not
+known to be tight, and the tests.
 
 Fluent constants live at steps 0..m, action constants at 0..m-1.  Laws
 become rules with the condition part double-negated, which keeps every
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 from . import mvpf
 from .ground import GroundLawSet, GroundQuery
-from .syntax import LangError, NO_SPAN, TimeRef
+from .syntax import LangError, NO_SPAN
 
 
 class TranslateError(LangError):
@@ -141,11 +146,14 @@ class TimedConst:
     values: tuple[PAtom, ...]
 
 
-def _timed_consts(gls: GroundLawSet, m: int) -> list[TimedConst]:
+def _timed_consts(gls: GroundLawSet, m: int, after: int = -1) -> list[TimedConst]:
+    """The timed constants of horizon m, in step-major order, less those
+    that horizon `after` already has (none when after is -1)."""
     out = []
-    for step in range(m + 1):
+    for step in range(max(after, 0), m + 1):
         for gc in gls.symbols.order:
-            if gc.kind == "action" and step == m:
+            action = gc.kind == "action"
+            if (action and step == m) or (not action and step == after):
                 continue
             out.append(
                 TimedConst(step, gc.cid, tuple(PAtom(step, gc.cid, v) for v in gc.dom))
@@ -186,33 +194,26 @@ def _choice_rules(gls: GroundLawSet) -> list[PropRule]:
     return out
 
 
-def _mentions_action(f, gls: GroundLawSet) -> bool:
+def query_steps(query: GroundQuery, gls: GroundLawSet, m: int) -> list[int]:
+    """The step each query line lands on at horizon m; raises when one is
+    out of range."""
     actions = set(gls.action_ids())
-    return any(leaf.const in actions for leaf in formula_leaves(f))
-
-
-def _query_step(query: GroundQuery, tref: TimeRef, f, gls: GroundLawSet, m: int) -> int:
-    """The step a query line lands on at horizon m; raises when out of range."""
-    step = tref.resolve(m)
-    is_action = _mentions_action(f, gls)
-    limit = m - 1 if is_action else m
-    if step < 0 or step > limit:
-        what = "action" if is_action else "fluent"
-        detail = (
-            f"step {step} is out of range 0..{limit} for a {what} "
-            f"condition at horizon {m}"
-        )
-        if is_action and step == m:
-            detail += " (actions do not exist at the final step)"
-        raise QueryStepOutOfRange(f"query '{query.label}': {detail}", NO_SPAN)
-    return step
-
-
-def query_rules(query: GroundQuery, gls: GroundLawSet, m: int) -> list[PropRule]:
-    return [
-        PropRule(None, mvpf.Neg(at_step(f, _query_step(query, tref, f, gls, m))), "query")
-        for tref, f in query.lines
-    ]
+    out = []
+    for tref, f in query.lines:
+        step = tref.resolve(m)
+        is_action = any(leaf.const in actions for leaf in formula_leaves(f))
+        limit = m - 1 if is_action else m
+        if step < 0 or step > limit:
+            what = "action" if is_action else "fluent"
+            detail = (
+                f"step {step} is out of range 0..{limit} for a {what} "
+                f"condition at horizon {m}"
+            )
+            if is_action and step == m:
+                detail += " (actions do not exist at the final step)"
+            raise QueryStepOutOfRange(f"query '{query.label}': {detail}", NO_SPAN)
+        out.append(step)
+    return out
 
 
 def to_prop(gls: GroundLawSet, m: int, query: GroundQuery | None = None) -> PropProgram:
@@ -253,10 +254,11 @@ class IncrementalProgram:
     """Base rules, a per-step template, and a volatile query template.
 
     base covers step 0.  step_rules(t) yields the rules that extend the
-    horizon from t-1 to t; they are meant to be instantiated once each and
-    accumulated.  query_rules_at(t) yields the constraints that commit the
-    accumulated program to horizon t; they hold only for that horizon and
-    must be retracted before moving on.
+    horizon from t-1 to t; they accumulate.  query_rules_at(t) yields the
+    constraints that commit the accumulated program to horizon t; they
+    hold only for that horizon and must be retracted before moving on.
+    The search does not call either: it places the template and the query
+    lines directly (``solve.StepCode``).
     """
 
     gls: GroundLawSet
@@ -278,10 +280,13 @@ class IncrementalProgram:
         return _instantiate(self.template, t)
 
     def query_rules_at(self, t: int) -> list[PropRule]:
-        return query_rules(self.query, self.gls, t)
+        return [
+            PropRule(None, mvpf.Neg(at_step(f, step)), "query")
+            for (_, f), step in zip(self.query.lines, query_steps(self.query, self.gls, t))
+        ]
 
-    def timed_consts(self, m: int) -> list[TimedConst]:
-        return _timed_consts(self.gls, m)
+    def timed_consts(self, m: int, after: int = -1) -> list[TimedConst]:
+        return _timed_consts(self.gls, m, after)
 
     def program(self, m: int) -> PropProgram:
         """The whole-horizon program: base, step rules 1..m, query at m."""
@@ -425,8 +430,7 @@ def horizon_theory(
                 )
             )
     if query is not None:
-        for tref, f in query.lines:
-            step = _query_step(query, tref, f, gls, m)
+        for (_, f), step in zip(query.lines, query_steps(query, gls, m)):
             formulas.append(mvpf.Impl(mvpf.Neg(timed_f(f, step)), mvpf.BOT))
 
     theory = mvpf.MvTheory(index.signature(), tuple(formulas))

@@ -17,6 +17,7 @@ from cplusplan.cli import main
 from cplusplan.ground import GroundQuery
 from cplusplan.plans import to_plan_view
 from cplusplan.solve import (
+    LiveSolver,
     SolveConfig,
     Stats,
     brute_force_models,
@@ -25,7 +26,6 @@ from cplusplan.solve import (
 )
 from cplusplan.syntax import TimeRef
 from cplusplan.translate import (
-    IncrementalProgram,
     PAtom,
     PropRule,
     TimedConst,
@@ -291,14 +291,14 @@ def test_criterion_5_planning_benchmarks():
 def test_criterion_6_grounding_accounting(monkeypatch):
     with criterion(6, "grounding-accounting", budget=120.0):
         blocked = (TimeRef("maxstep", 0), mvpf.BOT)
-        instantiated = []
-        step_rules = IncrementalProgram.step_rules
+        placed = []
+        place_step = LiveSolver.place_step
 
-        def counted(inc, t):
-            instantiated.append(t)
-            return step_rules(inc, t)
+        def counted(live, t):
+            placed.append(t)
+            place_step(live, t)
 
-        monkeypatch.setattr(IncrementalProgram, "step_rules", counted)
+        monkeypatch.setattr(LiveSolver, "place_step", counted)
         for case in suite.default_cases():
             gls = suite.load_example(case.name)
             q = gls.queries[case.query]
@@ -318,15 +318,15 @@ def test_criterion_6_grounding_accounting(monkeypatch):
             )
             assert inc_res.stats.grounded_rules == expected_rules, case.name
 
-            # static mode, too, instantiates each step once per query
-            instantiated.clear()
+            # static mode, too, places the base and each step once per query
+            placed.clear()
             src = str(suite.EXAMPLES_DIR / case.name)
             rc = main(["--mode=static", src, f"query={case.query}"],
                       io.StringIO(), io.StringIO(), io.StringIO())
             found = case.expected_found_step
             assert rc == (1 if found is None else 0), case.name
             last = q.max_step if found is None else found
-            assert instantiated == list(range(1, last + 1)), case.name
+            assert placed == list(range(0, last + 1)), case.name
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from cplusplan.ground import ground_description
 from cplusplan.parser import parse_text
 from cplusplan.solve import (
     Dpll,
+    HorizonRecord,
+    LiveSolver,
     ResourceLimit,
     SolveConfig,
     Stats,
@@ -294,6 +296,8 @@ class TestDrivers:
         inc.template.append(bad)
         with pytest.raises(AssertionError):
             inc.step_rules(2)
+        with pytest.raises(translate.TranslateError, match="t\\+1"):
+            solve.StepCode(inc)
 
     def test_learned_units_from_facts(self):
         text = (
@@ -724,3 +728,198 @@ class TestLiveSolver:
         # some were learned at an earlier horizon
         assert any(h.learned > h.conflicts for h in records[1:])
         assert sum(h.conflicts for h in records) == res.stats.conflicts
+
+
+def reference_horizons(inc, config, stats):
+    """The reference for solve_horizons: the base, each step's rules and
+    each horizon's query as PropRule lists, through the formula path of
+    one LiveSolver."""
+    live = LiveSolver(inc.template, inc.max_step)
+    new = list(inc.base)
+    grounded_to = 0
+    prev = -1
+    for k in range(inc.min_step, inc.max_step + 1):
+        while grounded_to < k:
+            grounded_to += 1
+            new += inc.step_rules(grounded_to)
+        query = inc.query_rules_at(k)
+        before = (stats.decisions, stats.conflicts, stats.propagations, stats.models_checked)
+        live.horizon = k
+        models = list(enumerate_models(
+            new, inc.timed_consts(k, prev), config, stats, live=live, query=query
+        ))
+        s = live.solver
+        stats.horizons.append(HorizonRecord(
+            k, s.nvars, live.clauses, len(s.learnts),
+            stats.decisions - before[0], stats.conflicts - before[1],
+            stats.propagations - before[2], stats.models_checked - before[3],
+            len(new) + len(query), 0.0, 0.0,
+        ))
+        new = []
+        prev = k
+        yield k, models
+
+
+@pytest.fixture
+def dpll_input(monkeypatch):
+    """Every clause list handed to a Dpll, copied as it arrives."""
+    log = []
+    init, add = Dpll.__init__, Dpll.add_clause
+
+    def logged_init(self, nvars, clauses, stats):
+        log.append((nvars, [list(cl) for cl in clauses]))
+        init(self, nvars, clauses, stats)
+
+    def logged_add(self, cl, guarded=False):
+        log.append((list(cl), guarded))
+        add(self, cl, guarded)
+
+    monkeypatch.setattr(Dpll, "__init__", logged_init)
+    monkeypatch.setattr(Dpll, "add_clause", logged_add)
+    return log
+
+
+def _counts(record):
+    return dataclasses.astuple(record)[:-2]  # all but the two timings
+
+
+# GROWING_SUPPORT with a constraint whose body has no atom: one gate for
+# every step
+ATOM_FREE = GROWING_SUPPORT.replace(
+    '#section volatile.', '#rule junk false <- (---false & false).\n#section volatile.'
+)
+
+# p and q justify each other within a step, so a candidate can hold both
+# without support from go; twin constraints at t and t-1 share gates
+# across steps
+STEP_LOOP = """\
+#format incremental-program 1.
+#range 0 2.
+#query "q".
+#const "p" simple ("f", "t").
+#const "q" simple ("f", "t").
+#const "go" action ("f", "t").
+#section base.
+#rule default 0:"p"="f" <- --0:"p"="f".
+#rule default 0:"q"="f" <- --0:"q"="f".
+#section cumulative.
+#rule choice t-1:"go"="f" <- --t-1:"go"="f".
+#rule choice t-1:"go"="t" <- --t-1:"go"="t".
+#rule default t:"p"="f" <- --t:"p"="f".
+#rule default t:"q"="f" <- --t:"q"="f".
+#rule loop t:"p"="t" <- t:"q"="t".
+#rule loop t:"q"="t" <- t:"p"="t".
+#rule go t:"p"="t" <- t-1:"go"="t".
+#rule twin false <- (t:"p"="t" & t:"q"="f").
+#rule twin false <- (t-1:"p"="t" & t-1:"q"="f").
+#section volatile.
+#qline at maxstep+0 "p"="t".
+#end.
+"""
+
+
+class TestStepCode:
+    """The compiled template against the PropRule lists it replaced."""
+
+    def assert_same_as_reference(self, inc, config, dpll_input):
+        stats = Stats()
+        got = list(solve_horizons(inc, config, stats))
+        placed = list(dpll_input)
+        dpll_input.clear()
+        ref = Stats()
+        want = list(reference_horizons(inc, config, ref))
+        assert got == want
+        assert placed == dpll_input
+        assert [_counts(h) for h in stats.horizons] == [_counts(h) for h in ref.horizons]
+        assert stats.grounded_rules == sum(h.rules for h in stats.horizons)
+        return stats, ref
+
+    @pytest.mark.parametrize("key", sorted(LIVE_RANGES), ids="-".join)
+    def test_shipped_ranges_encode_as_the_rule_lists_did(self, key, dpll_input):
+        name, label = key
+        lo, hi = LIVE_RANGES[key]
+        gls = suite.load_example(name)
+        q = dataclasses.replace(gls.queries[label], min_step=lo, max_step=hi)
+        self.assert_same_as_reference(incremental_program(gls, q), ALL, dpll_input)
+
+    @pytest.mark.parametrize("dump", [GROWING_SUPPORT, ATOM_FREE], ids=["growing", "atom-free"])
+    def test_dumps_encode_as_the_rule_lists_did(self, dump, dpll_input):
+        from cplusplan.export import import_incremental
+
+        self.assert_same_as_reference(import_incremental(dump), ALL, dpll_input)
+
+    def test_a_loop_in_a_step_keeps_the_check(self, dpll_input, stability_calls):
+        from cplusplan.export import import_incremental
+
+        inc = import_incremental(STEP_LOOP)
+        stats, ref = self.assert_same_as_reference(inc, ALL, dpll_input)
+        assert 0 < len(stability_calls) == 2 * stats.models_checked
+        live = list(solve_horizons(inc, ALL, Stats()))
+        assert_same_horizons(live, fresh_horizons(inc))
+        # p at k needs go at k-1, not the loop; go at earlier steps is free
+        assert [len(m) for _, m in live] == [0, 1, 2]
+
+    def test_atom_free_gate_is_shared_across_steps(self):
+        from cplusplan.export import import_incremental
+
+        def nvars(dump):
+            stats = Stats()
+            list(solve_horizons(import_incremental(dump), ALL, stats))
+            return stats.horizons[-1].vars
+
+        # one gate for the conjunction, whatever the number of steps
+        assert nvars(ATOM_FREE) == nvars(GROWING_SUPPORT) + 1
+
+    @pytest.mark.parametrize("case", DEFAULT, ids=lambda c: f"{c.name}-{c.query}")
+    def test_tight_templates_build_no_formula_trees(self, case, monkeypatch):
+        gls = suite.load_example(case.name)
+        inc = incremental_program(gls, gls.queries[case.query])
+
+        def refuse(*args):
+            raise AssertionError("a formula tree was built while solving")
+
+        monkeypatch.setattr(translate, "_instantiate", refuse)
+        monkeypatch.setattr(translate, "map_leaves", refuse)
+        found = None
+        for k, models in solve_horizons(inc, SolveConfig(), Stats()):
+            if models:
+                found = k
+                break
+        assert found == case.expected_found_step
+
+    @pytest.mark.parametrize("case", DEFAULT, ids=lambda c: f"{c.name}-{c.query}")
+    def test_prop_dumps_solve_on_the_formula_path(self, case, tmp_path, monkeypatch):
+        import io
+
+        from cplusplan.cli import main
+
+        src = str(suite.EXAMPLES_DIR / case.name)
+        k = case.expected_found_step
+        k = 1 if k is None else k
+        out = io.StringIO()
+        rc = main(["--mode=static", "--to-grounder", src, f"query={case.query}",
+                   f"minstep={k}", f"maxstep={k}"], out, io.StringIO(), io.StringIO())
+        assert rc == 0
+        path = tmp_path / "prop.dump"
+        path.write_text(out.getvalue())
+
+        def refuse(*args):
+            raise AssertionError("a prop dump was placed as a template")
+
+        monkeypatch.setattr(solve.CnfBuilder, "place", refuse)
+        out = io.StringIO()
+        rc = main(["--from-grounder", str(path)], out, io.StringIO(), io.StringIO())
+        if case.expected_found_step is None:
+            assert rc == 1 and "found step" not in out.getvalue()
+        else:
+            assert rc == 0 and f"found step {k}" in out.getvalue()
+
+    def test_records_split_the_horizon(self):
+        (case,) = [c for c in suite.CASES if c.name == "ferryman"]
+        _, res = suite.run_case(case, SolveConfig(max_solutions=1))
+        records = res.stats.horizons
+        assert sum(h.rules for h in records) == res.stats.grounded_rules
+        # the base and a query line, then a step and a query line each
+        assert [h.rules for h in records[1:]] == [records[1].rules] * (len(records) - 1)
+        assert records[1].rules > records[0].rules > 0
+        assert all(h.cnf_s > 0 and h.search_s > 0 for h in records)
