@@ -43,9 +43,10 @@ hash-consed formula nodes, and step t is encoded by running the
 template's op list at t: no formula is built, and a gate is shared with
 every earlier step, the base or the query that has the same subformula.
 ``PropRule`` lists are built only for a program whose candidates need
-the stability check.  Programs that come as rule lists (fixed-horizon
-dumps, the reducts of the stability check) take the formula path of the
-same encoder.
+the stability check.  A program that comes as a rule list (a
+fixed-horizon dump, a reduct of the stability check) is compiled the
+same way, as a base with no template and no query lines placed at step
+0: the encoder has no other path.
 
 A separate brute-force enumerator (direct formula evaluation, subset
 minimality by exhaustion) serves as the oracle in tests.  It shares the
@@ -107,11 +108,6 @@ class Stats:
 @dataclass
 class SolveConfig:
     max_solutions: int = 1  # 0 enumerates every model
-    max_checked: int = 0  # 0 means no cap on candidate models checked
-
-
-class ResourceLimit(Exception):
-    """Raised when the configured models-checked cap is exceeded."""
 
 
 @dataclass
@@ -189,11 +185,9 @@ class CnfBuilder:
     """Tseitin encoding.  Var 1 is reserved true; atom vars are interned
     ahead of auxiliaries so atom numbering is stable for a given program.
 
-    A formula reaches the clauses either as a tree (``lit``, ``add_rule``)
-    or compiled (``place``, for a ``StepCode``); one builder takes one of
-    the two.  Both define their gates through ``gate``, which caches each
-    gate's variable under the formula's key: the tree itself, or its
-    compiled node and step.
+    Formulas reach the clauses compiled: ``place`` runs an op list of a
+    ``StepCode`` at a step.  ``gate`` caches each gate's variable under
+    its compiled node and step, so equal subformulas share one gate.
 
     New clauses collect in ``clauses`` until their owner takes them.  While
     ``guard`` is set, they go to ``guarded`` instead, each with the guard's
@@ -246,25 +240,6 @@ class CnfBuilder:
             self._guarded_keys.append(key)
         return g
 
-    def lit(self, f) -> int:
-        if isinstance(f, PAtom):
-            return self.atom_var(f)
-        if isinstance(f, mvpf.Bot):
-            return -1
-        if isinstance(f, mvpf.Neg):
-            return -self.lit(f.sub)
-        cached = self._cache.get(f)
-        if cached is not None:
-            return cached
-        if isinstance(f, (mvpf.And, mvpf.Or)):
-            # an Or is the And of the negated parts, negated
-            s = 1 if isinstance(f, mvpf.And) else -1
-            return self.gate(f, s, [s * self.lit(g) for g in f.parts])
-        if isinstance(f, mvpf.Impl):
-            la, lb = self.lit(f.left), self.lit(f.right)
-            return self.gate(f, -1, [la, -lb], long_first=True)
-        raise TypeError(f"not a propositional formula: {f!r}")
-
     def place(self, ops: list[tuple], t: int, bodies: dict[int, list[int]] | None = None) -> None:
         """Encodes compiled rules (see ``StepCode``) placed at step t; with
         bodies, each head's variable collects its rules' body literals."""
@@ -311,22 +286,6 @@ class CnfBuilder:
             del self._cache[key]
         self._guarded_keys = []
 
-    def add_rule(self, rule: PropRule, bodies: dict[int, list[int]] | None = None) -> int:
-        """Adds the rule's clause and returns its body literal; with
-        bodies, files the literal under the head's variable."""
-        lb = self.lit(rule.body)
-        if rule.head is None:
-            self._emit([-lb])
-        else:
-            v = self.atom_var(rule.head)
-            self._emit([v, -lb])
-            if bodies is not None:
-                bodies.setdefault(v, []).append(lb)
-        return lb
-
-    def add_formula(self, f) -> None:
-        self._emit([self.lit(f)])
-
     def add_exactly_one(self, atoms: Sequence[PAtom]) -> None:
         """Some atom and at most one: pairwise up to _PAIRWISE_MAX atoms,
         else a sequential counter (Sinz 2005)."""
@@ -369,9 +328,10 @@ _LIT, _ATOM, _NEG, _GATE, _RULE = range(5)
 
 
 class StepCode:
-    """A query's program, compiled once for the encoder: the base, the
-    step template and each query line as op lists over one table of
-    hash-consed formula nodes.
+    """A program compiled once for the encoder: the base, the step
+    template and each query line as op lists over one table of
+    hash-consed formula nodes.  With inc None, the program is the fixed
+    rule list rules: a base with no template and no query lines.
 
     The steps of a node's atoms are relative to the step t it is placed
     at: rel 0 or -1 in the template, the step itself in the base (placed
@@ -383,25 +343,30 @@ class StepCode:
     atoms are all at t-1 thus meets its twin at t placed a step earlier,
     and a node without atoms is the same at every step, which shares
     gates across steps, the base and the query exactly as a cache keyed by
-    ``PropRule`` formulas would.
+    the formulas over absolute steps would.
 
     An op list is in post-order with each node once, and a rule's op
     comes after those of its body and head, so placing it defines gates
-    and atom variables in the order ``CnfBuilder.add_rule`` would.
-    Interning walks with an explicit stack.
+    and atom variables in the order a walk of each rule's body, left to
+    right, and then its head first meets them.  Interning walks with an
+    explicit stack.
     """
 
-    def __init__(self, inc: IncrementalProgram) -> None:
+    def __init__(self, inc: IncrementalProgram | None,
+                 rules: Sequence[PropRule] = ()) -> None:
         self.inc = inc
+        self.rules = rules if inc is None else inc.base
+        self.template = () if inc is None else inc.template
         self._ids: dict[tuple, int] = {}
-        self.base = self._compile([(r.head, r.body) for r in inc.base])
-        self.step = self._compile([(r.head, r.body) for r in inc.template])
+        self.base = self._compile([(r.head, r.body) for r in self.rules])
+        self.step = self._compile([(r.head, r.body) for r in self.template])
         for op in self.step:
             if op[0] == _ATOM and not -1 <= op[1] <= 0:
                 # a later step would let a later increment change this one
                 raise TranslateError(
                     f"template atom at step t{op[1]:+d}; only t and t-1 exist", NO_SPAN)
-        self.lines = [self._compile([(None, mvpf.Neg(f))]) for _, f in inc.query.lines]
+        self.lines = [] if inc is None else [
+            self._compile([(None, mvpf.Neg(f))]) for _, f in inc.query.lines]
 
     def _compile(self, rules) -> list[tuple]:
         """The rules' op list.  A leaf's rel is a TAtom's rel, a PAtom's
@@ -932,7 +897,7 @@ class Dpll:
 # ---------------------------------------------------------------------------
 # Stability
 
-def is_stable_model(rules: list[PropRule], model: frozenset[PAtom], stats: Stats) -> bool:
+def is_stable_model(rules: Sequence[PropRule], model: frozenset[PAtom], stats: Stats) -> bool:
     """Is the candidate the minimal model of the program's reduct?
 
     The reduct mentions only atoms the candidate makes true, so the
@@ -943,8 +908,9 @@ def is_stable_model(rules: list[PropRule], model: frozenset[PAtom], stats: Stats
     builder = CnfBuilder()
     for a in sorted(model, key=lambda x: (x.step, x.const, x.value)):
         builder.atom_var(a)
-    for r in rules:
-        builder.add_formula(preduct(rule_formula(r), model))
+    # each reduct as a constraint on its negation, whose clause asserts it
+    reducts = [PropRule(None, mvpf.Neg(preduct(rule_formula(r), model)), r.tag) for r in rules]
+    builder.place(StepCode(None, reducts).base, 0)
     builder.clauses.append([-builder.var_of[a] for a in model])
     return not Dpll(builder.nvars, builder.clauses, stats).solve()
 
@@ -1022,45 +988,40 @@ def is_tight(rules: list[PropRule]) -> bool:
 class LiveSolver:
     """One query's CNF and search, carried from horizon to horizon.
 
-    The caller sets ``horizon`` before each horizon's call.  The rules
-    come either as ``PropRule`` lists, each encoded once when its horizon
-    first needs it, or compiled (``code``): then the solver places the
-    base and each step up to the horizon once, and the query lines at
-    the horizon, building no formula.  Either way they follow the
-    exactly-one clauses of the groups new to that horizon, which are added
-    for good.  An atom's support clause is added for good once no later
-    step can give it a rule: for an atom at step s, that is after step s,
-    or s+1 when its constant heads a template rule at t-1.  Until then,
-    and for the query rules of horizon k with the clauses that define
-    their bodies, clauses are guarded by a fresh literal a_k, which the
-    search assumes; the next horizon retires a_k.  Nothing is guarded at
-    horizon ``last``, as no horizon follows it; a fresh LiveSolver() thus
-    solves one program as it stands.
+    The caller sets ``horizon`` before each horizon's call.  The program
+    comes compiled (``code``): the solver places the base and each step
+    up to the horizon once, and the query lines at the horizon, building
+    no formula.  They follow the exactly-one clauses of the groups new to
+    that horizon, which are added for good.  An atom's support clause is
+    added for good once no later step can give it a rule: for an atom at
+    step s, that is after step s, or s+1 when its constant heads a
+    template rule at t-1.  Until then, and for the query lines of horizon
+    k with the clauses that define their bodies, clauses are guarded by a
+    fresh literal a_k, which the search assumes; the next horizon retires
+    a_k.  Nothing is guarded at horizon ``last``, as no horizon follows
+    it; a LiveSolver with last 0 thus solves a fixed program, compiled as
+    a base alone, as it stands.
 
-    Tightness is decided from the rules' steps: when every positive
-    dependency runs to an earlier step, so does every one of the union.
-    A compiled program is decided once, on its base and template; rule
-    lists, block by block.  Only otherwise is the whole program, built as
-    ``PropRule`` lists for a compiled one, walked again at each horizon.
+    Tightness is decided once, from the steps of the base and template
+    rules: when every positive dependency runs to an earlier step, so does
+    every one of the union of their placed copies.  Only otherwise is the
+    whole program, built as ``PropRule`` lists, walked again at each
+    horizon.
     """
 
-    def __init__(self, template=(), last: int | None = None,
-                 code: StepCode | None = None) -> None:
+    def __init__(self, code: StepCode, last: int) -> None:
         self.builder = CnfBuilder()
         self.solver: Dpll | None = None
         self.code = code
-        self.placed = -1  # the last step of code placed; the base is step 0
-        self.rules: list[PropRule] = []  # for code, built up to step `built`
-        self.built = -1
+        self.placed = -1  # the last step placed; the base is step 0
         self.bodies: dict[int, list[int]] = {}
         self.natoms = 0  # atoms of the groups and atoms added so far
         self.unsupported: list[PAtom] = []  # support still open
         self.clauses = 0  # handed to the solver for good
         self.cnf_s = 0.0  # spent in the last extend
-        self.lag = {r.head.const: 1 for r in template
+        self.lag = {r.head.const: 1 for r in code.template
                     if r.head is not None and r.head.rel < 0}
-        self.ordered = code is None or (
-            _step_ordered(code.inc.base) and _step_ordered(code.inc.template))
+        self.ordered = _step_ordered(code.rules) and _step_ordered(code.template)
         self.horizon = self.last = last
         self.guard = 0
 
@@ -1069,17 +1030,15 @@ class LiveSolver:
         code = self.code
         self.builder.place(code.step if t else code.base, t, self.bodies)
 
-    def extend(self, rules, query, groups, atoms, stats: Stats) -> list[PropRule] | None:
-        """Adds the horizon's new groups and atoms, its rules and query and
-        the support clauses.  Returns the program its candidates must be
-        checked against, or None when they need no stability check.
-
-        groups and atoms are those new to the solver; rules are those new
-        to it as well, and query holds the constraints for this horizon
-        alone.  A compiled program adds its own rules and query."""
+    def extend(self, groups, atoms, stats: Stats) -> Sequence[PropRule] | None:
+        """Adds the horizon's new groups and atoms, its steps and query
+        lines and the support clauses.  Returns the program its candidates
+        must be checked against, or None when they need no stability
+        check.  groups and atoms are those new to the solver."""
         t0 = time.perf_counter()
         code = self.code
-        lines = () if code is None else query_steps(code.inc.query, code.inc.gls, self.horizon)
+        inc = code.inc
+        lines = () if inc is None else query_steps(inc.query, inc.gls, self.horizon)
         b = self.builder
         if self.guard:
             self.solver.retire(self.guard)
@@ -1089,14 +1048,10 @@ class LiveSolver:
         self.natoms += len(atoms)
         for tc in groups:
             b.add_exactly_one(tc.values)
-        bodies = self.bodies
-        for r in rules:
-            b.add_rule(r, bodies)
-        self.rules += rules
-        self.ordered = self.ordered and _step_ordered(rules)
-        while code is not None and self.placed < self.horizon:
+        while self.placed < self.horizon:
             self.placed += 1
             self.place_step(self.placed)
+        bodies = self.bodies
         final = self.horizon == self.last
         closed, still = [], []
         for a in self.unsupported + list(atoms):
@@ -1107,11 +1062,8 @@ class LiveSolver:
         b.add_support_clauses(closed, bodies)
         self.unsupported = still
         self.guard = b.guard = 0 if final else b.new_var()
-        for r in query:
-            b.add_rule(r)
-        if code is not None:
-            for step, ops in zip(lines, code.lines):
-                b.place(ops, step)
+        for step, ops in zip(lines, code.lines):
+            b.place(ops, step)
         b.add_support_clauses(still, bodies)
         b.guard = 0
 
@@ -1129,31 +1081,25 @@ class LiveSolver:
 
         # every atom has a support clause only when the rules add no atom
         supported = len(b.var_of) == self.natoms
-        if supported and self.ordered and _step_ordered(query):
+        if supported and self.ordered:
             return None
-        program = self.program(query)
+        program = self.program()
         return None if supported and is_tight(program) else program
 
-    def program(self, query=()) -> list[PropRule]:
-        """The rules searched at this horizon; a compiled program builds
-        them here, on first need, and keeps its steps for later ones."""
-        code = self.code
-        if code is None:
-            return self.rules + list(query)
-        while self.built < self.placed:
-            self.built += 1
-            self.rules += code.inc.step_rules(self.built) if self.built else code.inc.base
-        return self.rules + code.inc.query_rules_at(self.horizon)
+    def program(self) -> Sequence[PropRule]:
+        """The rules searched at this horizon, built here as ``PropRule``
+        lists for a query's program."""
+        inc = self.code.inc
+        return self.code.rules if inc is None else inc.program(self.horizon).rules
 
 
 def enumerate_models(
-    rules: list[PropRule],
+    rules: Sequence[PropRule],
     groups: list[TimedConst] | None,
     config: SolveConfig,
     stats: Stats,
     extra_atoms: list[PAtom] | None = None,
     live: LiveSolver | None = None,
-    query: Sequence[PropRule] = (),
 ):
     """Yields stable models.
 
@@ -1164,17 +1110,18 @@ def enumerate_models(
     its check, so every candidate is met once.  The stability check runs
     only when the program is not known to be tight.
 
-    With live, the call searches the live solver's next horizon: rules
-    and groups are only those new to it and stay for later horizons,
-    while query holds the constraints for this horizon alone.
+    Without live, rules is a fixed program, compiled as a base alone and
+    searched as it stands.  With live, the call searches the live
+    solver's next horizon of the program it holds, and rules is not
+    read; groups are only those new to it and stay for later horizons.
     """
     if live is None:
-        live = LiveSolver()
+        live = LiveSolver(StepCode(None, rules), 0)
     if groups is not None:
         atom_universe = [a for tc in groups for a in tc.values]
     else:
         seen = dict()
-        for r in itertools.chain(rules, query):
+        for r in rules:
             if r.head is not None:
                 seen[r.head] = True
             for a in formula_leaves(r.body):
@@ -1182,7 +1129,7 @@ def enumerate_models(
         for a in extra_atoms or []:
             seen[a] = True
         atom_universe = sorted(seen, key=lambda a: (a.step, a.const, a.value))
-    program = live.extend(rules, query, groups or (), atom_universe, stats)
+    program = live.extend(groups or (), atom_universe, stats)
 
     solver = live.solver
     guard = live.guard
@@ -1192,10 +1139,6 @@ def enumerate_models(
     while solver.solve(guard):
         model = frozenset(a for a, v in atoms if val[v] == 1)
         stats.models_checked += 1
-        if config.max_checked and stats.models_checked > config.max_checked:
-            raise ResourceLimit(
-                f"models-checked cap exceeded ({config.max_checked})"
-            )
         if program is None or is_stable_model(program, model, stats):
             yield model
             yielded += 1
@@ -1220,7 +1163,7 @@ def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
         raise UnboundedRange(
             "no upper step bound; set maxstep explicitly", NO_SPAN
         )
-    live = LiveSolver(inc.template, inc.max_step, StepCode(inc))
+    live = LiveSolver(StepCode(inc), inc.max_step)
     prev = -1  # the previous horizon
     for k in range(inc.min_step, inc.max_step + 1):
         placed = (len(inc.base) if prev < 0 else 0) \

@@ -12,11 +12,13 @@ The propositional program has one construction, the incremental one:
 base rules for step 0, a per-step template of cumulative rules, and the
 volatile query constraints.  The whole-horizon program for a fixed m is
 the base, the template placed at steps 1..m, and the query at m.  The
-search encodes the template itself, once per query, and places it at
+search compiles the template itself, once per query, and places it at
 each step without building rules (``solve.StepCode``); the placed rules
 are built as ``PropRule`` lists only where something reads them: the
 static dump (``program``), the stability check of a program that is not
-known to be tight, and the tests.
+known to be tight, and the tests.  A rule list handed to the search, such
+as a static dump read back, is compiled by the same compiler, as a base
+alone.
 
 Fluent constants live at steps 0..m, action constants at 0..m-1.  Laws
 become rules with the condition part double-negated, which keeps every
@@ -257,8 +259,9 @@ class IncrementalProgram:
     horizon from t-1 to t; they accumulate.  query_rules_at(t) yields the
     constraints that commit the accumulated program to horizon t; they
     hold only for that horizon and must be retracted before moving on.
-    The search does not call either: it places the template and the query
-    lines directly (``solve.StepCode``).
+    The search places the template and the query lines directly
+    (``solve.StepCode``); it builds ``program(t)``, and through it these
+    two, only to check the candidates of a program not known to be tight.
     """
 
     gls: GroundLawSet

@@ -2,9 +2,11 @@
 
 A static scan with the standard-library ``ast``: every name a module under
 ``src/cplusplan`` imports is used in that module, and every top-level
-function or class there is referenced somewhere in ``src/``, ``tests/`` or
+function or class there, and every method of such a class other than a
+dunder method, is referenced somewhere in ``src/``, ``tests/`` or
 ``perfbench/`` outside its own body.  A reference is a name, an attribute,
-or a string equal to the name (tools patch functions by their name).
+or a string equal to the name (tools patch functions by their name); a
+method is reached only by the last two.
 """
 
 import ast
@@ -42,8 +44,9 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-def _references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
-    """Names, attributes and strings in the tree, outside the node `skip`."""
+def _references(tree: ast.Module, skip: ast.AST | None = None, names: bool = True) -> set[str]:
+    """Names (unless not names), attributes and strings in the tree,
+    outside the node `skip`."""
     out = set()
     stack = [tree]
     while stack:
@@ -51,7 +54,8 @@ def _references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            if names:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -65,16 +69,38 @@ def test_no_unused_imports(path):
     assert _unused_imports(_tree(path)) == []
 
 
-def test_every_top_level_definition_is_referenced():
+def _top_level(tree: ast.Module) -> list[ast.AST]:
+    return [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _methods(tree: ast.Module) -> list[ast.AST]:
+    return [
+        m for n in tree.body if isinstance(n, ast.ClassDef) for m in n.body
+        if isinstance(m, ast.FunctionDef)
+        and not (m.name.startswith("__") and m.name.endswith("__"))
+    ]
+
+
+def _unreferenced(definitions, names: bool) -> list[str]:
+    """The definitions(tree) of each module that nothing references; a
+    bare name counts only if names is set."""
     trees = {p: _tree(p) for p in SCANNED}
-    refs = {p: _references(t) for p, t in trees.items()}
-    unreferenced = []
+    refs = {p: _references(t, names=names) for p, t in trees.items()}
+    out = []
     for path in MODULES:
         elsewhere = set().union(*(r for q, r in refs.items() if q != path))
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        for node in definitions(trees[path]):
+            own = _references(trees[path], skip=node, names=names)
+            if node.name in elsewhere or node.name in own:
                 continue
-            if node.name in elsewhere or node.name in _references(trees[path], skip=node):
-                continue
-            unreferenced.append(f"{path.name}:{node.name}")
-    assert unreferenced == []
+            out.append(f"{path.name}:{node.name}")
+    return out
+
+
+def test_every_top_level_definition_is_referenced():
+    assert _unreferenced(_top_level, names=True) == []
+
+
+def test_every_method_is_referenced():
+    # a method is reached through an attribute or by its name as a string
+    assert _unreferenced(_methods, names=False) == []

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from cplusplan import cli, export, mvpf
 from cplusplan.ground import GroundLaw, ground_description
 from cplusplan.parser import parse_text
-from cplusplan.solve import CnfBuilder, SolveConfig, peval, preduct, solve_incremental
+from cplusplan.solve import CnfBuilder, SolveConfig, StepCode, peval, preduct, solve_incremental
 from cplusplan.syntax import LawShape
-from cplusplan.translate import PAtom, formula_leaves, incremental_program, map_leaves
+from cplusplan.translate import PAtom, PropRule, formula_leaves, incremental_program, map_leaves
 
 
 def spliced(f) -> bool:
@@ -131,7 +131,7 @@ constraint c > 0.
     assert peval(timed, model)
     assert preduct(timed, model).parts.count(mvpf.BOT) == n - 1
     builder = CnfBuilder()
-    builder.lit(timed)
+    builder.place(StepCode(None, [PropRule(None, timed, "wide")]).base, 0)
     assert builder.nvars == 1 + n + 1  # true, the atoms, one gate
 
     text = export.export_ground(gls)

@@ -17,9 +17,6 @@ from cplusplan.ground import ground_description
 from cplusplan.parser import parse_text
 from cplusplan.solve import (
     Dpll,
-    HorizonRecord,
-    LiveSolver,
-    ResourceLimit,
     SolveConfig,
     Stats,
     brute_force_models,
@@ -280,13 +277,6 @@ class TestDrivers:
         open_q = dataclasses.replace(q, max_step=None)
         with pytest.raises(UnboundedRange):
             solve_incremental(incremental_program(bw, open_q), ALL)
-
-    def test_models_checked_cap(self, bw):
-        q = bw.queries["tower"]
-        with pytest.raises(ResourceLimit):
-            solve_incremental(
-                incremental_program(bw, q), SolveConfig(max_solutions=0, max_checked=1)
-            )
 
     def test_cumulative_rules_stay_within_step(self, bw):
         inc = incremental_program(bw, bw.queries["tower"])
@@ -730,36 +720,6 @@ class TestLiveSolver:
         assert sum(h.conflicts for h in records) == res.stats.conflicts
 
 
-def reference_horizons(inc, config, stats):
-    """The reference for solve_horizons: the base, each step's rules and
-    each horizon's query as PropRule lists, through the formula path of
-    one LiveSolver."""
-    live = LiveSolver(inc.template, inc.max_step)
-    new = list(inc.base)
-    grounded_to = 0
-    prev = -1
-    for k in range(inc.min_step, inc.max_step + 1):
-        while grounded_to < k:
-            grounded_to += 1
-            new += inc.step_rules(grounded_to)
-        query = inc.query_rules_at(k)
-        before = (stats.decisions, stats.conflicts, stats.propagations, stats.models_checked)
-        live.horizon = k
-        models = list(enumerate_models(
-            new, inc.timed_consts(k, prev), config, stats, live=live, query=query
-        ))
-        s = live.solver
-        stats.horizons.append(HorizonRecord(
-            k, s.nvars, live.clauses, len(s.learnts),
-            stats.decisions - before[0], stats.conflicts - before[1],
-            stats.propagations - before[2], stats.models_checked - before[3],
-            len(new) + len(query), 0.0, 0.0,
-        ))
-        new = []
-        prev = k
-        yield k, models
-
-
 @pytest.fixture
 def dpll_input(monkeypatch):
     """Every clause list handed to a Dpll, copied as it arrives."""
@@ -779,8 +739,10 @@ def dpll_input(monkeypatch):
     return log
 
 
-def _counts(record):
-    return dataclasses.astuple(record)[:-2]  # all but the two timings
+def one_horizon(inc, k):
+    """The query's program searched at horizon k alone."""
+    return dataclasses.replace(
+        inc, query=dataclasses.replace(inc.query, min_step=k, max_step=k))
 
 
 # GROWING_SUPPORT with a constraint whose body has no atom: one gate for
@@ -819,42 +781,58 @@ STEP_LOOP = """\
 
 
 class TestStepCode:
-    """The compiled template against the PropRule lists it replaced."""
+    """The template placed step by step against the whole-horizon rule
+    lists, compiled as a base alone."""
 
-    def assert_same_as_reference(self, inc, config, dpll_input):
-        stats = Stats()
-        got = list(solve_horizons(inc, config, stats))
-        placed = list(dpll_input)
-        dpll_input.clear()
-        ref = Stats()
-        want = list(reference_horizons(inc, config, ref))
-        assert got == want
-        assert placed == dpll_input
-        assert [_counts(h) for h in stats.horizons] == [_counts(h) for h in ref.horizons]
-        assert stats.grounded_rules == sum(h.rules for h in stats.horizons)
-        return stats, ref
+    def assert_same_as_rule_lists(self, inc, ks, dpll_input):
+        """At each horizon k alone, solve_horizons hands the search the
+        whole-horizon program's clauses, up to their order, and finds its
+        models."""
+        for k in ks:
+            dpll_input.clear()
+            stats = Stats()
+            ((_, got),) = solve_horizons(one_horizon(inc, k), ALL, stats)
+            nvars, clauses = dpll_input[0]
+            dpll_input.clear()
+            rules = inc.program(k).rules
+            want = list(enumerate_models(rules, inc.timed_consts(k), ALL, Stats()))
+            assert nvars == dpll_input[0][0], k
+            assert sorted(clauses) == sorted(dpll_input[0][1]), k
+            assert len(got) == len(set(got)) and set(got) == set(want), k
+            (record,) = stats.horizons
+            assert record.rules == stats.grounded_rules == len(rules)
+            assert (record.vars, record.clauses) == (nvars, len(clauses))
+            assert record.candidates == stats.models_checked >= len(got)
 
     @pytest.mark.parametrize("key", sorted(LIVE_RANGES), ids="-".join)
     def test_shipped_ranges_encode_as_the_rule_lists_did(self, key, dpll_input):
         name, label = key
-        lo, hi = LIVE_RANGES[key]
         gls = suite.load_example(name)
-        q = dataclasses.replace(gls.queries[label], min_step=lo, max_step=hi)
-        self.assert_same_as_reference(incremental_program(gls, q), ALL, dpll_input)
+        inc = incremental_program(gls, gls.queries[label])
+        self.assert_same_as_rule_lists(inc, range(4), dpll_input)
 
     @pytest.mark.parametrize("dump", [GROWING_SUPPORT, ATOM_FREE], ids=["growing", "atom-free"])
     def test_dumps_encode_as_the_rule_lists_did(self, dump, dpll_input):
         from cplusplan.export import import_incremental
 
-        self.assert_same_as_reference(import_incremental(dump), ALL, dpll_input)
+        inc = import_incremental(dump)
+        self.assert_same_as_rule_lists(inc, range(inc.min_step, inc.max_step + 1), dpll_input)
+        stats = Stats()
+        live = list(solve_horizons(inc, ALL, stats))
+        assert_same_horizons(live, fresh_horizons(inc))
+        assert stats.grounded_rules == sum(h.rules for h in stats.horizons)
+        assert [h.candidates for h in stats.horizons] == [len(m) for _, m in live]
 
     def test_a_loop_in_a_step_keeps_the_check(self, dpll_input, stability_calls):
         from cplusplan.export import import_incremental
 
         inc = import_incremental(STEP_LOOP)
-        stats, ref = self.assert_same_as_reference(inc, ALL, dpll_input)
-        assert 0 < len(stability_calls) == 2 * stats.models_checked
-        live = list(solve_horizons(inc, ALL, Stats()))
+        self.assert_same_as_rule_lists(inc, range(inc.min_step, inc.max_step + 1), dpll_input)
+        stability_calls.clear()
+        stats = Stats()
+        live = list(solve_horizons(inc, ALL, stats))
+        assert 0 < len(stability_calls) == stats.models_checked
+        assert stats.grounded_rules == sum(h.rules for h in stats.horizons)
         assert_same_horizons(live, fresh_horizons(inc))
         # p at k needs go at k-1, not the loop; go at earlier steps is free
         assert [len(m) for _, m in live] == [0, 1, 2]
@@ -869,6 +847,18 @@ class TestStepCode:
 
         # one gate for the conjunction, whatever the number of steps
         assert nvars(ATOM_FREE) == nvars(GROWING_SUPPORT) + 1
+
+    def test_deep_negation_compiles_without_recursion(self):
+        # false <- --...--a, 2,000 negations: the constraint false <- a,
+        # after choice rules that let either value of the group hold
+        a, b = PAtom(0, 1, 1), PAtom(0, 1, 2)
+        body = a
+        for _ in range(2000):
+            body = mvpf.Neg(body)
+        rules = [PropRule(x, mvpf.Neg(mvpf.Neg(x)), "choice") for x in (a, b)]
+        rules.append(PropRule(None, body, "deep"))
+        got = list(enumerate_models(rules, [TimedConst(0, 1, (a, b))], ALL, Stats()))
+        assert got == [frozenset({b})]
 
     @pytest.mark.parametrize("case", DEFAULT, ids=lambda c: f"{c.name}-{c.query}")
     def test_tight_templates_build_no_formula_trees(self, case, monkeypatch):
@@ -888,7 +878,7 @@ class TestStepCode:
         assert found == case.expected_found_step
 
     @pytest.mark.parametrize("case", DEFAULT, ids=lambda c: f"{c.name}-{c.query}")
-    def test_prop_dumps_solve_on_the_formula_path(self, case, tmp_path, monkeypatch):
+    def test_prop_dumps_solve_through_the_compiled_encoder(self, case, tmp_path, monkeypatch):
         import io
 
         from cplusplan.cli import main
@@ -903,12 +893,17 @@ class TestStepCode:
         path = tmp_path / "prop.dump"
         path.write_text(out.getvalue())
 
-        def refuse(*args):
-            raise AssertionError("a prop dump was placed as a template")
+        placed = []
+        place = solve.CnfBuilder.place
 
-        monkeypatch.setattr(solve.CnfBuilder, "place", refuse)
+        def counted(builder, ops, t, bodies=None):
+            placed.append(t)
+            place(builder, ops, t, bodies)
+
+        monkeypatch.setattr(solve.CnfBuilder, "place", counted)
         out = io.StringIO()
         rc = main(["--from-grounder", str(path)], out, io.StringIO(), io.StringIO())
+        assert placed == [0]  # the whole program, as one base
         if case.expected_found_step is None:
             assert rc == 1 and "found step" not in out.getvalue()
         else:
