@@ -490,6 +490,10 @@ def main(argv: list[str], out=None, err=None, repl_source=None) -> int:
     except (LangError, ExportError, OSError) as e:
         print(f"error: {e}", file=err)
         return 2
+    except RecursionError:
+        # the parser reads any depth; some later layers still recurse
+        print("error: formula nested too deeply", file=err)
+        return 2
 
 
 def console_main() -> int:

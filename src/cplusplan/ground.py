@@ -4,7 +4,8 @@ The steps, in order: expand every shorthand into the three primitive law
 shapes (static, action dynamic, fluent dynamic), check the heads are
 definite, instantiate law variables over their sorts, evaluate where
 clauses, and resolve formulas into multi-valued atoms over an interned
-ground signature.
+ground signature.  A vacuous instance, one whose condition or `after`
+part resolves to false, is dropped there.
 
 Where clauses are grounding-time guards over integers only.  They never
 see fluent or action values; comparing those belongs in the formula
@@ -614,6 +615,14 @@ def build_symbols(desc: ActionDescription) -> SymbolTable:
 
 
 def ground_description(desc: ActionDescription) -> GroundLawSet:
+    """Ground every law of the description over its variables' sorts.
+
+    Vacuous instances are dropped: those whose condition or `after` part
+    resolves to false.  Before the head and the constants of an instance
+    are resolved, the top-level conjuncts of its condition and `after`
+    part that mention no constant (``L = B1``) are tested, as the where
+    clause is; one that is false skips the instance.
+    """
     desc.validate()
     symbols = build_symbols(desc)
     resolver = _Resolver(desc, symbols)
@@ -638,9 +647,19 @@ def ground_description(desc: ActionDescription) -> GroundLawSet:
                     core.span,
                 )
             member_lists.append(members)
+        guards = [
+            g
+            for f in (core.cond, core.after)
+            if f is not None
+            for g in (f.parts if isinstance(f, AndF) else (f,))
+            if not any(formula_constrefs(g))
+        ]
         for choice in itertools.product(*member_lists):
             subst = dict(zip(variables, choice))
-            if not eval_where(core.where, subst, core.span):
+            # every guard is resolved, so an ill-typed one raises as before
+            if not eval_where(core.where, subst, core.span) or mvpf.BOT in [
+                resolver.formula(g, subst, core.span) for g in guards
+            ]:
                 continue
             head = resolver.head(core.head, subst, core.span)
             cond = resolver.formula(core.cond, subst, core.span)
@@ -649,6 +668,8 @@ def ground_description(desc: ActionDescription) -> GroundLawSet:
                 if core.after is None
                 else resolver.formula(core.after, subst, core.span)
             )
+            if cond is mvpf.BOT or after is mvpf.BOT:
+                continue  # `caused H if false` or `... after false`
             buckets[core.shape].append(
                 GroundLaw(core.shape, head, cond, after, core.span, tuple(choice))
             )

@@ -516,11 +516,14 @@ class _Parser:
     # Formulas: impl is right associative and binds loosest, then ++, then &.
 
     def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.at_sym("->>"):
+        links = [self.disjunction()]
+        while self.at_sym("->>"):
             self.advance()
-            return ImplF(left, self.formula())
-        return left
+            links.append(self.disjunction())
+        f = links.pop()
+        while links:
+            f = ImplF(links.pop(), f)
+        return f
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
@@ -537,21 +540,25 @@ class _Parser:
         return join(AndF, parts)
 
     def unary(self) -> Formula:
-        if self.at_sym("-"):
+        negations = 0
+        while self.at_sym("-"):
             self.advance()
-            return Not(self.unary())
+            negations += 1
         if self.at_sym("("):
             self.advance()
             f = self.formula()
             self.eat_sym(")")
-            return f
-        if self.at_word("true"):
+        elif self.at_word("true"):
             self.advance()
-            return TRUE
-        if self.at_word("false"):
+            f = TRUE
+        elif self.at_word("false"):
             self.advance()
-            return FalseF()
-        return self.atom()
+            f = FalseF()
+        else:
+            f = self.atom()
+        for _ in range(negations):
+            f = Not(f)
+        return f
 
     def atom(self) -> Formula:
         left = self.term()

@@ -23,7 +23,11 @@ alone.
 Fluent constants live at steps 0..m, action constants at 0..m-1.  Laws
 become rules with the condition part double-negated, which keeps every
 rule head free of circular justification except through the previous
-step.  Initial states are opened up by choice rules over simple fluents.
+step.  The bodies are built with the folding constructors of
+:mod:`cplusplan.mvpf`, so a true condition leaves no ``not not true``
+part; the grounder has already dropped the laws whose condition or
+`after` part is false.  Initial states are opened up by choice rules
+over simple fluents.
 
 That each timed constant takes exactly one value is left to the
 ``TimedConst`` groups, which the search encodes.  The reduction needs at
@@ -302,12 +306,19 @@ class IncrementalProgram:
         return PropProgram(m, rules, self.timed_consts(m), self.gls)
 
 
+def _law_body(cond, after=None):
+    """The body of a law's rule: not not cond, and after when given.  The
+    folding constructors drop a true condition."""
+    body = mvpf.neg(mvpf.neg(cond))
+    return body if after is None else mvpf.conj(body, after)
+
+
 def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalProgram:
     _check_domains(gls)
     static = [
         TemplateRule(
             None if law.head is None else TAtom(0, *law.head),
-            mvpf.Neg(mvpf.Neg(at_rel(law.cond, 0))),
+            _law_body(at_rel(law.cond, 0)),
             "static",
         )
         for law in gls.static
@@ -315,15 +326,11 @@ def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalPro
     template = list(static)
     for law in gls.action_dynamic:
         head = None if law.head is None else TAtom(-1, *law.head)
-        template.append(
-            TemplateRule(head, mvpf.Neg(mvpf.Neg(at_rel(law.cond, -1))), "action")
-        )
+        template.append(TemplateRule(head, _law_body(at_rel(law.cond, -1)), "action"))
     # the law `caused F if G after H` fires at t from t-1
     for law in gls.fluent_dynamic:
         head = None if law.head is None else TAtom(0, *law.head)
-        body = mvpf.join(
-            mvpf.And, (mvpf.Neg(mvpf.Neg(at_rel(law.cond, 0))), at_rel(law.after, -1))
-        )
+        body = _law_body(at_rel(law.cond, 0), at_rel(law.after, -1))
         template.append(TemplateRule(head, body, "transition"))
 
     # step 0 has no actions and no predecessor: the initial-state choice
@@ -408,30 +415,17 @@ def horizon_theory(
     for step in range(m + 1):
         for law in gls.static:
             formulas.append(
-                mvpf.Impl(
-                    mvpf.Neg(mvpf.Neg(timed_f(law.cond, step))),
-                    timed_head(law.head, step),
-                )
+                mvpf.Impl(_law_body(timed_f(law.cond, step)), timed_head(law.head, step))
             )
     for step in range(m):
         for law in gls.action_dynamic:
             formulas.append(
-                mvpf.Impl(
-                    mvpf.Neg(mvpf.Neg(timed_f(law.cond, step))),
-                    timed_head(law.head, step),
-                )
+                mvpf.Impl(_law_body(timed_f(law.cond, step)), timed_head(law.head, step))
             )
     for step in range(1, m + 1):
         for law in gls.fluent_dynamic:
-            formulas.append(
-                mvpf.Impl(
-                    mvpf.join(mvpf.And, (
-                        mvpf.Neg(mvpf.Neg(timed_f(law.cond, step))),
-                        timed_f(law.after, step - 1),
-                    )),
-                    timed_head(law.head, step),
-                )
-            )
+            body = _law_body(timed_f(law.cond, step), timed_f(law.after, step - 1))
+            formulas.append(mvpf.Impl(body, timed_head(law.head, step)))
     if query is not None:
         for (_, f), step in zip(query.lines, query_steps(query, gls, m)):
             formulas.append(mvpf.Impl(mvpf.Neg(timed_f(f, step)), mvpf.BOT))

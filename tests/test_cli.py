@@ -161,6 +161,22 @@ class TestExitCodes:
         assert rc == 0
         assert out.startswith("usage:")
 
+    @pytest.mark.parametrize(
+        "formula",
+        [" ->> ".join(["p"] * 1001), "-" * 1200 + "p"],
+        ids=["impl-chain-1000", "negations-1200"],
+    )
+    def test_deep_formula_is_two(self, tmp_path, formula):
+        path = tmp_path / "deep"
+        path.write_text(
+            ":- constants p :: inertialFluent.\n"
+            f"constraint {formula}.\n"
+            ":- query label :: q; maxstep :: 0..1; maxstep: p.\n"
+        )
+        rc, _, err = run([str(path), "query=q"])
+        assert rc == 2
+        assert "error: formula nested too deeply" in err
+
 
 class TestBatchOutput:
     def test_plans_hide_false_booleans(self):

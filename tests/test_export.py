@@ -1,8 +1,11 @@
 """Dump round trips and format errors."""
 
+import io
+
 import pytest
 
-from cplusplan import export
+from cplusplan import export, mvpf
+from cplusplan.cli import main
 from cplusplan.export import FormatError
 from cplusplan.ground import ground_description
 from cplusplan.parser import parse_text
@@ -250,6 +253,33 @@ class TestNativeIncremental:
         inc = incremental_program(bw, bw.queries["open"])
         inc2 = export.import_incremental(export.export_incremental(inc))
         assert inc2.max_step is None
+
+    TOGGLE = """
+:- sorts obj.
+:- objects x, y :: obj.
+:- constants at :: inertialFluent(obj); go(obj) :: exogenousAction; p :: simpleFluent.
+:- variables O :: obj.
+go(O) causes at = O.
+caused p if true.
+%s
+:- query label :: q; maxstep :: 0..3; 0: at = x; maxstep: at = y, p.
+"""
+
+    @pytest.mark.parametrize("extra, found", [("", 1), ("caused false if true.", None)])
+    def test_folded_true_bodies_round_trip(self, tmp_path, extra, found):
+        path = tmp_path / "toggle"
+        path.write_text(self.TOGGLE % extra)
+        gls = ground_description(parse_text(path.read_text(), "<t>"))
+        inc = incremental_program(gls, gls.queries["q"])
+        # `caused p if true` and `caused false if true` have body true
+        folded = [r for r in inc.template if r.tag == "static"]
+        assert [r.body for r in folded] == [mvpf.TOP] * (1 + bool(extra))
+        out, err = io.StringIO(), io.StringIO()
+        assert main(["--to-grounder", str(path), "query=q"], out, err) == 0
+        assert out.getvalue() == export.export_incremental(inc)
+        again = export.import_incremental(out.getvalue())
+        assert solve_incremental(inc, ALL).found_step == found
+        assert solve_incremental(again, ALL).found_step == found
 
 
 def test_sniff_format(bw, chain):

@@ -160,10 +160,26 @@ class TestInstantiation:
         assert len(gls.static) == 2
         assert [l.inst for l in gls.static] == [(1,), (2,)]
 
-    def test_folded_condition_instances_kept(self):
-        # B = B1 = a folds the condition to false, but the instance stays
+    def test_folded_condition_instances_dropped(self):
+        # B = B1 folds the condition to false; `caused false if false` is
+        # vacuous, so only the instances with B \= B1 stay
         gls = ground(BW + "constraint B \\= B1 & loc(B) = loc(B1) ->> loc(B) = table.")
-        assert len(gls.static) == 4
+        assert [l.inst for l in gls.static] == [("a", "b"), ("b", "a")]
+
+    def test_constant_free_conjunct_skips_instances(self):
+        gls = ground(
+            BW + ":- variables L1 :: location."
+            " nonexecutable move(B, L) & move(B1, L1) if L = B1."
+        )
+        explicit = [l for l in gls.fluent_dynamic if l.head is None]
+        # 2 * 3 * 2 * 3 instances; L = B1 holds in 2 * 2 * 3 of them
+        assert len(explicit) == 12
+        assert all(l.inst[1] == l.inst[2] for l in explicit)
+
+    def test_ill_typed_constant_free_conjunct_still_raises(self):
+        # a = b skips every instance, but the order comparison is resolved
+        with pytest.raises(GroundError, match="order comparison needs integers"):
+            ground(BW + "nonexecutable move(B, L) if a = b & L < B.")
 
     def test_empty_sort_for_variable(self):
         with pytest.raises(EmptySort):

@@ -214,5 +214,7 @@ class TestStress:
         for t in range(1, 64):
             total += len(inc.step_rules(t))
         total += len(inc.query_rules_at(63))
-        assert total == 30638
+        # the grounder drops vacuous law instances (condition false), so
+        # no atom-free constraint is placed at any step
+        assert total == 27236
         assert len(inc.timed_consts(63)) == 1518

@@ -4,17 +4,23 @@ from collections import Counter
 
 import pytest
 
-from cplusplan import mvpf, suite
+from cplusplan import export, mvpf, suite
 from cplusplan.ground import ground_description
 from cplusplan.parser import parse_text
+from cplusplan.plans import model_atom_names
+from cplusplan.solve import SolveConfig, Stats, enumerate_models, solve_incremental
 from cplusplan.translate import (
     PAtom,
     QueryStepOutOfRange,
     SingletonDomain,
     TranslateError,
+    decode_mv_model,
+    decode_prop_model,
+    formula_leaves,
     horizon_theory,
     incremental_program,
     map_leaves,
+    model_key,
     rule_formula,
     theory_to_prop,
     to_prop,
@@ -231,3 +237,99 @@ class TestTheoryToProp:
         sig = mvpf.Signature((0,), {0: (10,)})
         with pytest.raises(SingletonDomain):
             theory_to_prop(mvpf.MvTheory(sig, ()))
+
+
+class TestVacuousLaws:
+    """Laws that fold away leave no trace in the translation."""
+
+    PLAIN = """
+:- sorts obj.
+:- objects x, y :: obj.
+:- constants
+  at :: inertialFluent(obj);
+  lit :: inertialFluent;
+  go(obj) :: exogenousAction;
+  flip :: exogenousAction.
+:- variables O, O1 :: obj.
+go(O) causes at = O.
+flip causes lit.
+%s
+:- query label :: q; maxstep :: 0..2; 0: at = x, -lit; maxstep: at = y, lit.
+"""
+    # the hand-written instances of the schematic law below
+    INSTANCES = "nonexecutable go(x) & go(y).\nnonexecutable go(y) & go(x)."
+    VACUOUS = """
+caused lit if false.
+caused at = x if x = y.
+caused lit if true after false.
+nonexecutable go(O) & go(O1) if O \\= O1.
+"""
+
+    def both(self):
+        plain = ground_description(parse_text(self.PLAIN % self.INSTANCES, "<t>"))
+        vacuous = ground_description(parse_text(self.PLAIN % self.VACUOUS, "<t>"))
+        return [
+            (gls, incremental_program(gls, gls.queries["q"])) for gls in (plain, vacuous)
+        ]
+
+    def test_template_and_dump_unchanged(self):
+        (_, plain), (_, vacuous) = self.both()
+        assert vacuous.base == plain.base
+        assert vacuous.template == plain.template
+        assert export.export_incremental(vacuous) == export.export_incremental(plain)
+
+    def test_found_step_and_models_unchanged(self):
+        (pg, plain), (vg, vacuous) = self.both()
+        want = solve_incremental(plain, SolveConfig(max_solutions=0))
+        got = solve_incremental(vacuous, SolveConfig(max_solutions=0))
+        assert got.found_step == want.found_step == 1
+        assert sorted(model_atom_names(m, vg) for m in got.models) == sorted(
+            model_atom_names(m, pg) for m in want.models
+        )
+
+    def test_models_match_exhaustive_route(self):
+        _, (gls, _) = self.both()
+        q = gls.queries["q"]
+        counts = []
+        for k in range(3):
+            theory, index = horizon_theory(gls, k, q)
+            want = {
+                model_key(decode_mv_model(i, index))
+                for i in mvpf.enumerate_stable(theory)
+            }
+            prog = to_prop(gls, k, q)
+            got = {
+                model_key(decode_prop_model(m))
+                for m in enumerate_models(
+                    prog.rules, prog.timed_consts, SolveConfig(max_solutions=0), Stats()
+                )
+            }
+            assert got == want, k
+            counts.append(len(got))
+        assert counts[0] == 0 and counts[1] > 0
+
+
+def _nodes(f):
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, mvpf.Neg):
+            stack.append(g.sub)
+        elif isinstance(g, (mvpf.And, mvpf.Or)):
+            stack.extend(g.parts)
+        elif isinstance(g, mvpf.Impl):
+            stack.extend((g.left, g.right))
+
+
+@pytest.mark.parametrize(
+    "case", suite.CASES, ids=[f"{c.name}-{c.query}" for c in suite.CASES]
+)
+def test_shipped_bodies_are_folded(case):
+    """No rule is an atom-free constant and no body keeps a `not not true`."""
+    gls = suite.load_example(case.name)
+    inc = incremental_program(gls, gls.queries[case.query])
+    not_not_true = mvpf.Neg(mvpf.Neg(mvpf.TOP))
+    for rule in [*inc.base, *inc.template]:
+        assert any(formula_leaves(rule.body)), rule
+        assert not_not_true not in _nodes(rule.body), rule
