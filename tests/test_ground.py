@@ -1,8 +1,11 @@
 """Shorthand expansion, instantiation, where clauses, atom resolution."""
 
+import hashlib
+
 import pytest
 
 from cplusplan import mvpf
+from cplusplan.export import export_ground
 from cplusplan.ground import (
     EmptySort,
     GroundError,
@@ -11,6 +14,7 @@ from cplusplan.ground import (
     ground_description,
 )
 from cplusplan.parser import parse_text
+from cplusplan.suite import load_example
 from cplusplan.syntax import LawShape
 
 
@@ -363,3 +367,48 @@ class TestSignature:
         vids = set(gls.symbols.values)
         cids = {c.cid for c in gls.symbols.order}
         assert not (vids & cids)
+
+
+class TestShippedGrounding:
+    """The ground law sets of the shipped examples, pinned by digest: the
+    native dump (laws in order, queries, constants) and every instance's
+    substituted objects."""
+
+    DIGESTS = {
+        "bw-pair": (
+            "35463531f7bbd0b8e1e5d1b1d746e495a29c971014a74b67ba64a031dfdd1b29",
+            "d0844086092c44ab504896021a7fb8858e5686cdb6f7b6499a4c7d696f65623d",
+        ),
+        "bw-test": (
+            "3d89008b57f1c05507a50f725ef41eb467b38dbbd5eb3a0b13d69ce85302af02",
+            "17dc7ab6a8b6c73a2a71993200bff7e4417c7a6169159dc81674af9734f81dcd",
+        ),
+        "ferryman": (
+            "48644e5dba8945a4bc5916074846c3f1c63bb27fa832423efa6078b98f806dd5",
+            "290d3756a3431f4982d81cb623529e9687a2689b59ffa0252528ad27fbbb94f8",
+        ),
+        "ferryman-stress": (
+            "c92e861315c7137e9cda38823e25a9ade9ac87529d7a823d57861e82124db323",
+            "2bb740864fba7399b49a7521d3002375f8806da1d949be7a07325391bc2ad06b",
+        ),
+        "hanoi": (
+            "3c2cec8243ceb77034119e6863e86d57a0b9d3fb3d11a3b57a744e669c704bf0",
+            "840de13256cf94c5efcf068d630e8dd1233fda3b258d2f2f193630e6bc65f1f4",
+        ),
+        "hanoi-stress": (
+            "1fd33125c95d18e3ab41004d06560fc4e2f9e76ed8e8fb848ca5db43e1cfab15",
+            "e056df9324fc73567ff008550da4c8722333c05627a225ce9da93a833551da0b",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_ground_law_set_digest(self, name):
+        gls = load_example(name)
+        dump = hashlib.sha256(export_ground(gls).encode()).hexdigest()
+        inst = hashlib.sha256(repr([l.inst for l in gls.laws]).encode()).hexdigest()
+        assert (dump, inst) == self.DIGESTS[name]
+
+    def test_bw_alone_has_no_locations(self):
+        # `bw` is the shared base of bw-pair and bw-test; it declares no objects
+        with pytest.raises(EmptySort, match="value sort 'location' of 'loc' has no objects"):
+            load_example("bw")
