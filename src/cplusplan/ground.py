@@ -16,7 +16,9 @@ instances.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import mvpf
 from .syntax import (
@@ -59,8 +61,8 @@ from .syntax import (
     WhereExpr,
     classify_formula,
     formula_constrefs,
-    formula_terms,
     head_atom_constref,
+    term_constrefs,
     term_syms,
     term_text,
 )
@@ -328,20 +330,23 @@ class GroundLawSet:
 
 
 # ---------------------------------------------------------------------------
-# Term and formula resolution under a substitution
+# Atom resolution under a binding
 
 class _Resolver:
     def __init__(self, desc: ActionDescription, symbols: SymbolTable):
         self.desc = desc
         self.symbols = symbols
         self.known_objects = set(desc.object_sorts().keys())
-        self._members: dict[str, frozenset] = {}
+        self._members: dict[str, tuple] = {}
+        # atom syntax -> (its variables, {their values: MvFormula})
+        self._atoms: dict[Atom, tuple[tuple[str, ...], dict]] = {}
 
-    def sort_members(self, sort: str) -> frozenset:
-        """The sort's objects, subsorts included; kept per sort."""
+    def sort_members(self, sort: str) -> tuple:
+        """The sort's objects, subsorts included, in declaration order;
+        kept per sort."""
         members = self._members.get(sort)
         if members is None:
-            members = self._members[sort] = frozenset(self.desc.sort_members(sort))
+            members = self._members[sort] = tuple(self.desc.sort_members(sort))
         return members
 
     def eval_term(self, t: Term, subst: dict, span: Span):
@@ -435,35 +440,128 @@ class _Resolver:
                     )
         return mvpf.disj(*parts)
 
-    def formula(self, f: Formula, subst: dict, span: Span) -> mvpf.MvFormula:
-        if isinstance(f, TrueF):
-            return mvpf.TOP
-        if isinstance(f, FalseF):
-            return mvpf.BOT
-        if isinstance(f, Atom):
-            return self.atom_formula(f, subst, span)
-        if isinstance(f, Not):
-            return mvpf.neg(self.formula(f.sub, subst, span))
-        if isinstance(f, AndF):
-            return mvpf.conj(*[self.formula(g, subst, span) for g in f.parts])
-        if isinstance(f, OrF):
-            return mvpf.disj(*[self.formula(g, subst, span) for g in f.parts])
-        if isinstance(f, ImplF):
-            return mvpf.impl(self.formula(f.left, subst, span), self.formula(f.right, subst, span))
-        raise TypeError(f"not a formula: {f!r}")
+    def atom_lookup(self, atom: Atom, slots: dict[str, int], span: Span):
+        """A function from a binding, a list indexed by `slots`, to the
+        atom's MvFormula, with the atom's variables and whether it mentions
+        a constant.  A variable new to `slots` gets the next slot.
 
-    def head(self, f: Formula, subst: dict, span: Span) -> tuple[int, int] | None:
+        Results are kept per atom syntax and values of the atom's own
+        variables, so laws sharing an atom share them; an error is kept
+        nowhere and raises again on the next call."""
+        entry = self._atoms.get(atom)
+        if entry is None:
+            names: list[str] = []
+            has_const = False
+            for t in (atom.left, atom.right) if atom.right is not None else (atom.left,):
+                for s in term_syms(t):
+                    if s.name in self.desc.variables and s.name not in names:
+                        names.append(s.name)
+                has_const = has_const or any(term_constrefs(t))
+            entry = self._atoms[atom] = (tuple(names), {}, has_const)
+        names, memo, has_const = entry
+        idx = [slots.setdefault(n, len(slots)) for n in names]
+        key_of = operator.itemgetter(*idx) if idx else _no_key
+        resolve = self.atom_formula
+
+        def lookup(env: list) -> mvpf.MvFormula:
+            key = key_of(env)
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = resolve(atom, dict(zip(names, map(env.__getitem__, idx))), span)
+            return got
+
+        return lookup, names, has_const
+
+    def compile(self, f: Formula, slots: dict[str, int], span: Span):
+        """f's post-order op list for `_run`, built on an explicit stack,
+        with the variables its atoms mention and whether it mentions no
+        constant.  Variables new to `slots` get the next slots."""
+        ops: list[tuple] = []
+        names: set[str] = set()
+        constant_free = True
+        stack: list = [f]
+        while stack:
+            f = stack.pop()
+            cls = f.__class__
+            if cls is tuple:  # (connective, arity), its parts done
+                ops.append(f)
+            elif cls is Atom:
+                lookup, atom_names, has_const = self.atom_lookup(f, slots, span)
+                ops.append((_ATOM, lookup))
+                names.update(atom_names)
+                constant_free = constant_free and not has_const
+            elif cls is TrueF or cls is FalseF:
+                ops.append((_CONST, mvpf.TOP if cls is TrueF else mvpf.BOT))
+            elif cls is Not:
+                stack += [(_NOT, 1), f.sub]
+            elif cls is ImplF:
+                stack += [(_IMPL, 2), f.right, f.left]
+            elif cls is AndF or cls is OrF:
+                stack.append((_AND if cls is AndF else _OR, len(f.parts)))
+                stack.extend(reversed(f.parts))
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+        return ops, names, constant_free
+
+    def head(self, f: Formula, slots: dict[str, int], span: Span):
+        """A function from a binding to the head's (constant id, value id),
+        None for a `false` head.  The head's variables get their slots."""
         if isinstance(f, FalseF):
-            return None
-        ref = head_atom_constref(f, self.desc)
-        if ref is None:
-            raise GroundError(
-                "law head must be a single constant atom or 'false'", span
+            return _no_head
+        if head_atom_constref(f, self.desc) is None:
+            self.compile(f, slots, span)
+            return _raiser(
+                GroundError, "law head must be a single constant atom or 'false'", span
             )
-        got = self.atom_formula(f, subst, span)
-        if not isinstance(got, mvpf.MvAtom):
-            raise GroundError("law head did not resolve to a single atom", span)
-        return (got.const, got.value)
+        lookup = self.atom_lookup(f, slots, span)[0]
+
+        def head(env: list) -> tuple[int, int]:
+            got = lookup(env)
+            if not isinstance(got, mvpf.MvAtom):
+                raise GroundError("law head did not resolve to a single atom", span)
+            return (got.const, got.value)
+
+        return head
+
+
+def _no_key(env: list) -> tuple:
+    return ()
+
+
+def _no_head(env: list) -> None:
+    return None
+
+
+def _raiser(cls: type, message: str, span: Span):
+    """A function that raises cls(message) whenever it is called."""
+
+    def fail(env: list):
+        raise cls(message, span)
+
+    return fail
+
+
+_CONST, _ATOM, _NOT, _AND, _OR, _IMPL = range(6)
+
+
+def _run(ops: list[tuple], env: list) -> mvpf.MvFormula:
+    """The MvFormula an op list computes under a binding."""
+    vals: list = []
+    for code, arg in ops:
+        if code == _ATOM:
+            vals.append(arg(env))
+        elif code == _CONST:
+            vals.append(arg)
+        elif code == _NOT:
+            vals[-1] = mvpf.neg(vals[-1])
+        elif code == _IMPL:
+            right = vals.pop()
+            vals[-1] = mvpf.impl(vals[-1], right)
+        else:  # an n-ary connective over the last `arg` values
+            parts = vals[len(vals) - arg:]
+            del vals[len(vals) - arg:]
+            vals.append(mvpf.conj(*parts) if code == _AND else mvpf.disj(*parts))
+    return vals[0]
 
 
 def _flip(op: str) -> str:
@@ -509,81 +607,285 @@ def _arith(op: str, a, b, span: Span):
 
 
 # ---------------------------------------------------------------------------
-# Where clauses
+# Where clauses, compiled into functions of a binding
 
-def _where_value(t: Term, subst: dict, span: Span) -> int:
-    if isinstance(t, Sym):
-        name = t.name
-        if isinstance(name, str) and name in subst:
-            name = subst[name]
-        if isinstance(name, bool) or not isinstance(name, int):
-            raise WhereEvalError(
-                f"where clauses compute over integers, got '{value_name(name)}'",
+_COMPARE = {
+    "=": operator.eq, "\\=": operator.ne, "<": operator.lt,
+    ">": operator.gt, "=<": operator.le, ">=": operator.ge,
+}
+_INT_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _where_conjuncts(w: WhereExpr | None) -> list[WhereExpr]:
+    out = []
+    stack = [] if w is None else [w]
+    while stack:
+        w = stack.pop()
+        if isinstance(w, WhereAnd):
+            stack += [w.right, w.left]
+        else:
+            out.append(w)
+    return out
+
+
+_NOT_INTEGER = "where clauses compute over integers, got '{}'"
+
+
+def _where_sym(name, slots: dict[str, int], ints: set[str], span: Span):
+    if isinstance(name, str) and name in slots:
+        i = slots[name]
+        if name in ints:
+            return operator.itemgetter(i)
+
+        def value(env: list) -> int:
+            v = env[i]
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise WhereEvalError(_NOT_INTEGER.format(value_name(v)), span)
+            return v
+
+        return value
+    if isinstance(name, bool) or not isinstance(name, int):
+        return _raiser(WhereEvalError, _NOT_INTEGER.format(value_name(name)), span)
+    return lambda env: name
+
+
+def _arith_fn(op: str, left, right, span: Span):
+    fn = _INT_ARITH.get(op)
+    if fn is not None:  # both operands are integers already
+        return lambda env: fn(left(env), right(env))
+    return lambda env: _arith(op, left(env), right(env), span)
+
+
+def _where_term(t: Term, slots: dict[str, int], ints: set[str], span: Span):
+    """A function from a binding to the integer value of where term t.
+    Only a variable outside `ints`, whose sort is not all integers, is
+    type-checked per binding."""
+    done: list = []
+    stack: list = [t]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is tuple:  # (op,), both operands done
+            right = done.pop()
+            done.append(_arith_fn(t[0], done.pop(), right, span))
+        elif cls is Arith:
+            stack += [(t.op,), t.right, t.left]
+        elif cls is Sym:
+            done.append(_where_sym(t.name, slots, ints, span))
+        elif cls is ConstRef:
+            done.append(_raiser(
+                WhereEvalError,
+                f"where clauses cannot inspect constant '{t.name}'; compare "
+                "values inside the formula instead",
                 span,
-            )
-        return name
-    if isinstance(t, ConstRef):
-        raise WhereEvalError(
-            f"where clauses cannot inspect constant '{t.name}'; compare values "
-            "inside the formula instead",
+            ))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return done[0]
+
+
+def _where_check(c: WhereExpr, slots: dict[str, int], ints: set[str], span: Span):
+    """A function from a binding to the truth of where conjunct c."""
+    if isinstance(c, WhereCmp):
+        left = _where_term(c.left, slots, ints, span)
+        right = _where_term(c.right, slots, ints, span)
+        compare = _COMPARE[c.op]
+        return lambda env: compare(left(env), right(env))
+    if isinstance(c, ExternalCall):
+        return _raiser(
+            WhereEvalError,
+            f"external function '@{c.name}' is not available in this build",
             span,
         )
-    if isinstance(t, Arith):
-        a = _where_value(t.left, subst, span)
-        b = _where_value(t.right, subst, span)
-        return _arith(t.op, a, b, span)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def eval_where(w: WhereExpr | None, subst: dict, span: Span) -> bool:
-    if w is None:
-        return True
-    if isinstance(w, WhereCmp):
-        a = _where_value(w.left, subst, span)
-        b = _where_value(w.right, subst, span)
-        if w.op == "=":
-            return a == b
-        if w.op == "\\=":
-            return a != b
-        return {"<": a < b, ">": a > b, "=<": a <= b, ">=": a >= b}[w.op]
-    if isinstance(w, WhereAnd):
-        return eval_where(w.left, subst, span) and eval_where(w.right, subst, span)
-    if isinstance(w, ExternalCall):
-        raise WhereEvalError(
-            f"external function '@{w.name}' is not available in this build", span
-        )
-    raise TypeError(f"not a where expression: {w!r}")
+    raise TypeError(f"not a where expression: {c!r}")
 
 
 # ---------------------------------------------------------------------------
 # The grounder
 
-def _free_variables(core: CoreLaw, desc: ActionDescription) -> list[str]:
-    seen: list[str] = []
+def _all(checks: list):
+    """One check running `checks` in order, None for no check."""
+    if len(checks) < 2:
+        return checks[0] if checks else None
+    return lambda env: all(c(env) for c in checks)
 
-    def scan_term(t: Term) -> None:
-        for s in term_syms(t):
-            if isinstance(s.name, str) and s.name in desc.variables and s.name not in seen:
-                seen.append(s.name)
 
-    for f in (core.head, core.cond, core.after):
-        if f is None:
-            continue
-        for t in formula_terms(f):
-            scan_term(t)
-    w = core.where
-    stack = [w] if w is not None else []
-    while stack:
-        item = stack.pop()
-        if isinstance(item, WhereCmp):
-            scan_term(item.left)
-            scan_term(item.right)
-        elif isinstance(item, WhereAnd):
-            stack.extend([item.right, item.left])
-        elif isinstance(item, ExternalCall):
-            for t in item.args:
-                scan_term(t)
-    return seen
+def _guards_check(guards: list[list[tuple]]):
+    # every guard is resolved, so an ill-typed one raises as before
+    return lambda env: mvpf.BOT not in [_run(ops, env) for ops in guards]
+
+
+def _binder(expr, members: frozenset):
+    """The choices of a variable that a where binder fixes: expr's value,
+    if that is a member of the variable's sort."""
+
+    def choices(env: list) -> tuple:
+        value = expr(env)
+        return (value,) if value in members else ()
+
+    return choices
+
+
+class _LawPlan:
+    """One law schema compiled for grounding by nested loops.
+
+    `levels[d]` is (slot, choices, check): loop d binds the variable in
+    `slot` to each of choices(env), its sort's members or the one value a
+    where binder computes, and keeps the bindings that pass check (None
+    for none).  `top` runs before the first loop.
+    """
+
+    def __init__(self, core: CoreLaw, resolver: _Resolver, bind: bool):
+        desc = resolver.desc
+        span = core.span
+        # slots in order of first occurrence: head, condition, after, where
+        slots: dict[str, int] = {}
+        self.head = resolver.head(core.head, slots, span)
+        guards: list[list[tuple]] = []  # the constant-free top-level conjuncts
+        gvars: set[str] = set()
+        body = []
+        for f in (core.cond, core.after):
+            if f is None:
+                body.append(None)
+                continue
+            parts = f.parts if f.__class__ is AndF else (f,)
+            ops: list[tuple] = []
+            for g in parts:
+                g_ops, g_vars, constant_free = resolver.compile(g, slots, span)
+                if constant_free:
+                    guards.append(g_ops)
+                    gvars |= g_vars
+                ops += g_ops
+            if len(parts) != 1:
+                ops.append((_AND, len(parts)))
+            body.append(ops)
+        self.cond, self.after = body
+        conjuncts = _where_conjuncts(core.where)
+        cvars: list[set[str]] = []
+        for c in conjuncts:
+            cvars.append(set())
+            for t in (c.left, c.right) if isinstance(c, WhereCmp) else c.args:
+                for sym in term_syms(t):
+                    if sym.name in desc.variables:
+                        slots.setdefault(sym.name, len(slots))
+                        cvars[-1].add(sym.name)
+        variables = list(slots)
+        members = []
+        for v in variables:
+            sort_members = resolver.sort_members(desc.variables[v])
+            if not sort_members:
+                raise EmptySort(
+                    f"variable '{v}' ranges over empty sort '{desc.variables[v]}'",
+                    span,
+                )
+            members.append(sort_members)
+        ints = {
+            v for v, ms in zip(variables, members)
+            if conjuncts and all(m.__class__ is int for m in ms)
+        }
+
+        # `V = expr` binds V when V ranges over integers and neither expr
+        # nor a conjunct to its left mentions V
+        bound: dict[str, tuple[int, Term]] = {}
+        seen: set[str] = set()
+        for k, c in enumerate(conjuncts):
+            if bind and c.__class__ is WhereCmp and c.op == "=":
+                for side, expr in ((c.left, c.right), (c.right, c.left)):
+                    v = side.name if side.__class__ is Sym else None
+                    if v in ints and v not in seen and all(s.name != v for s in term_syms(expr)):
+                        bound[v] = (k, expr)
+                        break
+            seen |= cvars[k]
+        order = [v for v in variables if v not in bound]
+        for v, (k, _) in bound.items():
+            # after its inputs, the conjuncts to its left and the variables
+            # ahead of it in product order
+            needed = set().union(*cvars[:k], cvars[k] - {v}, variables[: slots[v]])
+            order.insert(max([order.index(u) + 1 for u in needed if u in order], default=0), v)
+        self.reordered = order != variables
+
+        depth = {v: d + 1 for d, v in enumerate(order)}
+        checks: list[list] = [[] for _ in range(len(order) + 1)]
+        level = 0
+        binders = {k for k, _ in bound.values()}
+        for k, c in enumerate(conjuncts):
+            # never before a conjunct to its left
+            level = max([level] + [depth[u] for u in cvars[k]])
+            if k not in binders:
+                checks[level].append(_where_check(c, slots, ints, span))
+        if guards:
+            level = max([level] + [depth[u] for u in gvars])
+            checks[level].append(_guards_check(guards))
+
+        self.top = _all(checks[0])
+        self.levels = []
+        for d, v in enumerate(order):
+            i = slots[v]
+            if v in bound:
+                expr = _where_term(bound[v][1], slots, ints, span)
+                choices = _binder(expr, frozenset(members[i]))
+            else:
+                choices = lambda env, ms=members[i]: ms
+            self.levels.append((i, choices, _all(checks[d + 1])))
+        self.core = core
+        self.index = (
+            [{m: j for j, m in enumerate(ms)} for ms in members] if self.reordered else None
+        )
+
+    def instances(self) -> list[GroundLaw]:
+        """The law's non-vacuous instances, in product order."""
+        shape, span = self.core.shape, self.core.span
+        head, cond_ops, after_ops = self.head, self.cond, self.after
+        env: list = [None] * len(self.levels)
+        out: list[GroundLaw] = []
+        for _ in _bindings(self.top, self.levels, env):
+            h = head(env)
+            cond = _run(cond_ops, env)
+            after = None if after_ops is None else _run(after_ops, env)
+            if cond is mvpf.BOT or after is mvpf.BOT:
+                continue  # `caused H if false` or `... after false`
+            out.append(GroundLaw(shape, h, cond, after, span, tuple(env)))
+        if self.index is not None:
+            index = self.index
+            out.sort(key=lambda law: [ix[m] for ix, m in zip(index, law.inst)])
+        return out
+
+
+def _bindings(top, levels: list[tuple], env: list) -> Iterator[None]:
+    """Yields once per binding that passes every check, with env filled
+    in; the nested loops keep their iterators on an explicit stack."""
+    if top is not None and not top(env):
+        return
+    if not levels:
+        yield
+        return
+    last = len(levels) - 1
+    its = [iter(levels[0][1](env))]
+    while its:
+        d = len(its) - 1
+        slot, _, check = levels[d]
+        for value in its[d]:
+            env[slot] = value
+            if check is None or check(env):
+                if d == last:
+                    yield
+                else:
+                    its.append(iter(levels[d + 1][1](env)))
+                    break
+        else:
+            its.pop()
+
+
+def _ground_law(core: CoreLaw, resolver: _Resolver) -> list[GroundLaw]:
+    plan = _LawPlan(core, resolver, bind=True)
+    try:
+        return plan.instances()
+    except LangError:
+        if not plan.reordered:
+            raise
+    # A binder moved a variable, so the first error met may not be the
+    # product order's: ground again without binders to raise that one.
+    return _LawPlan(core, resolver, bind=False).instances()
 
 
 def build_symbols(desc: ActionDescription) -> SymbolTable:
@@ -637,42 +939,7 @@ def ground_description(desc: ActionDescription) -> GroundLawSet:
     }
 
     for core in expand_description(desc):
-        variables = _free_variables(core, desc)
-        member_lists = []
-        for v in variables:
-            members = desc.sort_members(desc.variables[v])
-            if not members:
-                raise EmptySort(
-                    f"variable '{v}' ranges over empty sort '{desc.variables[v]}'",
-                    core.span,
-                )
-            member_lists.append(members)
-        guards = [
-            g
-            for f in (core.cond, core.after)
-            if f is not None
-            for g in (f.parts if isinstance(f, AndF) else (f,))
-            if not any(formula_constrefs(g))
-        ]
-        for choice in itertools.product(*member_lists):
-            subst = dict(zip(variables, choice))
-            # every guard is resolved, so an ill-typed one raises as before
-            if not eval_where(core.where, subst, core.span) or mvpf.BOT in [
-                resolver.formula(g, subst, core.span) for g in guards
-            ]:
-                continue
-            head = resolver.head(core.head, subst, core.span)
-            cond = resolver.formula(core.cond, subst, core.span)
-            after = (
-                None
-                if core.after is None
-                else resolver.formula(core.after, subst, core.span)
-            )
-            if cond is mvpf.BOT or after is mvpf.BOT:
-                continue  # `caused H if false` or `... after false`
-            buckets[core.shape].append(
-                GroundLaw(core.shape, head, cond, after, core.span, tuple(choice))
-            )
+        buckets[core.shape].extend(_ground_law(core, resolver))
 
     # inertialFluent / exogenousAction declarations carry their law with
     # them: every instance is inertial (resp. exogenous) at every value.
@@ -716,13 +983,13 @@ def ground_description(desc: ActionDescription) -> GroundLawSet:
 def ground_query(q: QuerySpec, desc: ActionDescription, resolver: _Resolver) -> GroundQuery:
     lines = []
     for tref, f in q.lines:
-        for t in formula_terms(f):
-            for s in term_syms(t):
-                if isinstance(s.name, str) and s.name in desc.variables:
-                    raise GroundError(
-                        f"query '{q.label}' uses variable '{s.name}'; queries "
-                        "must be variable-free",
-                        q.span,
-                    )
-        lines.append((tref, resolver.formula(f, {}, q.span)))
+        slots: dict[str, int] = {}
+        ops = resolver.compile(f, slots, q.span)[0]
+        if slots:
+            raise GroundError(
+                f"query '{q.label}' uses variable '{next(iter(slots))}'; queries "
+                "must be variable-free",
+                q.span,
+            )
+        lines.append((tref, _run(ops, [])))
     return GroundQuery(q.label, q.min_step, q.max_step, tuple(lines))

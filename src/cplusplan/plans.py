@@ -45,15 +45,6 @@ class PlanView:
     steps: tuple[PlanStep, ...]
 
 
-def _assignment(gc, vid, symbols) -> Assignment:
-    false_vid = symbols.vid_of(False)
-    true_vid = symbols.vid_of(True)
-    boolean = set(gc.dom) == {false_vid, true_vid}
-    return Assignment(
-        gc.name, symbols.value_label(vid), boolean, boolean and vid == true_vid
-    )
-
-
 def to_plan_view(
     model: frozenset[PAtom], gls: GroundLawSet, horizon: int, label: str
 ) -> PlanView:
@@ -61,18 +52,24 @@ def to_plan_view(
     for atom in model:
         by_key.setdefault((atom.step, atom.const), []).append(atom.value)
 
+    symbols = gls.symbols
     actions = set(gls.action_ids())
+    true_vid = symbols.vid_of(True)
+    truth_values = {symbols.vid_of(False), true_vid}
+    # (constant, is an action, is boolean), once per view
+    consts = [(gc, gc.cid in actions, set(gc.dom) == truth_values) for gc in symbols.order]
     steps = []
     for i in range(horizon + 1):
         fl, ac = [], []
-        for gc in gls.symbols.order:
-            if gc.cid in actions and i == horizon:
+        for gc, is_action, boolean in consts:
+            if is_action and i == horizon:
                 continue
             vids = by_key.get((i, gc.cid), [])
             if len(vids) != 1:
                 raise NonFunctionalModel(gc.name, i, len(vids))
-            a = _assignment(gc, vids[0], gls.symbols)
-            (ac if gc.cid in actions else fl).append(a)
+            vid = vids[0]
+            a = Assignment(gc.name, symbols.value_label(vid), boolean, boolean and vid == true_vid)
+            (ac if is_action else fl).append(a)
         fl.sort(key=lambda a: a.const)
         ac.sort(key=lambda a: a.const)
         steps.append(PlanStep(i, tuple(fl), tuple(ac)))

@@ -1,8 +1,10 @@
 """Shorthand expansion, instantiation, where clauses, atom resolution."""
 
 import hashlib
+import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cplusplan import mvpf
 from cplusplan.export import export_ground
@@ -367,6 +369,156 @@ class TestSignature:
         vids = set(gls.symbols.values)
         cids = {c.cid for c in gls.symbols.order}
         assert not (vids & cids)
+
+
+# ---------------------------------------------------------------------------
+# Nested-loop grounding against a product-and-filter reference.  A term is
+# ("v", variable), ("i", integer), ("s", "a") for the one non-integer
+# object, or (op, left, right); a comparison is (op, left, right), and a
+# where conjunct is a comparison or ("@", variable).
+
+LOOPS = """
+:- sorts n; s.
+:- objects 0..3 :: n; a :: s.
+:- constants q :: simpleFluent; r1(n), r2(n, n), r3(n, n, n) :: simpleFluent.
+:- variables X, Y, Z :: n.
+"""
+LEAVES = ("v", "i", "s")
+ARITH_OPS = ["+", "-", "+", "-", "*", "/", "mod"]
+COMPARE_OPS = ["=", "\\=", "<", ">", "=<", ">="]
+
+
+def term_text(t):
+    if t[0] in LEAVES:
+        return str(t[1])
+    op, left, right = t
+    return f"{_operand_text(left)} {op} {_operand_text(right)}"
+
+
+def _operand_text(t):
+    return term_text(t) if t[0] in LEAVES else f"({term_text(t)})"
+
+
+def _law_text(variables, guards, conjuncts):
+    head = f"r{len(variables)}({', '.join(variables)})"
+    cond = " & ".join(["q"] + [f"{term_text(l)} {op} {term_text(r)}" for op, l, r in guards])
+    where = " & ".join(
+        f"@f({c[1]})" if c[0] == "@" else f"{term_text(c[1])} {c[0]} {term_text(c[2])}"
+        for c in conjuncts
+    )
+    return f"caused {head} if {cond}" + (f" where {where}." if where else ".")
+
+
+def _ref_arith(op, a, b):
+    if not (type(a) is int and type(b) is int):
+        raise GroundError(f"arithmetic needs integers, got '{a}' and '{b}'")
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if b == 0:
+        raise GroundError("division by zero" if op == "/" else "mod by zero")
+    return a // b if op == "/" else a % b
+
+
+def _ref_value(t, env, where):
+    """A term's value, as the where clause (integers only) or a guard atom
+    (any object) computes it."""
+    tag = t[0]
+    if tag == "v":
+        return env[t[1]]
+    if tag == "i":
+        return t[1]
+    if tag == "s":
+        if where:
+            raise WhereEvalError("where clauses compute over integers, got 'a'")
+        return "a"
+    a = _ref_value(t[1], env, where)
+    b = _ref_value(t[2], env, where)
+    return _ref_arith(tag, a, b)
+
+
+def _ref_compare(op, a, b, where):
+    if op in ("=", "\\="):
+        return (a == b) == (op == "=")
+    if not where and not (type(a) is int and type(b) is int):
+        raise GroundError(f"order comparison needs integers, got '{a}' and '{b}'")
+    return {"<": a < b, ">": a > b, "=<": a <= b, ">=": a >= b}[op]
+
+
+def reference_instances(variables, guards, conjuncts):
+    """The product of the variables' sorts, in order, filtered: the where
+    conjuncts left to right up to the first false one, then every guard."""
+    out = []
+    for values in itertools.product(range(4), repeat=len(variables)):
+        env = dict(zip(variables, values))
+        kept = True
+        for c in conjuncts:
+            if c[0] == "@":
+                raise WhereEvalError("external function '@f' is not available in this build")
+            op, left, right = c
+            a = _ref_value(left, env, True)
+            if not _ref_compare(op, a, _ref_value(right, env, True), True):
+                kept = False
+                break
+        if not kept:
+            continue
+        truth = [
+            _ref_compare(op, _ref_value(l, env, False), _ref_value(r, env, False), False)
+            for op, l, r in guards
+        ]
+        if False not in truth:
+            out.append(values)
+    return out
+
+
+def _outcome(run):
+    """run()'s result, or the class and message (span cut) of its error."""
+    try:
+        return run()
+    except GroundError as e:
+        return type(e), e.args[0].split(": ", 1)[-1]
+
+
+@st.composite
+def loop_laws(draw):
+    variables = draw(st.permutations(["X", "Y", "Z"]))[: draw(st.integers(1, 3))]
+    var_leaves = [("v", v) for v in variables]
+    numbers = st.sampled_from(var_leaves * 4 + [("i", i) for i in range(4)])
+    # one leaf in twenty is the non-integer object
+    leaves = st.integers(0, 19).flatmap(lambda i: st.just(("s", "a")) if i == 0 else numbers)
+    terms = st.recursive(
+        leaves,
+        lambda sub: st.tuples(st.sampled_from(ARITH_OPS), sub, sub),
+        max_leaves=4,
+    )
+    comparison = st.tuples(st.sampled_from(COMPARE_OPS), terms, terms)
+    # a formula atom cannot start with "(": that opens a subformula
+    guard = comparison.filter(lambda g: g[1][0] in LEAVES or g[1][1][0] in LEAVES)
+    binder = st.tuples(st.just("="), st.sampled_from(var_leaves), terms)
+    external = st.tuples(st.just("@"), st.sampled_from(variables))
+    # one conjunct in ten calls an external function, which always raises
+    conjunct = st.integers(0, 9).flatmap(
+        lambda i: external if i == 0 else st.one_of(comparison, binder)
+    )
+    guards = draw(st.lists(guard, max_size=2))
+    conjuncts = draw(st.lists(conjunct, max_size=3))
+    return variables, guards, conjuncts
+
+
+# X = 3 - Y binds X after Y; the ill-typed guard then fails first at
+# X = 3, Y = 0 in loop order but at X = 0, Y = 3 in product order
+@example((["X", "Y"], [("<", ("s", "a"), ("v", "X"))], [("=", ("v", "X"), ("-", ("i", 3), ("v", "Y")))]))
+@settings(max_examples=400, deadline=None)
+@given(loop_laws())
+def test_nested_loops_match_the_filtered_product(law):
+    variables, guards, conjuncts = law
+    text = LOOPS + _law_text(variables, guards, conjuncts)
+    expected = _outcome(lambda: reference_instances(variables, guards, conjuncts))
+    got = _outcome(lambda: [l.inst for l in ground(text).static])
+    assert got == expected, text
 
 
 class TestShippedGrounding:

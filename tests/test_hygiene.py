@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports, no unreferenced top-level code.
+"""Source hygiene: no unused imports, no unreferenced top-level code, no
+new recursion.
 
 A static scan with the standard-library ``ast``: every name a module under
 ``src/cplusplan`` imports is used in that module, and every top-level
@@ -6,7 +7,8 @@ function or class there, and every method of such a class other than a
 dunder method, is referenced somewhere in ``src/``, ``tests/`` or
 ``perfbench/`` outside its own body.  A reference is a name, an attribute,
 or a string equal to the name (tools patch functions by their name); a
-method is reached only by the last two.
+method is reached only by the last two.  The functions that call
+themselves are exactly those of `SELF_RECURSIVE`.
 """
 
 import ast
@@ -104,3 +106,69 @@ def test_every_top_level_definition_is_referenced():
 def test_every_method_is_referenced():
     # a method is reached through an attribute or by its name as a string
     assert _unreferenced(_methods, names=False) == []
+
+
+# Every function under src/cplusplan that calls itself, by name or as a
+# method of `self`, with its module and the classes and functions it sits
+# in.  Each one overflows the stack on input nested deeply enough; a new
+# walker takes an explicit stack instead, and one rewritten as a loop
+# leaves this list.
+SELF_RECURSIVE = {
+    "export.py:_fmt",
+    "export.py:_parse_formula",
+    "ground.py:_Resolver.eval_term",
+    "mvpf.py:satisfies",
+    "mvpf.py:reduct",
+    "parser.py:_resolve_term",
+    "parser.py:_resolve_formula",
+    "parser.py:_resolve_where",
+    "parser.py:_parse_into",
+    "solve.py:peval",
+    "solve.py:preduct",
+    "syntax.py:subformulas",
+    "syntax.py:term_syms",
+    "syntax.py:term_constrefs",
+    "syntax.py:ActionDescription._reaches",
+    "syntax.py:term_text",
+    "syntax.py:formula_text",
+    "syntax.py:where_text",
+    "translate.py:map_leaves",
+}
+
+
+def _calls_itself(fn: ast.FunctionDef) -> bool:
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                return True
+            if (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            ):
+                return True
+    return False
+
+
+def _self_recursive(path: Path) -> set[str]:
+    out = set()
+    stack = [(_tree(path), "")]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and _calls_itself(child):
+                    out.add(f"{path.name}:{name}")
+                stack.append((child, name + "."))
+            else:
+                stack.append((child, prefix))
+    return out
+
+
+def test_self_recursion_is_listed():
+    found = set().union(*(_self_recursive(p) for p in MODULES))
+    assert sorted(found - SELF_RECURSIVE) == [], "new self-recursive function"
+    assert sorted(SELF_RECURSIVE - found) == [], "listed function no longer recurses"
