@@ -2,10 +2,39 @@
 
 The steps, in order: expand every shorthand into the three primitive law
 shapes (static, action dynamic, fluent dynamic), check the heads are
-definite, instantiate law variables over their sorts, evaluate where
-clauses, and resolve formulas into multi-valued atoms over an interned
-ground signature.  A vacuous instance, one whose condition or `after`
-part resolves to false, is dropped there.
+definite, then instantiate each law schema over its variables' sorts,
+resolving its formulas into multi-valued atoms over an interned ground
+signature.  A vacuous instance, one whose condition or `after` part
+resolves to false, is dropped.
+
+Each schema is compiled once (`_LawPlan`).  Its variables keep the order
+of their first occurrence in the head, condition, after part and where
+clause; the instances come out in the product order of their sorts in
+that order, and `inst` lists their objects in it.  The head, condition,
+after part and guards become post-order op lists.  An atom is looked up
+on the values of its own variables, and each miss is resolved, with its
+sort and domain checks, by `_Resolver.atom_formula`; results are shared
+by every law that has the same atom, errors are never kept.  A where
+conjunct compiles into a function of the binding that checks integers
+where the variable's sort does not guarantee them.
+
+The instances come from nested loops, one per variable:
+
+- A where conjunct is tested at the first loop level that binds its
+  variables, but never before a conjunct to its left, so it runs exactly
+  where the left-to-right test of each product tuple would run it.
+- A conjunct `V = expr`, where V ranges over integers and neither expr
+  nor a conjunct to its left mentions V, binds V to expr's value instead
+  of looping over V.  V's level moves after everything the conjunct
+  needs, and the kept instances are sorted back into product order.
+- The guards, the top-level conjuncts of the condition and after part
+  that mention no constant (``L = B1``), all sit at one level: the
+  deepest any of them needs, after the whole where clause.  All of them
+  are resolved before one that is false skips the binding, so an
+  ill-typed guard raises even next to a false one.
+- A law whose levels were reordered and that raises is ground again in
+  product order without binders, so the error raised is the one the
+  first failing product tuple raises.
 
 Where clauses are grounding-time guards over integers only.  They never
 see fluent or action values; comparing those belongs in the formula
@@ -338,8 +367,9 @@ class _Resolver:
         self.symbols = symbols
         self.known_objects = set(desc.object_sorts().keys())
         self._members: dict[str, tuple] = {}
-        # atom syntax -> (its variables, {their values: MvFormula})
-        self._atoms: dict[Atom, tuple[tuple[str, ...], dict]] = {}
+        # atom syntax -> (its variables, {their values: MvFormula},
+        # whether it mentions a constant)
+        self._atoms: dict[Atom, tuple[tuple[str, ...], dict, bool]] = {}
 
     def sort_members(self, sort: str) -> tuple:
         """The sort's objects, subsorts included, in declaration order;
@@ -460,7 +490,7 @@ class _Resolver:
             entry = self._atoms[atom] = (tuple(names), {}, has_const)
         names, memo, has_const = entry
         idx = [slots.setdefault(n, len(slots)) for n in names]
-        key_of = operator.itemgetter(*idx) if idx else _no_key
+        key_of = operator.itemgetter(*idx) if idx else lambda env: ()
         resolve = self.atom_formula
 
         def lookup(env: list) -> mvpf.MvFormula:
@@ -507,7 +537,7 @@ class _Resolver:
         """A function from a binding to the head's (constant id, value id),
         None for a `false` head.  The head's variables get their slots."""
         if isinstance(f, FalseF):
-            return _no_head
+            return lambda env: None
         if head_atom_constref(f, self.desc) is None:
             self.compile(f, slots, span)
             return _raiser(
@@ -522,14 +552,6 @@ class _Resolver:
             return (got.const, got.value)
 
         return head
-
-
-def _no_key(env: list) -> tuple:
-    return ()
-
-
-def _no_head(env: list) -> None:
-    return None
 
 
 def _raiser(cls: type, message: str, span: Span):
@@ -613,7 +635,6 @@ _COMPARE = {
     "=": operator.eq, "\\=": operator.ne, "<": operator.lt,
     ">": operator.gt, "=<": operator.le, ">=": operator.ge,
 }
-_INT_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _where_conjuncts(w: WhereExpr | None) -> list[WhereExpr]:
@@ -628,50 +649,36 @@ def _where_conjuncts(w: WhereExpr | None) -> list[WhereExpr]:
     return out
 
 
-_NOT_INTEGER = "where clauses compute over integers, got '{}'"
+def _where_int(name, slots: dict[str, int], span: Span):
+    """A function from a binding to the integer a where term's symbol
+    stands for: its variable's value, or itself."""
+    i = slots.get(name) if isinstance(name, str) else None
+
+    def value(env: list) -> int:
+        v = name if i is None else env[i]
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise WhereEvalError(
+                f"where clauses compute over integers, got '{value_name(v)}'", span
+            )
+        return v
+
+    return value
 
 
-def _where_sym(name, slots: dict[str, int], ints: set[str], span: Span):
-    if isinstance(name, str) and name in slots:
-        i = slots[name]
-        if name in ints:
-            return operator.itemgetter(i)
-
-        def value(env: list) -> int:
-            v = env[i]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise WhereEvalError(_NOT_INTEGER.format(value_name(v)), span)
-            return v
-
-        return value
-    if isinstance(name, bool) or not isinstance(name, int):
-        return _raiser(WhereEvalError, _NOT_INTEGER.format(value_name(name)), span)
-    return lambda env: name
-
-
-def _arith_fn(op: str, left, right, span: Span):
-    fn = _INT_ARITH.get(op)
-    if fn is not None:  # both operands are integers already
-        return lambda env: fn(left(env), right(env))
-    return lambda env: _arith(op, left(env), right(env), span)
-
-
-def _where_term(t: Term, slots: dict[str, int], ints: set[str], span: Span):
-    """A function from a binding to the integer value of where term t.
-    Only a variable outside `ints`, whose sort is not all integers, is
-    type-checked per binding."""
+def _where_term(t: Term, slots: dict[str, int], span: Span):
+    """A function from a binding to the integer value of where term t."""
     done: list = []
     stack: list = [t]
     while stack:
         t = stack.pop()
         cls = t.__class__
         if cls is tuple:  # (op,), both operands done
-            right = done.pop()
-            done.append(_arith_fn(t[0], done.pop(), right, span))
+            right, left = done.pop(), done.pop()
+            done.append(lambda env, op=t[0], a=left, b=right: _arith(op, a(env), b(env), span))
         elif cls is Arith:
             stack += [(t.op,), t.right, t.left]
         elif cls is Sym:
-            done.append(_where_sym(t.name, slots, ints, span))
+            done.append(_where_int(t.name, slots, span))
         elif cls is ConstRef:
             done.append(_raiser(
                 WhereEvalError,
@@ -684,11 +691,11 @@ def _where_term(t: Term, slots: dict[str, int], ints: set[str], span: Span):
     return done[0]
 
 
-def _where_check(c: WhereExpr, slots: dict[str, int], ints: set[str], span: Span):
+def _where_check(c: WhereExpr, slots: dict[str, int], span: Span):
     """A function from a binding to the truth of where conjunct c."""
     if isinstance(c, WhereCmp):
-        left = _where_term(c.left, slots, ints, span)
-        right = _where_term(c.right, slots, ints, span)
+        left = _where_term(c.left, slots, span)
+        right = _where_term(c.right, slots, span)
         compare = _COMPARE[c.op]
         return lambda env: compare(left(env), right(env))
     if isinstance(c, ExternalCall):
@@ -708,11 +715,6 @@ def _all(checks: list):
     if len(checks) < 2:
         return checks[0] if checks else None
     return lambda env: all(c(env) for c in checks)
-
-
-def _guards_check(guards: list[list[tuple]]):
-    # every guard is resolved, so an ill-typed one raises as before
-    return lambda env: mvpf.BOT not in [_run(ops, env) for ops in guards]
 
 
 def _binder(expr, members: frozenset):
@@ -779,10 +781,6 @@ class _LawPlan:
                     span,
                 )
             members.append(sort_members)
-        ints = {
-            v for v, ms in zip(variables, members)
-            if conjuncts and all(m.__class__ is int for m in ms)
-        }
 
         # `V = expr` binds V when V ranges over integers and neither expr
         # nor a conjunct to its left mentions V
@@ -792,7 +790,12 @@ class _LawPlan:
             if bind and c.__class__ is WhereCmp and c.op == "=":
                 for side, expr in ((c.left, c.right), (c.right, c.left)):
                     v = side.name if side.__class__ is Sym else None
-                    if v in ints and v not in seen and all(s.name != v for s in term_syms(expr)):
+                    if (
+                        v in slots
+                        and v not in seen
+                        and all(m.__class__ is int for m in members[slots[v]])
+                        and all(s.name != v for s in term_syms(expr))
+                    ):
                         bound[v] = (k, expr)
                         break
             seen |= cvars[k]
@@ -812,17 +815,20 @@ class _LawPlan:
             # never before a conjunct to its left
             level = max([level] + [depth[u] for u in cvars[k]])
             if k not in binders:
-                checks[level].append(_where_check(c, slots, ints, span))
+                checks[level].append(_where_check(c, slots, span))
         if guards:
             level = max([level] + [depth[u] for u in gvars])
-            checks[level].append(_guards_check(guards))
+            # every guard is resolved, so an ill-typed one raises as before
+            checks[level].append(
+                lambda env: mvpf.BOT not in [_run(ops, env) for ops in guards]
+            )
 
         self.top = _all(checks[0])
         self.levels = []
         for d, v in enumerate(order):
             i = slots[v]
             if v in bound:
-                expr = _where_term(bound[v][1], slots, ints, span)
+                expr = _where_term(bound[v][1], slots, span)
                 choices = _binder(expr, frozenset(members[i]))
             else:
                 choices = lambda env, ms=members[i]: ms
@@ -917,14 +923,9 @@ def build_symbols(desc: ActionDescription) -> SymbolTable:
 
 
 def ground_description(desc: ActionDescription) -> GroundLawSet:
-    """Ground every law of the description over its variables' sorts.
-
-    Vacuous instances are dropped: those whose condition or `after` part
-    resolves to false.  Before the head and the constants of an instance
-    are resolved, the top-level conjuncts of its condition and `after`
-    part that mention no constant (``L = B1``) are tested, as the where
-    clause is; one that is false skips the instance.
-    """
+    """Ground every law of the description over its variables' sorts, as
+    the module docstring sets out, and then the queries, as laws without
+    variables."""
     desc.validate()
     symbols = build_symbols(desc)
     resolver = _Resolver(desc, symbols)
