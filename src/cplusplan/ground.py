@@ -15,8 +15,8 @@ after part and guards become post-order op lists.  An atom is looked up
 on the values of its own variables, and each miss is resolved, with its
 sort and domain checks, by `_Resolver.atom_formula`; results are shared
 by every law that has the same atom, errors are never kept.  A where
-conjunct compiles into a function of the binding that checks integers
-where the variable's sort does not guarantee them.
+conjunct compiles into a function of the binding that checks every value
+it reads is an integer.
 
 The instances come from nested loops, one per variable:
 
