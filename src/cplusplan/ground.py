@@ -18,23 +18,16 @@ by every law that has the same atom, errors are never kept.  A where
 conjunct compiles into a function of the binding that checks every value
 it reads is an integer.
 
-The instances come from nested loops, one per variable:
+The instances come from nested loops, one per variable, in that order:
 
 - A where conjunct is tested at the first loop level that binds its
   variables, but never before a conjunct to its left, so it runs exactly
   where the left-to-right test of each product tuple would run it.
-- A conjunct `V = expr`, where V ranges over integers and neither expr
-  nor a conjunct to its left mentions V, binds V to expr's value instead
-  of looping over V.  V's level moves after everything the conjunct
-  needs, and the kept instances are sorted back into product order.
 - The guards, the top-level conjuncts of the condition and after part
   that mention no constant (``L = B1``), all sit at one level: the
   deepest any of them needs, after the whole where clause.  All of them
   are resolved before one that is false skips the binding, so an
   ill-typed guard raises even next to a false one.
-- A law whose levels were reordered and that raises is ground again in
-  product order without binders, so the error raised is the one the
-  first failing product tuple raises.
 
 Where clauses are grounding-time guards over integers only.  They never
 see fluent or action values; comparing those belongs in the formula
@@ -366,17 +359,18 @@ class _Resolver:
         self.desc = desc
         self.symbols = symbols
         self.known_objects = set(desc.object_sorts().keys())
-        self._members: dict[str, tuple] = {}
-        # atom syntax -> (its variables, {their values: MvFormula},
-        # whether it mentions a constant)
-        self._atoms: dict[Atom, tuple[tuple[str, ...], dict, bool]] = {}
+        self._members: dict[str, dict] = {}
+        # `_atom_key` of an atom -> (its variables, {their values:
+        # MvFormula}, whether it mentions a constant)
+        self._atoms: dict[tuple, tuple[tuple[str, ...], dict, bool]] = {}
 
-    def sort_members(self, sort: str) -> tuple:
-        """The sort's objects, subsorts included, in declaration order;
-        kept per sort."""
+    def sort_members(self, sort: str) -> dict:
+        """The sort's objects, subsorts included, as the keys of a dict:
+        they iterate in declaration order and test membership by hash.
+        Kept per sort."""
         members = self._members.get(sort)
         if members is None:
-            members = self._members[sort] = tuple(self.desc.sort_members(sort))
+            members = self._members[sort] = dict.fromkeys(self.desc.sort_members(sort))
         return members
 
     def eval_term(self, t: Term, subst: dict, span: Span):
@@ -478,16 +472,19 @@ class _Resolver:
         Results are kept per atom syntax and values of the atom's own
         variables, so laws sharing an atom share them; an error is kept
         nowhere and raises again on the next call."""
-        entry = self._atoms.get(atom)
+        terms = (atom.left,) if atom.right is None else (atom.left, atom.right)
+        syms = [s for t in terms for s in term_syms(t)]
+        # Sym(1) == Sym(True) and Sym(0) == Sym(False): tag the boolean
+        # literals, as `SymbolTable._vkey` does, so `p = 0` is not `-p`
+        key = (atom, tuple(s.name.__class__ is bool for s in syms))
+        entry = self._atoms.get(key)
         if entry is None:
             names: list[str] = []
-            has_const = False
-            for t in (atom.left, atom.right) if atom.right is not None else (atom.left,):
-                for s in term_syms(t):
-                    if s.name in self.desc.variables and s.name not in names:
-                        names.append(s.name)
-                has_const = has_const or any(term_constrefs(t))
-            entry = self._atoms[atom] = (tuple(names), {}, has_const)
+            for s in syms:
+                if s.name in self.desc.variables and s.name not in names:
+                    names.append(s.name)
+            has_const = any(c for t in terms for c in term_constrefs(t))
+            entry = self._atoms[key] = (tuple(names), {}, has_const)
         names, memo, has_const = entry
         idx = [slots.setdefault(n, len(slots)) for n in names]
         key_of = operator.itemgetter(*idx) if idx else lambda env: ()
@@ -717,27 +714,15 @@ def _all(checks: list):
     return lambda env: all(c(env) for c in checks)
 
 
-def _binder(expr, members: frozenset):
-    """The choices of a variable that a where binder fixes: expr's value,
-    if that is a member of the variable's sort."""
-
-    def choices(env: list) -> tuple:
-        value = expr(env)
-        return (value,) if value in members else ()
-
-    return choices
-
-
 class _LawPlan:
     """One law schema compiled for grounding by nested loops.
 
-    `levels[d]` is (slot, choices, check): loop d binds the variable in
-    `slot` to each of choices(env), its sort's members or the one value a
-    where binder computes, and keeps the bindings that pass check (None
-    for none).  `top` runs before the first loop.
+    `levels[d]` is (members, check): loop d binds the variable in slot d
+    to each of its sort's members and keeps the bindings that pass check
+    (None for none).  `top` runs before the first loop.
     """
 
-    def __init__(self, core: CoreLaw, resolver: _Resolver, bind: bool):
+    def __init__(self, core: CoreLaw, resolver: _Resolver):
         desc = resolver.desc
         span = core.span
         # slots in order of first occurrence: head, condition, after, where
@@ -771,53 +756,17 @@ class _LawPlan:
                     if sym.name in desc.variables:
                         slots.setdefault(sym.name, len(slots))
                         cvars[-1].add(sym.name)
-        variables = list(slots)
-        members = []
-        for v in variables:
-            sort_members = resolver.sort_members(desc.variables[v])
-            if not sort_members:
-                raise EmptySort(
-                    f"variable '{v}' ranges over empty sort '{desc.variables[v]}'",
-                    span,
-                )
-            members.append(sort_members)
 
-        # `V = expr` binds V when V ranges over integers and neither expr
-        # nor a conjunct to its left mentions V
-        bound: dict[str, tuple[int, Term]] = {}
-        seen: set[str] = set()
-        for k, c in enumerate(conjuncts):
-            if bind and c.__class__ is WhereCmp and c.op == "=":
-                for side, expr in ((c.left, c.right), (c.right, c.left)):
-                    v = side.name if side.__class__ is Sym else None
-                    if (
-                        v in slots
-                        and v not in seen
-                        and all(m.__class__ is int for m in members[slots[v]])
-                        and all(s.name != v for s in term_syms(expr))
-                    ):
-                        bound[v] = (k, expr)
-                        break
-            seen |= cvars[k]
-        order = [v for v in variables if v not in bound]
-        for v, (k, _) in bound.items():
-            # after its inputs, the conjuncts to its left and the variables
-            # ahead of it in product order
-            needed = set().union(*cvars[:k], cvars[k] - {v}, variables[: slots[v]])
-            order.insert(max([order.index(u) + 1 for u in needed if u in order], default=0), v)
-        self.reordered = order != variables
-
-        depth = {v: d + 1 for d, v in enumerate(order)}
-        checks: list[list] = [[] for _ in range(len(order) + 1)]
+        # slot d is bound by loop d, so the level of a test is one past
+        # the highest slot it reads
+        checks: list[list] = [[] for _ in range(len(slots) + 1)]
         level = 0
-        binders = {k for k, _ in bound.values()}
         for k, c in enumerate(conjuncts):
             # never before a conjunct to its left
-            level = max([level] + [depth[u] for u in cvars[k]])
-            if k not in binders:
-                checks[level].append(_where_check(c, slots, span))
+            level = max([level] + [slots[u] + 1 for u in cvars[k]])
+            checks[level].append(_where_check(c, slots, span))
         if guards:
-            level = max([level] + [depth[u] for u in gvars])
+            level = max([level] + [slots[u] + 1 for u in gvars])
             # every guard is resolved, so an ill-typed one raises as before
             checks[level].append(
                 lambda env: mvpf.BOT not in [_run(ops, env) for ops in guards]
@@ -825,18 +774,15 @@ class _LawPlan:
 
         self.top = _all(checks[0])
         self.levels = []
-        for d, v in enumerate(order):
-            i = slots[v]
-            if v in bound:
-                expr = _where_term(bound[v][1], slots, span)
-                choices = _binder(expr, frozenset(members[i]))
-            else:
-                choices = lambda env, ms=members[i]: ms
-            self.levels.append((i, choices, _all(checks[d + 1])))
+        for v, i in slots.items():
+            members = resolver.sort_members(desc.variables[v])
+            if not members:
+                raise EmptySort(
+                    f"variable '{v}' ranges over empty sort '{desc.variables[v]}'",
+                    span,
+                )
+            self.levels.append((members, _all(checks[i + 1])))
         self.core = core
-        self.index = (
-            [{m: j for j, m in enumerate(ms)} for ms in members] if self.reordered else None
-        )
 
     def instances(self) -> list[GroundLaw]:
         """The law's non-vacuous instances, in product order."""
@@ -851,9 +797,6 @@ class _LawPlan:
             if cond is mvpf.BOT or after is mvpf.BOT:
                 continue  # `caused H if false` or `... after false`
             out.append(GroundLaw(shape, h, cond, after, span, tuple(env)))
-        if self.index is not None:
-            index = self.index
-            out.sort(key=lambda law: [ix[m] for ix, m in zip(index, law.inst)])
         return out
 
 
@@ -866,32 +809,20 @@ def _bindings(top, levels: list[tuple], env: list) -> Iterator[None]:
         yield
         return
     last = len(levels) - 1
-    its = [iter(levels[0][1](env))]
+    its = [iter(levels[0][0])]
     while its:
         d = len(its) - 1
-        slot, _, check = levels[d]
+        check = levels[d][1]
         for value in its[d]:
-            env[slot] = value
+            env[d] = value
             if check is None or check(env):
                 if d == last:
                     yield
                 else:
-                    its.append(iter(levels[d + 1][1](env)))
+                    its.append(iter(levels[d + 1][0]))
                     break
         else:
             its.pop()
-
-
-def _ground_law(core: CoreLaw, resolver: _Resolver) -> list[GroundLaw]:
-    plan = _LawPlan(core, resolver, bind=True)
-    try:
-        return plan.instances()
-    except LangError:
-        if not plan.reordered:
-            raise
-    # A binder moved a variable, so the first error met may not be the
-    # product order's: ground again without binders to raise that one.
-    return _LawPlan(core, resolver, bind=False).instances()
 
 
 def build_symbols(desc: ActionDescription) -> SymbolTable:
@@ -940,7 +871,7 @@ def ground_description(desc: ActionDescription) -> GroundLawSet:
     }
 
     for core in expand_description(desc):
-        buckets[core.shape].extend(_ground_law(core, resolver))
+        buckets[core.shape].extend(_LawPlan(core, resolver).instances())
 
     # inertialFluent / exogenousAction declarations carry their law with
     # them: every instance is inertial (resp. exogenous) at every value.

@@ -187,6 +187,21 @@ class TestInstantiation:
         with pytest.raises(GroundError, match="order comparison needs integers"):
             ground(BW + "nonexecutable move(B, L) if a = b & L < B.")
 
+    def test_boolean_literal_is_not_an_integer(self):
+        # `-p` is the atom p = false, which equals p = 0 as syntax (0 ==
+        # False); the later law must still find 0 is no value of p
+        with pytest.raises(GroundError, match="'0' is not a possible value of 'p'"):
+            ground(":- constants p :: simpleFluent. caused p if -p. caused p if p = 0.")
+
+    def test_true_is_not_one(self):
+        gls = ground(
+            ":- sorts n. :- objects 0..1 :: n."
+            " :- constants q :: simpleFluent; r(n) :: simpleFluent. :- variables X :: n."
+            " caused r(X) if q & X = 1. caused r(X) if q & X = true."
+        )
+        # X = true holds for no integer X, whatever X = 1 resolved to
+        assert [l.inst for l in gls.static] == [(1,)]
+
     def test_empty_sort_for_variable(self):
         with pytest.raises(EmptySort):
             ground(
@@ -508,8 +523,8 @@ def loop_laws(draw):
     return variables, guards, conjuncts
 
 
-# X = 3 - Y binds X after Y; the ill-typed guard then fails first at
-# X = 3, Y = 0 in loop order but at X = 0, Y = 3 in product order
+# the ill-typed guard fails first at X = 0, Y = 3, where the where clause
+# first holds in product order
 @example((["X", "Y"], [("<", ("s", "a"), ("v", "X"))], [("=", ("v", "X"), ("-", ("i", 3), ("v", "Y")))]))
 @settings(max_examples=400, deadline=None)
 @given(loop_laws())
