@@ -360,8 +360,8 @@ class _Resolver:
         self.symbols = symbols
         self.known_objects = set(desc.object_sorts().keys())
         self._members: dict[str, dict] = {}
-        # `_atom_key` of an atom -> (its variables, {their values:
-        # MvFormula}, whether it mentions a constant)
+        # (atom, which of its literals are booleans) -> (its variables,
+        # {their values: MvFormula}, whether it mentions a constant)
         self._atoms: dict[tuple, tuple[tuple[str, ...], dict, bool]] = {}
 
     def sort_members(self, sort: str) -> dict:
