@@ -491,8 +491,9 @@ def main(argv: list[str], out=None, err=None, repl_source=None) -> int:
         print(f"error: {e}", file=err)
         return 2
     except RecursionError:
-        # the parser reads any depth; some later layers still recurse
-        print("error: formula nested too deeply", file=err)
+        # formulas of any depth are read and walked without recursion; a
+        # chain of includes nested deeply enough still recurses in the parser
+        print("error: input nested too deeply", file=err)
         return 2
 
 

@@ -62,17 +62,17 @@ def _q(s: str) -> str:
 
 
 def _fmt(f, leaf) -> str:
-    cls = type(f)
-    if cls is mvpf.Bot:
-        return "false"
+    bot = mvpf.Bot
+    return mvpf.fold(f, lambda a: "false" if a.__class__ is bot else leaf(a), _fmt_node)
+
+
+def _fmt_node(node, texts: list[str]) -> str:
+    cls = node.__class__
     if cls is mvpf.Neg:
-        return "-" + _fmt(f.sub, leaf)
-    sep = _SEPS.get(cls)
-    if sep is not None:
-        return "(" + sep.join([_fmt(g, leaf) for g in f.parts]) + ")"
+        return "-" + texts[0]
     if cls is mvpf.Impl:
-        return f"({_fmt(f.left, leaf)} -> {_fmt(f.right, leaf)})"
-    return leaf(f)
+        return f"({texts[0]} -> {texts[1]})"
+    return "(" + _SEPS[cls].join(texts) + ")"
 
 
 def _decode_label(label: str):
@@ -89,29 +89,33 @@ def _decode_label(label: str):
 # ---------------------------------------------------------------------------
 # Native writer
 
-def _mv_leaf(symbols: SymbolTable):
-    def leaf(a) -> str:
-        name = symbols.by_id[a.const].name
-        return f"{_q(name)}={_q(symbols.value_label(a.value))}"
+def _equation(symbols: SymbolTable):
+    """Writes a constant and value as `"const"="value"`, each pair once."""
+    memo: dict[tuple[int, int], str] = {}
 
-    return leaf
+    def text(const: int, value: int) -> str:
+        got = memo.get((const, value))
+        if got is None:
+            name = symbols.by_id[const].name
+            got = memo[const, value] = f"{_q(name)}={_q(symbols.value_label(value))}"
+        return got
+
+    return text
+
+
+def _mv_leaf(symbols: SymbolTable):
+    text = _equation(symbols)
+    return lambda a: text(a.const, a.value)
 
 
 def _timed_leaf(symbols: SymbolTable):
-    def leaf(a) -> str:
-        name = symbols.by_id[a.const].name
-        return f"{a.step}:{_q(name)}={_q(symbols.value_label(a.value))}"
-
-    return leaf
+    text = _equation(symbols)
+    return lambda a: f"{a.step}:{text(a.const, a.value)}"
 
 
 def _template_leaf(symbols: SymbolTable):
-    def leaf(a) -> str:
-        step = "t" if a.rel == 0 else "t-1"
-        name = symbols.by_id[a.const].name
-        return f"{step}:{_q(name)}={_q(symbols.value_label(a.value))}"
-
-    return leaf
+    text = _equation(symbols)
+    return lambda a: ("t:" if a.rel == 0 else "t-1:") + text(a.const, a.value)
 
 
 def _const_lines(symbols: SymbolTable) -> list[str]:
@@ -273,34 +277,58 @@ class _Line:
 
 
 def _parse_formula(ln: _Line, atom):
-    kind, text = ln.peek()
-    if text == "-":
-        ln.next()
-        return mvpf.Neg(_parse_formula(ln, atom))
-    if text == "(":
-        ln.next()
-        parts = [_parse_formula(ln, atom)]
-        op = None
-        while True:
+    """One formula, read with an explicit stack of open groups, each
+    [its '-' count, its connective, its parts]."""
+    groups: list[list] = []
+    negations = 0
+    while True:
+        _, text = ln.peek()
+        if text == "-":
+            ln.next()
+            negations += 1
+            continue
+        if text == "(":
+            ln.next()
+            groups.append([negations, None, []])
+            negations = 0
+            continue
+        if text == "false":
+            ln.next()
+            f = mvpf.BOT
+        else:
+            f = atom(ln)
+        for _ in range(negations):
+            f = mvpf.Neg(f)
+        negations = 0
+        while groups:  # f is a part of the innermost group
+            group = groups[-1]
+            group[2].append(f)
             _, got = ln.next()
+            op = group[1]
             if got == ")" and op is not None:
-                break
+                groups.pop()
+                f = _group(ln, op, group[2])
+                for _ in range(group[0]):
+                    f = mvpf.Neg(f)
+                continue
             if got not in _CONNECTIVES:
                 raise FormatError(ln.lineno, f"unknown connective {got!r}")
             if op is not None and got != op:
                 raise FormatError(ln.lineno, f"{op!r} and {got!r} mixed in one group")
-            op = got
-            parts.append(_parse_formula(ln, atom))
-        cls = _CONNECTIVES[op]
-        if cls is not mvpf.Impl:
-            return mvpf.join(cls, parts)
-        if len(parts) != 2:
-            raise FormatError(ln.lineno, f"'->' takes two operands, found {len(parts)}")
-        return mvpf.Impl(*parts)
-    if text == "false":
-        ln.next()
-        return mvpf.BOT
-    return atom(ln)
+            group[1] = got
+            break
+        else:
+            return f
+
+
+def _group(ln: _Line, op: str, parts: list):
+    """The node of a closed group: its parts spliced under `&` or `|`."""
+    cls = _CONNECTIVES[op]
+    if cls is not mvpf.Impl:
+        return mvpf.join(cls, parts)
+    if len(parts) != 2:
+        raise FormatError(ln.lineno, f"'->' takes two operands, found {len(parts)}")
+    return mvpf.Impl(*parts)
 
 
 def _parse_step(ln: _Line):

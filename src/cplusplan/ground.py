@@ -40,10 +40,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 from . import mvpf
 from .syntax import (
+    KIDS,
     ActionDescription,
     AlwaysLaw,
     Arith,
@@ -82,11 +84,11 @@ from .syntax import (
     WhereCmp,
     WhereExpr,
     classify_formula,
-    formula_constrefs,
+    constrefs,
     head_atom_constref,
-    term_constrefs,
     term_syms,
     term_text,
+    walk,
 )
 
 
@@ -202,7 +204,7 @@ def _fluent_dynamic(head, cond, after, where, span, desc) -> CoreLaw:
     head_cls = classify_formula(head, desc)
     if head_cls in (Classification.ACTION, Classification.MIXED):
         raise GroundError("the head of a dynamic law must be a fluent formula", span)
-    for ref in formula_constrefs(head):
+    for ref in constrefs(head):
         if desc.constants[ref.name].kind is ConstKind.STATDET_FLUENT:
             raise GroundError(
                 f"statically determined fluent '{ref.name}' cannot appear in "
@@ -360,9 +362,9 @@ class _Resolver:
         self.symbols = symbols
         self.known_objects = set(desc.object_sorts().keys())
         self._members: dict[str, dict] = {}
-        # (atom, which of its literals are booleans) -> (its variables,
-        # {their values: MvFormula}, whether it mentions a constant)
-        self._atoms: dict[tuple, tuple[tuple[str, ...], dict, bool]] = {}
+        # an atom spelled out by `_atom_shape` -> {its variables' values:
+        # MvFormula}
+        self._atoms: dict[tuple, dict] = {}
 
     def sort_members(self, sort: str) -> dict:
         """The sort's objects, subsorts included, as the keys of a dict:
@@ -374,45 +376,64 @@ class _Resolver:
         return members
 
     def eval_term(self, t: Term, subst: dict, span: Span):
-        """Returns ('const', GroundConst) or ('obj', value)."""
-        if isinstance(t, Sym):
-            name = t.name
-            if isinstance(name, str) and name in subst:
-                return ("obj", subst[name])
-            if isinstance(name, (int, bool)) or name in self.known_objects:
-                return ("obj", name)
-            if isinstance(name, str) and name in self.desc.variables:
-                raise GroundError(f"unbound variable '{name}'", span)
-            raise GroundError(f"unknown name '{name}'", span)
-        if isinstance(t, ConstRef):
-            decl = self.desc.constants.get(t.name)
-            if decl is None:
-                raise UndeclaredConstant(f"undeclared constant '{t.name}'", span)
-            args = []
-            for a, argsort in zip(t.args, decl.argsorts):
-                tag, val = self.eval_term(a, subst, span)
-                if tag != "obj":
-                    raise GroundError(
-                        f"constant argument of '{t.name}' must be an object", span
-                    )
-                if val not in self.sort_members(argsort):
-                    raise GroundError(
-                        f"'{value_name(val)}' is not of sort '{argsort}' "
-                        f"(argument of '{t.name}')",
-                        span,
-                    )
-                args.append(val)
-            gc = self.symbols.lookup(t.name, tuple(args))
-            if gc is None:
-                raise GroundError(f"no ground instance '{t.name}{tuple(args)}'", span)
-            return ("const", gc)
-        if isinstance(t, Arith):
-            lt, lv = self.eval_term(t.left, subst, span)
-            rt, rv = self.eval_term(t.right, subst, span)
+        """Returns ('const', GroundConst) or ('obj', value).
+
+        The fold carries an error as ('err', exception) up to the root, so
+        the one raised is the first the left-to-right reading meets: each
+        constant argument is checked before a later one is looked at."""
+        if t.__class__ is Sym:
+            got = self._eval_sym(subst, span, t)
+        else:
+            got = mvpf.fold(
+                t, partial(self._eval_sym, subst, span), partial(self._eval_node, span), KIDS
+            )
+        if got[0] == "err":
+            raise got[1]
+        return got
+
+    def _eval_sym(self, subst: dict, span: Span, sym: Sym):
+        name = sym.name
+        if isinstance(name, str) and name in subst:
+            return ("obj", subst[name])
+        if isinstance(name, (int, bool)) or name in self.known_objects:
+            return ("obj", name)
+        if isinstance(name, str) and name in self.desc.variables:
+            return ("err", GroundError(f"unbound variable '{name}'", span))
+        return ("err", GroundError(f"unknown name '{name}'", span))
+
+    def _eval_node(self, span: Span, n, parts: list):
+        if n.__class__ is Arith:
+            (lt, lv), (rt, rv) = parts
+            if lt == "err" or rt == "err":
+                return parts[0] if lt == "err" else parts[1]
             if lt != "obj" or rt != "obj":
-                raise GroundError("arithmetic over constants is not supported", span)
-            return ("obj", _arith(t.op, lv, rv, span))
-        raise TypeError(f"not a term: {t!r}")
+                return ("err", GroundError("arithmetic over constants is not supported", span))
+            try:
+                return ("obj", _arith(n.op, lv, rv, span))
+            except GroundError as err:
+                return ("err", err)
+        decl = self.desc.constants.get(n.name)
+        if decl is None:
+            return ("err", UndeclaredConstant(f"undeclared constant '{n.name}'", span))
+        args = []
+        for (tag, val), argsort in zip(parts, decl.argsorts):
+            if tag == "err":
+                return (tag, val)
+            if tag != "obj":
+                return ("err", GroundError(
+                    f"constant argument of '{n.name}' must be an object", span
+                ))
+            if val not in self.sort_members(argsort):
+                return ("err", GroundError(
+                    f"'{value_name(val)}' is not of sort '{argsort}' "
+                    f"(argument of '{n.name}')",
+                    span,
+                ))
+            args.append(val)
+        gc = self.symbols.lookup(n.name, tuple(args))
+        if gc is None:
+            return ("err", GroundError(f"no ground instance '{n.name}{tuple(args)}'", span))
+        return ("const", gc)
 
     def atom_formula(self, atom: Atom, subst: dict, span: Span) -> mvpf.MvFormula:
         left = self.eval_term(atom.left, subst, span)
@@ -472,20 +493,8 @@ class _Resolver:
         Results are kept per atom syntax and values of the atom's own
         variables, so laws sharing an atom share them; an error is kept
         nowhere and raises again on the next call."""
-        terms = (atom.left,) if atom.right is None else (atom.left, atom.right)
-        syms = [s for t in terms for s in term_syms(t)]
-        # Sym(1) == Sym(True) and Sym(0) == Sym(False): tag the boolean
-        # literals, as `SymbolTable._vkey` does, so `p = 0` is not `-p`
-        key = (atom, tuple(s.name.__class__ is bool for s in syms))
-        entry = self._atoms.get(key)
-        if entry is None:
-            names: list[str] = []
-            for s in syms:
-                if s.name in self.desc.variables and s.name not in names:
-                    names.append(s.name)
-            has_const = any(c for t in terms for c in term_constrefs(t))
-            entry = self._atoms[key] = (tuple(names), {}, has_const)
-        names, memo, has_const = entry
+        key, names, has_const = _atom_shape(atom, self.desc.variables)
+        memo = self._atoms.setdefault(key, {})
         idx = [slots.setdefault(n, len(slots)) for n in names]
         key_of = operator.itemgetter(*idx) if idx else lambda env: ()
         resolve = self.atom_formula
@@ -549,6 +558,30 @@ class _Resolver:
             return (got.const, got.value)
 
         return head
+
+
+def _atom_shape(atom: Atom, variables: dict) -> tuple[tuple, list[str], bool]:
+    """The atom spelled out node by node in pre-order, its variables in the
+    order they first occur, and whether it mentions a constant.
+
+    The spelling is a flat key, so a deep term hashes without recursion.
+    A literal's class is part of it, as in `SymbolTable._vkey`, since
+    Sym(1) == Sym(True): `p = 0` is not `-p`."""
+    key: list[tuple] = []
+    names: list[str] = []
+    has_const = False
+    for n in walk(atom):
+        cls = n.__class__
+        if cls is Sym:
+            key.append((cls, n.name.__class__, n.name))
+            if n.name in variables and n.name not in names:
+                names.append(n.name)
+        elif cls is ConstRef:
+            key.append((cls, n.name, len(n.args)))
+            has_const = True
+        else:  # Atom, Arith
+            key.append((cls, n.op, cls is Atom and n.right is None))
+    return tuple(key), names, has_const
 
 
 def _raiser(cls: type, message: str, span: Span):
@@ -635,66 +668,60 @@ _COMPARE = {
 
 
 def _where_conjuncts(w: WhereExpr | None) -> list[WhereExpr]:
-    out = []
-    stack = [] if w is None else [w]
-    while stack:
-        w = stack.pop()
-        if isinstance(w, WhereAnd):
-            stack += [w.right, w.left]
-        else:
-            out.append(w)
-    return out
+    if w is None:
+        return []
+    return list(w.parts) if w.__class__ is WhereAnd else [w]
 
 
-def _where_int(name, slots: dict[str, int], span: Span):
-    """A function from a binding to the integer a where term's symbol
-    stands for: its variable's value, or itself."""
-    i = slots.get(name) if isinstance(name, str) else None
+_W_SLOT, _W_LITERAL, _W_ARITH, _W_FAIL = range(4)
 
-    def value(env: list) -> int:
-        v = name if i is None else env[i]
+
+def _where_term(t: Term, slots: dict[str, int]) -> list[tuple]:
+    """Where term t as a post-order op list for `_where_value`."""
+
+    def leaf(s: Sym) -> list[tuple]:
+        i = slots.get(s.name) if isinstance(s.name, str) else None
+        return [(_W_LITERAL, s.name) if i is None else (_W_SLOT, i)]
+
+    def node(n, parts: list) -> list[tuple]:
+        if n.__class__ is ConstRef:
+            return [(_W_FAIL, f"where clauses cannot inspect constant '{n.name}'; "
+                    "compare values inside the formula instead")]
+        ops = parts[0]
+        ops += parts[1]
+        ops.append((_W_ARITH, n.op))
+        return ops
+
+    return mvpf.fold(t, leaf, node, KIDS)
+
+
+def _where_value(ops: list[tuple], env: list, span: Span) -> int:
+    """The integer a where term's op list computes under a binding: each
+    symbol stands for its variable's value, or for itself."""
+    vals: list[int] = []
+    for code, arg in ops:
+        if code == _W_ARITH:
+            right = vals.pop()
+            vals[-1] = _arith(arg, vals[-1], right, span)
+            continue
+        if code == _W_FAIL:
+            raise WhereEvalError(arg, span)
+        v = env[arg] if code == _W_SLOT else arg
         if isinstance(v, bool) or not isinstance(v, int):
             raise WhereEvalError(
                 f"where clauses compute over integers, got '{value_name(v)}'", span
             )
-        return v
-
-    return value
-
-
-def _where_term(t: Term, slots: dict[str, int], span: Span):
-    """A function from a binding to the integer value of where term t."""
-    done: list = []
-    stack: list = [t]
-    while stack:
-        t = stack.pop()
-        cls = t.__class__
-        if cls is tuple:  # (op,), both operands done
-            right, left = done.pop(), done.pop()
-            done.append(lambda env, op=t[0], a=left, b=right: _arith(op, a(env), b(env), span))
-        elif cls is Arith:
-            stack += [(t.op,), t.right, t.left]
-        elif cls is Sym:
-            done.append(_where_int(t.name, slots, span))
-        elif cls is ConstRef:
-            done.append(_raiser(
-                WhereEvalError,
-                f"where clauses cannot inspect constant '{t.name}'; compare "
-                "values inside the formula instead",
-                span,
-            ))
-        else:
-            raise TypeError(f"not a term: {t!r}")
-    return done[0]
+        vals.append(v)
+    return vals[0]
 
 
 def _where_check(c: WhereExpr, slots: dict[str, int], span: Span):
     """A function from a binding to the truth of where conjunct c."""
     if isinstance(c, WhereCmp):
-        left = _where_term(c.left, slots, span)
-        right = _where_term(c.right, slots, span)
+        left = _where_term(c.left, slots)
+        right = _where_term(c.right, slots)
         compare = _COMPARE[c.op]
-        return lambda env: compare(left(env), right(env))
+        return lambda env: compare(_where_value(left, env, span), _where_value(right, env, span))
     if isinstance(c, ExternalCall):
         return _raiser(
             WhereEvalError,

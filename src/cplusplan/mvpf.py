@@ -10,6 +10,12 @@ Conjunction and disjunction are n-ary: an `And` or `Or` holds two or more
 parts, none of its own class, so a walker goes one level deep per chain.
 `join`, `conj` and `disj` splice chains as they build them.
 
+Formulas of any depth are walked on explicit stacks.  `fold` is the one
+post-order fold that the translator, the dumps and the search use, and the
+syntax layer too, with its own table of children.  `satisfies` and
+`reduct` keep loops of their own, so the reference semantics shares no
+evaluator with the code it checks.
+
 Stability is defined through the reduct: relative to an interpretation I,
 every maximal subformula that I does not satisfy is replaced by ``false``.
 I is a stable model of a theory when I is the *only* interpretation that
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 ORACLE_CAP = 2 ** 24
@@ -131,6 +138,60 @@ def impl(left: MvFormula, right: MvFormula) -> MvFormula:
     return Impl(left, right)
 
 
+def rebuild(node, parts) -> MvFormula:
+    """A connective of node's class over new parts."""
+    cls = node.__class__
+    return cls(tuple(parts)) if cls is And or cls is Or else cls(*parts)
+
+
+# The children of each connective class; every other node is a leaf.
+KIDS = {
+    Neg: lambda n: (n.sub,),
+    And: attrgetter("parts"),
+    Or: attrgetter("parts"),
+    Impl: attrgetter("left", "right"),
+}
+
+
+def fold(root, leaf, node, kids=KIDS):
+    """Post-order fold on an explicit stack: `leaf(x)` for each node whose
+    class `kids` does not list, `node(n, values)` for every other node,
+    with the values of its children, left to right.  `kids` maps a class
+    to a function that gives a node's children."""
+    kids_of = kids.get
+    get = kids_of(root.__class__)
+    if get is None:
+        return leaf(root)
+    vals: list = []
+    stack: list = []
+    parts = get(root)
+    n = root
+    while True:
+        # n's parts are `parts`: a node over leaves, the commonest shape,
+        # is folded at once; any other gets a frame on the stack
+        for k in parts:
+            if kids_of(k.__class__) is not None:
+                stack.append((n, iter(parts), len(vals)))
+                break
+        else:
+            vals.append(node(n, list(map(leaf, parts))))
+        while stack:
+            n, it, base = stack[-1]
+            for k in it:
+                get = kids_of(k.__class__)
+                if get is not None:
+                    n, parts = k, get(k)
+                    break
+                vals.append(leaf(k))
+            else:
+                stack.pop()
+                vals[base:] = [node(n, vals[base:])]
+                continue
+            break
+        else:
+            return vals[0]
+
+
 def join(cls: type, parts: Iterable) -> object:
     """The n-ary connective `cls` (And, Or, AndF or OrF) over parts, those
     of class `cls` spliced in; true and false parts stay."""
@@ -178,20 +239,44 @@ class MvTheory:
     formulas: tuple[MvFormula, ...] = field(default_factory=tuple)
 
 
+def _holds(cls: type, truths: list[bool]) -> bool:
+    """The truth of a connective of class cls over its parts' truths."""
+    if cls is Neg:
+        return not truths[0]
+    if cls is And:
+        return all(truths)
+    if cls is Or:
+        return any(truths)
+    return not truths[0] or truths[1]
+
+
+def _pending(f: MvFormula, todo: list) -> None:
+    """Push connective f for the loops below: a (class, arity) marker,
+    then its parts, the first on top."""
+    parts = KIDS[f.__class__](f)
+    todo.append((f.__class__, len(parts)))
+    todo.extend(reversed(parts))
+
+
 def satisfies(interp: Interpretation, f: MvFormula) -> bool:
-    if isinstance(f, MvAtom):
-        return interp[f.const] == f.value
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Neg):
-        return not satisfies(interp, f.sub)
-    if isinstance(f, And):
-        return all(satisfies(interp, g) for g in f.parts)
-    if isinstance(f, Or):
-        return any(satisfies(interp, g) for g in f.parts)
-    if isinstance(f, Impl):
-        return (not satisfies(interp, f.left)) or satisfies(interp, f.right)
-    raise TypeError(f"not a formula node: {f!r}")
+    todo: list = [f]
+    truths: list[bool] = []
+    while todo:
+        g = todo.pop()
+        cls = g.__class__
+        if cls is MvAtom:
+            truths.append(interp[g.const] == g.value)
+        elif cls is Bot:
+            truths.append(False)
+        elif cls is tuple:  # (connective, arity): its parts are done
+            parts = truths[len(truths) - g[1]:]
+            del truths[len(truths) - g[1]:]
+            truths.append(_holds(g[0], parts))
+        elif cls in KIDS:
+            _pending(g, todo)
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+    return truths[0]
 
 
 def satisfies_all(interp: Interpretation, fs: Iterable[MvFormula]) -> bool:
@@ -205,17 +290,28 @@ def reduct(f: MvFormula, interp: Interpretation) -> MvFormula:
     is inspected.  Satisfied nodes are rebuilt verbatim (no folding), so
     the shape of the reduct mirrors the original formula.
     """
-    if not satisfies(interp, f):
-        return BOT
-    if isinstance(f, (MvAtom, Bot)):
-        return f
-    if isinstance(f, Neg):
-        return Neg(reduct(f.sub, interp))
-    if isinstance(f, (And, Or)):
-        return type(f)(tuple(reduct(g, interp) for g in f.parts))
-    if isinstance(f, Impl):
-        return Impl(reduct(f.left, interp), reduct(f.right, interp))
-    raise TypeError(f"not a formula node: {f!r}")
+    todo: list = [f]
+    done: list[MvFormula] = []  # reducts, BOT exactly for a false subformula
+    while todo:
+        g = todo.pop()
+        cls = g.__class__
+        if cls is MvAtom:
+            done.append(g if interp[g.const] == g.value else BOT)
+        elif cls is Bot:
+            done.append(BOT)
+        elif cls is tuple:  # (connective, arity): its parts are done
+            c, k = g
+            parts = done[len(done) - k:]
+            del done[len(done) - k:]
+            if _holds(c, [p is not BOT for p in parts]):
+                done.append(c(tuple(parts)) if c is And or c is Or else c(*parts))
+            else:
+                done.append(BOT)
+        elif cls in KIDS:
+            _pending(g, todo)
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+    return done[0]
 
 
 def interpretations(sig: Signature, cap: int = ORACLE_CAP) -> Iterator[dict[int, int]]:

@@ -1,6 +1,8 @@
 """Reader for CCalc-style action description files.
 
-Hand rolled tokenizer plus recursive descent.  A file is a sequence of
+Hand rolled tokenizer plus descent over statements; formulas and terms
+are read by precedence climbing on explicit stacks, so nesting depth
+costs no recursion.  A file is a sequence of
 statements, each terminated by a period: section directives introduced by
 ``:-`` (sorts, objects, constants, variables, query, include) and causal
 laws in shorthand form.  ``%`` starts a line comment.
@@ -18,8 +20,11 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .mvpf import join
+from .mvpf import fold, join
 from .syntax import (
+    ARITH_PREC,
+    COMPARISONS,
+    KIDS,
     ActionDescription,
     AlwaysLaw,
     Arith,
@@ -483,11 +488,11 @@ class _Parser:
         return w
 
     def where_expr(self) -> WhereExpr:
-        expr = self.where_atom()
+        parts = [self.where_atom()]
         while self.at_sym("&"):
             self.advance()
-            expr = WhereAnd(expr, self.where_atom())
-        return expr
+            parts.append(self.where_atom())
+        return WhereAnd(tuple(parts)) if len(parts) > 1 else parts[0]
 
     def where_atom(self) -> WhereExpr:
         if self.at_sym("@"):
@@ -504,7 +509,7 @@ class _Parser:
             return ExternalCall(name, tuple(args))
         left = self.term()
         op_tok = self.tok
-        if op_tok.kind != "sym" or op_tok.text not in ("=", "\\=", "<", ">", "=<", ">="):
+        if op_tok.kind != "sym" or op_tok.text not in COMPARISONS:
             raise ParseError(
                 f"expected comparison in where clause, found '{op_tok.text}'",
                 op_tok.span,
@@ -513,147 +518,157 @@ class _Parser:
         right = self.term()
         return WhereCmp(op_tok.text, left, right)
 
-    # Formulas: impl is right associative and binds loosest, then ++, then &.
+    # Formulas, by precedence climbing over an explicit stack of open
+    # groups: ->> is right associative and binds loosest, then ++, then &,
+    # and prefix - binds tightest.  A chain of ++ or & is one flat node.
 
     def formula(self) -> Formula:
-        links = [self.disjunction()]
-        while self.at_sym("->>"):
-            self.advance()
-            links.append(self.disjunction())
-        f = links.pop()
-        while links:
-            f = ImplF(links.pop(), f)
-        return f
-
-    def disjunction(self) -> Formula:
-        parts = [self.conjunction()]
-        while self.at_sym("++"):
-            self.advance()
-            parts.append(self.conjunction())
-        return join(OrF, parts)
-
-    def conjunction(self) -> Formula:
-        parts = [self.unary()]
-        while self.at_sym("&"):
-            self.advance()
-            parts.append(self.unary())
-        return join(AndF, parts)
-
-    def unary(self) -> Formula:
-        negations = 0
-        while self.at_sym("-"):
-            self.advance()
-            negations += 1
-        if self.at_sym("("):
-            self.advance()
-            f = self.formula()
-            self.eat_sym(")")
-        elif self.at_word("true"):
-            self.advance()
-            f = TRUE
-        elif self.at_word("false"):
-            self.advance()
-            f = FalseF()
-        else:
-            f = self.atom()
-        for _ in range(negations):
-            f = Not(f)
-        return f
+        # each open group: [the '-' count before it, its ->> links, the
+        # parts of its open ++ chain, the parts of its open & chain]
+        groups: list[list] = [[0, [], [], []]]
+        while True:
+            negations = 0
+            while self.at_sym("-"):
+                self.advance()
+                negations += 1
+            if self.at_sym("("):
+                self.advance()
+                groups.append([negations, [], [], []])
+                continue
+            if self.at_word("true"):
+                self.advance()
+                f = TRUE
+            elif self.at_word("false"):
+                self.advance()
+                f = FalseF()
+            else:
+                f = self.atom()
+            for _ in range(negations):
+                f = Not(f)
+            while True:  # f is an operand of the innermost group
+                group = groups[-1]
+                group[3].append(f)
+                if self.at_sym("&"):
+                    break
+                group[2].append(join(AndF, group[3]))
+                group[3] = []
+                if self.at_sym("++"):
+                    break
+                group[1].append(join(OrF, group[2]))
+                group[2] = []
+                if self.at_sym("->>"):
+                    break
+                links = group[1]
+                f = links.pop()
+                while links:
+                    f = ImplF(links.pop(), f)
+                if len(groups) == 1:
+                    return f
+                self.eat_sym(")")
+                groups.pop()
+                for _ in range(group[0]):
+                    f = Not(f)
+            self.advance()  # the connective
 
     def atom(self) -> Formula:
         left = self.term()
-        if self.tok.kind == "sym" and self.tok.text in ("=", "\\=", "<", ">", "=<", ">="):
+        if self.tok.kind == "sym" and self.tok.text in COMPARISONS:
             op = self.advance().text
             right = self.term()
             return Atom(left, op, right)
         return Atom(left, "=", None)
 
-    # Terms, with integer arithmetic.
+    # Terms, with integer arithmetic: + and - bind looser than *, / and
+    # mod, and all are left associative.  One explicit stack holds the
+    # operators waiting for their right operand, the open parentheses
+    # (None) and the open argument lists ([name, arguments]).
 
     def term(self) -> Term:
-        t = self.arith_prod()
-        while self.tok.kind == "sym" and self.tok.text in ("+", "-"):
-            op = self.advance().text
-            t = Arith(op, t, self.arith_prod())
-        return t
-
-    def arith_prod(self) -> Term:
-        t = self.arith_atom()
-        while (self.tok.kind == "sym" and self.tok.text in ("*", "/")) or self.at_word("mod"):
-            op = self.advance().text
-            t = Arith(op, t, self.arith_atom())
-        return t
-
-    def arith_atom(self) -> Term:
-        if self.tok.kind == "int":
-            return Sym(self.eat_int())
-        if self.at_sym("("):
-            self.advance()
-            t = self.term()
-            self.eat_sym(")")
-            return t
-        if self.at_word("true"):
-            self.advance()
-            return Sym(True)
-        if self.at_word("false"):
-            self.advance()
-            return Sym(False)
-        tok = self.eat_ident("term")
-        if tok.text in RESERVED_WORDS:
-            raise ParseError(f"'{tok.text}' is a reserved word", tok.span)
-        if self.at_sym("("):
-            self.advance()
-            args = [self.term()]
-            while self.at_sym(","):
+        operands: list[Term] = []
+        pending: list = []
+        while True:
+            if self.tok.kind == "int":
+                operands.append(Sym(self.eat_int()))
+            elif self.at_sym("("):
                 self.advance()
-                args.append(self.term())
-            self.eat_sym(")")
-            return ConstRef(tok.text, tuple(args))
-        return Sym(tok.text)
+                pending.append(None)
+                continue
+            elif self.at_word("true") or self.at_word("false"):
+                operands.append(Sym(self.advance().text == "true"))
+            else:
+                tok = self.eat_ident("term")
+                if tok.text in RESERVED_WORDS:
+                    raise ParseError(f"'{tok.text}' is a reserved word", tok.span)
+                if self.at_sym("("):
+                    self.advance()
+                    pending.append([tok.text, []])
+                    continue
+                operands.append(Sym(tok.text))
+            while True:  # after an operand: an operator, or a closing
+                # "mod" is a word and the other operators are symbols, so
+                # a token's text tells them apart
+                prec = ARITH_PREC.get(self.tok.text)
+                while pending and pending[-1].__class__ is str and (
+                    prec is None or ARITH_PREC[pending[-1]] >= prec
+                ):
+                    right = operands.pop()
+                    operands[-1] = Arith(pending.pop(), operands[-1], right)
+                if prec is not None:
+                    pending.append(self.advance().text)
+                    break
+                if not pending:
+                    return operands[0]
+                call = pending[-1]
+                if call is None:
+                    self.eat_sym(")")
+                    pending.pop()
+                    continue
+                call[1].append(operands.pop())
+                if self.at_sym(","):
+                    self.advance()
+                    break
+                self.eat_sym(")")
+                pending.pop()
+                operands.append(ConstRef(call[0], tuple(call[1])))
 
 
 # ---------------------------------------------------------------------------
 # Identifier resolution
 
-def _resolve_term(t: Term, desc: ActionDescription) -> Term:
-    if isinstance(t, Sym):
-        if isinstance(t.name, str) and t.name in desc.constants:
-            return ConstRef(t.name)
-        return t
-    if isinstance(t, ConstRef):
-        return ConstRef(t.name, tuple(_resolve_term(a, desc) for a in t.args))
-    if isinstance(t, Arith):
-        return Arith(t.op, _resolve_term(t.left, desc), _resolve_term(t.right, desc))
-    raise TypeError(f"not a term: {t!r}")
+def _resolve(x, desc: ActionDescription):
+    """A formula, term or where expression with every name of a declared
+    constant made a constant reference."""
+    consts = desc.constants
+
+    def leaf(n):
+        if n.__class__ is Sym and n.name.__class__ is str and n.name in consts:
+            return ConstRef(n.name)
+        return n
+
+    return fold(x, leaf, _resolved, KIDS)
 
 
-def _resolve_formula(f: Formula, desc: ActionDescription) -> Formula:
-    if isinstance(f, Atom):
-        left = _resolve_term(f.left, desc)
-        right = None if f.right is None else _resolve_term(f.right, desc)
-        return Atom(left, f.op, right)
-    if isinstance(f, Not):
-        sub = _resolve_formula(f.sub, desc)
+def _resolved(n, parts: list):
+    """Node n over its resolved parts."""
+    cls = n.__class__
+    if cls is Atom:
+        return Atom(parts[0], n.op, parts[1] if len(parts) > 1 else None)
+    if cls is Not:
+        sub = parts[0]
         # A negated bare boolean constant means the constant takes the
         # value false; this keeps such heads definite.
-        if isinstance(sub, Atom) and sub.right is None and isinstance(sub.left, ConstRef):
+        if sub.__class__ is Atom and sub.right is None and sub.left.__class__ is ConstRef:
             return Atom(sub.left, "=", Sym(False))
         return Not(sub)
-    if isinstance(f, (AndF, OrF)):
-        return type(f)(tuple(_resolve_formula(g, desc) for g in f.parts))
-    if isinstance(f, ImplF):
-        return ImplF(_resolve_formula(f.left, desc), _resolve_formula(f.right, desc))
-    return f
-
-
-def _resolve_where(w: WhereExpr | None, desc: ActionDescription) -> WhereExpr | None:
-    if w is None:
-        return None
-    if isinstance(w, WhereCmp):
-        return WhereCmp(w.op, _resolve_term(w.left, desc), _resolve_term(w.right, desc))
-    if isinstance(w, WhereAnd):
-        return WhereAnd(_resolve_where(w.left, desc), _resolve_where(w.right, desc))
-    return w
+    if cls is ConstRef:
+        return ConstRef(n.name, tuple(parts))
+    if cls is AndF or cls is OrF or cls is WhereAnd:
+        return cls(tuple(parts))
+    if cls is ImplF:
+        return ImplF(*parts)
+    if cls is ExternalCall:
+        return n  # its arguments stay as written
+    return cls(n.op, *parts)  # Arith, WhereCmp
 
 
 def _resolve_description(desc: ActionDescription) -> None:
@@ -663,12 +678,10 @@ def _resolve_description(desc: ActionDescription) -> None:
         for name in ("head", "cond", "after", "formula", "action", "effect"):
             if hasattr(law, name):
                 val = getattr(law, name)
-                if val is not None:
-                    val = _resolve_formula(val, desc)
-                kw[name] = val
+                kw[name] = None if val is None else _resolve(val, desc)
         if hasattr(law, "consts"):
-            kw["consts"] = tuple(_resolve_term(t, desc) for t in law.consts)
-        kw["where"] = _resolve_where(law.where, desc)
+            kw["consts"] = tuple(_resolve(t, desc) for t in law.consts)
+        kw["where"] = None if law.where is None else _resolve(law.where, desc)
         kw["span"] = law.span
         resolved.append(type(law)(**kw))
     desc.laws[:] = resolved
@@ -677,7 +690,7 @@ def _resolve_description(desc: ActionDescription) -> None:
             q.label,
             q.min_step,
             q.max_step,
-            tuple((t, _resolve_formula(f, desc)) for t, f in q.lines),
+            tuple((t, _resolve(f, desc)) for t, f in q.lines),
             q.span,
         )
 

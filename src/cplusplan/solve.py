@@ -120,31 +120,32 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # Direct formula evaluation (shared by the stability check and the oracle)
 
+def _truth(node, truths: list[bool]) -> bool:
+    cls = node.__class__
+    if cls is mvpf.Neg:
+        return not truths[0]
+    if cls is mvpf.And:
+        return all(truths)
+    if cls is mvpf.Or:
+        return any(truths)
+    return not truths[0] or truths[1]
+
+
 def peval(f, model: frozenset) -> bool:
-    if isinstance(f, mvpf.Bot):
-        return False
-    if isinstance(f, mvpf.Neg):
-        return not peval(f.sub, model)
-    if isinstance(f, mvpf.And):
-        return all(peval(g, model) for g in f.parts)
-    if isinstance(f, mvpf.Or):
-        return any(peval(g, model) for g in f.parts)
-    if isinstance(f, mvpf.Impl):
-        return not peval(f.left, model) or peval(f.right, model)
-    return f in model  # anything else is an atom
+    # a leaf is an atom, true when in the model, or false
+    return mvpf.fold(f, model.__contains__, _truth)
 
 
 def preduct(f, model: frozenset):
     """Replace every subformula the model falsifies with false, top-down."""
-    if not peval(f, model):
-        return mvpf.BOT
-    if isinstance(f, mvpf.Neg):
-        return mvpf.Neg(preduct(f.sub, model))
-    if isinstance(f, (mvpf.And, mvpf.Or)):
-        return type(f)(tuple(preduct(g, model) for g in f.parts))
-    if isinstance(f, mvpf.Impl):
-        return mvpf.Impl(preduct(f.left, model), preduct(f.right, model))
-    return f  # atom true in the model, or a satisfied leaf
+
+    def reduced(node, parts):
+        # a part is false exactly when its reduct is BOT
+        if not _truth(node, [p is not mvpf.BOT for p in parts]):
+            return mvpf.BOT
+        return mvpf.rebuild(node, parts)
+
+    return mvpf.fold(f, lambda a: a if a in model else mvpf.BOT, reduced)
 
 
 # ---------------------------------------------------------------------------

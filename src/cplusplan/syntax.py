@@ -10,14 +10,20 @@ or variable symbol, an integer arithmetic expression, or a reference to a
 declared constant.  Which side of an atom is the constant (if any) is only
 pinned down during resolution, after all includes have been read.
 
-`AndF` and `OrF` are n-ary and flat, as `And` and `Or` in `mvpf` are.
+`AndF` and `OrF` are n-ary and flat, as `And` and `Or` in `mvpf` are,
+and so is `WhereAnd`.  Trees of any depth are walked on explicit stacks:
+`walk` visits every node in pre-order, and `mvpf.fold` folds a tree in
+post-order over the children table `KIDS`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, Union
+
+from .mvpf import fold
 
 RESERVED_WORDS = frozenset(
     {
@@ -77,11 +83,7 @@ class ConstRef:
     args: tuple["Term", ...] = ()
 
     def args_have_constants(self) -> bool:
-        return any(
-            True
-            for a in self.args
-            for _ in term_constrefs(a)
-        )
+        return any(True for a in self.args for _ in constrefs(a))
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,52 +148,6 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.sub)
-    elif isinstance(f, (AndF, OrF)):
-        for g in f.parts:
-            yield from subformulas(g)
-    elif isinstance(f, ImplF):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-
-
-def formula_terms(f: Formula) -> Iterator[Term]:
-    for sub in subformulas(f):
-        if isinstance(sub, Atom):
-            yield sub.left
-            if sub.right is not None:
-                yield sub.right
-
-
-def term_syms(t: Term) -> Iterator[Sym]:
-    if isinstance(t, Sym):
-        yield t
-    elif isinstance(t, ConstRef):
-        for a in t.args:
-            yield from term_syms(a)
-    elif isinstance(t, Arith):
-        yield from term_syms(t.left)
-        yield from term_syms(t.right)
-
-
-def term_constrefs(t: Term) -> Iterator[ConstRef]:
-    if isinstance(t, ConstRef):
-        yield t
-        for a in t.args:
-            yield from term_constrefs(a)
-    elif isinstance(t, Arith):
-        yield from term_constrefs(t.left)
-        yield from term_constrefs(t.right)
-
-
-def formula_constrefs(f: Formula) -> Iterator[ConstRef]:
-    for t in formula_terms(f):
-        yield from term_constrefs(t)
-
-
 # ---------------------------------------------------------------------------
 # Where clauses (grounding-time integer builtins)
 
@@ -204,8 +160,7 @@ class WhereCmp:
 
 @dataclass(frozen=True, slots=True)
 class WhereAnd:
-    left: "WhereExpr"
-    right: "WhereExpr"
+    parts: tuple["WhereExpr", ...]  # two or more, none a WhereAnd
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,6 +172,71 @@ class ExternalCall:
 
 
 WhereExpr = Union[WhereCmp, WhereAnd, ExternalCall]
+
+
+# ---------------------------------------------------------------------------
+# Walks and the text of a term
+
+# The children of each node class; Sym, TrueF and FalseF have none.
+KIDS = {
+    Atom: lambda n: (n.left,) if n.right is None else (n.left, n.right),
+    Not: lambda n: (n.sub,),
+    AndF: attrgetter("parts"),
+    OrF: attrgetter("parts"),
+    ImplF: attrgetter("left", "right"),
+    ConstRef: attrgetter("args"),
+    Arith: attrgetter("left", "right"),
+    WhereCmp: attrgetter("left", "right"),
+    WhereAnd: attrgetter("parts"),
+    ExternalCall: attrgetter("args"),
+}
+
+
+def walk(root) -> Iterator:
+    """Every node of a formula, term or where expression, root first, in
+    pre-order from left to right, on an explicit stack."""
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        yield n
+        kids = KIDS.get(n.__class__)
+        if kids is not None:
+            stack.extend(reversed(kids(n)))
+
+
+def term_syms(x) -> Iterator[Sym]:
+    return (n for n in walk(x) if n.__class__ is Sym)
+
+
+def constrefs(x) -> Iterator[ConstRef]:
+    """The constant references in x, in pre-order: a reference comes
+    before those in its arguments."""
+    return (n for n in walk(x) if n.__class__ is ConstRef)
+
+
+# The binary operators of terms by binding strength
+ARITH_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "mod": 2}
+
+
+def term_text(t: Term) -> str:
+    """t in the input syntax, with the parentheses its shape needs."""
+    return fold(t, _sym_text, _term_node_text, KIDS)
+
+
+def _sym_text(s: Sym) -> str:
+    return "true" if s.name is True else "false" if s.name is False else str(s.name)
+
+
+def _term_node_text(n, texts: list[str]) -> str:
+    if n.__class__ is ConstRef:
+        return f"{n.name}({','.join(texts)})" if texts else n.name
+    me = ARITH_PREC[n.op]
+    left, right = texts
+    if n.left.__class__ is Arith and ARITH_PREC[n.left.op] < me:
+        left = f"({left})"
+    if n.right.__class__ is Arith and ARITH_PREC[n.right.op] <= me:
+        right = f"({right})"
+    return left + (" mod " if n.op == "mod" else n.op) + right
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +437,12 @@ class ActionDescription:
 
     def subsort_closure(self, name: str) -> list[str]:
         """The sort itself plus everything below it, declaration order."""
-        below = [name]
+        subs: dict[str, list[str]] = {}
         for other, supers in self.sorts.items():
-            if other == name:
-                continue
-            if self._reaches(other, name):
-                below.append(other)
-        return below
-
-    def _reaches(self, sub: str, sup: str, seen: frozenset[str] = frozenset()) -> bool:
-        if sub in seen:
-            return False
-        for s in self.sorts.get(sub, ()):
-            if s == sup or self._reaches(s, sup, seen | {sub}):
-                return True
-        return False
+            for s in supers:
+                subs.setdefault(s, []).append(other)
+        below = _reach(name, subs)
+        return [name] + [s for s in self.sorts if s in below and s != name]
 
     def sort_members(self, name: str) -> list[Union[str, int]]:
         if name not in self.sorts:
@@ -461,7 +472,7 @@ class ActionDescription:
             for s in supers:
                 if s not in self.sorts:
                     raise UnknownSort(f"sort '{name}' extends unknown sort '{s}'")
-            if self._reaches(name, name):
+            if name in _reach(name, self.sorts):
                 raise LangError(f"sort '{name}' is part of a supersort cycle")
         object_names = {
             o for objs in self.objects.values() for o in objs if isinstance(o, str)
@@ -491,6 +502,19 @@ class ActionDescription:
                 )
 
 
+def _reach(start: str, edges: dict) -> set[str]:
+    """Every node one or more steps from start along edges, a map from a
+    node to its successors: an iterative walk over a visited set."""
+    seen: set[str] = set()
+    stack = [start]
+    while stack:
+        for n in edges.get(stack.pop(), ()):
+            if n not in seen:
+                seen.add(n)
+                stack.append(n)
+    return seen
+
+
 # ---------------------------------------------------------------------------
 # Classification and head shape
 
@@ -515,7 +539,7 @@ def _ref_kind(ref: ConstRef, desc: ActionDescription) -> ConstKind:
 
 def classify_formula(f: Formula, desc: ActionDescription) -> Classification:
     saw_fluent = saw_action = False
-    for ref in formula_constrefs(f):
+    for ref in constrefs(f):
         kind = _ref_kind(ref, desc)
         if kind.is_fluent:
             saw_fluent = True
@@ -541,8 +565,8 @@ def head_atom_constref(f: Formula, desc: ActionDescription) -> ConstRef | None:
         return None
     if f.op != "=":
         return None
-    left_refs = list(term_constrefs(f.left))
-    right_refs = [] if f.right is None else list(term_constrefs(f.right))
+    left_refs = list(constrefs(f.left))
+    right_refs = [] if f.right is None else list(constrefs(f.right))
     if len(left_refs) + len(right_refs) != 1:
         return None
     # The constant must be a whole side, not buried inside arithmetic,
@@ -552,225 +576,3 @@ def head_atom_constref(f: Formula, desc: ActionDescription) -> ConstRef | None:
     if isinstance(f.right, ConstRef) and not f.right.args_have_constants() and not left_refs:
         return f.right
     return None
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing (canonical text form, reparseable)
-
-def term_text(t: Term) -> str:
-    if isinstance(t, Sym):
-        if t.name is True:
-            return "true"
-        if t.name is False:
-            return "false"
-        return str(t.name)
-    if isinstance(t, ConstRef):
-        if not t.args:
-            return t.name
-        return f"{t.name}({','.join(term_text(a) for a in t.args)})"
-    if isinstance(t, Arith):
-        prec = {"+": 1, "-": 1, "*": 2, "/": 2, "mod": 2}
-        me = prec[t.op]
-
-        def side(x: Term, tight: bool) -> str:
-            s = term_text(x)
-            if isinstance(x, Arith) and (prec[x.op] < me or (tight and prec[x.op] == me)):
-                return f"({s})"
-            return s
-
-        op = f" {t.op} " if t.op == "mod" else t.op
-        return f"{side(t.left, False)}{op}{side(t.right, True)}"
-    raise TypeError(f"not a term: {t!r}")
-
-
-_LEVEL = {"impl": 1, "or": 2, "and": 3, "unary": 4}
-
-
-def formula_text(f: Formula, level: int = 0) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Atom):
-        if f.right is None:
-            return term_text(f.left)
-        if (
-            f.op == "="
-            and isinstance(f.right, Sym)
-            and f.right.name is True
-        ):
-            return term_text(f.left)
-        if (
-            f.op == "="
-            and isinstance(f.right, Sym)
-            and f.right.name is False
-        ):
-            return f"-{term_text(f.left)}"
-        return f"{term_text(f.left)}{f.op}{term_text(f.right)}"
-    if isinstance(f, Not):
-        inner = formula_text(f.sub, _LEVEL["unary"])
-        text = f"-{inner}"
-    elif isinstance(f, (AndF, OrF)):
-        me, sep = (_LEVEL["and"], " & ") if isinstance(f, AndF) else (_LEVEL["or"], " ++ ")
-        text = sep.join(formula_text(g, me) for g in f.parts)
-        if level >= me:
-            text = f"({text})"
-        return text
-    elif isinstance(f, ImplF):
-        text = (
-            f"{formula_text(f.left, _LEVEL['impl'])}"
-            f" ->> {formula_text(f.right, _LEVEL['impl'] - 1)}"
-        )
-        if level >= _LEVEL["impl"]:
-            text = f"({text})"
-        return text
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    if isinstance(f, Not) and level > _LEVEL["unary"]:
-        return f"({text})"
-    return text
-
-
-def where_text(w: WhereExpr) -> str:
-    if isinstance(w, WhereCmp):
-        return f"{term_text(w.left)}{w.op}{term_text(w.right)}"
-    if isinstance(w, WhereAnd):
-        return f"{where_text(w.left)} & {where_text(w.right)}"
-    if isinstance(w, ExternalCall):
-        args = ",".join(term_text(a) for a in w.args)
-        return f"@{w.name}({args})"
-    raise TypeError(f"not a where expression: {w!r}")
-
-
-def _where_suffix(w: WhereExpr | None) -> str:
-    return f" where {where_text(w)}" if w is not None else ""
-
-
-def law_text(law: ShorthandLaw) -> str:
-    if isinstance(law, CausedLaw):
-        s = f"caused {formula_text(law.head)}"
-        if not isinstance(law.cond, TrueF):
-            s += f" if {formula_text(law.cond)}"
-        if law.after is not None:
-            s += f" after {formula_text(law.after)}"
-        return s + _where_suffix(law.where) + "."
-    if isinstance(law, ConstraintLaw):
-        return f"constraint {formula_text(law.formula)}{_where_suffix(law.where)}."
-    if isinstance(law, DefaultLaw):
-        s = f"default {formula_text(law.head)}"
-        if not isinstance(law.cond, TrueF):
-            s += f" if {formula_text(law.cond)}"
-        return s + _where_suffix(law.where) + "."
-    if isinstance(law, InertialLaw):
-        names = ", ".join(term_text(c) for c in law.consts)
-        return f"inertial {names}{_where_suffix(law.where)}."
-    if isinstance(law, ExogenousLaw):
-        names = ", ".join(term_text(c) for c in law.consts)
-        return f"exogenous {names}{_where_suffix(law.where)}."
-    if isinstance(law, RigidLaw):
-        names = ", ".join(term_text(c) for c in law.consts)
-        return f"rigid {names}{_where_suffix(law.where)}."
-    if isinstance(law, CausesLaw):
-        s = f"{formula_text(law.action)} causes {formula_text(law.effect)}"
-        if not isinstance(law.cond, TrueF):
-            s += f" if {formula_text(law.cond)}"
-        return s + _where_suffix(law.where) + "."
-    if isinstance(law, NonexecutableLaw):
-        s = f"nonexecutable {formula_text(law.action)}"
-        if not isinstance(law.cond, TrueF):
-            s += f" if {formula_text(law.cond)}"
-        return s + _where_suffix(law.where) + "."
-    if isinstance(law, AlwaysLaw):
-        return f"always {formula_text(law.formula)}{_where_suffix(law.where)}."
-    raise TypeError(f"not a law: {law!r}")
-
-
-def _object_runs(objs: list[Union[str, int]]) -> list[str]:
-    """Render objects, re-packing consecutive integers as ranges."""
-    out: list[str] = []
-    i = 0
-    while i < len(objs):
-        o = objs[i]
-        if isinstance(o, int):
-            j = i
-            while j + 1 < len(objs) and objs[j + 1] == objs[j] + 1 and isinstance(objs[j + 1], int):
-                j += 1
-            if j > i:
-                out.append(f"{objs[i]}..{objs[j]}")
-                i = j + 1
-                continue
-            out.append(str(o))
-        else:
-            out.append(str(o))
-        i += 1
-    return out
-
-
-def time_ref_text(t: TimeRef) -> str:
-    if t.base == "maxstep":
-        if t.offset == 0:
-            return "maxstep"
-        sign = "+" if t.offset > 0 else "-"
-        return f"maxstep{sign}{abs(t.offset)}"
-    return str(t.base + t.offset if isinstance(t.base, int) else t.base)
-
-
-def description_text(desc: ActionDescription) -> str:
-    """Canonical reparseable rendering (includes already flattened)."""
-    lines: list[str] = []
-    if desc.sorts:
-        decls = []
-        done: set[str] = set()
-        for name, supers in desc.sorts.items():
-            if supers:
-                for s in supers:
-                    decls.append(f"{s} >> {name}")
-                done.add(name)
-                done.update(supers)
-        for name in desc.sorts:
-            if name not in done:
-                decls.append(name)
-        lines.append(":- sorts")
-        lines.append("  " + ";\n  ".join(dict.fromkeys(decls)) + ".")
-    obj_decls = [
-        f"{', '.join(_object_runs(objs))} :: {sort}"
-        for sort, objs in desc.objects.items()
-        if objs
-    ]
-    if obj_decls:
-        lines.append(":- objects")
-        lines.append("  " + ";\n  ".join(obj_decls) + ".")
-    if desc.constants:
-        parts = []
-        for decl in desc.constants.values():
-            sig = decl.name
-            if decl.argsorts:
-                sig += f"({','.join(decl.argsorts)})"
-            kind = decl.kind.value
-            if decl.valuesort is not None:
-                kind += f"({decl.valuesort})"
-            parts.append(f"{sig} :: {kind}")
-        lines.append(":- constants")
-        lines.append("  " + ";\n  ".join(parts) + ".")
-    if desc.variables:
-        by_sort: dict[str, list[str]] = {}
-        for v, s in desc.variables.items():
-            by_sort.setdefault(s, []).append(v)
-        parts = [f"{', '.join(vs)} :: {s}" for s, vs in by_sort.items()]
-        lines.append(":- variables")
-        lines.append("  " + ";\n  ".join(parts) + ".")
-    for law in desc.laws:
-        lines.append(law_text(law))
-    for q in desc.queries.values():
-        lines.append(":- query")
-        parts = [f"label :: {q.label}"]
-        if q.max_step is None:
-            parts.append(f"maxstep :: {q.min_step}..infinity")
-        elif q.max_step == q.min_step:
-            parts.append(f"maxstep :: {q.max_step}")
-        else:
-            parts.append(f"maxstep :: {q.min_step}..{q.max_step}")
-        for tref, f in q.lines:
-            parts.append(f"{time_ref_text(tref)}: {formula_text(f)}")
-        lines.append("  " + ";\n  ".join(parts) + ".")
-    return "\n".join(lines) + "\n"

@@ -106,17 +106,9 @@ def rule_formula(rule: PropRule):
 
 
 def map_leaves(f, fn):
-    """Rebuild a connective tree, applying fn to every non-connective leaf."""
-    cls = type(f)
-    if cls is mvpf.Neg:
-        return mvpf.Neg(map_leaves(f.sub, fn))
-    if cls is mvpf.And or cls is mvpf.Or:
-        return cls(tuple([map_leaves(g, fn) for g in f.parts]))
-    if cls is mvpf.Impl:
-        return cls(map_leaves(f.left, fn), map_leaves(f.right, fn))
-    if cls is mvpf.Bot:
-        return f
-    return fn(f)
+    """Rebuild a connective tree, applying fn to every leaf but false."""
+    bot = mvpf.Bot
+    return mvpf.fold(f, lambda a: a if a.__class__ is bot else fn(a), mvpf.rebuild)
 
 
 def formula_leaves(f):
@@ -138,8 +130,18 @@ def at_step(f, step: int):
     return map_leaves(f, lambda a: PAtom(step, a.const, a.value))
 
 
-def at_rel(f, rel: int):
-    return map_leaves(f, lambda a: TAtom(rel, a.const, a.value))
+def _atoms_at(rel: int):
+    """A leaf map from c=v to the template atom at rel, which makes each
+    atom once: the template's laws share most of their atoms."""
+    made: dict[tuple[int, int], TAtom] = {}
+
+    def atom(a) -> TAtom:
+        got = made.get((a.const, a.value))
+        if got is None:
+            got = made[a.const, a.value] = TAtom(rel, a.const, a.value)
+        return got
+
+    return atom
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +317,11 @@ def _law_body(cond, after=None):
 
 def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalProgram:
     _check_domains(gls)
+    now, before = _atoms_at(0), _atoms_at(-1)
     static = [
         TemplateRule(
             None if law.head is None else TAtom(0, *law.head),
-            _law_body(at_rel(law.cond, 0)),
+            _law_body(map_leaves(law.cond, now)),
             "static",
         )
         for law in gls.static
@@ -326,11 +329,11 @@ def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalPro
     template = list(static)
     for law in gls.action_dynamic:
         head = None if law.head is None else TAtom(-1, *law.head)
-        template.append(TemplateRule(head, _law_body(at_rel(law.cond, -1)), "action"))
+        template.append(TemplateRule(head, _law_body(map_leaves(law.cond, before)), "action"))
     # the law `caused F if G after H` fires at t from t-1
     for law in gls.fluent_dynamic:
         head = None if law.head is None else TAtom(0, *law.head)
-        body = _law_body(at_rel(law.cond, 0), at_rel(law.after, -1))
+        body = _law_body(map_leaves(law.cond, now), map_leaves(law.after, before))
         template.append(TemplateRule(head, body, "transition"))
 
     # step 0 has no actions and no predecessor: the initial-state choice

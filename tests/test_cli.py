@@ -166,16 +166,67 @@ class TestExitCodes:
         [" ->> ".join(["p"] * 1001), "-" * 1200 + "p"],
         ids=["impl-chain-1000", "negations-1200"],
     )
-    def test_deep_formula_is_two(self, tmp_path, formula):
+    def test_deep_formula_solves(self, tmp_path, formula):
         path = tmp_path / "deep"
         path.write_text(
             ":- constants p :: inertialFluent.\n"
             f"constraint {formula}.\n"
             ":- query label :: q; maxstep :: 0..1; maxstep: p.\n"
         )
-        rc, _, err = run([str(path), "query=q"])
-        assert rc == 2
-        assert "error: formula nested too deeply" in err
+        rc, out, err = run([str(path), "query=q"])
+        assert (rc, err) == (0, "")
+        assert "query 'q': found step 0, 1 model" in out
+
+
+def _nested_groups(levels):
+    f = "p"
+    for _ in range(levels):
+        f = f"(q ++ (p & {f}))"
+    return f
+
+
+_SUM = " + ".join(["1"] * 1500)
+
+# Each is valid input nested far deeper than the interpreter's recursion
+# limit; the action a makes p true, so each query is found at step 1.
+DEEP_LAWS = {
+    "impl-chain-2000": "constraint " + " ->> ".join(["p"] * 2001) + ".",
+    "negations-2000": "constraint " + "-" * 2000 + "(p ++ -p).",
+    "groups-1000": "constraint " + _nested_groups(1000) + ".",
+    "sum-1500": f"caused q if p & {_SUM} = 1500.",
+    "where-sum-1500": f"constraint p ->> q where X = {_SUM} - 1500.",
+    "where-conjuncts-1500": "constraint p ->> q where "
+    + " & ".join(f"X < {i}" for i in range(2, 1502)) + ".",
+}
+
+
+class TestDeepInputs:
+    @pytest.mark.parametrize("name", list(DEEP_LAWS))
+    def test_solves_and_every_dump_reads_back(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text(
+            ":- sorts n. :- objects 0..2 :: n. :- variables X :: n.\n"
+            ":- constants p, q :: inertialFluent; a :: exogenousAction.\n"
+            f"a causes p.\n{DEEP_LAWS[name]}\n"
+            ":- query label :: go; maxstep :: 0..3; 0: -p; maxstep: p.\n"
+        )
+        found = "found step 1,"
+        rc, out, err = run([str(path), "query=go"])
+        assert (rc, err) == (0, "") and found in out
+        dumps = {
+            "pre": ["--to-pre-processor", str(path)],
+            "incremental": ["--to-grounder", str(path), "query=go"],
+            "static": ["--mode=static", "--to-grounder", str(path), "query=go", "maxstep=1"],
+        }
+        for kind, args in dumps.items():
+            rc, dump, err = run(args)
+            assert (rc, err) == (0, ""), kind
+            dump_path = tmp_path / f"{kind}.dump"
+            dump_path.write_text(dump)
+            read = ["--from-pre-processor", str(dump_path), "query=go"] if kind == "pre" \
+                else ["--from-grounder", str(dump_path)]
+            rc, out, err = run(read)
+            assert (rc, err) == (0, "") and found in out, kind
 
 
 class TestBatchOutput:

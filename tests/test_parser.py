@@ -1,7 +1,10 @@
 """Input language parsing: sections, laws, formulas, queries, includes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cplusplan.mvpf import join
 from cplusplan.parser import (
     MalformedOverride,
     ParseError,
@@ -25,14 +28,15 @@ from cplusplan.syntax import (
     FalseF,
     ImplF,
     InertialLaw,
+    LangError,
     NonexecutableLaw,
     Not,
     OrF,
     RigidLaw,
     Sym,
+    TRUE,
     TrueF,
     WhereCmp,
-    description_text,
 )
 
 
@@ -94,6 +98,26 @@ class TestSections:
         d = parse_text(":- sorts a >> b >> c.", "<t>")
         assert d.sorts == {"a": (), "b": ("a",), "c": ("b",)}
         assert d.subsort_closure("a") == ["a", "b", "c"]
+
+    def test_supersort_lattice_is_walked_once(self):
+        # two sorts a layer, each below both sorts of the layer above: the
+        # paths up from the bottom double with every layer
+        layers = 30
+        decls = [f"{p}{i - 1} >> {c}{i}" for i in range(1, layers) for p in "ab" for c in "ab"]
+        d = parse_text(f":- sorts a0; b0; {'; '.join(decls)}. :- objects o :: a{layers - 1}.", "<t>")
+        assert len(d.subsort_closure("a0")) == 2 * layers - 1
+        assert d.sort_members("b0") == ["o"]
+
+    def test_long_sort_chain(self):
+        n = 2000
+        chain = " >> ".join(f"s{i}" for i in range(n))
+        d = parse_text(f":- sorts {chain}. :- objects o :: s{n - 1}.", "<t>")
+        assert d.subsort_closure("s0") == [f"s{i}" for i in range(n)]
+        assert d.sort_members("s0") == ["o"]
+
+    def test_supersort_cycle_rejected(self):
+        with pytest.raises(LangError, match="sort 'a' is part of a supersort cycle"):
+            parse_text(":- sorts a >> b >> c; c >> a.", "<t>")
 
     def test_multiple_sort_groups(self):
         d = parse_text(":- sorts a; b >> c.", "<t>")
@@ -406,25 +430,101 @@ class TestQueryOverride:
                 parse_query_override([bad])
 
 
+# A printer local to this test: it writes the fewest parentheses that the
+# grammar needs, so parsing its text back pins precedence and
+# associativity: ->> is right associative, ++ and & are flat, - is a
+# prefix, and *, / and mod bind tighter than + and -, all left associative.
+
+_TERM_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "mod": 2}
+_LEVEL = {ImplF: 1, OrF: 2, AndF: 3}  # 4 for the rest
+
+
+def show_term(t):
+    if isinstance(t, Sym):
+        return str(t.name).lower() if isinstance(t.name, bool) else str(t.name)
+    if isinstance(t, ConstRef):
+        return f"{t.name}({', '.join(show_term(a) for a in t.args)})"
+    me = _TERM_PREC[t.op]
+    left, right = show_term(t.left), show_term(t.right)
+    if isinstance(t.left, Arith) and _TERM_PREC[t.left.op] < me:
+        left = f"({left})"
+    if isinstance(t.right, Arith) and _TERM_PREC[t.right.op] <= me:
+        right = f"({right})"
+    return f"{left} {t.op} {right}"
+
+
+def show(f):
+    level = _LEVEL.get(type(f), 4)
+
+    def operand(g, tighter_than):
+        text = show(g)
+        return f"({text})" if _LEVEL.get(type(g), 4) <= tighter_than else text
+
+    if isinstance(f, ImplF):
+        return f"{operand(f.left, 1)} ->> {operand(f.right, 0)}"
+    if isinstance(f, (AndF, OrF)):
+        sep = " & " if isinstance(f, AndF) else " ++ "
+        return sep.join(operand(g, level) for g in f.parts)
+    if isinstance(f, Not):
+        return "-" + operand(f.sub, 3)
+    if isinstance(f, TrueF):
+        return "true"
+    if isinstance(f, FalseF):
+        return "false"
+    if f.right is None:
+        return show_term(f.left)
+    return f"{show_term(f.left)} {f.op} {show_term(f.right)}"
+
+
+def _terms():
+    leaf = st.one_of(st.sampled_from(["x", "y", "z"]).map(Sym), st.integers(0, 9).map(Sym))
+    return st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*", "/", "mod"]), sub, sub).map(lambda t: Arith(*t)),
+            st.lists(sub, min_size=1, max_size=2).map(lambda args: ConstRef("f", tuple(args))),
+        ),
+        max_leaves=6,
+    )
+
+
+def _atoms():
+    # a formula operand that opens with '(' is a group, and one that opens
+    # with true or false is that constant, so a left term may not
+    left = _terms().filter(lambda t: not show_term(t).startswith("("))
+    right = st.one_of(_terms(), st.booleans().map(Sym))
+    return st.one_of(
+        st.sampled_from(["x", "y"]).map(lambda n: Atom(Sym(n), "=", None)),
+        st.tuples(left, st.sampled_from(["=", "\\=", "<", ">", "=<", ">="]), right).map(
+            lambda t: Atom(*t)
+        ),
+    )
+
+
+def _formulas():
+    # `join` splices parts of the node's own class: n-ary and flat
+    return st.recursive(
+        st.one_of(_atoms(), st.just(TRUE), st.just(FalseF())),
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.tuples(sub, sub).map(lambda t: ImplF(*t)),
+            st.lists(sub, min_size=2, max_size=3).map(lambda ps: join(AndF, ps)),
+            st.lists(sub, min_size=2, max_size=3).map(lambda ps: join(OrF, ps)),
+        ),
+        max_leaves=10,
+    )
+
+
 class TestRoundTrip:
-    def test_canonical_text_reparses_to_same_description(self):
-        src = (
-            BASE
-            + """
-constraint B \\= B1 & loc(B) = loc(B1) ->> loc(B) = table.
-move(B, L) causes loc(B) = L.
-nonexecutable move(B, L) if loc(B1) = B.
-default loc(B) = table if loc(B) \\= B1 where 1 < 2.
-caused false if loc(B) = B.
-:- query label :: q; maxstep :: 0..infinity; 0: loc(a) = table; maxstep: loc(a) = b.
-"""
-        )
-        d1 = parse_text(src, "<t>")
-        text1 = description_text(d1)
-        d2 = parse_text(text1, "<rt>")
-        assert description_text(d2) == text1
-        assert d1.sorts == d2.sorts
-        assert d1.objects == d2.objects
-        assert d1.constants == d2.constants
-        assert d1.laws == d2.laws
-        assert d1.queries == d2.queries
+    @settings(max_examples=300, deadline=None)
+    @given(_formulas())
+    def test_printed_formula_parses_to_the_same_tree(self, f):
+        text = show(f)
+        d = parse_text(f"constraint {text}.", "<rt>")
+        assert repr(d.laws[0].formula) == repr(f), text
+
+    def test_printer_uses_the_fewest_parentheses(self):
+        f = ImplF(ImplF(Atom(Sym("x")), Atom(Sym("y"))), OrF((Atom(Sym("x")), AndF((Atom(Sym("y")), Not(Atom(Sym("x"))))))))
+        assert show(f) == "(x ->> y) ->> x ++ y & -x"
+        t = Arith("-", Arith("-", Sym(1), Sym(2)), Arith("*", Sym(3), Arith("mod", Sym(4), Sym(5))))
+        assert show_term(t) == "1 - 2 - 3 * (4 mod 5)"
