@@ -485,6 +485,8 @@ def test_connective_walks_match(f, v0, v1):
 # The formula and term parser against the recursive descent it replaced
 
 class RecursiveParser(_Parser):
+    # where clauses were read by this loop, building a left-nested binary
+    # WhereAnd; it builds the n-ary node here, so the trees compare
     def where_expr(self):
         parts = [self.where_atom()]
         while self.at_sym("&"):
