@@ -491,8 +491,8 @@ def main(argv: list[str], out=None, err=None, repl_source=None) -> int:
         print(f"error: {e}", file=err)
         return 2
     except RecursionError:
-        # formulas of any depth are read and walked without recursion; a
-        # chain of includes nested deeply enough still recurses in the parser
+        # input of any depth is read and walked without recursion, but the
+        # generated equality and hashing of deep dataclass trees still recurse
         print("error: input nested too deeply", file=err)
         return 2
 

@@ -176,15 +176,21 @@ class _Parser:
 
     # Statements
 
-    def parse_statements(self, include_cb) -> None:
+    def parse_statements(self) -> tuple[str, Span] | None:
+        """Reads statements up to the end of the input, or up to an
+        include, whose file name and span it returns; a later call goes on
+        after the include."""
         while self.tok.kind != "eof":
             if self.at_sym(":-"):
                 self.advance()
-                self.directive(include_cb)
+                request = self.directive()
+                if request is not None:
+                    return request
             else:
                 self.desc.laws.append(self.law())
+        return None
 
-    def directive(self, include_cb) -> None:
+    def directive(self) -> tuple[str, Span] | None:
         kw = self.eat_ident("directive name")
         if kw.text == "sorts":
             self.sorts_section()
@@ -201,9 +207,10 @@ class _Parser:
                 raise ParseError("expected quoted file name", self.tok.span)
             name = self.advance().text[1:-1]
             self.eat_sym(".")
-            include_cb(name, kw.span)
+            return name, kw.span
         else:
             raise ParseError(f"unknown directive '{kw.text}'", kw.span)
+        return None
 
     def sorts_section(self) -> None:
         while True:
@@ -729,21 +736,28 @@ def _parse_into(
     seen: set[str],
     base_dir: str,
 ) -> None:
-    def include_cb(name: str, span: Span) -> None:
+    """Parses text and, in its place, each file it includes: a stack of
+    parsers, each waiting at an include for the files below it."""
+    stack = [(_Parser(tokenize(text, path), desc), base_dir)]
+    while stack:
+        parser, base_dir = stack[-1]
+        request = parser.parse_statements()
+        if request is None:
+            stack.pop()
+            continue
+        name, span = request
         inc_path = os.path.join(base_dir, name)
         real = os.path.realpath(inc_path)
         if real in seen:
-            return
+            continue
         seen.add(real)
         try:
             with open(inc_path, encoding="utf-8") as fh:
                 inc_text = fh.read()
         except OSError as err:
             raise ParseError(f"cannot include '{name}': {err}", span) from err
-        _parse_into(desc, inc_text, inc_path, seen, os.path.dirname(inc_path) or ".")
-
-    parser = _Parser(tokenize(text, path), desc)
-    parser.parse_statements(include_cb)
+        stack.append((_Parser(tokenize(inc_text, inc_path), desc),
+                      os.path.dirname(inc_path) or "."))
 
 
 # ---------------------------------------------------------------------------

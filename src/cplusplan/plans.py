@@ -56,24 +56,46 @@ def to_plan_view(
     actions = set(gls.action_ids())
     true_vid = symbols.vid_of(True)
     truth_values = {symbols.vid_of(False), true_vid}
-    # (constant, is an action, is boolean), once per view
-    consts = [(gc, gc.cid in actions, set(gc.dom) == truth_values) for gc in symbols.order]
-    steps = []
-    for i in range(horizon + 1):
-        fl, ac = [], []
-        for gc, is_action, boolean in consts:
-            if is_action and i == horizon:
-                continue
-            vids = by_key.get((i, gc.cid), [])
-            if len(vids) != 1:
-                raise NonFunctionalModel(gc.name, i, len(vids))
-            vid = vids[0]
-            a = Assignment(gc.name, symbols.value_label(vid), boolean, boolean and vid == true_vid)
-            (ac if is_action else fl).append(a)
-        fl.sort(key=lambda a: a.const)
-        ac.sort(key=lambda a: a.const)
-        steps.append(PlanStep(i, tuple(fl), tuple(ac)))
-    return PlanView(label, horizon, tuple(steps))
+    # fluents and actions by name, and one Assignment per (constant,
+    # value), once per call
+    by_name = sorted(symbols.order, key=lambda gc: gc.name)
+    fluents = [gc for gc in by_name if gc.cid not in actions]
+    acts = [gc for gc in by_name if gc.cid in actions]
+    made: dict[tuple[int, int], Assignment] = {}
+
+    def row(consts, i: int) -> tuple[Assignment, ...]:
+        out = []
+        for gc in consts:
+            vids = by_key.get((i, gc.cid))
+            if vids is None or len(vids) != 1:
+                raise _first_fault(by_key, symbols.order, actions, i, horizon)
+            key = (gc.cid, vids[0])
+            a = made.get(key)
+            if a is None:
+                boolean = set(gc.dom) == truth_values
+                a = made[key] = Assignment(
+                    gc.name, symbols.value_label(vids[0]), boolean,
+                    boolean and vids[0] == true_vid)
+            out.append(a)
+        return tuple(out)
+
+    steps = tuple(
+        PlanStep(i, row(fluents, i), row(acts, i) if i < horizon else ())
+        for i in range(horizon + 1)
+    )
+    return PlanView(label, horizon, steps)
+
+
+def _first_fault(by_key, order, actions, i: int, horizon: int) -> NonFunctionalModel:
+    """The error for step i's first constant, in symbol order, that has
+    other than one value."""
+    counts = (
+        (gc, len(by_key.get((i, gc.cid), ())))
+        for gc in order
+        if i < horizon or gc.cid not in actions
+    )
+    gc, n = next((gc, n) for gc, n in counts if n != 1)
+    return NonFunctionalModel(gc.name, i, n)
 
 
 def _atom_text(a: Assignment) -> str:

@@ -10,15 +10,27 @@ completion.  The encoder adds what the rules leave out, that each
 paper's tool chain); the stability check needs none of it, as a
 constraint the candidate satisfies reduces to true.
 
-Each total assignment the search reaches is a candidate, and is blocked
-once it has been looked at.  When the program is tight, every model of
-the completion is stable (Fages' theorem, extended to nested bodies by
-Erdem and Lifschitz), so candidates are models as they stand.  Every
-program the translator builds is tight: positive dependencies only run
-from a step to the one before it.  For any other program (read from a
-dump, written by hand, or with a positive loop) each candidate must pass
-a stability check: it must be the unique minimal model of the program's
-reduct, which the same search decides by asking for a proper sub-model.
+Each total assignment the search reaches is a candidate.  Once it has
+been looked at, it is blocked by the negation of its decisions, the
+literals the search chose above the assumption's level, as clasp
+enumerates answer sets (Gebser, Kaufmann, Neumann and Schaub 2007).  The
+assignment is the unit-propagation closure of those decisions over the
+clauses present, so the clause excludes that assignment and no other.
+Every other variable is a function of the atoms: a Tseitin gate is an
+equivalence, a sequential counter's variables are fixed once its group
+has one value, and var 1, retired guards and the gates a retired guard
+defined are fixed at level 0.  So no two candidates share their atoms,
+and no model is lost or met twice.  Models come in the order the search
+meets them.
+
+When the program is tight, every model of the completion is stable
+(Fages' theorem, extended to nested bodies by Erdem and Lifschitz), so
+candidates are models as they stand.  Every program the translator
+builds is tight: positive dependencies only run from a step to the one
+before it.  For any other program (read from a dump, written by hand, or
+with a positive loop) each candidate must pass a stability check: it
+must be the unique minimal model of the program's reduct, which the same
+search decides by asking for a proper sub-model.
 
 One driver, ``solve_horizons``, walks a query's step range with one live
 solver, as iclingo does for the paper's incremental mode.  Each step is
@@ -62,7 +74,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import mvpf
-from .syntax import NO_SPAN
+from .syntax import NO_SPAN, kahn_remainder
 from .translate import (
     IncrementalProgram,
     PAtom,
@@ -132,8 +144,42 @@ def _truth(node, truths: list[bool]) -> bool:
 
 
 def peval(f, model: frozenset) -> bool:
-    # a leaf is an atom, true when in the model, or false
-    return mvpf.fold(f, model.__contains__, _truth)
+    """Is f true in the model?  An And stops at its first false part, an
+    Or at its first true one, and an implication with a false left part
+    is true without its right one; the walk keeps an explicit stack."""
+    stack: list = []  # (connective, its parts still to look at)
+    while True:
+        cls = f.__class__
+        if cls is mvpf.And or cls is mvpf.Or:
+            rest = iter(f.parts)
+            stack.append((cls, rest))
+            f = next(rest)
+            continue
+        if cls is mvpf.Neg:
+            stack.append((cls, None))
+            f = f.sub
+            continue
+        if cls is mvpf.Impl:
+            stack.append((cls, f.right))
+            f = f.left
+            continue
+        v = f in model  # an atom, true when in the model, or false
+        while stack:
+            cls, rest = stack.pop()
+            if cls is mvpf.Neg:
+                v = not v
+            elif cls is mvpf.Impl:
+                if v:  # a -> b is b when a holds
+                    f = rest
+                    break
+                v = True
+            elif v is not (cls is mvpf.Or):  # not decided by this part
+                f = next(rest, None)
+                if f is not None:
+                    stack.append((cls, rest))
+                    break
+        else:
+            return v
 
 
 def preduct(f, model: frozenset):
@@ -282,10 +328,12 @@ class CnfBuilder:
             else:
                 regs[i] = op[1]
 
-    def forget_guarded(self) -> None:
-        for key in self._guarded_keys:
-            del self._cache[key]
+    def forget_guarded(self) -> list[int]:
+        """Drops the gates defined under the guard from the cache and
+        returns their variables."""
+        gates = [self._cache.pop(key) for key in self._guarded_keys]
         self._guarded_keys = []
+        return gates
 
     def add_exactly_one(self, atoms: Sequence[PAtom]) -> None:
         """Some atom and at most one: pairwise up to _PAIRWISE_MAX atoms,
@@ -870,6 +918,13 @@ class Dpll:
                 self.next_restart += _RESTART_UNIT * _luby(self.restarts + 1)
                 self.backtrack(floor)
 
+    def decisions(self) -> list[int]:
+        """The decision literals above the assumption's level, lowest
+        level first.  Each level above it starts with its decision; the
+        assumption's own level may be empty."""
+        trail = self.trail
+        return [trail[i] for i in self.trail_lim[1 if self.assumption else 0:]]
+
     def block(self, clause: list[int]) -> bool:
         """Adds a clause that the total assignment falsifies and jumps back
         far enough for search to go on; False when nothing is left.  Under
@@ -965,22 +1020,10 @@ def is_tight(rules: list[PropRule]) -> bool:
         return False
     if all(body.step < head.step for head, body in edges):
         return True
-    # Kahn's algorithm: the graph is acyclic when every node gets removed
     succ: dict[PAtom, list[PAtom]] = {}
-    indegree: dict[PAtom, int] = {}
     for head, body in edges:
         succ.setdefault(head, []).append(body)
-        indegree.setdefault(head, 0)
-        indegree[body] = indegree.get(body, 0) + 1
-    ready = [a for a, d in indegree.items() if not d]
-    removed = 0
-    while ready:
-        removed += 1
-        for a in succ.get(ready.pop(), ()):
-            indegree[a] -= 1
-            if not indegree[a]:
-                ready.append(a)
-    return removed == len(indegree)
+    return not kahn_remainder(succ)
 
 
 # ---------------------------------------------------------------------------
@@ -1043,7 +1086,10 @@ class LiveSolver:
         b = self.builder
         if self.guard:
             self.solver.retire(self.guard)
-            b.forget_guarded()
+            # no clause is left on the retired gates; fixed false, they are
+            # never decided, so no two candidates differ in them alone
+            for g in b.forget_guarded():
+                self.solver.add_clause([-g])
         for a in atoms:
             b.atom_var(a)
         self.natoms += len(atoms)
@@ -1107,9 +1153,11 @@ def enumerate_models(
     groups gives the timed constants in step order, each to take exactly
     one value; without it the atoms are those the rules and extra_atoms
     mention, unconstrained (arbitrary atomic-head programs).  Each
-    total assignment of the search is a candidate; it is blocked after
-    its check, so every candidate is met once.  The stability check runs
-    only when the program is not known to be tight.
+    total assignment of the search is a candidate; after its check it is
+    blocked by the negation of its decisions, which excludes it alone
+    (see the module docstring), so every model is met once, in the order
+    the search meets it.  The stability check runs only when the program
+    is not known to be tight.
 
     Without live, rules is a fixed program, compiled as a base alone and
     searched as it stands.  With live, the call searches the live
@@ -1145,7 +1193,7 @@ def enumerate_models(
             yielded += 1
             if config.max_solutions and yielded >= config.max_solutions:
                 return
-        if not solver.block([-v if val[v] == 1 else v for _, v in atoms]):
+        if not solver.block([-lit for lit in solver.decisions()]):
             return
 
 

@@ -468,11 +468,13 @@ class ActionDescription:
 
     def validate(self) -> None:
         """Structural checks that do not need grounding."""
+        # only a sort that Kahn's algorithm cannot remove may be on a cycle
+        left = kahn_remainder(self.sorts)
         for name, supers in self.sorts.items():
             for s in supers:
                 if s not in self.sorts:
                     raise UnknownSort(f"sort '{name}' extends unknown sort '{s}'")
-            if name in _reach(name, self.sorts):
+            if name in left and name in _reach(name, self.sorts):
                 raise LangError(f"sort '{name}' is part of a supersort cycle")
         object_names = {
             o for objs in self.objects.values() for o in objs if isinstance(o, str)
@@ -513,6 +515,23 @@ def _reach(start: str, edges: dict) -> set[str]:
                 seen.add(n)
                 stack.append(n)
     return seen
+
+
+def kahn_remainder(edges: dict) -> set:
+    """The nodes that Kahn's algorithm leaves when it has removed every
+    node it can: those on a cycle and those a cycle reaches.  Empty when
+    the graph, a map from a node to its successors, is acyclic."""
+    indegree = dict.fromkeys(edges, 0)
+    for succs in edges.values():
+        for n in succs:
+            indegree[n] = indegree.get(n, 0) + 1
+    ready = [n for n, d in indegree.items() if not d]
+    while ready:
+        for n in edges.get(ready.pop(), ()):
+            indegree[n] -= 1
+            if not indegree[n]:
+                ready.append(n)
+    return {n for n, d in indegree.items() if d}
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,20 @@ class TestDeepInputs:
             assert (rc, err) == (0, "") and found in out, kind
 
 
+    def test_chain_of_includes_solves(self, tmp_path):
+        # each file includes the next; the last declares and queries
+        n = 1200
+        for i in range(n - 1):
+            (tmp_path / f"f{i}.t").write_text(f":- include 'f{i + 1}.t'.\n")
+        (tmp_path / f"f{n - 1}.t").write_text(
+            ":- constants p :: inertialFluent; a :: exogenousAction.\n"
+            "a causes p.\n"
+            ":- query label :: go; maxstep :: 0..3; 0: -p; maxstep: p.\n"
+        )
+        rc, out, err = run([str(tmp_path / "f0.t"), "query=go"])
+        assert (rc, err) == (0, "") and "found step 1," in out
+
+
 class TestBatchOutput:
     def test_plans_hide_false_booleans(self):
         rc, out, _ = run([ex("bw-pair"), "query=tower"])

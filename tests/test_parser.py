@@ -14,6 +14,7 @@ from cplusplan.parser import (
     tokenize,
 )
 from cplusplan.syntax import (
+    ActionDescription,
     AndF,
     Arith,
     Atom,
@@ -36,6 +37,7 @@ from cplusplan.syntax import (
     Sym,
     TRUE,
     TrueF,
+    UnknownSort,
     WhereCmp,
 )
 
@@ -118,6 +120,30 @@ class TestSections:
     def test_supersort_cycle_rejected(self):
         with pytest.raises(LangError, match="sort 'a' is part of a supersort cycle"):
             parse_text(":- sorts a >> b >> c; c >> a.", "<t>")
+
+    @pytest.mark.parametrize("sorts, error", [
+        # top is above the cycle a, b and c below it; a comes first
+        ("top >> a >> b; b >> a; a >> c", "sort 'a' is part of a supersort cycle"),
+        ("x >> y; y >> x; z >> w", "sort 'x' is part of a supersort cycle"),
+    ])
+    def test_cycle_error_names_the_first_sort_in_order(self, sorts, error):
+        with pytest.raises(LangError, match=error):
+            parse_text(f":- sorts {sorts}.", "<t>")
+
+    def test_first_error_in_sort_order_is_reported(self):
+        d = ActionDescription()
+        d.sorts = {"a": ("b",), "b": ("a",), "c": ("gone",)}
+        with pytest.raises(LangError, match="sort 'a' is part"):
+            d.validate()
+        d.sorts = {"c": ("gone",), "a": ("b",), "b": ("a",)}
+        with pytest.raises(UnknownSort, match="sort 'c' extends unknown sort 'gone'"):
+            d.validate()
+
+    def test_cycle_above_a_long_chain(self):
+        n = 3000
+        chain = " >> ".join(f"s{i}" for i in range(n))
+        with pytest.raises(LangError, match="sort 's0' is part"):
+            parse_text(f":- sorts {chain}; s1 >> s0.", "<t>")
 
     def test_multiple_sort_groups(self):
         d = parse_text(":- sorts a; b >> c.", "<t>")
@@ -393,6 +419,31 @@ class TestIncludes:
         (tmp_path / "top.t").write_text(":- include 'gone.t'.\n")
         with pytest.raises(ParseError, match="gone.t"):
             parse_files([str(tmp_path / "top.t")])
+
+    def test_included_statements_sit_in_place_of_the_include(self, tmp_path):
+        (tmp_path / "decl.t").write_text(
+            ":- sorts s. :- objects o :: s. :- constants p :: simpleFluent(s).\n"
+        )
+        (tmp_path / "mid.t").write_text(
+            "constraint p = o. :- include 'decl.t'. default p = o.\n"
+        )
+        (tmp_path / "top.t").write_text(
+            "caused p = o if p = o. :- include 'mid.t'. constraint -(p = o).\n"
+        )
+        d = parse_files([str(tmp_path / "top.t")])
+        assert [type(law).__name__ for law in d.laws] == [
+            "CausedLaw", "ConstraintLaw", "DefaultLaw", "ConstraintLaw"]
+        assert [law.span.path for law in d.laws] == [
+            str(tmp_path / "top.t"), str(tmp_path / "mid.t"),
+            str(tmp_path / "mid.t"), str(tmp_path / "top.t")]
+
+    def test_error_in_an_include_names_its_file_and_line(self, tmp_path):
+        (tmp_path / "bad.t").write_text(":- sorts s.\n\nconstraint = .\n")
+        (tmp_path / "top.t").write_text(":- include 'bad.t'.\n")
+        with pytest.raises(ParseError) as e:
+            parse_files([str(tmp_path / "top.t")])
+        assert e.value.span.path == str(tmp_path / "bad.t")
+        assert e.value.span.line == 3
 
 
 class TestQueryOverride:

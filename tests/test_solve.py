@@ -311,6 +311,22 @@ class TestPropHelpers:
         assert peval(mvpf.Impl(B, A), m)
         assert not peval(mvpf.And((A, B)), m)
 
+    def test_peval_of_deep_formulas(self):
+        a, b = PAtom(0, 1, 1), PAtom(0, 2, 1)
+        m = frozenset({a})
+        f = a
+        for i in range(3000):  # each connective in turn, over f
+            f = [mvpf.Neg, lambda g: mvpf.And((g, a)), lambda g: mvpf.Or((b, g)),
+                 lambda g: mvpf.Impl(g, a), lambda g: mvpf.Impl(a, g)][i % 5](f)
+        # a, then false, false, false, true, true: true after each round
+        assert peval(f, m) is True
+        assert peval(mvpf.Neg(f), m) is False
+        # the walk stops at a decided part: the parts after it, unhashable
+        # here, are not read
+        assert peval(mvpf.Or((a, [])), m) is True
+        assert peval(mvpf.And((b, [])), m) is False
+        assert peval(mvpf.Impl(b, []), m) is True
+
     def test_preduct_replaces_unsatisfied(self):
         m = frozenset({A})
         f = mvpf.Or((B, A))
@@ -918,3 +934,142 @@ class TestStepCode:
         assert [h.rules for h in records[1:]] == [records[1].rules] * (len(records) - 1)
         assert records[1].rules > records[0].rules > 0
         assert all(h.cnf_s > 0 and h.search_s > 0 for h in records)
+
+
+def atom_blocked_models(rules, groups):
+    """The reference: a fixed program's stable models, each candidate
+    blocked by a clause over all its atoms, not by its decisions."""
+    live = solve.LiveSolver(solve.StepCode(None, rules), 0)
+    stats = Stats()
+    program = live.extend(groups, [a for tc in groups for a in tc.values], stats)
+    solver = live.solver
+    atoms = list(live.builder.var_of.items())
+    found = []
+    while solver.solve():
+        model = frozenset(a for a, v in atoms if solver.val[v] == 1)
+        if program is None or is_stable_model(program, model, stats):
+            found.append(model)
+        if not solver.block([-v if solver.val[v] == 1 else v for _, v in atoms]):
+            break
+    assert len(found) == len(set(found))
+    return set(found)
+
+
+# one fluent and one action of nine values each, so both groups take a
+# sequential counter; x = 8 at step k needs go with set = 8 at some step
+WIDE = """\
+:- sorts n.
+:- objects 0..8 :: n.
+:- variables N :: n.
+:- constants x :: inertialFluent(n); set :: exogenousAction(n); go :: exogenousAction.
+go causes x = N if set = N.
+:- query label :: q; maxstep :: 0..2; 0: x = 0; maxstep: x = 8.
+"""
+
+
+class TestDecisionBlocking:
+    """Each candidate is blocked by its decisions; the models are those
+    that blocking every atom finds, each once."""
+
+    @pytest.mark.parametrize("mode", ["incremental", "static"])
+    @pytest.mark.parametrize("case", DEFAULT, ids=lambda c: f"{c.name}-{c.query}")
+    def test_cli_lists_every_model_once(self, case, mode):
+        import io
+
+        from cplusplan.cli import main
+        from cplusplan.plans import model_atom_names
+
+        gls = suite.load_example(case.name)
+        query = gls.queries[case.query]
+        inc = incremental_program(gls, query)
+
+        def listed(*extra):
+            out = io.StringIO()
+            main([f"--mode={mode}", "--to-solver", str(suite.EXAMPLES_DIR / case.name),
+                  f"query={case.query}", "all", *extra], out, io.StringIO(), io.StringIO())
+            lines = out.getvalue().splitlines()
+            assert len(lines) == len(set(lines)), extra
+            return set(lines)
+
+        def reference(k):
+            found = atom_blocked_models(inc.program(k).rules, inc.timed_consts(k))
+            return {model_atom_names(m, gls) for m in found}
+
+        k = case.expected_found_step
+        assert listed() == (set() if k is None else reference(k))
+        _, hi = LIVE_RANGES[case.name, case.query]
+        for k in range(query.min_step, min(hi, query.max_step) + 1):
+            assert listed(f"maxstep={k}") == reference(k), k
+
+    def test_wide_groups_take_counters(self):
+        gls = ground_description(parse_text(WIDE, "<wide>"))
+        inc = incremental_program(gls, gls.queries["q"])
+        # x at steps 0..2 and set at steps 0..1
+        assert sum(len(tc.values) > solve._PAIRWISE_MAX for tc in inc.timed_consts(2)) == 5
+        live = list(solve_horizons(inc, ALL, Stats()))
+        fixed = [(k, list(solve_horizons(one_horizon(inc, k), ALL, Stats()))[0][1])
+                 for k in range(3)]
+        for horizons in (live, fixed):
+            assert [len(m) for _, m in horizons] == [0, 1, 27]
+            for k, got in horizons:
+                assert len(got) == len(set(got)), k
+                assert set(got) == atom_blocked_models(
+                    inc.program(k).rules, inc.timed_consts(k)), k
+
+    def test_non_tight_dump_lists_every_stable_model_once(self, stability_calls, tmp_path):
+        import io
+
+        from cplusplan.cli import main
+        from cplusplan.export import import_incremental
+
+        inc = import_incremental(STEP_LOOP)
+        path = tmp_path / "loop.dump"
+        path.write_text(STEP_LOOP)
+        out = io.StringIO()
+        rc = main(["--mode=static", "--all-steps", "--from-grounder", "--to-solver", str(path), "all"],
+                  out, io.StringIO(), io.StringIO())
+        assert rc == 0 and stability_calls
+        lines = out.getvalue().splitlines()
+        assert len(lines) == len(set(lines)) == 3
+        stability_calls.clear()
+        live = list(solve_horizons(inc, ALL, Stats()))
+        assert stability_calls
+        for k, got in live:
+            assert len(got) == len(set(got)), k
+            assert set(got) == atom_blocked_models(inc.program(k).rules, inc.timed_consts(k)), k
+        # candidates with p and q true alone by their loop are not stable
+        assert sum(len(m) for _, m in live) == 3 < len(stability_calls)
+
+    @pytest.mark.parametrize("key", [("bw-test", "simple"), ("ferryman", "cross")], ids="-".join)
+    def test_retired_gates_are_fixed_false(self, key, monkeypatch):
+        retired = []  # the gates forgotten by the extend running now
+        counts = []  # how many each horizon's extend retired
+        forget, extend = solve.CnfBuilder.forget_guarded, solve.LiveSolver.extend
+
+        def recorded(builder):
+            retired.extend(forget(builder))
+            return list(retired)
+
+        def checked(live, groups, atoms, stats):
+            retired.clear()
+            program = extend(live, groups, atoms, stats)
+            s = live.solver
+            for g in retired:
+                assert s.val[-g] == 1 and s.level[g] == 0
+                assert not any(g in cl or -g in cl for ws in s.watches for cl in ws)
+                assert not any(g in xs or -g in xs for xs in s.implied)
+                assert not any(g in cl or -g in cl for cl in s.learnts)
+            counts.append(len(retired))
+            return program
+
+        monkeypatch.setattr(solve.CnfBuilder, "forget_guarded", recorded)
+        monkeypatch.setattr(solve.LiveSolver, "extend", checked)
+        name, label = key
+        gls = suite.load_example(name)
+        lo, hi = LIVE_RANGES[key]
+        inc = incremental_program(
+            gls, dataclasses.replace(gls.queries[label], min_step=lo, max_step=hi))
+        live = list(solve_horizons(inc, ALL, Stats()))
+        # every horizon after the first retires its predecessor's gates
+        assert counts[0] == 0 and all(counts[1:])
+        assert_same_horizons(live, fresh_horizons(inc))
