@@ -528,11 +528,20 @@ class Dpll:
     first; the variables met in each analysis move to the front.  Phases
     are saved on backtracking, and the search restarts on the Luby
     sequence.  The name is kept for tools that wrap ``propagate`` and
-    ``push_level`` by it.
+    ``push_level`` by it; every propagation goes through ``propagate``.
 
-    The solver can be extended between searches (``grow``, ``add_clause``)
-    and searched under an assumption literal; ``retire`` later asserts
-    the literal false and drops every clause it guards.
+    Each time level 0 has propagated with new literals on it, the
+    two-literal clauses they satisfy leave both implication lists
+    (``_drop_satisfied``), as MiniSat's ``simplify`` drops satisfied
+    clauses.  Such a clause is true for good, so propagation would only
+    have stepped over it: the search is the same, decision for decision,
+    with the same conflicts, propagations, learned clauses and models in
+    the same order, and ``tests/test_search_trace.py`` pins that trace on
+    the shipped examples.
+
+    The solver can be extended between searches (``grow``,
+    ``add_clauses``) and searched under an assumption literal; ``retire``
+    later asserts the literal false and drops every clause it guards.
     """
 
     def __init__(self, nvars: int, clauses: list[list[int]], stats: Stats):
@@ -551,6 +560,7 @@ class Dpll:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
+        self.fixed = 0  # level-0 literals whose satisfied implications are gone
         self.conflict: list[int] | None = None
         self.conflicts = 0
         self.restarts = 0
@@ -618,8 +628,8 @@ class Dpll:
             self.search = old + 1
         self.nvars = nvars
 
-    def add_clause(self, cl: list[int], guarded: bool = False) -> None:
-        """Adds a clause for good, at level 0, undoing any decisions first.
+    def add_clauses(self, clauses: Sequence[list[int]], guarded: bool = False) -> None:
+        """Adds clauses for good, at level 0, undoing any decisions first.
 
         Literals false at level 0 move behind the watched pair, in place; a
         clause true there is dropped.  A guarded clause mentions the
@@ -628,23 +638,25 @@ class Dpll:
         if self.trail_lim:
             self.backtrack(0)
         val = self.val
-        n = 0
-        for i, lit in enumerate(cl):
-            x = val[lit]
-            if x > 0:
-                return
-            if not x:
-                cl[i] = cl[n]
-                cl[n] = lit
-                n += 1
-        if n > 1:
-            self._attach(cl)
-            if guarded:
-                self.guarded.append(cl)
-        elif n:
-            self._assign(cl[0], None)
-        else:
-            self.ok = False
+        for cl in clauses:
+            n = 0
+            for i, lit in enumerate(cl):
+                x = val[lit]
+                if x > 0:
+                    break
+                if not x:
+                    cl[i] = cl[n]
+                    cl[n] = lit
+                    n += 1
+            else:
+                if n > 1:
+                    self._attach(cl)
+                    if guarded:
+                        self.guarded.append(cl)
+                elif n:
+                    self._assign(cl[0], None)
+                else:
+                    self.ok = False
 
     def retire(self, a: int) -> None:
         """Asserts -a for good and drops the clauses guarded by it."""
@@ -677,34 +689,34 @@ class Dpll:
         implied = self.implied
         watches = self.watches
         trail = self.trail
+        push = trail.append
         level = self.level
         reason = self.reason
         dl = len(self.trail_lim)
-        qhead = start = self.qhead
-        while qhead < len(trail):
-            false_lit = -trail[qhead]
-            qhead += 1
+        start = self.qhead
+        # the queue is the trail from qhead on: a list iterator also yields
+        # what the loop appends behind it
+        queue = iter(trail)
+        queue.__setstate__(start)
+        for false_lit in queue:
+            false_lit = -false_lit
             for lit in implied[false_lit]:
                 x = val[lit]
                 if x == 1:
                     continue
                 if x:
-                    self.conflict = [lit, false_lit]
-                    self.qhead = len(trail)
-                    self.stats.propagations += qhead - start
-                    return False
+                    return self._conflict([lit, false_lit], queue)
                 val[lit] = 1
                 val[-lit] = -1
                 v = lit if lit > 0 else -lit
                 level[v] = dl
                 reason[v] = false_lit
-                trail.append(lit)
+                push(lit)
             ws = watches[false_lit]
-            n = len(ws)
-            i = j = 0
-            while i < n:
-                cl = ws[i]
-                i += 1
+            if not ws:
+                continue
+            j = 0
+            for i, cl in enumerate(ws):
                 first = cl[0]
                 if first == false_lit:
                     first = cl[1]
@@ -725,21 +737,45 @@ class Dpll:
                     ws[j] = cl
                     j += 1
                     if val[first]:
-                        del ws[j:i]
-                        self.conflict = cl
-                        self.qhead = len(trail)
-                        self.stats.propagations += qhead - start
-                        return False
+                        del ws[j:i + 1]
+                        return self._conflict(cl, queue)
                     val[first] = 1
                     val[-first] = -1
                     v = first if first > 0 else -first
                     level[v] = dl
                     reason[v] = cl
-                    trail.append(first)
+                    push(first)
             del ws[j:]
-        self.qhead = qhead
-        self.stats.propagations += qhead - start
+        self.stats.propagations += len(trail) - start
+        self.qhead = len(trail)
         return True
+
+    def _conflict(self, clause, queue) -> bool:
+        """Keeps the conflicting clause, counts what the queue has passed
+        (its iterator's position, from ``__reduce__``) and empties it."""
+        self.conflict = clause
+        self.stats.propagations += queue.__reduce__()[2] - self.qhead
+        self.qhead = len(self.trail)
+        return False
+
+    def _drop_satisfied(self) -> None:
+        """Drops the two-literal clauses that the literals fixed at level 0
+        since the last call satisfy, as MiniSat's ``removeSatisfied`` does
+        (Eén and Sörensson 2003).  Once level 0 has propagated, a clause
+        with a fixed literal is true for good: a fixed literal's lists go,
+        and an unassigned neighbour's list loses its true literals and
+        keeps its order."""
+        implied, val, trail = self.implied, self.val, self.trail
+        touched = set()
+        for x in trail[self.fixed:]:
+            for y in implied[x]:
+                if not val[y]:
+                    touched.add(y)
+            implied[x] = []
+            implied[-x] = []
+        for y in touched:
+            implied[y] = [z for z in implied[y] if val[z] < 1]
+        self.fixed = len(trail)
 
     def push_level(self) -> None:
         self.trail_lim.append(len(self.trail))
@@ -752,8 +788,7 @@ class Dpll:
         val, phase, stamp, trail = self.val, self.phase, self.stamp, self.trail
         search = self.search
         best = stamp[search]
-        for i in range(limit, len(trail)):
-            lit = trail[i]
+        for lit in trail[limit:]:
             val[lit] = val[-lit] = 0
             if lit > 0:
                 phase[lit] = 1
@@ -796,13 +831,14 @@ class Dpll:
                     else:
                         fold = True
             idx -= 1
-            while not seen[abs(trail[idx])]:
-                idx -= 1
             p = trail[idx]
+            while not seen[p if p > 0 else -p]:
+                idx -= 1
+                p = trail[idx]
             pending -= 1
             if not pending:
                 break
-            clause = reason[abs(p)]
+            clause = reason[p if p > 0 else -p]
             if clause.__class__ is int:
                 clause = (clause,)  # p itself is already seen
         learnt[0] = -p
@@ -830,9 +866,15 @@ class Dpll:
             out.append(-self.assumption)
         back = 0
         if len(out) > 1:
-            top = max(range(1, len(out)), key=lambda i: level[abs(out[i])])
+            # the first literal of the highest level after the asserted one
+            q = out[1]
+            top, back = 1, level[q if q > 0 else -q]
+            for i in range(2, len(out)):
+                q = out[i]
+                lv = level[q if q > 0 else -q]
+                if lv > back:
+                    top, back = i, lv
             out[1], out[top] = out[top], out[1]
-            back = level[abs(out[1])]
         for v in marked:
             seen[v] = 0
         self._bump(marked)
@@ -841,21 +883,23 @@ class Dpll:
     def _bump(self, vs: list[int]) -> None:
         """Moves vs to the front of the queue, keeping their order."""
         older, newer, stamp = self.older, self.newer, self.stamp
+        front, search, clock = self.front, self.search, self.clock
         vs.sort(key=stamp.__getitem__)
         for v in vs:
-            if v == self.front:
+            if v == front:
                 continue
             o, n = older[v], newer[v]
-            if v == self.search:
-                self.search = o  # v is assigned, so it need not stay searched
+            if v == search:
+                search = o  # v is assigned, so it need not stay searched
             older[n] = o
             newer[o] = n
-            older[v] = self.front
-            newer[self.front] = v
+            older[v] = front
+            newer[front] = v
             newer[v] = 0
-            self.front = v
-            self.clock += 1
-            stamp[v] = self.clock
+            front = v
+            clock += 1
+            stamp[v] = clock
+        self.front, self.search, self.clock = front, search, clock
 
     def _decide(self) -> int:
         """The newest unassigned variable, or 0 when all are assigned."""
@@ -883,7 +927,10 @@ class Dpll:
         stats = self.stats
         while True:
             if self.propagate():
-                if len(self.trail_lim) < floor:
+                dl = len(self.trail_lim)
+                if not dl and len(self.trail) > self.fixed:
+                    self._drop_satisfied()
+                if dl < floor:
                     if self.val[assume] < 0:
                         return False
                     self.push_level()
@@ -1088,8 +1135,7 @@ class LiveSolver:
             self.solver.retire(self.guard)
             # no clause is left on the retired gates; fixed false, they are
             # never decided, so no two candidates differ in them alone
-            for g in b.forget_guarded():
-                self.solver.add_clause([-g])
+            self.solver.add_clauses([[-g] for g in b.forget_guarded()])
         for a in atoms:
             b.atom_var(a)
         self.natoms += len(atoms)
@@ -1119,10 +1165,8 @@ class LiveSolver:
             self.solver = Dpll(b.nvars, b.clauses, stats)
         else:
             self.solver.grow(b.nvars)
-            for cl in b.clauses:
-                self.solver.add_clause(cl)
-        for cl in b.guarded:
-            self.solver.add_clause(cl, guarded=True)
+            self.solver.add_clauses(b.clauses)
+        self.solver.add_clauses(b.guarded, guarded=True)
         b.clauses, b.guarded = [], []
         self.cnf_s = time.perf_counter() - t0
 

@@ -468,8 +468,16 @@ class ActionDescription:
 
     def validate(self) -> None:
         """Structural checks that do not need grounding."""
-        # only a sort that Kahn's algorithm cannot remove may be on a cycle
+        # only a sort that Kahn's algorithm cannot remove may be on a cycle;
+        # a second pass over the reversed edges removes the supersorts above
+        # every cycle, leaving the sorts on a cycle or between two
         left = kahn_remainder(self.sorts)
+        below: dict[str, list[str]] = {}
+        for name in left:
+            for s in self.sorts.get(name, ()):
+                if s in left:
+                    below.setdefault(s, []).append(name)
+        left = kahn_remainder(below)
         for name, supers in self.sorts.items():
             for s in supers:
                 if s not in self.sorts:

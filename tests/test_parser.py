@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cplusplan import syntax
 from cplusplan.mvpf import join
 from cplusplan.parser import (
     MalformedOverride,
@@ -144,6 +145,52 @@ class TestSections:
         chain = " >> ".join(f"s{i}" for i in range(n))
         with pytest.raises(LangError, match="sort 's0' is part"):
             parse_text(f":- sorts {chain}; s1 >> s0.", "<t>")
+
+    def test_cycle_below_a_long_chain_walks_from_the_cycle_only(self, monkeypatch):
+        # the two lowest sorts form a cycle; the 2,998 above it are
+        # left by Kahn's pass, but not by the pass over reversed edges
+        calls = []
+        reach = syntax._reach
+        monkeypatch.setattr(syntax, "_reach", lambda *a: calls.append(a[0]) or reach(*a))
+        n = 3000
+        chain = " >> ".join(f"s{i}" for i in range(n))
+        with pytest.raises(LangError, match=f"sort 's{n - 2}' is part"):
+            parse_text(f":- sorts {chain}; s{n - 1} >> s{n - 2}.", "<t>")
+        assert calls == [f"s{n - 2}"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.lists(st.integers(0, 7), max_size=3)),
+                    max_size=7))
+    def test_sort_errors_match_a_walk_from_every_sort(self, decls):
+        # sort 7 is never declared, so naming it is an unknown supersort
+        d = ActionDescription()
+        for name, supers in decls:
+            d.sorts[f"s{name}"] = tuple(dict.fromkeys(f"s{s}" for s in supers))
+
+        def reaches_itself(name):
+            seen, stack = set(), [name]
+            while stack:
+                for s in d.sorts.get(stack.pop(), ()):
+                    if s not in seen:
+                        seen.add(s)
+                        stack.append(s)
+            return name in seen
+
+        want = None
+        for name, supers in d.sorts.items():
+            gone = [s for s in supers if s not in d.sorts]
+            if gone:
+                want = f"sort '{name}' extends unknown sort '{gone[0]}'"
+                break
+            if reaches_itself(name):
+                want = f"sort '{name}' is part of a supersort cycle"
+                break
+        try:
+            d.validate()
+            got = None
+        except LangError as e:
+            got = str(e)
+        assert got == want
 
     def test_multiple_sort_groups(self):
         d = parse_text(":- sorts a; b >> c.", "<t>")

@@ -629,14 +629,14 @@ class TestLiveSolver:
 
     def test_assumption_refuted_then_solver_goes_on(self):
         solver = Dpll(5, [[1], [2, 3]], Stats())
-        solver.add_clause([-2, -4], guarded=True)
-        solver.add_clause([-3, -4, 5], guarded=True)
-        solver.add_clause([-5, -4], guarded=True)
+        solver.add_clauses([[-2, -4]], guarded=True)
+        solver.add_clauses([[-3, -4, 5]], guarded=True)
+        solver.add_clauses([[-5, -4]], guarded=True)
         assert not solver.solve(4)
         solver.retire(4)
         assert solver.val[-4] == 1 and solver.guarded == []
         solver.grow(6)
-        solver.add_clause([-2, -6], guarded=True)
+        solver.add_clauses([[-2, -6]], guarded=True)
         assert solver.solve(6)
         assert solver.val[3] == 1 and solver.val[2] == -1
         solver.retire(6)
@@ -663,23 +663,23 @@ class TestLiveSolver:
     def test_clauses_added_at_level_0_after_a_solve(self):
         solver = Dpll(3, [[1], [2, 3]], Stats())
         assert solver.solve()
-        solver.add_clause([-2])
-        solver.add_clause([-3, -1, 2])  # 1 and -2 hold for good: this is [-3]
+        solver.add_clauses([[-2]])
+        solver.add_clauses([[-3, -1, 2]])  # 1 and -2 hold for good: this is [-3]
         assert not solver.solve()
 
         solver = Dpll(3, [[1], [2, 3]], Stats())
         assert solver.solve()
-        solver.add_clause([-2])
-        solver.add_clause([3, -1, 2])  # and this is [3]
+        solver.add_clauses([[-2]])
+        solver.add_clauses([[3, -1, 2]])  # and this is [3]
         assert solver.solve()
         assert solver.val[2] == -1 and solver.val[3] == 1
         assert solver.solve()  # the assignment is kept until blocked
         solver.grow(5)
-        solver.add_clause([4, 5, -1])
-        solver.add_clause([-4])
+        solver.add_clauses([[4, 5, -1]])
+        solver.add_clauses([[-4]])
         assert solver.solve()
         assert solver.val[5] == 1
-        solver.add_clause([-5, 2])
+        solver.add_clauses([[-5, 2]])
         assert not solver.solve()
 
     def test_random_horizons_against_exhaustion(self, monkeypatch):
@@ -704,10 +704,10 @@ class TestLiveSolver:
                 solver.grow(guard)
                 for _ in range(rng.randint(0, 3)):
                     kept.append(clause(problem))
-                    solver.add_clause(list(kept[-1]))
+                    solver.add_clauses([list(kept[-1])])
                 volatile = [clause(problem) for _ in range(rng.randint(1, 6))]
                 for cl in volatile:
-                    solver.add_clause(cl + [-guard], guarded=True)
+                    solver.add_clauses([cl + [-guard]], guarded=True)
                 found = []
                 while solver.solve(guard):
                     found.append(frozenset(v for v in problem if solver.val[v] == 1))
@@ -740,18 +740,18 @@ class TestLiveSolver:
 def dpll_input(monkeypatch):
     """Every clause list handed to a Dpll, copied as it arrives."""
     log = []
-    init, add = Dpll.__init__, Dpll.add_clause
+    init, add = Dpll.__init__, Dpll.add_clauses
 
     def logged_init(self, nvars, clauses, stats):
         log.append((nvars, [list(cl) for cl in clauses]))
         init(self, nvars, clauses, stats)
 
-    def logged_add(self, cl, guarded=False):
-        log.append((list(cl), guarded))
-        add(self, cl, guarded)
+    def logged_add(self, clauses, guarded=False):
+        log.extend((list(cl), guarded) for cl in clauses)
+        add(self, clauses, guarded)
 
     monkeypatch.setattr(Dpll, "__init__", logged_init)
-    monkeypatch.setattr(Dpll, "add_clause", logged_add)
+    monkeypatch.setattr(Dpll, "add_clauses", logged_add)
     return log
 
 
