@@ -555,7 +555,7 @@ class Dpll:
         # a clause, or for a two-literal clause the literal whose falsity
         # implied the variable; None for decisions and facts
         self.reason: list[list[int] | int | None] = [None] * (nvars + 1)
-        self.phase = [1] * (nvars + 1)
+        self.phase = list(range(nvars + 1))  # the literal each variable last had
         self.seen = [0] * (nvars + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -609,7 +609,7 @@ class Dpll:
         self.watches[old + 1:old + 1] = [[] for _ in range(2 * add)]
         self.level += [0] * add
         self.reason += [None] * add
-        self.phase += [1] * add
+        self.phase += range(old + 1, nvars + 1)
         self.seen += [0] * add
         older, newer, stamp = self.older, self.newer, self.stamp
         tail = self.front
@@ -638,25 +638,26 @@ class Dpll:
         if self.trail_lim:
             self.backtrack(0)
         val = self.val
+        get = val.__getitem__
         for cl in clauses:
-            n = 0
-            for i, lit in enumerate(cl):
-                x = val[lit]
-                if x > 0:
-                    break
-                if not x:
-                    cl[i] = cl[n]
-                    cl[n] = lit
-                    n += 1
+            n = len(cl)
+            if any(map(get, cl)):
+                if 1 in map(get, cl):
+                    continue
+                n = 0
+                for i, lit in enumerate(cl):
+                    if not val[lit]:
+                        cl[i] = cl[n]
+                        cl[n] = lit
+                        n += 1
+            if n > 1:
+                self._attach(cl)
+                if guarded:
+                    self.guarded.append(cl)
+            elif n:
+                self._assign(cl[0], None)
             else:
-                if n > 1:
-                    self._attach(cl)
-                    if guarded:
-                        self.guarded.append(cl)
-                elif n:
-                    self._assign(cl[0], None)
-                else:
-                    self.ok = False
+                self.ok = False
 
     def retire(self, a: int) -> None:
         """Asserts -a for good and drops the clauses guarded by it."""
@@ -701,10 +702,9 @@ class Dpll:
         for false_lit in queue:
             false_lit = -false_lit
             for lit in implied[false_lit]:
-                x = val[lit]
-                if x == 1:
+                if val[lit] == 1:
                     continue
-                if x:
+                if val[lit]:
                     return self._conflict([lit, false_lit], queue)
                 val[lit] = 1
                 val[-lit] = -1
@@ -715,16 +715,19 @@ class Dpll:
             ws = watches[false_lit]
             if not ws:
                 continue
-            j = 0
-            for i, cl in enumerate(ws):
+            # the clauses still watching false_lit, in their old order; on a
+            # conflict the ones not visited follow
+            watches[false_lit] = kept = []
+            keep = kept.append
+            rest = iter(ws)
+            for cl in rest:
                 first = cl[0]
                 if first == false_lit:
                     first = cl[1]
                     cl[0] = first
                     cl[1] = false_lit
                 if val[first] == 1:
-                    ws[j] = cl
-                    j += 1
+                    keep(cl)
                     continue
                 for k in range(2, len(cl)):
                     lk = cl[k]
@@ -734,10 +737,9 @@ class Dpll:
                         watches[lk].append(cl)
                         break
                 else:
-                    ws[j] = cl
-                    j += 1
+                    keep(cl)
                     if val[first]:
-                        del ws[j:i + 1]
+                        kept += rest
                         return self._conflict(cl, queue)
                     val[first] = 1
                     val[-first] = -1
@@ -745,7 +747,6 @@ class Dpll:
                     level[v] = dl
                     reason[v] = cl
                     push(first)
-            del ws[j:]
         self.stats.propagations += len(trail) - start
         self.qhead = len(trail)
         return True
@@ -790,12 +791,8 @@ class Dpll:
         best = stamp[search]
         for lit in trail[limit:]:
             val[lit] = val[-lit] = 0
-            if lit > 0:
-                phase[lit] = 1
-                v = lit
-            else:
-                phase[-lit] = -1
-                v = -lit
+            v = lit if lit > 0 else -lit
+            phase[v] = lit
             if stamp[v] > best:
                 search, best = v, stamp[v]
         del trail[limit:]
@@ -816,25 +813,26 @@ class Dpll:
         learnt = [0]
         marked = []
         pending = 0
-        idx = len(trail)
+        earlier = reversed(trail)
         clause = self.conflict
         while True:
             for q in clause:
                 v = q if q > 0 else -q
-                if not seen[v] and level[v]:
+                if seen[v]:
+                    continue
+                lv = level[v]
+                if lv:
                     seen[v] = 1
                     marked.append(v)
-                    if level[v] == dl:
+                    if lv == dl:
                         pending += 1
-                    elif level[v] > floor:
+                    elif lv > floor:
                         learnt.append(q)
                     else:
                         fold = True
-            idx -= 1
-            p = trail[idx]
-            while not seen[p if p > 0 else -p]:
-                idx -= 1
-                p = trail[idx]
+            for p in earlier:
+                if seen[p if p > 0 else -p]:
+                    break
             pending -= 1
             if not pending:
                 break
@@ -942,7 +940,7 @@ class Dpll:
                     return True
                 stats.decisions += 1
                 self.push_level()
-                self._assign(v if self.phase[v] > 0 else -v, None)
+                self._assign(self.phase[v], None)
                 continue
             if len(self.trail_lim) <= floor:
                 if self.trail_lim:  # the assumption is refuted
