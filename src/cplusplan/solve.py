@@ -715,10 +715,9 @@ class Dpll:
             ws = watches[false_lit]
             if not ws:
                 continue
-            # the clauses still watching false_lit, in their old order; on a
-            # conflict the ones not visited follow
-            watches[false_lit] = kept = []
-            keep = kept.append
+            # compacted in place: ws[:j] keeps the clauses still watching
+            # false_lit, and the ones not visited follow them on a conflict
+            j = 0
             rest = iter(ws)
             for cl in rest:
                 first = cl[0]
@@ -727,7 +726,8 @@ class Dpll:
                     cl[0] = first
                     cl[1] = false_lit
                 if val[first] == 1:
-                    keep(cl)
+                    ws[j] = cl
+                    j += 1
                     continue
                 for k in range(2, len(cl)):
                     lk = cl[k]
@@ -737,9 +737,10 @@ class Dpll:
                         watches[lk].append(cl)
                         break
                 else:
-                    keep(cl)
+                    ws[j] = cl
+                    j += 1
                     if val[first]:
-                        kept += rest
+                        ws[j:] = list(rest)
                         return self._conflict(cl, queue)
                     val[first] = 1
                     val[-first] = -1
@@ -747,6 +748,7 @@ class Dpll:
                     level[v] = dl
                     reason[v] = cl
                     push(first)
+            del ws[j:]
         self.stats.propagations += len(trail) - start
         self.qhead = len(trail)
         return True
