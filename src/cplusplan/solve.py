@@ -555,7 +555,7 @@ class Dpll:
         # a clause, or for a two-literal clause the literal whose falsity
         # implied the variable; None for decisions and facts
         self.reason: list[list[int] | int | None] = [None] * (nvars + 1)
-        self.phase = list(range(nvars + 1))  # the literal each variable last had
+        self.phase = [1] * (nvars + 1)
         self.seen = [0] * (nvars + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -609,7 +609,7 @@ class Dpll:
         self.watches[old + 1:old + 1] = [[] for _ in range(2 * add)]
         self.level += [0] * add
         self.reason += [None] * add
-        self.phase += range(old + 1, nvars + 1)
+        self.phase += [1] * add
         self.seen += [0] * add
         older, newer, stamp = self.older, self.newer, self.stamp
         tail = self.front
@@ -793,8 +793,12 @@ class Dpll:
         best = stamp[search]
         for lit in trail[limit:]:
             val[lit] = val[-lit] = 0
-            v = lit if lit > 0 else -lit
-            phase[v] = lit
+            if lit > 0:
+                phase[lit] = 1
+                v = lit
+            else:
+                phase[-lit] = -1
+                v = -lit
             if stamp[v] > best:
                 search, best = v, stamp[v]
         del trail[limit:]
@@ -942,7 +946,7 @@ class Dpll:
                     return True
                 stats.decisions += 1
                 self.push_level()
-                self._assign(self.phase[v], None)
+                self._assign(v if self.phase[v] > 0 else -v, None)
                 continue
             if len(self.trail_lim) <= floor:
                 if self.trail_lim:  # the assumption is refuted

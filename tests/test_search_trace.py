@@ -145,6 +145,17 @@ def _rounds(nvars, clauses, rounds, check):
     return out, (stats.decisions, stats.conflicts, stats.propagations)
 
 
+def _literals(n):
+    return st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+# (variables, clauses, the units each round adds)
+CNFS = st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(_literals(n), min_size=1, max_size=4, unique_by=abs), max_size=24),
+    st.lists(st.lists(_literals(n), max_size=2), min_size=1, max_size=4)))
+
+
 class TestLevelZeroCleanup:
     def test_a_false_gate_leaves_its_neighbours_lists(self):
         # gate 3 is 1 & 2, and a constraint asserts -3
@@ -155,12 +166,7 @@ class TestLevelZeroCleanup:
         assert solver.implied[3] == solver.implied[-3] == []
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
-        st.just(n),
-        st.lists(st.lists(st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v))),
-                          min_size=1, max_size=4, unique_by=abs), max_size=24),
-        st.lists(st.lists(st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v))),
-                          max_size=2), min_size=1, max_size=4))))
+    @given(CNFS)
     def test_cleanup_changes_nothing_but_the_lists(self, cnf):
         nvars, clauses, rounds = cnf
 
