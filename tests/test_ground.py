@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cplusplan import mvpf
-from cplusplan.export import export_ground
+from cplusplan.export import export_ground, export_incremental, export_prop
 from cplusplan.ground import (
     EmptySort,
     GroundError,
@@ -16,8 +16,9 @@ from cplusplan.ground import (
     ground_description,
 )
 from cplusplan.parser import parse_text
-from cplusplan.suite import load_example
+from cplusplan.suite import CASES, load_example
 from cplusplan.syntax import LawShape
+from cplusplan.translate import incremental_program
 
 
 def desc_of(text):
@@ -574,6 +575,48 @@ class TestShippedGrounding:
         dump = hashlib.sha256(export_ground(gls).encode()).hexdigest()
         inst = hashlib.sha256(repr([l.inst for l in gls.laws]).encode()).hexdigest()
         assert (dump, inst) == self.DIGESTS[name]
+
+    # the translator's dumps of every shipped query: the incremental program
+    # and the whole-horizon program at the query's first step
+    TRANSLATOR_DIGESTS = {
+        ("bw-pair", "tower"): (
+            "bcaf7da6514aca1316d6ef1a3a069aeb883171d4b627b595c4f52dc7831ac2fb",
+            "7bdd819b6c47c1625e20e6268dcc8165929c3c55380ce343fd50040a8fa19448",
+        ),
+        ("bw-test", "simple"): (
+            "fb67202573f66a4d9a48474814b210811db7cd924d378eefd06c75e1d870283b",
+            "2b8e3038470e9a7e393ae27f726f06422cb9b4dde2757712810e8f1b4ddbe8d2",
+        ),
+        ("bw-test", "impossible"): (
+            "06bdcdb3b3fb1e1e990caf581459ae7c5af92cbf0b7dc23e6e8846f9f89b92ec",
+            "2e9eed88d58226b5c1d24455f74257578eb88a2f64dc4428f89f5c1916906818",
+        ),
+        ("hanoi", "transfer"): (
+            "faf0ce5e66c62113391b3e0ad01836380a364e00b9429aca4d4092f7b6fd240e",
+            "0e1c2bda71c937f45cb02163b2ac727bcc449a606d5e2518cb8e6f6299da1dc9",
+        ),
+        ("ferryman", "cross"): (
+            "823a62e9cd14cf16f0eb1d8e0944900ea9d1e11d36177a64401d9b68c108375b",
+            "fa9ed65c602b369e2ad4bfa91303de9409ec47c3c5fad88fd767ae8956aabbd1",
+        ),
+        ("hanoi-stress", "transfer"): (
+            "4dde7e101c0cf6bafa03c572d91d97fff4974d41ee27b49280e56149890acc1c",
+            "35edd2acf50434808e469f94dc3c766efc1b3a2f87b3d8b5793baf8ef29c50af",
+        ),
+        ("ferryman-stress", "cross"): (
+            "9b051ffa8cce9ebb7521565f6a194bd8fc60de48a01ef75bd1ac74e23ea61771",
+            "42fc382ea93862920d5cb2896d4b214b2ac5893bd4166d4c193cf057c4e1cfdc",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c.name}.{c.query}")
+    def test_translator_dump_digest(self, case):
+        gls = load_example(case.name)
+        q = gls.queries[case.query]
+        inc = incremental_program(gls, q)
+        dumps = (export_incremental(inc), export_prop(inc.program(q.min_step)))
+        got = tuple(hashlib.sha256(d.encode()).hexdigest() for d in dumps)
+        assert got == self.TRANSLATOR_DIGESTS[case.name, case.query]
 
     def test_bw_alone_has_no_locations(self):
         # `bw` is the shared base of bw-pair and bw-test; it declares no objects
