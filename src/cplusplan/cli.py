@@ -31,7 +31,7 @@ from .export import (
     import_prop,
     sniff_format,
 )
-from .ground import GroundLawSet, GroundQuery, ground_description
+from .ground import GroundLawSet, ground_description
 from .parser import (
     MalformedOverride,
     QueryOverride,
@@ -40,7 +40,7 @@ from .parser import (
 )
 from .plans import model_atom_names, render_plan_view, to_plan_view
 from .solve import SolveConfig, Stats, enumerate_models, solve_horizons
-from .syntax import LangError
+from .syntax import LangError, QuerySpec
 from .translate import IncrementalProgram, PropProgram, incremental_program
 
 STAGES = ("pre-processor", "grounder", "solver", "post-processor")
@@ -191,7 +191,7 @@ def _solve_config(ov: QueryOverride) -> SolveConfig:
     return SolveConfig(max_solutions=ov.solutions if ov.solutions is not None else 1)
 
 
-def _apply_range(query: GroundQuery, ov: QueryOverride, need_bound: bool) -> GroundQuery:
+def _apply_range(query: QuerySpec, ov: QueryOverride, need_bound: bool) -> QuerySpec:
     q = query
     if ov.have_range:
         # an explicit 'lo..infinity' cannot unbound a query that has a bound
@@ -218,7 +218,7 @@ class Outcome:
 
 def _run_query(
     gls: GroundLawSet,
-    query: GroundQuery,
+    query: QuerySpec,
     cfg: RunConfig,
     ov: QueryOverride,
     timings: dict,

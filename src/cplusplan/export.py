@@ -17,15 +17,14 @@ from __future__ import annotations
 import re
 
 from . import mvpf
-from .ground import GroundLaw, GroundLawSet, GroundQuery, SymbolTable
-from .syntax import LawShape, TimeRef
+from .ground import GroundLaw, GroundLawSet, SymbolTable
+from .syntax import LawShape, QuerySpec, TimeRef
 from .translate import (
     IncrementalProgram,
     PAtom,
     PropProgram,
     PropRule,
     TAtom,
-    TemplateRule,
     _timed_consts,
     formula_leaves,
 )
@@ -131,7 +130,7 @@ def _timeref_text(tr: TimeRef) -> str:
     return f"{tr.base}{sign}{abs(tr.offset)}"
 
 
-def _query_lines(q: GroundQuery, symbols: SymbolTable) -> list[str]:
+def _query_lines(q: QuerySpec, symbols: SymbolTable) -> list[str]:
     leaf = _mv_leaf(symbols)
     hi = "inf" if q.max_step is None else str(q.max_step)
     lines = [f"#query {_q(q.label)} {q.min_step} {hi}."]
@@ -185,9 +184,7 @@ def export_incremental(inc: IncrementalProgram) -> str:
     out.extend(_rule_line(rule, tleaf) for rule in inc.base)
     out.append("#section cumulative.")
     sleaf = _template_leaf(symbols)
-    for rule in inc.template:
-        head = "false" if rule.head is None else sleaf(rule.head)
-        out.append(f"#rule {rule.tag} {head} <- {_fmt(rule.body, sleaf)}.")
+    out.extend(_rule_line(rule, sleaf) for rule in inc.template)
     out.append("#section volatile.")
     mleaf = _mv_leaf(symbols)
     for tr, f in inc.query.lines:
@@ -461,7 +458,7 @@ def import_ground(text: str) -> GroundLawSet:
     static: list[GroundLaw] = []
     action_dynamic: list[GroundLaw] = []
     fluent_dynamic: list[GroundLaw] = []
-    queries: dict[str, GroundQuery] = {}
+    queries: dict[str, QuerySpec] = {}
     qlines: dict[str, list] = {}
     for ln, directive in _read_native(text, "ground-laws"):
         if directive == "const":
@@ -499,7 +496,7 @@ def import_ground(text: str) -> GroundLawSet:
                 hi = None
             else:
                 hi = ln.take_int()
-            queries[label] = GroundQuery(label, lo, hi, ())
+            queries[label] = QuerySpec(label, lo, hi, ())
             qlines[label] = []
         elif directive == "qline":
             label = ln.take_str()
@@ -515,7 +512,7 @@ def import_ground(text: str) -> GroundLawSet:
             raise FormatError(ln.lineno, "trailing tokens")
     for label, lines in qlines.items():
         q = queries[label]
-        queries[label] = GroundQuery(q.label, q.min_step, q.max_step, tuple(lines))
+        queries[label] = QuerySpec(q.label, q.min_step, q.max_step, tuple(lines))
     gls = interner.ground_law_set()
     gls.static = static
     gls.action_dynamic = action_dynamic
@@ -578,7 +575,12 @@ def import_incremental(text: str) -> IncrementalProgram:
     lo = hi = None
     label = None
     base: list[PropRule] = []
-    template: list[TemplateRule] = []
+    template: list[PropRule] = []
+    # each rule section's list, with the class its atoms take
+    rule_sections = {
+        "base": (base, PAtom, "base rules take concrete steps"),
+        "cumulative": (template, TAtom, "cumulative rules take t / t-1"),
+    }
     qlines: list = []
     section = None
     for ln, directive in _read_native(text, "incremental-program"):
@@ -598,21 +600,13 @@ def import_incremental(text: str) -> IncrementalProgram:
             if section not in ("base", "cumulative", "volatile"):
                 raise FormatError(ln.lineno, f"unknown section {section!r}")
         elif directive == "rule":
-            if section == "base":
-                rule = _read_rule(ln, interner)
-                if not all(
-                    isinstance(a, PAtom)
-                    for a in _rule_leaves(rule)
-                ):
-                    raise FormatError(ln.lineno, "base rules take concrete steps")
-                base.append(rule)
-            elif section == "cumulative":
-                rule = _read_rule(ln, interner)
-                if not all(isinstance(a, TAtom) for a in _rule_leaves(rule)):
-                    raise FormatError(ln.lineno, "cumulative rules take t / t-1")
-                template.append(TemplateRule(rule.head, rule.body, rule.tag))
-            else:
+            if section not in rule_sections:
                 raise FormatError(ln.lineno, "#rule outside base/cumulative")
+            rules, leaf_cls, wrong = rule_sections[section]
+            rule = _read_rule(ln, interner)
+            if not all(isinstance(a, leaf_cls) for a in _rule_leaves(rule)):
+                raise FormatError(ln.lineno, wrong)
+            rules.append(rule)
         elif directive == "qline":
             if section != "volatile":
                 raise FormatError(ln.lineno, "#qline outside the volatile section")
@@ -624,7 +618,7 @@ def import_incremental(text: str) -> IncrementalProgram:
     if lo is None or label is None:
         raise FormatError(1, "missing #range or #query header")
     gls = interner.ground_law_set()
-    query = GroundQuery(label, lo, hi, tuple(qlines))
+    query = QuerySpec(label, lo, hi, tuple(qlines))
     gls.queries = {label: query}
     return IncrementalProgram(gls, query, base, template)
 

@@ -5,7 +5,9 @@ shapes (static, action dynamic, fluent dynamic), check the heads are
 definite, then instantiate each law schema over its variables' sorts,
 resolving its formulas into multi-valued atoms over an interned ground
 signature.  A vacuous instance, one whose condition or `after` part
-resolves to false, is dropped.
+resolves to false, is dropped.  A schematic formula already has
+`mvpf`'s connectives; grounding resolves its `Atom` leaves and folds the
+connectives over them.  A query grounds into a `QuerySpec` over MvAtoms.
 
 Each schema is compiled once (`_LawPlan`).  Its variables keep the order
 of their first occurrence in the head, condition, after part and where
@@ -50,7 +52,6 @@ from .syntax import (
     AlwaysLaw,
     Arith,
     Atom,
-    AndF,
     CausedLaw,
     CausesLaw,
     Classification,
@@ -61,24 +62,18 @@ from .syntax import (
     DefaultLaw,
     ExogenousLaw,
     ExternalCall,
-    FalseF,
     Formula,
-    ImplF,
     InertialLaw,
     LangError,
     LawShape,
     NO_SPAN,
     NonexecutableLaw,
-    Not,
-    OrF,
     QuerySpec,
     RigidLaw,
     ShorthandLaw,
     Span,
     Sym,
     Term,
-    TimeRef,
-    TrueF,
     UndeclaredConstant,
     WhereAnd,
     WhereCmp,
@@ -136,13 +131,13 @@ def expand_shorthand(law: ShorthandLaw, desc: ActionDescription) -> list[CoreLaw
             return [CoreLaw(LawShape.ACTION_DYNAMIC, law.head, law.cond, None, law.where, span)]
         return [_static(law.head, law.cond, law.where, span, desc)]
     if isinstance(law, ConstraintLaw):
-        return [_static(FalseF(), Not(law.formula), law.where, span, desc)]
+        return [_static(mvpf.BOT, mvpf.Neg(law.formula), law.where, span, desc)]
     if isinstance(law, DefaultLaw):
         ref = head_atom_constref(law.head, desc)
         if ref is None:
             raise GroundError("default needs a single constant atom", span)
         decl = desc.constants[ref.name]
-        body = law.head if isinstance(law.cond, TrueF) else mvpf.join(AndF, (law.head, law.cond))
+        body = law.head if mvpf.is_top(law.cond) else mvpf.join(mvpf.And, (law.head, law.cond))
         if decl.kind.is_action:
             return [CoreLaw(LawShape.ACTION_DYNAMIC, law.head, body, None, law.where, span)]
         return [_static(law.head, body, law.where, span, desc)]
@@ -179,12 +174,12 @@ def expand_shorthand(law: ShorthandLaw, desc: ActionDescription) -> list[CoreLaw
         )
     if isinstance(law, (CausesLaw, NonexecutableLaw)):
         after = law.action
-        if not isinstance(law.cond, TrueF):
-            after = mvpf.join(AndF, (law.action, law.cond))
-        head = law.effect if isinstance(law, CausesLaw) else FalseF()
-        return [_fluent_dynamic(head, TrueF(), after, law.where, span, desc)]
+        if not mvpf.is_top(law.cond):
+            after = mvpf.join(mvpf.And, (law.action, law.cond))
+        head = law.effect if isinstance(law, CausesLaw) else mvpf.BOT
+        return [_fluent_dynamic(head, mvpf.TOP, after, law.where, span, desc)]
     if isinstance(law, AlwaysLaw):
-        return [_fluent_dynamic(FalseF(), TrueF(), Not(law.formula), law.where, span, desc)]
+        return [_fluent_dynamic(mvpf.BOT, mvpf.TOP, mvpf.Neg(law.formula), law.where, span, desc)]
     raise TypeError(f"not a shorthand law: {law!r}")
 
 
@@ -322,14 +317,6 @@ class GroundLaw:
     inst: tuple = ()  # substituted objects, in variable order
 
 
-@dataclass(frozen=True)
-class GroundQuery:
-    label: str
-    min_step: int
-    max_step: int | None
-    lines: tuple[tuple[TimeRef, mvpf.MvFormula], ...]
-
-
 @dataclass
 class GroundLawSet:
     symbols: SymbolTable
@@ -337,7 +324,7 @@ class GroundLawSet:
     static: list[GroundLaw]
     action_dynamic: list[GroundLaw]
     fluent_dynamic: list[GroundLaw]
-    queries: dict[str, GroundQuery]
+    queries: dict[str, QuerySpec]  # over MvAtoms
 
     @property
     def laws(self) -> list[GroundLaw]:
@@ -526,15 +513,12 @@ class _Resolver:
                 ops.append((_ATOM, lookup))
                 names.update(atom_names)
                 constant_free = constant_free and not has_const
-            elif cls is TrueF or cls is FalseF:
-                ops.append((_CONST, mvpf.TOP if cls is TrueF else mvpf.BOT))
-            elif cls is Not:
-                stack += [(_NOT, 1), f.sub]
-            elif cls is ImplF:
-                stack += [(_IMPL, 2), f.right, f.left]
-            elif cls is AndF or cls is OrF:
-                stack.append((_AND if cls is AndF else _OR, len(f.parts)))
-                stack.extend(reversed(f.parts))
+            elif cls is mvpf.Bot or mvpf.is_top(f):  # true is no negation to run
+                ops.append((_CONST, mvpf.BOT if cls is mvpf.Bot else mvpf.TOP))
+            elif cls in _CODES:
+                parts = mvpf.KIDS[cls](f)
+                stack.append((_CODES[cls], len(parts)))
+                stack.extend(reversed(parts))
             else:
                 raise TypeError(f"not a formula: {f!r}")
         return ops, names, constant_free
@@ -542,7 +526,7 @@ class _Resolver:
     def head(self, f: Formula, slots: dict[str, int], span: Span):
         """A function from a binding to the head's (constant id, value id),
         None for a `false` head.  The head's variables get their slots."""
-        if isinstance(f, FalseF):
+        if f.__class__ is mvpf.Bot:
             return lambda env: None
         if head_atom_constref(f, self.desc) is None:
             self.compile(f, slots, span)
@@ -594,6 +578,7 @@ def _raiser(cls: type, message: str, span: Span):
 
 
 _CONST, _ATOM, _NOT, _AND, _OR, _IMPL = range(6)
+_CODES = {mvpf.Neg: _NOT, mvpf.And: _AND, mvpf.Or: _OR, mvpf.Impl: _IMPL}
 
 
 def _run(ops: list[tuple], env: list) -> mvpf.MvFormula:
@@ -762,7 +747,7 @@ class _LawPlan:
             if f is None:
                 body.append(None)
                 continue
-            parts = f.parts if f.__class__ is AndF else (f,)
+            parts = f.parts if f.__class__ is mvpf.And else (f,)
             ops: list[tuple] = []
             for g in parts:
                 g_ops, g_vars, constant_free = resolver.compile(g, slots, span)
@@ -939,7 +924,8 @@ def ground_description(desc: ActionDescription) -> GroundLawSet:
     return GroundLawSet(symbols, signature, static, action_dynamic, fluent_dynamic, queries)
 
 
-def ground_query(q: QuerySpec, desc: ActionDescription, resolver: _Resolver) -> GroundQuery:
+def ground_query(q: QuerySpec, desc: ActionDescription, resolver: _Resolver) -> QuerySpec:
+    """The query with its formulas resolved into MvFormulas."""
     lines = []
     for tref, f in q.lines:
         slots: dict[str, int] = {}
@@ -951,4 +937,4 @@ def ground_query(q: QuerySpec, desc: ActionDescription, resolver: _Resolver) -> 
                 q.span,
             )
         lines.append((tref, _run(ops, [])))
-    return GroundQuery(q.label, q.min_step, q.max_step, tuple(lines))
+    return QuerySpec(q.label, q.min_step, q.max_step, tuple(lines), q.span)

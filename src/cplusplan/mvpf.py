@@ -4,15 +4,17 @@ A signature assigns every constant a finite, nonempty domain of values.
 An interpretation maps every constant of the signature to one value from
 its domain.  Formulas are built from equality atoms ``c=v`` with the usual
 connectives; ``true`` is kept as the negation of ``false`` so the connective
-set stays minimal.
+set stays minimal.  Every formula layer of the package uses these
+connectives and differs only in the atoms at its leaves.
 
 Conjunction and disjunction are n-ary: an `And` or `Or` holds two or more
 parts, none of its own class, so a walker goes one level deep per chain.
 `join`, `conj` and `disj` splice chains as they build them.
 
 Formulas of any depth are walked on explicit stacks.  `fold` is the one
-post-order fold that the translator, the dumps and the search use, and the
-syntax layer too, with its own table of children.  `satisfies` and
+post-order fold that the parser, the translator, the dumps and the search
+use; the syntax layer passes its own table of children, this module's
+`KIDS` and those of its terms and where clauses.  `satisfies` and
 `reduct` keep loops of their own, so the reference semantics shares no
 evaluator with the code it checks.
 
@@ -157,7 +159,8 @@ def fold(root, leaf, node, kids=KIDS):
     """Post-order fold on an explicit stack: `leaf(x)` for each node whose
     class `kids` does not list, `node(n, values)` for every other node,
     with the values of its children, left to right.  `kids` maps a class
-    to a function that gives a node's children."""
+    to a function that gives a node's children: `KIDS` for a formula of
+    any layer, `syntax.KIDS` to go on into terms and where clauses."""
     kids_of = kids.get
     get = kids_of(root.__class__)
     if get is None:
@@ -193,8 +196,8 @@ def fold(root, leaf, node, kids=KIDS):
 
 
 def join(cls: type, parts: Iterable) -> object:
-    """The n-ary connective `cls` (And, Or, AndF or OrF) over parts, those
-    of class `cls` spliced in; true and false parts stay."""
+    """The n-ary connective `cls` (And or Or) over parts, those of class
+    `cls` spliced in; true and false parts stay."""
     out: list = []
     for p in parts:
         if p.__class__ is cls:

@@ -20,7 +20,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .mvpf import fold, join
+from .mvpf import BOT, TOP, And, Impl, Neg, Or, fold, join, rebuild
 from .syntax import (
     ARITH_PREC,
     COMPARISONS,
@@ -29,7 +29,6 @@ from .syntax import (
     AlwaysLaw,
     Arith,
     Atom,
-    AndF,
     CausedLaw,
     CausesLaw,
     ConstantDecl,
@@ -39,15 +38,11 @@ from .syntax import (
     DuplicateDeclaration,
     ExogenousLaw,
     ExternalCall,
-    FalseF,
     Formula,
-    ImplF,
     InertialLaw,
     KIND_SPELLINGS,
     LangError,
     NonexecutableLaw,
-    Not,
-    OrF,
     QuerySpec,
     RESERVED_WORDS,
     RigidLaw,
@@ -55,7 +50,6 @@ from .syntax import (
     Sym,
     Term,
     TimeRef,
-    TRUE,
     WhereAnd,
     WhereCmp,
     WhereExpr,
@@ -373,7 +367,7 @@ class _Parser:
                 while self.at_sym(","):
                     self.advance()
                     parts.append(self.formula())
-                lines.append((tref, join(AndF, parts)))
+                lines.append((tref, join(And, parts)))
             if self.at_sym(";"):
                 self.advance()
                 continue
@@ -411,7 +405,7 @@ class _Parser:
         if self.at_word("caused"):
             self.advance()
             head = self.formula()
-            cond: Formula = TRUE
+            cond: Formula = TOP
             after: Formula | None = None
             if self.at_word("if"):
                 self.advance()
@@ -426,7 +420,7 @@ class _Parser:
         if self.at_word("default"):
             self.advance()
             head = self.formula()
-            cond = TRUE
+            cond = TOP
             if self.at_word("if"):
                 self.advance()
                 cond = self.formula()
@@ -443,7 +437,7 @@ class _Parser:
         if self.at_word("nonexecutable"):
             self.advance()
             action = self.formula()
-            cond = TRUE
+            cond = TOP
             if self.at_word("if"):
                 self.advance()
                 cond = self.formula()
@@ -459,7 +453,7 @@ class _Parser:
             )
         self.advance()
         effect = self.formula()
-        cond = TRUE
+        cond = TOP
         if self.at_word("if"):
             self.advance()
             cond = self.formula()
@@ -544,37 +538,37 @@ class _Parser:
                 continue
             if self.at_word("true"):
                 self.advance()
-                f = TRUE
+                f = TOP
             elif self.at_word("false"):
                 self.advance()
-                f = FalseF()
+                f = BOT
             else:
                 f = self.atom()
             for _ in range(negations):
-                f = Not(f)
+                f = Neg(f)
             while True:  # f is an operand of the innermost group
                 group = groups[-1]
                 group[3].append(f)
                 if self.at_sym("&"):
                     break
-                group[2].append(join(AndF, group[3]))
+                group[2].append(join(And, group[3]))
                 group[3] = []
                 if self.at_sym("++"):
                     break
-                group[1].append(join(OrF, group[2]))
+                group[1].append(join(Or, group[2]))
                 group[2] = []
                 if self.at_sym("->>"):
                     break
                 links = group[1]
                 f = links.pop()
                 while links:
-                    f = ImplF(links.pop(), f)
+                    f = Impl(links.pop(), f)
                 if len(groups) == 1:
                     return f
                 self.eat_sym(")")
                 groups.pop()
                 for _ in range(group[0]):
-                    f = Not(f)
+                    f = Neg(f)
             self.advance()  # the connective
 
     def atom(self) -> Formula:
@@ -660,22 +654,20 @@ def _resolved(n, parts: list):
     cls = n.__class__
     if cls is Atom:
         return Atom(parts[0], n.op, parts[1] if len(parts) > 1 else None)
-    if cls is Not:
-        sub = parts[0]
-        # A negated bare boolean constant means the constant takes the
-        # value false; this keeps such heads definite.
-        if sub.__class__ is Atom and sub.right is None and sub.left.__class__ is ConstRef:
-            return Atom(sub.left, "=", Sym(False))
-        return Not(sub)
     if cls is ConstRef:
         return ConstRef(n.name, tuple(parts))
-    if cls is AndF or cls is OrF or cls is WhereAnd:
-        return cls(tuple(parts))
-    if cls is ImplF:
-        return ImplF(*parts)
+    if cls is WhereAnd:
+        return WhereAnd(tuple(parts))
     if cls is ExternalCall:
         return n  # its arguments stay as written
-    return cls(n.op, *parts)  # Arith, WhereCmp
+    if cls is Arith or cls is WhereCmp:
+        return cls(n.op, *parts)
+    sub = parts[0]
+    # A negated bare boolean constant means the constant takes the value
+    # false; this keeps such heads definite.
+    if cls is Neg and sub.__class__ is Atom and sub.right is None and sub.left.__class__ is ConstRef:
+        return Atom(sub.left, "=", Sym(False))
+    return rebuild(n, parts)  # a connective
 
 
 def _resolve_description(desc: ActionDescription) -> None:

@@ -10,10 +10,13 @@ or variable symbol, an integer arithmetic expression, or a reference to a
 declared constant.  Which side of an atom is the constant (if any) is only
 pinned down during resolution, after all includes have been read.
 
-`AndF` and `OrF` are n-ary and flat, as `And` and `Or` in `mvpf` are,
-and so is `WhereAnd`.  Trees of any depth are walked on explicit stacks:
-`walk` visits every node in pre-order, and `mvpf.fold` folds a tree in
-post-order over the children table `KIDS`.
+The connectives are those of `mvpf`: `Neg`, the n-ary and flat `And`
+and `Or`, `Impl`, and `BOT` for ``false``, with ``true`` written as
+`TOP`, the negation of `BOT`.  A schematic formula differs from a ground
+one only in its leaves, `Atom` here and `MvAtom` there.  `WhereAnd`, of
+the integer where-language, is n-ary and flat too.  Trees of any depth
+are walked on explicit stacks: `walk` visits every node in pre-order, and
+`mvpf.fold` folds a tree in post-order over the children table `KIDS`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator, Union
 
+from . import mvpf
 from .mvpf import fold
 
 RESERVED_WORDS = frozenset(
@@ -111,41 +115,7 @@ class Atom:
     right: Term | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class TrueF:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class FalseF:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Not:
-    sub: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class AndF:
-    parts: tuple["Formula", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class OrF:
-    parts: tuple["Formula", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ImplF:
-    left: "Formula"
-    right: "Formula"
-
-
-Formula = Union[Atom, TrueF, FalseF, Not, AndF, OrF, ImplF]
-
-TRUE = TrueF()
-FALSE = FalseF()
+Formula = Union[Atom, mvpf.Bot, mvpf.Neg, mvpf.And, mvpf.Or, mvpf.Impl]
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +147,11 @@ WhereExpr = Union[WhereCmp, WhereAnd, ExternalCall]
 # ---------------------------------------------------------------------------
 # Walks and the text of a term
 
-# The children of each node class; Sym, TrueF and FalseF have none.
+# The children of each node class: the connectives' from `mvpf`, then
+# those of atoms, terms and where clauses; Sym and Bot have none.
 KIDS = {
+    **mvpf.KIDS,
     Atom: lambda n: (n.left,) if n.right is None else (n.left, n.right),
-    Not: lambda n: (n.sub,),
-    AndF: attrgetter("parts"),
-    OrF: attrgetter("parts"),
-    ImplF: attrgetter("left", "right"),
     ConstRef: attrgetter("args"),
     Arith: attrgetter("left", "right"),
     WhereCmp: attrgetter("left", "right"),

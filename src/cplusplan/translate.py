@@ -10,15 +10,16 @@ them rather than trusting either implementation alone:
 
 The propositional program has one construction, the incremental one:
 base rules for step 0, a per-step template of cumulative rules, and the
-volatile query constraints.  The whole-horizon program for a fixed m is
-the base, the template placed at steps 1..m, and the query at m.  The
-search compiles the template itself, once per query, and places it at
-each step without building rules (``solve.StepCode``); the placed rules
-are built as ``PropRule`` lists only where something reads them: the
-static dump (``program``), the stability check of a program that is not
-known to be tight, and the tests.  A rule list handed to the search, such
-as a static dump read back, is compiled by the same compiler, as a base
-alone.
+volatile query constraints, each a list of ``PropRule``s over ``PAtom``s
+or, in the template, over ``TAtom``s relative to the step.  The
+whole-horizon program for a fixed m is the base, the template placed at
+steps 1..m, and the query at m.  The search compiles the template
+itself, once per query, and places it at each step without building
+rules (``solve.StepCode``); the placed rules are built as ``PropRule``
+lists only where something reads them: the static dump (``program``),
+the stability check of a program that is not known to be tight, and the
+tests.  A rule list handed to the search, such as a static dump read
+back, is compiled by the same compiler, as a base alone.
 
 Fluent constants live at steps 0..m, action constants at 0..m-1.  Laws
 become rules with the condition part double-negated, which keeps every
@@ -40,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import mvpf
-from .ground import GroundLawSet, GroundQuery
-from .syntax import LangError, NO_SPAN
+from .ground import GroundLawSet
+from .syntax import LangError, NO_SPAN, QuerySpec
 
 
 class TranslateError(LangError):
@@ -88,15 +89,8 @@ class TAtom:
 class PropRule:
     """head <- body.  head None is a constraint (`false <- body`)."""
 
-    head: PAtom | None
-    body: object  # formula over PAtom leaves, mvpf connective nodes
-    tag: str
-
-
-@dataclass(frozen=True, slots=True)
-class TemplateRule:
-    head: TAtom | None
-    body: object  # formula over TAtom leaves
+    head: PAtom | TAtom | None  # TAtom in a template rule
+    body: object  # formula over the head's atom class, mvpf connective nodes
     tag: str
 
 
@@ -202,7 +196,7 @@ def _choice_rules(gls: GroundLawSet) -> list[PropRule]:
     return out
 
 
-def query_steps(query: GroundQuery, gls: GroundLawSet, m: int) -> list[int]:
+def query_steps(query: QuerySpec, gls: GroundLawSet, m: int) -> list[int]:
     """The step each query line lands on at horizon m; raises when one is
     out of range."""
     actions = set(gls.action_ids())
@@ -224,7 +218,7 @@ def query_steps(query: GroundQuery, gls: GroundLawSet, m: int) -> list[int]:
     return out
 
 
-def to_prop(gls: GroundLawSet, m: int, query: GroundQuery | None = None) -> PropProgram:
+def to_prop(gls: GroundLawSet, m: int, query: QuerySpec | None = None) -> PropProgram:
     """Whole-horizon propositional program for steps 0..m.
 
     Cut from the incremental template: the base rules, the step rules for
@@ -233,14 +227,14 @@ def to_prop(gls: GroundLawSet, m: int, query: GroundQuery | None = None) -> Prop
     incremental_program once and call its program method per horizon.
     """
     if query is None:
-        query = GroundQuery("", 0, None, ())
+        query = QuerySpec("", 0, None, ())
     return incremental_program(gls, query).program(m)
 
 
 # ---------------------------------------------------------------------------
 # Incremental program
 
-def _instantiate(template: list[TemplateRule], t: int) -> list[PropRule]:
+def _instantiate(template: list[PropRule], t: int) -> list[PropRule]:
     """The template rules placed at step t."""
 
     def place(a: TAtom) -> PAtom:
@@ -271,9 +265,9 @@ class IncrementalProgram:
     """
 
     gls: GroundLawSet
-    query: GroundQuery
+    query: QuerySpec  # over MvAtoms
     base: list[PropRule]
-    template: list[TemplateRule]
+    template: list[PropRule]  # over TAtoms
 
     @property
     def min_step(self) -> int:
@@ -315,11 +309,11 @@ def _law_body(cond, after=None):
     return body if after is None else mvpf.conj(body, after)
 
 
-def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalProgram:
+def incremental_program(gls: GroundLawSet, query: QuerySpec) -> IncrementalProgram:
     _check_domains(gls)
     now, before = _atoms_at(0), _atoms_at(-1)
     static = [
-        TemplateRule(
+        PropRule(
             None if law.head is None else TAtom(0, *law.head),
             _law_body(map_leaves(law.cond, now)),
             "static",
@@ -329,12 +323,12 @@ def incremental_program(gls: GroundLawSet, query: GroundQuery) -> IncrementalPro
     template = list(static)
     for law in gls.action_dynamic:
         head = None if law.head is None else TAtom(-1, *law.head)
-        template.append(TemplateRule(head, _law_body(map_leaves(law.cond, before)), "action"))
+        template.append(PropRule(head, _law_body(map_leaves(law.cond, before)), "action"))
     # the law `caused F if G after H` fires at t from t-1
     for law in gls.fluent_dynamic:
         head = None if law.head is None else TAtom(0, *law.head)
         body = _law_body(map_leaves(law.cond, now), map_leaves(law.after, before))
-        template.append(TemplateRule(head, body, "transition"))
+        template.append(PropRule(head, body, "transition"))
 
     # step 0 has no actions and no predecessor: the initial-state choice
     # and the static laws
@@ -378,7 +372,7 @@ class TimedIndex:
 
 
 def horizon_theory(
-    gls: GroundLawSet, m: int, query: GroundQuery | None = None
+    gls: GroundLawSet, m: int, query: QuerySpec | None = None
 ) -> tuple[mvpf.MvTheory, TimedIndex]:
     """The translation as an MvTheory, for the exhaustive-semantics route.
 

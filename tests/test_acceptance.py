@@ -14,7 +14,6 @@ import time
 
 from cplusplan import mvpf, suite
 from cplusplan.cli import main
-from cplusplan.ground import GroundQuery
 from cplusplan.plans import to_plan_view
 from cplusplan.solve import (
     LiveSolver,
@@ -24,7 +23,7 @@ from cplusplan.solve import (
     enumerate_models,
     solve_incremental,
 )
-from cplusplan.syntax import TimeRef
+from cplusplan.syntax import QuerySpec, TimeRef
 from cplusplan.translate import (
     PAtom,
     PropRule,
@@ -302,7 +301,7 @@ def test_criterion_6_grounding_accounting(monkeypatch):
         for case in suite.default_cases():
             gls = suite.load_example(case.name)
             q = gls.queries[case.query]
-            dead: GroundQuery = dataclasses.replace(
+            dead: QuerySpec = dataclasses.replace(
                 q, min_step=0, max_step=3, lines=q.lines + (blocked,)
             )
             inc = incremental_program(gls, dead)

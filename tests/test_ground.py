@@ -105,6 +105,14 @@ class TestExpansionShapes:
             atom(gls, "loc(a)", "table"), atom(gls, "loc(b)", "table")
         )
 
+    @pytest.mark.parametrize(
+        "spelled, plain",
+        [("default p if -false.", "default p."), ("nonexecutable a if true.", "nonexecutable a.")],
+    )
+    def test_a_true_condition_counts_as_absent(self, spelled, plain):
+        decls = ":- constants p :: inertialFluent; a :: exogenousAction.\n"
+        assert export_ground(ground(decls + spelled)) == export_ground(ground(decls + plain))
+
     def test_rigid_rejected_with_hint(self):
         d = desc_of(BW + "rigid loc(a).")
         with pytest.raises(GroundError, match="statDetFluent"):
@@ -364,6 +372,12 @@ class TestQueryGrounding:
         assert f0 == mvpf.conj(atom(gls, "loc(a)", "table"), atom(gls, "loc(b)", "table"))
         assert f1 == atom(gls, "loc(a)", "b")
         assert t1.base == "maxstep"
+
+    def test_ground_query_keeps_its_span(self):
+        d = desc_of(BW + ":- query label :: q; maxstep :: 1; 0: loc(a) = table.")
+        span = d.queries["q"].span
+        assert span.line > 0
+        assert ground_description(d).queries["q"].span == span
 
     def test_variables_rejected_in_queries(self):
         with pytest.raises(GroundError, match="variable"):

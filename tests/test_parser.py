@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplusplan import syntax
-from cplusplan.mvpf import join
+from cplusplan import mvpf, syntax
+from cplusplan.mvpf import BOT, TOP, And, Bot, Impl, Neg, Or, is_top, join
 from cplusplan.parser import (
     MalformedOverride,
     ParseError,
@@ -16,7 +16,6 @@ from cplusplan.parser import (
 )
 from cplusplan.syntax import (
     ActionDescription,
-    AndF,
     Arith,
     Atom,
     CausedLaw,
@@ -27,17 +26,11 @@ from cplusplan.syntax import (
     DefaultLaw,
     DuplicateDeclaration,
     ExogenousLaw,
-    FalseF,
-    ImplF,
     InertialLaw,
     LangError,
     NonexecutableLaw,
-    Not,
-    OrF,
     RigidLaw,
     Sym,
-    TRUE,
-    TrueF,
     UnknownSort,
     WhereCmp,
 )
@@ -251,12 +244,12 @@ class TestLaws:
     def test_caused_after(self):
         law = self.p("caused loc(B) = L after move(B, L).")
         assert isinstance(law, CausedLaw)
-        assert isinstance(law.cond, TrueF)
+        assert is_top(law.cond)
         assert law.after is not None
 
     def test_caused_if_after(self):
         law = self.p("caused loc(B) = table if loc(B) = B1 after move(B, table).")
-        assert not isinstance(law.cond, TrueF)
+        assert not is_top(law.cond)
         assert law.after is not None
 
     def test_constraint(self):
@@ -266,7 +259,7 @@ class TestLaws:
     def test_default(self):
         law = self.p("default loc(B) = table.")
         assert isinstance(law, DefaultLaw)
-        assert isinstance(law.cond, TrueF)
+        assert is_top(law.cond)
 
     def test_inertial_list(self):
         law = self.p("inertial loc(B).")
@@ -293,7 +286,7 @@ class TestLaws:
     def test_nonexecutable_conjunction_action(self):
         law = self.p("nonexecutable move(B, L) & move(B1, L) if B \\= B1.")
         assert isinstance(law, NonexecutableLaw)
-        assert isinstance(law.action, AndF)
+        assert isinstance(law.action, And)
 
     def test_where_clause(self):
         law = self.p("nonexecutable move(B, L) where 1 < 2.")
@@ -317,18 +310,18 @@ class TestFormulas:
     def test_precedence_chain(self):
         # - binds over &, & over ++, ++ over ->>
         f = self.f("-loc(B) = table ++ loc(B) = L & loc(B1) = L ->> loc(B) = B1")
-        assert isinstance(f, ImplF)
-        assert isinstance(f.left, OrF)
-        assert isinstance(f.left.parts[1], AndF)
+        assert isinstance(f, Impl)
+        assert isinstance(f.left, Or)
+        assert isinstance(f.left.parts[1], And)
 
     def test_neg_of_equality_atom(self):
         f = self.f("-(loc(B) = table)")
-        assert isinstance(f, Not)
+        assert isinstance(f, Neg)
 
     def test_impl_right_assoc(self):
         f = self.f("loc(B) = L ->> loc(B) = L ->> loc(B) = L")
-        assert isinstance(f, ImplF)
-        assert isinstance(f.right, ImplF)
+        assert isinstance(f, Impl)
+        assert isinstance(f.right, Impl)
 
     def test_bare_boolean_sugar(self):
         d = parse_text(":- constants p :: simpleFluent. constraint p. constraint -p.", "<t>")
@@ -341,7 +334,7 @@ class TestFormulas:
     def test_double_negation_survives(self):
         d = parse_text(":- constants p :: simpleFluent. constraint --p.", "<t>")
         f = d.laws[0].formula
-        assert isinstance(f, Not)
+        assert isinstance(f, Neg)
         assert f.sub == Atom(ConstRef("p", ()), "=", Sym(False))
 
     def test_comparison_atoms(self):
@@ -371,8 +364,19 @@ class TestFormulas:
 
     def test_true_false_atoms(self):
         f = self.f("true ->> false")
-        assert isinstance(f.left, TrueF)
-        assert isinstance(f.right, FalseF)
+        assert f.left == TOP
+        assert f.right == BOT
+
+    def test_spellings_of_true_and_false(self):
+        # true is the negation of false, so -false is true itself
+        assert self.f("true") == TOP
+        assert self.f("false") == BOT
+        assert self.f("-true") == Neg(TOP)
+        assert self.f("-false") == TOP
+
+    def test_connectives_share_mvpf_children(self):
+        for cls in mvpf.KIDS:
+            assert syntax.KIDS[cls] is mvpf.KIDS[cls]
 
 
 class TestQueries:
@@ -393,7 +397,7 @@ class TestQueries:
         assert len(q.lines) == 2
         t0, f0 = q.lines[0]
         assert (t0.base, t0.offset) == (0, 0)
-        assert isinstance(f0, AndF)  # comma list folds into a conjunction
+        assert isinstance(f0, And)  # comma list folds into a conjunction
         t1, _ = q.lines[1]
         assert t1.base == "maxstep"
 
@@ -534,7 +538,7 @@ class TestQueryOverride:
 # prefix, and *, / and mod bind tighter than + and -, all left associative.
 
 _TERM_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "mod": 2}
-_LEVEL = {ImplF: 1, OrF: 2, AndF: 3}  # 4 for the rest
+_LEVEL = {Impl: 1, Or: 2, And: 3}  # 4 for the rest
 
 
 def show_term(t):
@@ -558,16 +562,16 @@ def show(f):
         text = show(g)
         return f"({text})" if _LEVEL.get(type(g), 4) <= tighter_than else text
 
-    if isinstance(f, ImplF):
+    if isinstance(f, Impl):
         return f"{operand(f.left, 1)} ->> {operand(f.right, 0)}"
-    if isinstance(f, (AndF, OrF)):
-        sep = " & " if isinstance(f, AndF) else " ++ "
+    if isinstance(f, (And, Or)):
+        sep = " & " if isinstance(f, And) else " ++ "
         return sep.join(operand(g, level) for g in f.parts)
-    if isinstance(f, Not):
-        return "-" + operand(f.sub, 3)
-    if isinstance(f, TrueF):
+    if is_top(f):  # TOP is a Neg, so it is looked for first
         return "true"
-    if isinstance(f, FalseF):
+    if isinstance(f, Neg):
+        return "-" + operand(f.sub, 3)
+    if isinstance(f, Bot):
         return "false"
     if f.right is None:
         return show_term(f.left)
@@ -602,12 +606,12 @@ def _atoms():
 def _formulas():
     # `join` splices parts of the node's own class: n-ary and flat
     return st.recursive(
-        st.one_of(_atoms(), st.just(TRUE), st.just(FalseF())),
+        st.one_of(_atoms(), st.just(TOP), st.just(BOT)),
         lambda sub: st.one_of(
-            sub.map(Not),
-            st.tuples(sub, sub).map(lambda t: ImplF(*t)),
-            st.lists(sub, min_size=2, max_size=3).map(lambda ps: join(AndF, ps)),
-            st.lists(sub, min_size=2, max_size=3).map(lambda ps: join(OrF, ps)),
+            sub.map(Neg),
+            st.tuples(sub, sub).map(lambda t: Impl(*t)),
+            st.lists(sub, min_size=2, max_size=3).map(lambda ps: join(And, ps)),
+            st.lists(sub, min_size=2, max_size=3).map(lambda ps: join(Or, ps)),
         ),
         max_leaves=10,
     )
@@ -622,7 +626,7 @@ class TestRoundTrip:
         assert repr(d.laws[0].formula) == repr(f), text
 
     def test_printer_uses_the_fewest_parentheses(self):
-        f = ImplF(ImplF(Atom(Sym("x")), Atom(Sym("y"))), OrF((Atom(Sym("x")), AndF((Atom(Sym("y")), Not(Atom(Sym("x"))))))))
+        f = Impl(Impl(Atom(Sym("x")), Atom(Sym("y"))), Or((Atom(Sym("x")), And((Atom(Sym("y")), Neg(Atom(Sym("x"))))))))
         assert show(f) == "(x ->> y) ->> x ++ y & -x"
         t = Arith("-", Arith("-", Sym(1), Sym(2)), Arith("*", Sym(3), Arith("mod", Sym(4), Sym(5))))
         assert show_term(t) == "1 - 2 - 3 * (4 mod 5)"

@@ -280,7 +280,7 @@ class TestDrivers:
 
     def test_cumulative_rules_stay_within_step(self, bw):
         inc = incremental_program(bw, bw.queries["tower"])
-        bad = translate.TemplateRule(
+        bad = translate.PropRule(
             translate.TAtom(1, 0, 0), translate.TAtom(0, 0, 0), "broken"
         )
         inc.template.append(bad)

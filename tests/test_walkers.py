@@ -29,18 +29,12 @@ from cplusplan.mvpf import And, Bot, Impl, MvAtom, Neg, Or
 from cplusplan.parser import ParseError, _Parser, _resolve, join, parse_text, tokenize
 from cplusplan.solve import peval, preduct
 from cplusplan.syntax import (
-    TRUE,
     ActionDescription,
-    AndF,
     Arith,
     Atom,
     ConstRef,
     ExternalCall,
-    FalseF,
-    ImplF,
     LangError,
-    Not,
-    OrF,
     RESERVED_WORDS,
     Span,
     Sym,
@@ -100,14 +94,14 @@ def atoms():
 
 
 def formulas(max_leaves=8):
-    leaf = st.one_of(atoms(), st.just(TRUE), st.just(FalseF()))
+    leaf = st.one_of(atoms(), st.just(mvpf.TOP), st.just(mvpf.BOT))
     return st.recursive(
         leaf,
         lambda sub: st.one_of(
-            sub.map(Not),
-            st.tuples(sub, sub).map(lambda t: ImplF(*t)),
-            st.lists(sub, min_size=2, max_size=3).map(lambda ps: join(AndF, ps)),
-            st.lists(sub, min_size=2, max_size=3).map(lambda ps: join(OrF, ps)),
+            sub.map(Neg),
+            st.tuples(sub, sub).map(lambda t: Impl(*t)),
+            st.lists(sub, min_size=2, max_size=3).map(lambda ps: join(And, ps)),
+            st.lists(sub, min_size=2, max_size=3).map(lambda ps: join(Or, ps)),
         ),
         max_leaves=max_leaves,
     )
@@ -127,12 +121,12 @@ def where_exprs():
 
 def ref_subformulas(f):
     yield f
-    if isinstance(f, Not):
+    if isinstance(f, Neg):
         yield from ref_subformulas(f.sub)
-    elif isinstance(f, (AndF, OrF)):
+    elif isinstance(f, (And, Or)):
         for g in f.parts:
             yield from ref_subformulas(g)
-    elif isinstance(f, ImplF):
+    elif isinstance(f, Impl):
         yield from ref_subformulas(f.left)
         yield from ref_subformulas(f.right)
 
@@ -227,15 +221,15 @@ def ref_resolve_formula(f, desc):
         left = ref_resolve_term(f.left, desc)
         right = None if f.right is None else ref_resolve_term(f.right, desc)
         return Atom(left, f.op, right)
-    if isinstance(f, Not):
+    if isinstance(f, Neg):
         sub = ref_resolve_formula(f.sub, desc)
         if isinstance(sub, Atom) and sub.right is None and isinstance(sub.left, ConstRef):
             return Atom(sub.left, "=", Sym(False))
-        return Not(sub)
-    if isinstance(f, (AndF, OrF)):
+        return Neg(sub)
+    if isinstance(f, (And, Or)):
         return type(f)(tuple(ref_resolve_formula(g, desc) for g in f.parts))
-    if isinstance(f, ImplF):
-        return ImplF(ref_resolve_formula(f.left, desc), ref_resolve_formula(f.right, desc))
+    if isinstance(f, Impl):
+        return Impl(ref_resolve_formula(f.left, desc), ref_resolve_formula(f.right, desc))
     return f
 
 
@@ -501,7 +495,7 @@ class RecursiveParser(_Parser):
             links.append(self.disjunction())
         f = links.pop()
         while links:
-            f = ImplF(links.pop(), f)
+            f = Impl(links.pop(), f)
         return f
 
     def disjunction(self):
@@ -509,14 +503,14 @@ class RecursiveParser(_Parser):
         while self.at_sym("++"):
             self.advance()
             parts.append(self.conjunction())
-        return join(OrF, parts)
+        return join(Or, parts)
 
     def conjunction(self):
         parts = [self.unary()]
         while self.at_sym("&"):
             self.advance()
             parts.append(self.unary())
-        return join(AndF, parts)
+        return join(And, parts)
 
     def unary(self):
         negations = 0
@@ -529,14 +523,14 @@ class RecursiveParser(_Parser):
             self.eat_sym(")")
         elif self.at_word("true"):
             self.advance()
-            f = TRUE
+            f = mvpf.TOP
         elif self.at_word("false"):
             self.advance()
-            f = FalseF()
+            f = mvpf.BOT
         else:
             f = self.atom()
         for _ in range(negations):
-            f = Not(f)
+            f = Neg(f)
         return f
 
     def term(self):
