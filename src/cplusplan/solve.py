@@ -62,7 +62,9 @@ same way, as a base with no template and no query lines placed at step
 
 A separate brute-force enumerator (direct formula evaluation, subset
 minimality by exhaustion) serves as the oracle in tests.  It shares the
-formula node types and nothing else.
+formula node types and ``preduct`` with the stability check, which builds
+its reducts with it.  The reference semantics, ``satisfies`` and
+``reduct`` in :mod:`cplusplan.mvpf`, is used by neither.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ from .translate import (
     TranslateError,
     UnboundedRange,
     formula_leaves,
+    map_leaves,
     query_steps,
     rule_formula,
 )
@@ -198,19 +201,24 @@ def preduct(f, model: frozenset):
 # Brute-force oracle
 
 def brute_force_models(formulas: list, atoms: list[PAtom]) -> list[frozenset[PAtom]]:
-    """Stable models by exhaustion: every subset, direct checks only."""
-    out = []
+    """Stable models by exhaustion: every subset, direct checks only.
+
+    The atoms are numbered once, so the checks look ints up in sets of
+    ints; an atom outside `atoms` becomes -1, which no model holds."""
     universe = list(dict.fromkeys(atoms))
+    number = {a: i for i, a in enumerate(universe)}
+    numbered = [map_leaves(f, lambda a: number.get(a, -1)) for f in formulas]
+    out = []
     for bits in itertools.product((False, True), repeat=len(universe)):
-        m = frozenset(a for a, b in zip(universe, bits) if b)
-        if all(peval(f, m) for f in formulas) and _minimal(formulas, m):
-            out.append(m)
+        m = frozenset(i for i, b in enumerate(bits) if b)
+        if all(peval(f, m) for f in numbered) and _minimal(numbered, m):
+            out.append(frozenset(universe[i] for i in m))
     return out
 
 
 def _minimal(formulas: list, model: frozenset) -> bool:
     reducts = [preduct(f, model) for f in formulas]
-    members = sorted(model, key=repr)
+    members = sorted(model)
     for r in range(len(members)):
         for keep in itertools.combinations(members, r):
             sub = frozenset(keep)
