@@ -193,11 +193,10 @@ def _solve_config(ov: QueryOverride) -> SolveConfig:
 
 def _apply_range(query: QuerySpec, ov: QueryOverride, need_bound: bool) -> QuerySpec:
     q = query
-    if ov.have_range:
+    if ov.min_step is not None:  # every range token sets it
         # an explicit 'lo..infinity' cannot unbound a query that has a bound
-        lo = ov.min_step if ov.min_step is not None else q.min_step
         hi = ov.max_step if ov.max_step is not None else q.max_step
-        q = dataclasses.replace(q, min_step=lo, max_step=hi)
+        q = dataclasses.replace(q, min_step=ov.min_step, max_step=hi)
     if q.max_step is not None and q.min_step > q.max_step:
         raise UsageError(f"minstep {q.min_step} exceeds maxstep {q.max_step}")
     if need_bound and q.max_step is None:
@@ -377,12 +376,10 @@ def _repl(gls, cfg, timings, out, err, source) -> int:
                     print(f"sol set to {ov.solutions}", file=out)
                 elif line.startswith("minstep="):
                     session.min_step = ov.min_step
-                    session.have_range = True
                     print(f"minstep set to {ov.min_step}", file=out)
                 else:
                     session.min_step = ov.min_step
                     session.max_step = ov.max_step
-                    session.have_range = True
                     hi = "infinity" if ov.max_step is None else ov.max_step
                     print(f"step range set to {ov.min_step}..{hi}", file=out)
                 continue

@@ -330,9 +330,6 @@ class GroundLawSet:
     def laws(self) -> list[GroundLaw]:
         return self.static + self.action_dynamic + self.fluent_dynamic
 
-    def fluent_ids(self) -> list[int]:
-        return [c.cid for c in self.symbols.order if c.kind != "action"]
-
     def simple_fluent_ids(self) -> list[int]:
         return [c.cid for c in self.symbols.order if c.kind == "simple"]
 

@@ -760,7 +760,6 @@ class QueryOverride:
     label: str | None = None
     min_step: int | None = None
     max_step: int | None = None
-    have_range: bool = False
     solutions: int | None = None  # 0 means all
     warnings: list[str] = field(default_factory=list)
 
@@ -793,10 +792,8 @@ def parse_query_override(args: list[str]) -> QueryOverride:
                 ov.max_step = None if m.group(2) == "infinity" else int(m.group(2))
                 if ov.max_step is not None and ov.max_step < ov.min_step:
                     raise MalformedOverride(f"empty step range '{value}'")
-                ov.have_range = True
             elif value.isdigit():
                 ov.min_step = ov.max_step = int(value)
-                ov.have_range = True
             else:
                 raise MalformedOverride(f"bad maxstep '{value}'")
         elif raw.startswith("minstep="):
@@ -804,7 +801,6 @@ def parse_query_override(args: list[str]) -> QueryOverride:
             if not value.isdigit():
                 raise MalformedOverride(f"bad minstep '{value}'")
             ov.min_step = int(value)
-            ov.have_range = True
             if ov.max_step is not None and ov.max_step < ov.min_step:
                 raise MalformedOverride("minstep exceeds maxstep")
         elif raw.startswith("sol="):

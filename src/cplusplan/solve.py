@@ -111,8 +111,6 @@ class HorizonRecord:
 
 @dataclass
 class Stats:
-    grounded_rules: int = 0
-    steps_grounded: int = 0
     propagations: int = 0
     decisions: int = 0
     conflicts: int = 0
@@ -547,24 +545,29 @@ class Dpll:
     the same order, and ``tests/test_search_trace.py`` pins that trace on
     the shipped examples.
 
-    The solver can be extended between searches (``grow``,
-    ``add_clauses``) and searched under an assumption literal; ``retire``
-    later asserts the literal false and drops every clause it guards.
+    Construction and every later extension are the same two calls on an
+    empty solver: ``grow`` makes room for the variables and links them
+    into the queue, and ``add_clauses`` attaches the clauses and asserts
+    the units at level 0.  Every level-0 addition goes through them: the
+    caller's clauses, a one-literal block, a learned unit and a retired
+    assumption's negation.  While ``qhead`` is 0, no assigned literal has
+    been propagated, so a clause can be watched as it comes.  The solver
+    can be searched under an assumption literal; ``retire`` later asserts
+    the literal false and drops every clause it guards.
     """
 
     def __init__(self, nvars: int, clauses: list[list[int]], stats: Stats):
         self.stats = stats
-        self.nvars = nvars
-        size = 2 * nvars + 1
-        self.val = [0] * size  # by literal: 1 true, -1 false, 0 unset
-        self.implied: list[list[int]] = [[] for _ in range(size)]
-        self.watches: list[list[list[int]]] = [[] for _ in range(size)]
-        self.level = [0] * (nvars + 1)
+        self.nvars = 0
+        self.val = [0]  # by literal: 1 true, -1 false, 0 unset
+        self.implied: list[list[int]] = [[]]
+        self.watches: list[list[list[int]]] = [[]]
+        self.level = [0]
         # a clause, or for a two-literal clause the literal whose falsity
         # implied the variable; None for decisions and facts
-        self.reason: list[list[int] | int | None] = [None] * (nvars + 1)
-        self.phase = [1] * (nvars + 1)
-        self.seen = [0] * (nvars + 1)
+        self.reason: list[list[int] | int | None] = [None]
+        self.phase = [1]
+        self.seen = [0]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -576,25 +579,17 @@ class Dpll:
         self.learnts: list[list[int]] = []  # of two or more literals
         self.assumption = 0
         self.guarded: list[list[int]] = []  # clauses that mention -assumption
-        # the queue: variable 1 is the front, each variable's older
-        # neighbour is the next one up; stamps order the queue
-        self.older = [v + 1 for v in range(nvars + 1)]
-        self.older[0] = self.older[nvars] = 0
-        self.newer = [v - 1 for v in range(nvars + 1)]
-        self.newer[0] = 0
-        self.stamp = [nvars + 1 - v for v in range(nvars + 1)]
-        self.stamp[0] = -math.inf  # below the stamps of variables grown later
-        self.clock = nvars
-        self.front = self.search = 1 if nvars else 0
+        # the queue runs from the front, the variable moved last, to the
+        # tail: each variable's older neighbour is the next one down, and
+        # stamps order the queue; 0 ends it both ways
+        self.older = [0]
+        self.newer = [0]
+        self.stamp = [-math.inf]  # below every variable's stamp
+        self.clock = 0  # no stamp is above it
+        self.front = self.tail = self.search = 0
         self.ok = True
-        for cl in clauses:
-            if len(cl) > 1:
-                self._attach(cl)
-            elif not cl or self.val[cl[0]] < 0:
-                self.ok = False
-                return
-            elif not self.val[cl[0]]:
-                self._assign(cl[0], None)
+        self.grow(nvars)
+        self.add_clauses(clauses)
 
     def _attach(self, cl: list[int]) -> None:
         if len(cl) == 2:
@@ -619,10 +614,7 @@ class Dpll:
         self.reason += [None] * add
         self.phase += [1] * add
         self.seen += [0] * add
-        older, newer, stamp = self.older, self.newer, self.stamp
-        tail = self.front
-        while older[tail]:
-            tail = older[tail]
+        older, newer, stamp, tail = self.older, self.newer, self.stamp, self.tail
         older += range(old + 2, nvars + 2)
         older[nvars] = 0
         newer += range(old, nvars)
@@ -634,22 +626,26 @@ class Dpll:
             self.front = old + 1
         if not self.search:
             self.search = old + 1
-        self.nvars = nvars
+        self.tail = self.nvars = nvars
 
     def add_clauses(self, clauses: Sequence[list[int]], guarded: bool = False) -> None:
         """Adds clauses for good, at level 0, undoing any decisions first.
 
-        Literals false at level 0 move behind the watched pair, in place; a
-        clause true there is dropped.  A guarded clause mentions the
-        negation of the next assumption and leaves with it (``retire``).
+        Once propagation has passed a literal (qhead > 0), literals false
+        at level 0 move behind the watched pair, in place, and a clause
+        true there is dropped; before, each clause is attached as it
+        comes.  A false unit clears ``ok``, an unset one is assigned and a
+        true one is skipped.  A guarded clause mentions the negation of
+        the next assumption and leaves with it (``retire``).
         """
         if self.trail_lim:
             self.backtrack(0)
         val = self.val
         get = val.__getitem__
+        scan = self.qhead > 0
         for cl in clauses:
             n = len(cl)
-            if any(map(get, cl)):
+            if scan and any(map(get, cl)):
                 if 1 in map(get, cl):
                     continue
                 n = 0
@@ -662,10 +658,10 @@ class Dpll:
                 self._attach(cl)
                 if guarded:
                     self.guarded.append(cl)
-            elif n:
-                self._assign(cl[0], None)
-            else:
+            elif not n or val[cl[0]] < 0:
                 self.ok = False
+            elif not val[cl[0]]:
+                self._assign(cl[0], None)
 
     def retire(self, a: int) -> None:
         """Asserts -a for good and drops the clauses guarded by it."""
@@ -681,8 +677,7 @@ class Dpll:
         self.learnts = [cl for cl in self.learnts if id(cl) not in gone]
         self.guarded = []
         self.assumption = 0
-        if not self.val[na]:
-            self._assign(na, None)
+        self.add_clauses([[na]])
 
     def _assign(self, lit: int, reason) -> None:
         self.val[lit] = 1
@@ -895,7 +890,7 @@ class Dpll:
     def _bump(self, vs: list[int]) -> None:
         """Moves vs to the front of the queue, keeping their order."""
         older, newer, stamp = self.older, self.newer, self.stamp
-        front, search, clock = self.front, self.search, self.clock
+        front, tail, search, clock = self.front, self.tail, self.search, self.clock
         vs.sort(key=stamp.__getitem__)
         for v in vs:
             if v == front:
@@ -903,6 +898,8 @@ class Dpll:
             o, n = older[v], newer[v]
             if v == search:
                 search = o  # v is assigned, so it need not stay searched
+            if v == tail:
+                tail = n
             older[n] = o
             newer[o] = n
             older[v] = front
@@ -911,7 +908,7 @@ class Dpll:
             front = v
             clock += 1
             stamp[v] = clock
-        self.front, self.search, self.clock = front, search, clock
+        self.front, self.tail, self.search, self.clock = front, tail, search, clock
 
     def _decide(self) -> int:
         """The newest unassigned variable, or 0 when all are assigned."""
@@ -963,13 +960,15 @@ class Dpll:
                     self.ok = False
                 return False
             learnt, back = self._analyze()
-            self.backtrack(back)
             if len(learnt) > 1:
+                self.backtrack(back)
                 self._attach(learnt)
                 self.learnts.append(learnt)
                 if assume and -assume in learnt:
                     self.guarded.append(learnt)
-            self._assign(learnt[0], learnt)
+                self._assign(learnt[0], learnt)
+            else:
+                self.add_clauses([learnt])
             self.conflicts += 1
             stats.conflicts += 1
             if self.conflicts >= self.next_restart:
@@ -996,8 +995,7 @@ class Dpll:
             self.ok = False
             return False
         if len(clause) == 1:
-            self.backtrack(0)
-            self._assign(clause[0], None)
+            self.add_clauses([clause])
             return True
         top, second = level[abs(clause[0])], level[abs(clause[1])]
         self.backtrack(second if second < top else top - 1)
@@ -1201,14 +1199,13 @@ def enumerate_models(
     groups: list[TimedConst] | None,
     config: SolveConfig,
     stats: Stats,
-    extra_atoms: list[PAtom] | None = None,
     live: LiveSolver | None = None,
 ):
     """Yields stable models.
 
     groups gives the timed constants in step order, each to take exactly
-    one value; without it the atoms are those the rules and extra_atoms
-    mention, unconstrained (arbitrary atomic-head programs).  Each
+    one value; without it the atoms are those the rules mention,
+    unconstrained (arbitrary atomic-head programs).  Each
     total assignment of the search is a candidate; after its check it is
     blocked by the negation of its decisions, which excludes it alone
     (see the module docstring), so every model is met once, in the order
@@ -1231,8 +1228,6 @@ def enumerate_models(
                 seen[r.head] = True
             for a in formula_leaves(r.body):
                 seen[a] = True
-        for a in extra_atoms or []:
-            seen[a] = True
         atom_universe = sorted(seen, key=lambda a: (a.step, a.const, a.value))
     program = live.extend(groups or (), atom_universe, stats)
 
@@ -1273,8 +1268,6 @@ def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
     for k in range(inc.min_step, inc.max_step + 1):
         placed = (len(inc.base) if prev < 0 else 0) \
             + len(inc.template) * (k - max(prev, 0)) + len(inc.query.lines)
-        stats.grounded_rules += placed
-        stats.steps_grounded += 1
         before = (stats.decisions, stats.conflicts, stats.propagations, stats.models_checked)
         live.horizon = k
         t0 = time.perf_counter()

@@ -95,6 +95,17 @@ def view_actions(step: PlanStep) -> set[str]:
 _MOVE = re.compile(r"move\((\w+),(\w+)\)")
 
 
+def move_actions(names: set[str]) -> frozenset:
+    """The (object, target) pairs of a step's move actions, for the
+    blocks and towers oracles alike."""
+    out = []
+    for name in names:
+        m = _MOVE.fullmatch(name)
+        assert m, name
+        out.append((m.group(1), m.group(2)))
+    return frozenset(out)
+
+
 class BwOracle:
     """Concurrent stacking: states are location tuples, one per block."""
 
@@ -150,13 +161,7 @@ class BwOracle:
     def state_of(self, fluents: dict[str, str]) -> tuple:
         return tuple(fluents[f"loc({b})"] for b in self.blocks)
 
-    def actions_of(self, names: set[str]) -> frozenset:
-        out = []
-        for name in names:
-            m = _MOVE.fullmatch(name)
-            assert m, name
-            out.append((m.group(1), m.group(2)))
-        return frozenset(out)
+    actions_of = staticmethod(move_actions)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +205,7 @@ class HanoiOracle:
     def state_of(self, fluents: dict[str, str]) -> tuple:
         return tuple(fluents[f"loc({d})"] for d in self.disks)
 
-    def actions_of(self, names: set[str]) -> frozenset:
-        out = []
-        for name in names:
-            m = _MOVE.fullmatch(name)
-            assert m, name
-            out.append((m.group(1), m.group(2)))
-        return frozenset(out)
+    actions_of = staticmethod(move_actions)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ class TestParseArgs:
         assert cfg.stage_to == "post-processor"
         assert cfg.input_files == ["somefile"]
         assert cfg.override.label == "q"
-        assert not cfg.override.have_range
+        assert cfg.override.min_step is None
         assert cfg.override.solutions is None
         assert warnings == []
 
@@ -37,14 +37,12 @@ class TestParseArgs:
         ov = cfg.override
         assert ov.label == "go"
         assert (ov.min_step, ov.max_step) == (2, None)
-        assert ov.have_range
         assert ov.solutions == 0
 
     def test_maxstep_pins_both_ends(self):
         cfg, _ = parse_args(["f", "query=q", "maxstep=5"])
         ov = cfg.override
         assert (ov.min_step, ov.max_step) == (5, 5)
-        assert ov.have_range
 
     def test_maxstep_window(self):
         cfg, _ = parse_args(["f", "query=q", "maxstep=2..9"])
@@ -54,7 +52,6 @@ class TestParseArgs:
         cfg, _ = parse_args(["f", "query=q", "maxstep=2..infinity"])
         ov = cfg.override
         assert (ov.min_step, ov.max_step) == (2, None)
-        assert ov.have_range
 
     def test_later_maxstep_clobbers_minstep(self):
         cfg, _ = parse_args(["f", "query=q", "minstep=2", "maxstep=9"])

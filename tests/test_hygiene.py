@@ -7,8 +7,9 @@ function or class there, and every method of such a class other than a
 dunder method, is referenced somewhere in ``src/``, ``tests/`` or
 ``perfbench/`` outside its own body.  A reference is a name, an attribute,
 or a string equal to the name (tools patch functions by their name); a
-method is reached only by the last two.  The functions that call
-themselves are exactly those of `SELF_RECURSIVE`.
+method is reached only by the last two.  The definitions that only
+tests reach are exactly those of `TEST_ONLY`, and the functions that call
+themselves exactly those of `SELF_RECURSIVE`.
 """
 
 import ast
@@ -20,6 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cplusplan"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SCANNED = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+# what the program and its benchmark tooling run, without the tests
+OUTSIDE_TESTS = [p for p in SCANNED if p.parent.name != "tests" and not p.name.startswith("test_")]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -83,11 +86,11 @@ def _methods(tree: ast.Module) -> list[ast.AST]:
     ]
 
 
-def _unreferenced(definitions, names: bool) -> list[str]:
-    """The definitions(tree) of each module that nothing references; a
-    bare name counts only if names is set."""
-    trees = {p: _tree(p) for p in SCANNED}
-    refs = {p: _references(t, names=names) for p, t in trees.items()}
+def _unreferenced(definitions, names: bool, scanned=SCANNED) -> list[str]:
+    """The definitions(tree) of each module that nothing in scanned
+    references; a bare name counts only if names is set."""
+    trees = {p: _tree(p) for p in {*scanned, *MODULES}}
+    refs = {p: _references(trees[p], names=names) for p in scanned}
     out = []
     for path in MODULES:
         elsewhere = set().union(*(r for q, r in refs.items() if q != path))
@@ -106,6 +109,33 @@ def test_every_top_level_definition_is_referenced():
 def test_every_method_is_referenced():
     # a method is reached through an attribute or by its name as a string
     assert _unreferenced(_methods, names=False) == []
+
+
+# Every definition under src/cplusplan that only the tests reach, with the
+# reason it stays.  The independent routes are kept apart from the solver
+# on purpose; a helper that tests alone call otherwise moves into the test
+# that calls it, or goes.
+TEST_ONLY: dict[str, str] = {
+    "mvpf.py:is_stable": "the reference semantics' stability test, an independent route",
+    "solve.py:brute_force_models": "the exhaustive oracle that the search is checked against",
+    "translate.py:theory_to_prop": "reduces a multi-valued theory for the brute-force route",
+    "translate.py:prop_model_to_interp": "maps models across that reduction, one way",
+    "translate.py:interp_to_prop_model": "maps models across that reduction, the other way",
+    "translate.py:decode_prop_model": "a solver model as a trajectory, to compare with the reference",
+    "translate.py:decode_mv_model": "a reference model as a trajectory, to compare with the solver",
+    "translate.py:model_key": "a trajectory as a comparable key",
+    "suite.py:run_oracle_bfs": "the explicit transition-system oracle of the suite",
+    "suite.py:run_oracle_exhaustive": "the reference-semantics oracle of the suite",
+    "suite.py:default_cases": "the suite's registry: the cases without the stress marker",
+    "suite.py:description_file": "the suite's registry: where a case's description lives",
+}
+
+
+def test_test_only_definitions_are_listed():
+    found = set(_unreferenced(_top_level, True, OUTSIDE_TESTS)
+                + _unreferenced(_methods, False, OUTSIDE_TESTS))
+    assert sorted(found - set(TEST_ONLY)) == [], "reached only from tests; list it or delete it"
+    assert sorted(set(TEST_ONLY) - found) == [], "listed, but reached outside the tests"
 
 
 # Every function under src/cplusplan that calls itself, by name or as a

@@ -501,7 +501,7 @@ class TestQueryOverride:
     def test_query_and_maxstep(self):
         ov = parse_query_override(["query=stack", "maxstep=4"])
         assert ov.label == "stack"
-        assert (ov.min_step, ov.max_step, ov.have_range) == (4, 4, True)
+        assert (ov.min_step, ov.max_step) == (4, 4)
 
     def test_maxstep_range_forms(self):
         ov = parse_query_override(["maxstep=2..5"])
@@ -512,7 +512,6 @@ class TestQueryOverride:
     def test_minstep(self):
         ov = parse_query_override(["minstep=3"])
         assert ov.min_step == 3
-        assert ov.have_range is True
 
     def test_solution_counts(self):
         assert parse_query_override(["4"]).solutions == 4

@@ -10,11 +10,11 @@ import dataclasses
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cplusplan import suite
 from cplusplan.plans import model_atom_names
-from cplusplan.solve import Dpll, SolveConfig, Stats, solve_incremental
+from cplusplan.solve import Dpll, SolveConfig, Stats, solve_horizons, solve_incremental
 from cplusplan.translate import incremental_program
 
 
@@ -179,3 +179,80 @@ class TestLevelZeroCleanup:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Dpll, "_drop_satisfied", lambda self: None)
             assert _rounds(nvars, clauses, rounds, lambda solver: None) == got
+
+
+def _queue(solver):
+    """The decision queue, walked from its front."""
+    out, v = [], solver.front
+    while v:
+        out.append(v)
+        v = solver.older[v]
+    return out
+
+
+def _every_model(solver, stats):
+    """Every assignment in the order the search meets it, each blocked by
+    its decisions, and the search's counters."""
+    got = []
+    while solver.solve():
+        assert solver.tail == _queue(solver)[-1]  # conflicts move variables
+        got.append(tuple(solver.val[1:solver.nvars + 1]))
+        if not solver.block([-lit for lit in solver.decisions()]):
+            break
+    return got, (stats.decisions, stats.conflicts, stats.propagations)
+
+
+# (variables, clauses, batches): a batch is the clause index it ends
+# before and a variable count to grow to first, at least
+BATCHED = st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(_literals(n), max_size=4, unique_by=abs), max_size=24).flatmap(
+    lambda clauses: st.tuples(st.just(n), st.just(clauses), st.lists(
+        st.tuples(st.integers(0, len(clauses)), st.integers(0, n)), max_size=4))))
+
+
+class TestOneIntake:
+    """``Dpll(n, clauses)`` is ``grow(n)`` and ``add_clauses(clauses)`` on
+    an empty solver, so any split into batches before the first search
+    gives the same search."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(BATCHED)
+    @example((5, [[-4, -5], [-4, 5, -1]], []))  # its first conflict moves the tail, 5
+    def test_batches_search_as_one_construction(self, cnf):
+        nvars, clauses, batches = cnf
+        stats = Stats()
+        want = _every_model(Dpll(nvars, [list(cl) for cl in clauses], stats), stats)
+
+        stats = Stats()
+        solver = Dpll(0, [], stats)
+        done = 0
+        for end, extra in sorted(batches):
+            batch = clauses[done:end]
+            solver.grow(max([extra, *(abs(lit) for cl in clauses[:end] for lit in cl)]))
+            solver.add_clauses([list(cl) for cl in batch])
+            done = max(done, end)
+            assert _queue(solver) == list(range(1, solver.nvars + 1))
+        solver.grow(nvars)
+        solver.add_clauses([list(cl) for cl in clauses[done:]])
+        assert solver.tail == _queue(solver)[-1] == nvars
+        assert _every_model(solver, stats) == want
+        solver.grow(nvars + 2)  # behind the tail that the search left
+        assert sorted(_queue(solver)) == list(range(1, nvars + 3))
+        assert solver.tail == _queue(solver)[-1] == nvars + 2
+
+    def test_tail_pointer_ends_the_queue_at_every_horizon(self, monkeypatch):
+        solvers = []
+        init = Dpll.__init__
+
+        def kept(self, *args):
+            init(self, *args)
+            solvers.append(self)
+
+        monkeypatch.setattr(Dpll, "__init__", kept)
+        gls = suite.load_example("ferryman")
+        query = dataclasses.replace(gls.queries["cross"], min_step=0, max_step=9)
+        for _ in solve_horizons(incremental_program(gls, query), SolveConfig(), Stats()):
+            (solver,) = solvers  # the live one; ferryman needs no stability check
+            queue = _queue(solver)
+            assert sorted(queue) == list(range(1, solver.nvars + 1))
+            assert solver.tail == queue[-1]

@@ -41,9 +41,9 @@ from cplusplan.translate import (
 ALL = SolveConfig(max_solutions=0)
 
 
-def models(rules, groups=None, config=ALL, extra=None):
+def models(rules, groups=None, config=ALL):
     stats = Stats()
-    return set(enumerate_models(rules, groups, config, stats, extra_atoms=extra)), stats
+    return set(enumerate_models(rules, groups, config, stats)), stats
 
 
 def c_atom(v):
@@ -120,9 +120,9 @@ class TestStabilityBites:
 
 
 class TestAgainstBruteForce:
-    def check(self, rules, extra=None):
-        got, _ = models(rules, None, extra=extra)
-        atoms = set(extra or [])
+    def check(self, rules):
+        got, _ = models(rules, None)
+        atoms = set()
         for r in rules:
             if r.head is not None:
                 atoms.add(r.head)
@@ -189,7 +189,7 @@ class TestRandomizedAgainstBruteForce:
         rng = random.Random(20240817)
         for trial in range(60):
             rules, atoms = random_program(rng, rng.randint(2, 6), rng.randint(1, 6))
-            got, _ = models(rules, None, extra=atoms)
+            got, _ = models(rules, None)
             expect = set(brute_force_models([rule_formula(r) for r in rules], atoms))
             assert got == expect, (trial, rules)
 
@@ -257,7 +257,7 @@ class TestDrivers:
         res = solve_incremental(incremental_program(bw, q), ALL)
         assert res.found_step is None
         assert res.models == []
-        assert res.stats.steps_grounded == 2  # horizons 0 and 1
+        assert len(res.stats.horizons) == 2  # horizons 0 and 1
 
     def test_inverted_range_has_no_horizon(self, bw):
         q = dataclasses.replace(bw.queries["tower"], min_step=3, max_step=1)
@@ -738,16 +738,22 @@ class TestLiveSolver:
 
 @pytest.fixture
 def dpll_input(monkeypatch):
-    """Every clause list handed to a Dpll, copied as it arrives."""
+    """Every clause list handed to a Dpll, copied as it arrives, once:
+    the clauses that ``__init__`` passes on to ``add_clauses`` are logged
+    with it."""
     log = []
     init, add = Dpll.__init__, Dpll.add_clauses
+    building = []  # the solvers inside __init__
 
     def logged_init(self, nvars, clauses, stats):
         log.append((nvars, [list(cl) for cl in clauses]))
+        building.append(self)
         init(self, nvars, clauses, stats)
+        building.pop()
 
     def logged_add(self, clauses, guarded=False):
-        log.extend((list(cl), guarded) for cl in clauses)
+        if self not in building:
+            log.extend((list(cl), guarded) for cl in clauses)
         add(self, clauses, guarded)
 
     monkeypatch.setattr(Dpll, "__init__", logged_init)
@@ -816,7 +822,7 @@ class TestStepCode:
             assert sorted(clauses) == sorted(dpll_input[0][1]), k
             assert len(got) == len(set(got)) and set(got) == set(want), k
             (record,) = stats.horizons
-            assert record.rules == stats.grounded_rules == len(rules)
+            assert record.rules == len(rules)
             assert (record.vars, record.clauses) == (nvars, len(clauses))
             assert record.candidates == stats.models_checked >= len(got)
 
@@ -836,7 +842,6 @@ class TestStepCode:
         stats = Stats()
         live = list(solve_horizons(inc, ALL, stats))
         assert_same_horizons(live, fresh_horizons(inc))
-        assert stats.grounded_rules == sum(h.rules for h in stats.horizons)
         assert [h.candidates for h in stats.horizons] == [len(m) for _, m in live]
 
     def test_a_loop_in_a_step_keeps_the_check(self, dpll_input, stability_calls):
@@ -848,7 +853,6 @@ class TestStepCode:
         stats = Stats()
         live = list(solve_horizons(inc, ALL, stats))
         assert 0 < len(stability_calls) == stats.models_checked
-        assert stats.grounded_rules == sum(h.rules for h in stats.horizons)
         assert_same_horizons(live, fresh_horizons(inc))
         # p at k needs go at k-1, not the loop; go at earlier steps is free
         assert [len(m) for _, m in live] == [0, 1, 2]
@@ -929,7 +933,6 @@ class TestStepCode:
         (case,) = [c for c in suite.CASES if c.name == "ferryman"]
         _, res = suite.run_case(case, SolveConfig(max_solutions=1))
         records = res.stats.horizons
-        assert sum(h.rules for h in records) == res.stats.grounded_rules
         # the base and a query line, then a step and a query line each
         assert [h.rules for h in records[1:]] == [records[1].rules] * (len(records) - 1)
         assert records[1].rules > records[0].rules > 0

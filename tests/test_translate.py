@@ -68,7 +68,7 @@ class TestStaticTranslation:
 
     def test_atom_steps(self, bw):
         prog = to_prop(bw, 2)
-        fluents = set(bw.fluent_ids())
+        fluents = {c.cid for c in bw.symbols.order if c.kind != "action"}
         steps = {}
         for tc in prog.timed_consts:
             steps.setdefault(tc.const in fluents, set()).add(tc.step)
