@@ -38,14 +38,19 @@ encoded once, and its clauses stay in the one search for every later
 horizon, with the clauses learned from them.  An atom's support clause
 joins them once no later step can add a rule for it: for the
 translator's programs, step t completes the fluents at t and the
-actions at t-1.  What holds for horizon k alone (its query
-rules, the support clauses still open and the blocking clauses of its
-candidates) is guarded by a fresh literal a_k that the search assumes
-(MiniSat-style solving under assumptions), and the next horizon asserts
--a_k, which retires those clauses and the learned ones that depended on
-them.  The range's last horizon has nothing to retract, so it is
-asserted unguarded; a single fixed horizon is therefore searched just
-as one whole-horizon program is, and the horizon-k models are those of
+actions at t-1.  A query line at a fixed step, such as the initial
+state, lands on that step at every horizon, so it joins them too, at
+the range's first horizon: iclingo likewise keeps it in the cumulative
+part (Gebser et al., ICLP 2008).  What it implies then sits at level 0,
+and the lemmas learned from it stay.  What holds for horizon k alone
+(its lines at maxstep plus or minus an offset, the support clauses
+still open and the blocking clauses of its candidates) is guarded by a
+fresh literal a_k that the search assumes (MiniSat-style solving under
+assumptions), and the next horizon asserts -a_k, which retires those
+clauses and the learned ones that depended on them.  The range's last
+horizon has nothing to retract, so it is asserted unguarded; a single
+fixed horizon is therefore searched just as one whole-horizon program
+is, and the horizon-k models are those of
 ``IncrementalProgram.program(k)``, so the paper's static and
 incremental modes share the one driver.
 
@@ -420,8 +425,11 @@ class StepCode:
                 # a later step would let a later increment change this one
                 raise TranslateError(
                     f"template atom at step t{op[1]:+d}; only t and t-1 exist", NO_SPAN)
-        self.lines = [] if inc is None else [
-            self._compile([(None, mvpf.Neg(f))]) for _, f in inc.query.lines]
+        lines = () if inc is None else inc.query.lines
+        self.lines = [self._compile([(None, mvpf.Neg(f))]) for _, f in lines]
+        # a line at a fixed step lands on it at every horizon of the query
+        # (``query_steps`` raises otherwise); the others move with maxstep
+        self.fixed = [tref.base != "maxstep" for tref, _ in lines]
 
     def _compile(self, rules) -> list[tuple]:
         """The rules' op list.  A leaf's rel is a TAtom's rel, a PAtom's
@@ -1091,17 +1099,19 @@ class LiveSolver:
 
     The caller sets ``horizon`` before each horizon's call.  The program
     comes compiled (``code``): the solver places the base and each step
-    up to the horizon once, and the query lines at the horizon, building
-    no formula.  They follow the exactly-one clauses of the groups new to
-    that horizon, which are added for good.  An atom's support clause is
-    added for good once no later step can give it a rule: for an atom at
-    step s, that is after step s, or s+1 when its constant heads a
-    template rule at t-1.  Until then, and for the query lines of horizon
-    k with the clauses that define their bodies, clauses are guarded by a
-    fresh literal a_k, which the search assumes; the next horizon retires
-    a_k.  Nothing is guarded at horizon ``last``, as no horizon follows
-    it; a LiveSolver with last 0 thus solves a fixed program, compiled as
-    a base alone, as it stands.
+    up to the horizon once, building no formula.  They follow the
+    exactly-one clauses of the groups new to that horizon, which are
+    added for good.  An atom's support clause is added for good once no
+    later step can give it a rule: for an atom at step s, that is after
+    step s, or s+1 when its constant heads a template rule at t-1.  A
+    query line at a fixed step is placed for good at the first horizon,
+    and never again.  Until its support closes, an atom's support clause
+    is guarded by a fresh literal a_k, which the search assumes, and so
+    are horizon k's lines at maxstep plus or minus an offset, with the
+    clauses that define their bodies; the next horizon retires a_k.
+    Nothing is guarded at horizon ``last``, as no horizon follows it; a
+    LiveSolver with last 0 thus solves a fixed program, compiled as a
+    base alone, as it stands.
 
     Tightness is decided once, from the steps of the base and template
     rules: when every positive dependency runs to an earlier step, so does
@@ -1139,7 +1149,8 @@ class LiveSolver:
         t0 = time.perf_counter()
         code = self.code
         inc = code.inc
-        lines = () if inc is None else query_steps(inc.query, inc.gls, self.horizon)
+        steps = () if inc is None else query_steps(inc.query, inc.gls, self.horizon)
+        first = self.placed < 0
         b = self.builder
         if self.guard:
             self.solver.retire(self.guard)
@@ -1164,9 +1175,20 @@ class LiveSolver:
                 still.append(a)
         b.add_support_clauses(closed, bodies)
         self.unsupported = still
+        # a fixed-step line is placed for good at the first horizon only,
+        # and at the last horizon every line is, in order.  Lines placed
+        # for good go first: a gate shared with a guarded line would leave
+        # with its guard
+        lines = [(step, ops, final or fixed)
+                 for step, ops, fixed in zip(steps, code.lines, code.fixed)
+                 if first or not fixed]
+        for step, ops, good in lines:
+            if good:
+                b.place(ops, step)
         self.guard = b.guard = 0 if final else b.new_var()
-        for step, ops in zip(lines, code.lines):
-            b.place(ops, step)
+        for step, ops, good in lines:
+            if not good:
+                b.place(ops, step)
         b.add_support_clauses(still, bodies)
         b.guard = 0
 
@@ -1233,10 +1255,12 @@ def enumerate_models(
 
     solver = live.solver
     guard = live.guard
-    atoms = list(live.builder.var_of.items())
+    atoms = None  # listed at the first candidate: most horizons have none
     val = solver.val
     yielded = 0
     while solver.solve(guard):
+        if atoms is None:
+            atoms = list(live.builder.var_of.items())
         model = frozenset(a for a, v in atoms if val[v] == 1)
         stats.models_checked += 1
         if program is None or is_stable_model(program, model, stats):
@@ -1263,11 +1287,13 @@ def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
         raise UnboundedRange(
             "no upper step bound; set maxstep explicitly", NO_SPAN
         )
-    live = LiveSolver(StepCode(inc), inc.max_step)
+    code = StepCode(inc)
+    live = LiveSolver(code, inc.max_step)
+    fixed = sum(code.fixed)  # query lines placed at the first horizon only
     prev = -1  # the previous horizon
     for k in range(inc.min_step, inc.max_step + 1):
-        placed = (len(inc.base) if prev < 0 else 0) \
-            + len(inc.template) * (k - max(prev, 0)) + len(inc.query.lines)
+        placed = (len(inc.base) + fixed if prev < 0 else 0) \
+            + len(inc.template) * (k - max(prev, 0)) + len(code.lines) - fixed
         before = (stats.decisions, stats.conflicts, stats.propagations, stats.models_checked)
         live.horizon = k
         t0 = time.perf_counter()

@@ -591,6 +591,37 @@ GROWING_SUPPORT = """\
 """
 
 
+# fixed-step lines, one of them an action's, among maxstep lines, from
+# min_step 3; the first line shares its gate at step 2 with the second
+FIXED_LINES = """\
+:- sorts n.
+:- objects 0..3 :: n.
+:- constants x :: inertialFluent(n); p :: inertialFluent; go, flip :: exogenousAction.
+go causes x = 1 if x = 0.
+go causes x = 2 if x = 1.
+go causes x = 3 if x = 2.
+go causes x = 0 if x = 3.
+flip causes p if -p.
+flip causes -p if p.
+:- query label :: q; maxstep :: 3..6;
+  maxstep - 1: x = 1 & p;
+  2: x = 1 & p;
+  1: go;
+  maxstep: x = 2.
+"""
+
+# a fluent cycled by go through every value but 1, and a goal of 1
+UNREACHABLE = """\
+:- sorts n.
+:- objects 0..3 :: n.
+:- constants q :: inertialFluent(n); go :: exogenousAction.
+go causes q = 2 if q = 0.
+go causes q = 3 if q = 2.
+go causes q = 0 if q = 3.
+:- query label :: far; maxstep :: 0..60; 0: q = 0; maxstep: q = 1.
+"""
+
+
 def fresh_horizons(inc):
     """Each horizon's models from a solver built for it alone."""
     return [
@@ -617,6 +648,59 @@ class TestLiveSolver:
         q = dataclasses.replace(gls.queries[label], min_step=lo, max_step=hi)
         inc = incremental_program(gls, q)
         assert_same_horizons(list(solve_horizons(inc, ALL, Stats())), fresh_horizons(inc))
+
+    def test_fixed_step_lines_match_a_fresh_solver(self, tmp_path):
+        import io
+
+        from cplusplan.cli import main
+
+        gls = ground_description(parse_text(FIXED_LINES, "<fixed>"))
+        inc = incremental_program(gls, gls.queries["q"])
+        live = list(solve_horizons(inc, ALL, Stats()))
+        assert_same_horizons(live, fresh_horizons(inc))
+        assert [len(m) for _, m in live] == [16, 16, 32, 64]
+        path = tmp_path / "fixed"
+        path.write_text(FIXED_LINES)
+        for mode in ("incremental", "static"):
+            out = io.StringIO()
+            assert main([f"--mode={mode}", str(path), "query=q"],
+                        out, io.StringIO(), io.StringIO()) == 0, mode
+            assert "found step 3" in out.getvalue(), mode
+
+    def test_fixed_step_lines_stay_at_level_zero(self, monkeypatch):
+        from cplusplan.plans import model_atom_names
+
+        lives = []
+        init = solve.LiveSolver.__init__
+
+        def kept(self, *args):
+            init(self, *args)
+            lives.append(self)
+
+        monkeypatch.setattr(solve.LiveSolver, "__init__", kept)
+        gls = ground_description(parse_text(UNREACHABLE, "<far>"))
+        inc = incremental_program(gls, gls.queries["far"])
+        stats = Stats()
+        horizons = solve_horizons(inc, ALL, stats)
+        assert next(horizons) == (0, [])
+        (live,) = lives
+        (q0,) = [v for a, v in live.builder.var_of.items()
+                 if model_atom_names(frozenset({a}), gls) == "0:q=0"]
+        assert live.solver.val[q0] == 1 and live.solver.level[q0] == 0
+        assert all(models == [] for _, models in horizons)
+        # each horizon adds a step to the level-0 trajectory, and no more
+        middle, last = stats.horizons[30], stats.horizons[-1]
+        assert last.propagations <= middle.propagations + 10
+
+    def test_records_count_each_query_line_where_it_is_placed(self):
+        gls = suite.load_example("bw-test")
+        query = dataclasses.replace(gls.queries["simple"], min_step=0, max_step=2)
+        inc = incremental_program(gls, query)
+        stats = Stats()
+        list(solve_horizons(inc, ALL, stats))
+        base, step = len(inc.base), len(inc.template)
+        # the initial state once, at horizon 0, and the goal at each horizon
+        assert [h.rules for h in stats.horizons] == [base + 2, step + 1, step + 1]
 
     def test_support_that_grows_after_its_atom_appears(self):
         from cplusplan.export import import_incremental
