@@ -440,7 +440,7 @@ def _run(cfg: RunConfig, out, err, repl_source) -> int:
         )
         timings["solver"] = time.perf_counter() - t0
         found = pre.horizon if models else None
-        solved = [(pre.horizon, models)] if models else []
+        solved = [(pre.horizon, models)] if models or cfg.all_steps else []
         outcome = Outcome("program", found, solved, pre.horizon, pre.horizon)
         return _finish_query(gls, outcome, cfg, timings, out, err, quiet=False)
 

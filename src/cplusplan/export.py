@@ -5,7 +5,8 @@ interning).  Header lines declare the constants with their domains, and
 thereby that each takes exactly one value per step; every rule or law is
 one line, formulas fully parenthesized; a final ``#end.`` line guards
 against truncation.  Older dumps also spell that constraint as ``uec-``
-rules, which are redundant and still read.
+rules, which are redundant and still read.  The reader takes each
+format's own directives only, and every directive line must be used up.
 
 Each connective node is one group, ``(a & b & c)``, with one connective
 and, for ``->``, two operands.  The reader splices nested groups of the
@@ -26,7 +27,6 @@ from .translate import (
     PropRule,
     TAtom,
     _timed_consts,
-    formula_leaves,
 )
 
 
@@ -269,8 +269,16 @@ class _Line:
             raise FormatError(self.lineno, f"expected a word, found {text!r}")
         return text
 
-    def done(self) -> bool:
-        return self.pos >= len(self.toks)
+    def accept(self, text: str) -> bool:
+        """Takes the next token if it is text."""
+        if self.pos < len(self.toks) and self.toks[self.pos][1] == text:
+            self.pos += 1
+            return True
+        return False
+
+    def finish(self) -> None:
+        if self.pos < len(self.toks):
+            raise FormatError(self.lineno, "trailing tokens")
 
 
 def _parse_formula(ln: _Line, atom):
@@ -279,21 +287,14 @@ def _parse_formula(ln: _Line, atom):
     groups: list[list] = []
     negations = 0
     while True:
-        _, text = ln.peek()
-        if text == "-":
-            ln.next()
+        if ln.accept("-"):
             negations += 1
             continue
-        if text == "(":
-            ln.next()
+        if ln.accept("("):
             groups.append([negations, None, []])
             negations = 0
             continue
-        if text == "false":
-            ln.next()
-            f = mvpf.BOT
-        else:
-            f = atom(ln)
+        f = mvpf.BOT if ln.accept("false") else atom(ln)
         for _ in range(negations):
             f = mvpf.Neg(f)
         negations = 0
@@ -420,12 +421,15 @@ def _split_lines(text: str):
         yield i, line
 
 
-def _read_native(text: str, expect_format: str):
-    """Yields (_Line, directive) pairs after checking the format header."""
-    rows = []
+def _read_native(text: str, expect_format: str, directives: tuple[str, ...]):
+    """Yields (_Line, directive) for each line between the format header
+    and ``#end``.  Only the format's directives are taken, and each line
+    must be used up by the time the next one is asked for."""
     saw_end = False
     fmt = None
+    ln = _Line([], 0)
     for lineno, line in _split_lines(text):
+        ln.finish()
         if saw_end:
             raise FormatError(lineno, "content after #end")
         toks = _tokenize(line, lineno)
@@ -441,117 +445,30 @@ def _read_native(text: str, expect_format: str):
             if fmt != expect_format:
                 raise FormatError(lineno, f"expected {expect_format}, found {fmt}")
             ln.take_int()  # version
-            continue
-        if directive == "end":
+        elif directive == "end":
             saw_end = True
-            continue
-        rows.append((ln, directive))
+        elif directive in directives:
+            yield ln, directive
+        else:
+            raise FormatError(lineno, f"unknown directive #{directive}")
+    ln.finish()
     if fmt is None:
         raise FormatError(1, "empty file")
     if not saw_end:
         raise FormatError(len(text.splitlines()) + 1, "truncated file: no #end")
-    return rows
 
 
-def import_ground(text: str) -> GroundLawSet:
-    interner = _Interner()
-    static: list[GroundLaw] = []
-    action_dynamic: list[GroundLaw] = []
-    fluent_dynamic: list[GroundLaw] = []
-    queries: dict[str, QuerySpec] = {}
-    qlines: dict[str, list] = {}
-    for ln, directive in _read_native(text, "ground-laws"):
-        if directive == "const":
-            _read_const(ln, interner)
-        elif directive == "law":
-            shape_text = ln.take_word()
-            shape = _TEXT_SHAPE.get(shape_text)
-            if shape is None:
-                raise FormatError(ln.lineno, f"unknown law shape {shape_text!r}")
-            if ln.peek()[1] == "false":
-                ln.next()
-                head = None
-            else:
-                a = interner.mv_atom(ln)
-                head = (a.const, a.value)
-            ln.expect("<-")
-            cond = _parse_formula(ln, interner.mv_atom)
-            after = None
-            if not ln.done() and ln.peek()[1] == "after":
-                ln.next()
-                after = _parse_formula(ln, interner.mv_atom)
-            law = GroundLaw(shape, head, cond, after)
-            if shape is LawShape.STATIC:
-                static.append(law)
-            elif shape is LawShape.ACTION_DYNAMIC:
-                action_dynamic.append(law)
-            else:
-                fluent_dynamic.append(law)
-        elif directive == "query":
-            label = ln.take_str()
-            lo = ln.take_int()
-            kind, text_hi = ln.peek()
-            if text_hi == "inf":
-                ln.next()
-                hi = None
-            else:
-                hi = ln.take_int()
-            queries[label] = QuerySpec(label, lo, hi, ())
-            qlines[label] = []
-        elif directive == "qline":
-            label = ln.take_str()
-            if label not in queries:
-                raise FormatError(ln.lineno, f"#qline before #query for {label!r}")
-            ln.expect("at")
-            tr = _parse_timeref(ln)
-            f = _parse_formula(ln, interner.mv_atom)
-            qlines[label].append((tr, f))
-        else:
-            raise FormatError(ln.lineno, f"unknown directive #{directive}")
-        if not ln.done():
-            raise FormatError(ln.lineno, "trailing tokens")
-    for label, lines in qlines.items():
-        q = queries[label]
-        queries[label] = QuerySpec(q.label, q.min_step, q.max_step, tuple(lines))
-    gls = interner.ground_law_set()
-    gls.static = static
-    gls.action_dynamic = action_dynamic
-    gls.fluent_dynamic = fluent_dynamic
-    gls.queries = queries
-    return gls
+def _read_range(ln: _Line) -> tuple[int, int | None]:
+    """`lo hi`, where hi `inf` (None) leaves the range unbounded."""
+    lo = ln.take_int()
+    return lo, None if ln.accept("inf") else ln.take_int()
 
 
-def _read_rule(ln: _Line, interner: _Interner) -> PropRule:
-    tag = ln.take_word()
-    if ln.peek()[1] == "false":
-        ln.next()
-        head = None
-    else:
-        head = interner.timed_atom(ln)
+def _read_head(ln: _Line, atom):
+    """`false` (None) or an atom, then `<-`."""
+    head = None if ln.accept("false") else atom(ln)
     ln.expect("<-")
-    body = _parse_formula(ln, interner.timed_atom)
-    if not ln.done():
-        raise FormatError(ln.lineno, "trailing tokens")
-    return PropRule(head, body, tag)
-
-
-def import_prop(text: str) -> PropProgram:
-    interner = _Interner()
-    horizon = None
-    rules: list[PropRule] = []
-    for ln, directive in _read_native(text, "prop-program"):
-        if directive == "horizon":
-            horizon = ln.take_int()
-        elif directive == "const":
-            _read_const(ln, interner)
-        elif directive == "rule":
-            rules.append(_read_rule(ln, interner))
-        else:
-            raise FormatError(ln.lineno, f"unknown directive #{directive}")
-    if horizon is None:
-        raise FormatError(1, "missing #horizon")
-    gls = interner.ground_law_set()
-    return PropProgram(horizon, rules, _timed_consts(gls, horizon), gls)
+    return head
 
 
 def _read_const(ln: _Line, interner: _Interner):
@@ -561,13 +478,79 @@ def _read_const(ln: _Line, interner: _Interner):
         raise FormatError(ln.lineno, f"unknown constant kind {kind!r}")
     ln.expect("(")
     labels = [ln.take_str()]
-    while ln.peek()[1] == ",":
-        ln.next()
+    while ln.accept(","):
         labels.append(ln.take_str())
     ln.expect(")")
     interner.add_const(name, kind, labels, ln.lineno)
-    if not ln.done():
-        raise FormatError(ln.lineno, "trailing tokens")
+
+
+def _read_rule(ln: _Line, interner: _Interner, leaf_cls, wrong: str) -> PropRule:
+    """A rule whose atoms are all of leaf_cls; any other raises wrong."""
+
+    def atom(ln: _Line):
+        a = interner.timed_atom(ln)
+        if a.__class__ is not leaf_cls:
+            raise FormatError(ln.lineno, wrong)
+        return a
+
+    tag = ln.take_word()
+    head = _read_head(ln, atom)
+    return PropRule(head, _parse_formula(ln, atom), tag)
+
+
+def import_ground(text: str) -> GroundLawSet:
+    interner = _Interner()
+    laws: dict[LawShape, list[GroundLaw]] = {shape: [] for shape in LawShape}
+    queries: dict[str, QuerySpec] = {}
+    qlines: dict[str, list] = {}
+    for ln, directive in _read_native(text, "ground-laws", ("const", "law", "query", "qline")):
+        if directive == "const":
+            _read_const(ln, interner)
+        elif directive == "law":
+            shape_text = ln.take_word()
+            shape = _TEXT_SHAPE.get(shape_text)
+            if shape is None:
+                raise FormatError(ln.lineno, f"unknown law shape {shape_text!r}")
+            a = _read_head(ln, interner.mv_atom)
+            head = None if a is None else (a.const, a.value)
+            cond = _parse_formula(ln, interner.mv_atom)
+            after = _parse_formula(ln, interner.mv_atom) if ln.accept("after") else None
+            laws[shape].append(GroundLaw(shape, head, cond, after))
+        elif directive == "query":
+            label = ln.take_str()
+            queries[label] = QuerySpec(label, *_read_range(ln), ())
+            qlines[label] = []
+        else:
+            label = ln.take_str()
+            if label not in queries:
+                raise FormatError(ln.lineno, f"#qline before #query for {label!r}")
+            ln.expect("at")
+            tr = _parse_timeref(ln)
+            qlines[label].append((tr, _parse_formula(ln, interner.mv_atom)))
+    gls = interner.ground_law_set()
+    gls.static, gls.action_dynamic, gls.fluent_dynamic = laws.values()
+    gls.queries = {
+        label: QuerySpec(label, q.min_step, q.max_step, tuple(qlines[label]))
+        for label, q in queries.items()
+    }
+    return gls
+
+
+def import_prop(text: str) -> PropProgram:
+    interner = _Interner()
+    horizon = None
+    rules: list[PropRule] = []
+    for ln, directive in _read_native(text, "prop-program", ("horizon", "const", "rule")):
+        if directive == "horizon":
+            horizon = ln.take_int()
+        elif directive == "const":
+            _read_const(ln, interner)
+        else:
+            rules.append(_read_rule(ln, interner, PAtom, "rules take concrete steps"))
+    if horizon is None:
+        raise FormatError(1, "missing #horizon")
+    gls = interner.ground_law_set()
+    return PropProgram(horizon, rules, _timed_consts(gls, horizon), gls)
 
 
 def import_incremental(text: str) -> IncrementalProgram:
@@ -583,14 +566,10 @@ def import_incremental(text: str) -> IncrementalProgram:
     }
     qlines: list = []
     section = None
-    for ln, directive in _read_native(text, "incremental-program"):
+    directives = ("range", "query", "const", "section", "rule", "qline")
+    for ln, directive in _read_native(text, "incremental-program", directives):
         if directive == "range":
-            lo = ln.take_int()
-            if ln.peek()[1] == "inf":
-                ln.next()
-                hi = None
-            else:
-                hi = ln.take_int()
+            lo, hi = _read_range(ln)
         elif directive == "query":
             label = ln.take_str()
         elif directive == "const":
@@ -603,30 +582,19 @@ def import_incremental(text: str) -> IncrementalProgram:
             if section not in rule_sections:
                 raise FormatError(ln.lineno, "#rule outside base/cumulative")
             rules, leaf_cls, wrong = rule_sections[section]
-            rule = _read_rule(ln, interner)
-            if not all(isinstance(a, leaf_cls) for a in _rule_leaves(rule)):
-                raise FormatError(ln.lineno, wrong)
-            rules.append(rule)
-        elif directive == "qline":
+            rules.append(_read_rule(ln, interner, leaf_cls, wrong))
+        else:
             if section != "volatile":
                 raise FormatError(ln.lineno, "#qline outside the volatile section")
             ln.expect("at")
             tr = _parse_timeref(ln)
             qlines.append((tr, _parse_formula(ln, interner.mv_atom)))
-        else:
-            raise FormatError(ln.lineno, f"unknown directive #{directive}")
     if lo is None or label is None:
         raise FormatError(1, "missing #range or #query header")
     gls = interner.ground_law_set()
     query = QuerySpec(label, lo, hi, tuple(qlines))
     gls.queries = {label: query}
     return IncrementalProgram(gls, query, base, template)
-
-
-def _rule_leaves(rule: PropRule):
-    if rule.head is not None:
-        yield rule.head
-    yield from formula_leaves(rule.body)
 
 
 def sniff_format(text: str) -> str:

@@ -1129,6 +1129,7 @@ class LiveSolver:
         self.natoms = 0  # atoms of the groups and atoms added so far
         self.unsupported: list[PAtom] = []  # support still open
         self.clauses = 0  # handed to the solver for good
+        self.rules = 0  # placed in the last extend: steps and query lines
         self.cnf_s = 0.0  # spent in the last extend
         self.lag = {r.head.const: 1 for r in code.template
                     if r.head is not None and r.head.rel < 0}
@@ -1162,9 +1163,11 @@ class LiveSolver:
         self.natoms += len(atoms)
         for tc in groups:
             b.add_exactly_one(tc.values)
+        rules = 0
         while self.placed < self.horizon:
             self.placed += 1
             self.place_step(self.placed)
+            rules += len(code.template if self.placed else code.rules)
         bodies = self.bodies
         final = self.horizon == self.last
         closed, still = [], []
@@ -1182,6 +1185,7 @@ class LiveSolver:
         lines = [(step, ops, final or fixed)
                  for step, ops, fixed in zip(steps, code.lines, code.fixed)
                  if first or not fixed]
+        self.rules = rules + len(lines)
         for step, ops, good in lines:
             if good:
                 b.place(ops, step)
@@ -1289,11 +1293,8 @@ def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
         )
     code = StepCode(inc)
     live = LiveSolver(code, inc.max_step)
-    fixed = sum(code.fixed)  # query lines placed at the first horizon only
     prev = -1  # the previous horizon
     for k in range(inc.min_step, inc.max_step + 1):
-        placed = (len(inc.base) + fixed if prev < 0 else 0) \
-            + len(inc.template) * (k - max(prev, 0)) + len(code.lines) - fixed
         before = (stats.decisions, stats.conflicts, stats.propagations, stats.models_checked)
         live.horizon = k
         t0 = time.perf_counter()
@@ -1305,7 +1306,7 @@ def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
             k, s.nvars, live.clauses, len(s.learnts),
             stats.decisions - before[0], stats.conflicts - before[1],
             stats.propagations - before[2], stats.models_checked - before[3],
-            placed, live.cnf_s, spent - live.cnf_s,
+            live.rules, live.cnf_s, spent - live.cnf_s,
         ))
         yield k, models
 

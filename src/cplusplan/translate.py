@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from . import mvpf
 from .ground import GroundLawSet
-from .syntax import LangError, NO_SPAN, QuerySpec
+from .syntax import KIDS, LangError, NO_SPAN, QuerySpec, walk
 
 
 class TranslateError(LangError):
@@ -106,18 +106,8 @@ def map_leaves(f, fn):
 
 
 def formula_leaves(f):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, mvpf.Neg):
-            stack.append(g.sub)
-        elif isinstance(g, (mvpf.And, mvpf.Or)):
-            stack.extend(reversed(g.parts))
-        elif isinstance(g, mvpf.Impl):
-            stack.append(g.right)
-            stack.append(g.left)
-        elif not isinstance(g, mvpf.Bot):
-            yield g
+    """The atoms of f, left to right: every leaf but false."""
+    return (g for g in walk(f) if g.__class__ not in KIDS and g.__class__ is not mvpf.Bot)
 
 
 def at_step(f, step: int):

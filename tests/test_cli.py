@@ -334,6 +334,31 @@ class TestStageCuts:
         assert rc == 0
         assert "found step 1, 1 model" in out
 
+    def test_static_dump_reports_its_empty_step(self, tmp_path):
+        _, dump, _ = run(
+            ["--mode=static", "--to-grounder", ex("bw-pair"),
+             "query=tower", "maxstep=0"]
+        )
+        path = tmp_path / "prop.dump"
+        path.write_text(dump)
+        rc, out, _ = run(["--mode=static", "--all-steps", "--from-grounder", str(path)])
+        assert rc == 1
+        assert "step 0: no models" in out.splitlines()
+
+    def test_ungrouped_query_line_is_rejected(self, tmp_path):
+        _, dump, _ = run(["--to-grounder", ex("bw-test"), "query=simple"])
+        lines = dump.splitlines()
+        i = next(i for i, l in enumerate(lines) if l.startswith("#qline at maxstep"))
+        # without its parentheses the line reads as its first conjunct and
+        # stray tokens, which must not be dropped
+        lines[i] = lines[i].replace("(", "", 1)[:-2] + "."
+        path = tmp_path / "inc.dump"
+        path.write_text("\n".join(lines) + "\n")
+        rc, out, err = run(["--from-grounder", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert f"line {i + 1}: trailing tokens" in err
+
     def test_static_mode_solves_an_incremental_dump(self, tmp_path):
         _, dump, _ = run(["--to-grounder", ex("bw-test"), "query=simple"])
         path = tmp_path / "inc.dump"

@@ -159,6 +159,56 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             export.import_ground("")
 
+    @pytest.mark.parametrize("fmt, directive", [
+        (fmt, directive)
+        for fmt, directives in [
+            ("ground", ["format", "const", "law", "query", "qline", "end"]),
+            ("prop", ["format", "horizon", "const", "rule", "end"]),
+            ("incremental", ["format", "range", "query", "const", "section", "rule", "qline", "end"]),
+        ]
+        for directive in directives
+    ])
+    def test_stray_token_after_each_directive(self, bw, chain, fmt, directive):
+        text, read = {
+            "ground": (export.export_ground(bw), export.import_ground),
+            "prop": (export.export_prop(to_prop(chain, 1, chain.queries["q"])), export.import_prop),
+            "incremental": (export.export_incremental(incremental_program(bw, bw.queries["tower"])),
+                            export.import_incremental),
+        }[fmt]
+        lines = text.splitlines()
+        i = next(i for i, l in enumerate(lines) if l.startswith("#" + directive))
+        lines[i] = lines[i][:-1] + ' "stray".'
+        with pytest.raises(FormatError, match="trailing tokens") as e:
+            read("\n".join(lines) + "\n")
+        assert e.value.line == i + 1
+
+    def test_directive_of_another_format(self, bw):
+        lines = export.export_ground(bw).splitlines()
+        lines.insert(1, "#horizon 1.")
+        with pytest.raises(FormatError, match="unknown directive #horizon") as e:
+            export.import_ground("\n".join(lines) + "\n")
+        assert e.value.line == 2
+
+    # a template atom in a fixed-horizon program would land on step 0 or -1
+    TEMPLATE_IN_PROP = (
+        "#format prop-program 1.\n"
+        "#horizon 1.\n"
+        '#const "p" simple ("false", "true").\n'
+        '#const "a" action ("false", "true").\n'
+        '#rule transition t:"p"="true" <- t-1:"a"="true".\n'
+        "#end.\n"
+    )
+
+    def test_prop_program_rejects_template_atoms(self, tmp_path):
+        with pytest.raises(FormatError, match="concrete steps") as e:
+            export.import_prop(self.TEMPLATE_IN_PROP)
+        assert e.value.line == 5
+        path = tmp_path / "prop.dump"
+        path.write_text(self.TEMPLATE_IN_PROP)
+        err = io.StringIO()
+        assert main(["--from-grounder", str(path)], io.StringIO(), err) == 2
+        assert "line 5: rules take concrete steps" in err.getvalue()
+
 
 GROUP_HEAD = "".join(
     ["#format ground-laws 1.\n"]
