@@ -484,13 +484,18 @@ def _read_const(ln: _Line, interner: _Interner):
     interner.add_const(name, kind, labels, ln.lineno)
 
 
-def _read_rule(ln: _Line, interner: _Interner, leaf_cls, wrong: str) -> PropRule:
-    """A rule whose atoms are all of leaf_cls; any other raises wrong."""
+def _read_rule(
+    ln: _Line, interner: _Interner, leaf_cls, wrong: str, horizon: int | None = None
+) -> PropRule:
+    """A rule whose atoms are all of leaf_cls; any other raises wrong.
+    With a horizon, each atom's step must be in 0..horizon."""
 
     def atom(ln: _Line):
         a = interner.timed_atom(ln)
         if a.__class__ is not leaf_cls:
             raise FormatError(ln.lineno, wrong)
+        if horizon is not None and not 0 <= a.step <= horizon:
+            raise FormatError(ln.lineno, f"step {a.step} outside 0..{horizon}")
         return a
 
     tag = ln.take_word()
@@ -542,11 +547,17 @@ def import_prop(text: str) -> PropProgram:
     rules: list[PropRule] = []
     for ln, directive in _read_native(text, "prop-program", ("horizon", "const", "rule")):
         if directive == "horizon":
+            if horizon is not None:
+                raise FormatError(ln.lineno, "#horizon given twice")
             horizon = ln.take_int()
         elif directive == "const":
             _read_const(ln, interner)
         else:
-            rules.append(_read_rule(ln, interner, PAtom, "rules take concrete steps"))
+            # the horizon bounds the rules' steps, so like a constant's
+            # #const line it comes before the rules that use it
+            if horizon is None:
+                raise FormatError(ln.lineno, "#rule before #horizon")
+            rules.append(_read_rule(ln, interner, PAtom, "rules take concrete steps", horizon))
     if horizon is None:
         raise FormatError(1, "missing #horizon")
     gls = interner.ground_law_set()

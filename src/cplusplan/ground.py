@@ -254,7 +254,9 @@ class SymbolTable:
     """Interning for values and ground constants.
 
     A single id counter serves both, so value ids and constant ids live
-    in disjoint ranges by construction.
+    in disjoint ranges by construction.  ``plan_layout`` holds what
+    ``plans`` derives from the table once for every plan over it; adding
+    a constant or a value drops it.
     """
 
     def __init__(self) -> None:
@@ -264,6 +266,7 @@ class SymbolTable:
         self.consts: dict[tuple, GroundConst] = {}
         self.by_id: dict[int, GroundConst] = {}
         self.order: list[GroundConst] = []
+        self.plan_layout = None
 
     def _fresh(self) -> int:
         n = self._next
@@ -281,6 +284,7 @@ class SymbolTable:
             vid = self._fresh()
             self._value_ids[key] = vid
             self.values[vid] = v
+            self.plan_layout = None
         return self._value_ids[key]
 
     def vid_of(self, v) -> int | None:
@@ -295,6 +299,7 @@ class SymbolTable:
         self.consts[key] = gc
         self.by_id[gc.cid] = gc
         self.order.append(gc)
+        self.plan_layout = None
         return gc
 
     def lookup(self, base: str, args: tuple) -> GroundConst | None:

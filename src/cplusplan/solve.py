@@ -991,14 +991,22 @@ class Dpll:
         trail = self.trail
         return [trail[i] for i in self.trail_lim[1 if self.assumption else 0:]]
 
-    def block(self, clause: list[int]) -> bool:
+    def block(self, clause: list[int] | None = None) -> bool:
         """Adds a clause that the total assignment falsifies and jumps back
         far enough for search to go on; False when nothing is left.  Under
-        an assumption, the clause is guarded by it."""
-        if self.assumption:
-            clause.append(-self.assumption)
+        an assumption, the clause is guarded by it.  Without a clause it
+        blocks the decisions: each level above the assumption's starts
+        with one, so reversed, then the assumption's negation, they are
+        already in the order of the sort by level, highest first."""
         level = self.level
-        clause.sort(key=lambda l: level[abs(l)], reverse=True)
+        if clause is None:
+            clause = [-lit for lit in reversed(self.decisions())]
+            if self.assumption:
+                clause.append(-self.assumption)
+        else:
+            if self.assumption:
+                clause.append(-self.assumption)
+            clause.sort(key=lambda l: level[abs(l)], reverse=True)
         if not clause or not level[abs(clause[0])]:
             self.ok = False
             return False
@@ -1272,7 +1280,7 @@ def enumerate_models(
             yielded += 1
             if config.max_solutions and yielded >= config.max_solutions:
                 return
-        if not solver.block([-lit for lit in solver.decisions()]):
+        if not solver.block():
             return
 
 

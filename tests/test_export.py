@@ -209,6 +209,42 @@ class TestFormatErrors:
         assert main(["--from-grounder", str(path)], io.StringIO(), err) == 2
         assert "line 5: rules take concrete steps" in err.getvalue()
 
+    # a step past the horizon has no group and no rule, so the constraint
+    # on it would be silently vacuous
+    PAST_HORIZON = (
+        "#format prop-program 1.\n"
+        "#horizon 1.\n"
+        '#const "p" simple ("false", "true").\n'
+        '#rule x false <- 1:"p"="true".\n'
+        '#rule x false <- (0:"p"="true" & STEP:"p"="true").\n'
+        "#end.\n"
+    )
+
+    @pytest.mark.parametrize("step", ["5", "2"])
+    def test_prop_program_rejects_steps_outside_the_horizon(self, tmp_path, step):
+        text = self.PAST_HORIZON.replace("STEP", step)
+        with pytest.raises(FormatError, match=f"step {step} outside 0..1") as e:
+            export.import_prop(text)
+        assert e.value.line == 5
+        path = tmp_path / "prop.dump"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        assert main(["--from-grounder", str(path), "--to-solver", "sol=all"], out, err) == 2
+        assert f"line 5: step {step} outside 0..1" in err.getvalue()
+        assert out.getvalue() == ""
+        assert len(export.import_prop(self.PAST_HORIZON.replace("STEP", "0")).rules) == 2
+
+    def test_prop_program_horizon_comes_once_before_the_rules(self):
+        lines = self.PAST_HORIZON.replace("STEP", "1").splitlines()
+        late = lines[:1] + lines[2:4] + lines[1:2] + lines[4:]
+        with pytest.raises(FormatError, match="#rule before #horizon") as e:
+            export.import_prop("\n".join(late) + "\n")
+        assert e.value.line == 3
+        twice = lines[:4] + lines[1:2] + lines[4:]
+        with pytest.raises(FormatError, match="#horizon given twice") as e:
+            export.import_prop("\n".join(twice) + "\n")
+        assert e.value.line == 5
+
 
 GROUP_HEAD = "".join(
     ["#format ground-laws 1.\n"]

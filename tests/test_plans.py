@@ -1,14 +1,19 @@
 """Plan views: grouping, ordering, and deterministic rendering."""
 
 import dataclasses
+import gc
+import hashlib
+import weakref
 
 import pytest
 
+from cplusplan import suite
 from cplusplan.ground import ground_description
 from cplusplan.parser import parse_text
 from cplusplan.plans import (
     NonFunctionalModel,
     model_atom_names,
+    plan_layout,
     render_plan_view,
     to_plan_view,
 )
@@ -152,3 +157,94 @@ def test_model_atom_names_sorted_line(solved):
     parts = line.split(" ")
     assert parts == sorted(parts, key=lambda p: (int(p.split(":")[0]), p))
     assert all(":" in p and "=" in p for p in parts)
+
+
+def test_first_faulty_step_counts_up_on_a_built_layout(solved):
+    gls, res = solved
+    model = res.models[0]
+    to_plan_view(model, gls, res.found_step, "tower")  # the layout exists now
+    assert gls.symbols.plan_layout is not None
+    loc_a, loc_b = gls.symbols.order[:2]
+    # loc(b) doubled at step 0, loc(a) missing at step 1: step 0 is named
+    other = next(v for v in loc_b.dom if PAtom(0, loc_b.cid, v) not in model)
+    broken = frozenset(
+        {a for a in model if not (a.step == 1 and a.const == loc_a.cid)}
+        | {PAtom(0, loc_b.cid, other)}
+    )
+    with pytest.raises(NonFunctionalModel) as e:
+        to_plan_view(broken, gls, res.found_step, "tower")
+    assert (e.value.const, e.value.step, e.value.count) == ("loc(b)", 0, 2)
+    # both at step 0: the first in symbol order is named, missing or not
+    broken = frozenset(
+        {a for a in model if not (a.step == 0 and a.const == loc_a.cid)}
+        | {PAtom(0, loc_b.cid, other)}
+    )
+    with pytest.raises(NonFunctionalModel) as e:
+        to_plan_view(broken, gls, res.found_step, "tower")
+    assert (e.value.const, e.value.step, e.value.count) == ("loc(a)", 0, 0)
+
+
+def test_atoms_the_rows_do_not_read_are_ignored(solved):
+    gls, res = solved
+    model = res.models[0]
+    view = to_plan_view(model, gls, res.found_step, "tower")
+    move, loc = next(c for c in gls.symbols.order if c.kind == "action"), gls.symbols.order[0]
+    # both values of an action at the last step, and a fluent past it
+    extra = {PAtom(1, move.cid, v) for v in move.dom} | {PAtom(5, loc.cid, loc.dom[0])}
+    assert to_plan_view(model | extra, gls, res.found_step, "tower") == view
+
+
+def test_layout_is_dropped_when_the_table_grows():
+    symbols = ground_description(parse_text(BW, "<t>")).symbols
+    layout = plan_layout(symbols)
+    assert symbols.plan_layout is layout
+    symbols.intern_value(True)  # already interned: the layout stays
+    assert symbols.plan_layout is layout
+    symbols.intern_value("new value")
+    assert symbols.plan_layout is None
+    assert plan_layout(symbols) is not layout
+    symbols.add_const("extra", (), "simple", (symbols.vid_of(True),))
+    assert symbols.plan_layout is None
+    assert "extra" in [a.const for a in plan_layout(symbols).cells.values()]
+
+
+def test_a_dropped_law_set_is_freed_with_its_layout():
+    gls = ground_description(parse_text(BW, "<t>"))
+    res = solve_incremental(incremental_program(gls, gls.queries["tower"]), SolveConfig())
+    to_plan_view(res.models[0], gls, res.found_step, "tower")
+    model_atom_names(res.models[0], gls)
+    assert gls.symbols.plan_layout is not None
+    ref = weakref.ref(gls)
+    layout = weakref.ref(gls.symbols.plan_layout)
+    del gls, res
+    gc.collect()
+    assert ref() is None and layout() is None
+
+
+# Every plan at enumerate-plans' fixed horizons, digested: the defaults,
+# hide_false, hide_inertial, then the model_atom_names lines.  Taken
+# before the plan layout existed, when each view rebuilt its tables.
+PLAN_DIGESTS = {
+    ("bw-pair", "tower", 3): (23, "a610570446b08e61", "bafe2ee300661fa3",
+                              "efff9e05a09fa0bb", "19bca0daf44aa82c"),
+    ("bw-test", "simple", 3): (36, "d3fedb287e8e10e4", "cc3047925ad7f559",
+                               "f419f9a776c44e43", "fc052a394aedcbf0"),
+    ("ferryman", "cross", 9): (90, "6233e56d4acf20a4", "25c6e732bca64896",
+                               "71f930f805eb5b1e", "8b33a1a76aa26c43"),
+}
+
+
+@pytest.mark.parametrize("name, label, k", sorted(PLAN_DIGESTS))
+def test_every_plan_renders_as_pinned(name, label, k):
+    gls = suite.load_example(name)
+    query = dataclasses.replace(gls.queries[label], min_step=k, max_step=k)
+    res = solve_incremental(incremental_program(gls, query), SolveConfig(max_solutions=0))
+    views = [to_plan_view(m, gls, k, label) for m in res.models]
+    texts = [
+        "".join(render_plan_view(v) for v in views),
+        "".join(render_plan_view(v, hide_false=True) for v in views),
+        "".join(render_plan_view(v, hide_inertial=True) for v in views),
+        "".join(model_atom_names(m, gls) + "\n" for m in res.models),
+    ]
+    digests = tuple(hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts)
+    assert (len(res.models), *digests) == PLAN_DIGESTS[name, label, k]
