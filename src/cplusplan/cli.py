@@ -18,20 +18,10 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .export import (
-    ExportError,
-    export_ground,
-    export_incremental,
-    export_prop,
-    import_ground,
-    import_incremental,
-    import_prop,
-    sniff_format,
-)
 from .ground import GroundLawSet, ground_description
+from .mvpf import Record
 from .parser import (
     MalformedOverride,
     QueryOverride,
@@ -40,7 +30,7 @@ from .parser import (
 )
 from .plans import model_atom_names, render_plan_view, to_plan_view
 from .solve import SolveConfig, Stats, enumerate_models, solve_horizons
-from .syntax import LangError, QuerySpec
+from .syntax import ExportError, LangError, QuerySpec
 from .translate import IncrementalProgram, PropProgram, incremental_program
 
 STAGES = ("pre-processor", "grounder", "solver", "post-processor")
@@ -88,17 +78,17 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class RunConfig:
-    input_files: list[str] = field(default_factory=list)
-    override: QueryOverride = field(default_factory=QueryOverride)
-    stage_from: str = "pre-processor"
-    stage_to: str = "post-processor"
-    stage_outputs: dict = field(default_factory=dict)  # stage -> path | None
-    mode: str = "incremental"
-    language: str = "cplus"
-    all_steps: bool = False
-    want_help: bool = False
+    def __init__(self) -> None:
+        self.input_files: list[str] = []
+        self.override = QueryOverride()
+        self.stage_from = "pre-processor"
+        self.stage_to = "post-processor"
+        self.stage_outputs: dict = {}  # stage -> path | None
+        self.mode = "incremental"
+        self.language = "cplus"
+        self.all_steps = False
+        self.want_help = False
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +164,12 @@ def parse_args(argv: list[str]) -> tuple[RunConfig, list[str]]:
 # ---------------------------------------------------------------------------
 # Stage plumbing
 
+def _export():
+    """The dump module: only a run that reads or writes a dump imports it."""
+    from . import export
+    return export
+
+
 def _emit(cfg: RunConfig, stage: str, render, out) -> None:
     """Writes render()'s text where the stage's payload goes, if anywhere;
     render runs only for a stage whose payload was asked for."""
@@ -206,8 +202,7 @@ def _apply_range(query: QuerySpec, ov: QueryOverride, need_bound: bool) -> Query
     return q
 
 
-@dataclass
-class Outcome:
+class Outcome(Record):
     label: str
     found_step: int | None
     solved: list  # (step, models) pairs, every step that was reported
@@ -231,15 +226,15 @@ def _run_query(
 
     t0 = time.perf_counter()
     if pre_inc is not None:
-        inc = dataclasses.replace(pre_inc, query=q)
+        inc = IncrementalProgram(pre_inc.gls, q, pre_inc.base, pre_inc.template)
     else:
         inc = incremental_program(gls, q)
     timings["grounder"] = timings.get("grounder", 0.0) + time.perf_counter() - t0
 
     if cfg.mode == "incremental":
-        _emit(cfg, "grounder", lambda: export_incremental(inc), out)
+        _emit(cfg, "grounder", lambda: _export().export_incremental(inc), out)
     else:
-        _emit(cfg, "grounder", lambda: export_prop(inc.program(q.min_step)), out)
+        _emit(cfg, "grounder", lambda: _export().export_prop(inc.program(q.min_step)), out)
     if STAGES.index(cfg.stage_to) < STAGES.index("solver"):
         return Outcome(q.label, None, [], q.min_step, q.max_step)
 
@@ -333,7 +328,8 @@ def _finish_query(
 # Interactive loop
 
 def _repl(gls, cfg, timings, out, err, source) -> int:
-    session = dataclasses.replace(cfg.override, warnings=[])
+    ov = cfg.override
+    session = QueryOverride(ov.label, ov.min_step, ov.max_step, ov.solutions)
     print("interactive mode; 'help' lists commands, 'exit' leaves", file=out)
     echo = not getattr(source, "isatty", lambda: False)()
     while True:
@@ -411,14 +407,15 @@ def _load(cfg: RunConfig, timings: dict):
     if len(cfg.input_files) != 1:
         raise UsageError("exactly one dump file when starting from a stage output")
     text = Path(cfg.input_files[0]).read_text()
-    kind = sniff_format(text)
+    export = _export()
+    kind = export.sniff_format(text)
     if kind == "ground-laws":
-        return import_ground(text), None
+        return export.import_ground(text), None
     if kind == "prop-program":
-        prog = import_prop(text)
+        prog = export.import_prop(text)
         return prog.gls, prog
     if kind == "incremental-program":
-        inc = import_incremental(text)
+        inc = export.import_incremental(text)
         return inc.gls, inc
     raise UsageError(f"unrecognized dump format '{kind}'")
 
@@ -426,7 +423,7 @@ def _load(cfg: RunConfig, timings: dict):
 def _run(cfg: RunConfig, out, err, repl_source) -> int:
     timings: dict[str, float] = {}
     gls, pre = _load(cfg, timings)
-    _emit(cfg, "pre-processor", lambda: export_ground(gls), out)
+    _emit(cfg, "pre-processor", lambda: _export().export_ground(gls), out)
     if cfg.stage_to == "pre-processor":
         return 0
 
@@ -486,11 +483,6 @@ def main(argv: list[str], out=None, err=None, repl_source=None) -> int:
         return 2
     except (LangError, ExportError, OSError) as e:
         print(f"error: {e}", file=err)
-        return 2
-    except RecursionError:
-        # input of any depth is read and walked without recursion, but the
-        # generated equality and hashing of deep dataclass trees still recurse
-        print("error: input nested too deeply", file=err)
         return 2
 
 

@@ -19,7 +19,7 @@ import re
 
 from . import mvpf
 from .ground import GroundLaw, GroundLawSet, SymbolTable
-from .syntax import LawShape, QuerySpec, TimeRef
+from .syntax import ExportError, LawShape, QuerySpec, TimeRef
 from .translate import (
     IncrementalProgram,
     PAtom,
@@ -28,10 +28,6 @@ from .translate import (
     TAtom,
     _timed_consts,
 )
-
-
-class ExportError(Exception):
-    pass
 
 
 class FormatError(ExportError):

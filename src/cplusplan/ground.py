@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
 
 from . import mvpf
+from .mvpf import Record
 from .syntax import (
     KIDS,
     ActionDescription,
@@ -72,6 +72,7 @@ from .syntax import (
     RigidLaw,
     ShorthandLaw,
     Span,
+    Spanned,
     Sym,
     Term,
     UndeclaredConstant,
@@ -223,8 +224,7 @@ def expand_description(desc: ActionDescription) -> list[CoreLaw]:
 # ---------------------------------------------------------------------------
 # Symbols
 
-@dataclass(frozen=True)
-class GroundConst:
+class GroundConst(Record):
     cid: int
     name: str  # printable, e.g. "loc(a)"
     base: str
@@ -312,24 +312,25 @@ class SymbolTable:
 # ---------------------------------------------------------------------------
 # Ground laws
 
-@dataclass(frozen=True)
-class GroundLaw:
+class GroundLaw(Spanned):
     shape: LawShape
     head: tuple[int, int] | None  # (constant id, value id); None is `false`
     cond: mvpf.MvFormula
     after: mvpf.MvFormula | None
-    span: Span = field(compare=False, default=NO_SPAN)
     inst: tuple = ()  # substituted objects, in variable order
+    span: Span = NO_SPAN
 
 
-@dataclass
 class GroundLawSet:
-    symbols: SymbolTable
-    signature: mvpf.Signature
-    static: list[GroundLaw]
-    action_dynamic: list[GroundLaw]
-    fluent_dynamic: list[GroundLaw]
-    queries: dict[str, QuerySpec]  # over MvAtoms
+    def __init__(self, symbols: SymbolTable, signature: mvpf.Signature,
+                 static: list[GroundLaw], action_dynamic: list[GroundLaw],
+                 fluent_dynamic: list[GroundLaw], queries: dict[str, QuerySpec]) -> None:
+        self.symbols = symbols
+        self.signature = signature
+        self.static = static
+        self.action_dynamic = action_dynamic
+        self.fluent_dynamic = fluent_dynamic
+        self.queries = queries  # over MvAtoms
 
     @property
     def laws(self) -> list[GroundLaw]:
@@ -810,7 +811,7 @@ class _LawPlan:
             after = None if after_ops is None else _run(after_ops, env)
             if cond is mvpf.BOT or after is mvpf.BOT:
                 continue  # `caused H if false` or `... after false`
-            out.append(GroundLaw(shape, h, cond, after, span, tuple(env)))
+            out.append(GroundLaw(shape, h, cond, after, tuple(env), span))
         return out
 
 
@@ -899,7 +900,7 @@ def ground_description(desc: ActionDescription) -> GroundLawSet:
                     fluent_dynamic.append(
                         GroundLaw(
                             LawShape.FLUENT_DYNAMIC, (gc.cid, vid), a, a,
-                            decl.span, gc.args,
+                            gc.args, decl.span,
                         )
                     )
         elif decl.kind is ConstKind.EXOGENOUS_ACTION:
@@ -911,7 +912,7 @@ def ground_description(desc: ActionDescription) -> GroundLawSet:
                     action_dynamic.append(
                         GroundLaw(
                             LawShape.ACTION_DYNAMIC, (gc.cid, vid), a, None,
-                            decl.span, gc.args,
+                            gc.args, decl.span,
                         )
                     )
 

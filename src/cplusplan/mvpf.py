@@ -18,6 +18,14 @@ use; the syntax layer passes its own table of children, this module's
 `reduct` keep loops of their own, so the reference semantics shares no
 evaluator with the code it checks.
 
+Every immutable record of the package, these connectives among them, is
+a `Record`: a tuple of its fields, built by a class statement that runs
+no generated code.  A record equals only a record of its own class, so
+``MvAtom(1, 2) != (1, 2)``, and hashes as the tuple of its fields, as the
+frozen dataclasses it replaced did.  A tuple hashes its items in C with
+no depth guard, so no layer hashes a formula node above its atoms: the
+grounder and ``solve.StepCode`` key their tables on flat shapes.
+
 Stability is defined through the reduct: relative to an interpretation I,
 every maximal subformula that I does not satisfy is replaced by ``false``.
 I is a stable model of a theory when I is the *only* interpretation that
@@ -32,7 +40,7 @@ space of interpretations (guarded by a size cap).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import _tuplegetter
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -43,34 +51,99 @@ class SignatureTooLarge(Exception):
     """The interpretation space exceeds the exhaustive-check cap."""
 
 
-@dataclass(frozen=True, slots=True)
-class MvAtom:
+# ---------------------------------------------------------------------------
+# Records
+
+class _RecordType(type):
+    """Builds a `Record` class from its annotations: one field per
+    annotated name, in order, read by namedtuple's C getter, with the
+    value assigned in the class body, if any, as its default.  It sets
+    ``__slots__`` before the class exists, so no record has a
+    ``__dict__``."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns["_defaults"] = {f: ns[f] for f in fields if f in ns}
+        for i, f in enumerate(fields):
+            ns[f] = _tuplegetter(i, None)
+        ns["_fields"] = fields
+        ns["__slots__"] = ()
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Record(tuple, metaclass=_RecordType):
+    """An immutable record: a tuple of its fields, made with no generated
+    code.  It equals only a record of its own class with equal fields,
+    and hashes as the tuple of its fields, as a frozen dataclass does;
+    its repr is a dataclass's."""
+
+    def __new__(cls, *args, **kw):
+        if kw or len(args) != len(cls._fields):
+            args = _bind(cls, args, kw)
+        return tuple.__new__(cls, args)
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return self.__class__ is not other.__class__ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map("{}={!r}".format, self._fields, self))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __getnewargs__(self) -> tuple:
+        # what copy and pickle pass to __new__; the tuple's own would be
+        # the one argument (fields,), a silent wrong copy of a record
+        # with one field
+        return tuple(self)
+
+
+def _bind(cls, args: tuple, kw: dict) -> list:
+    """A call's arguments in field order, defaults filled in; a wrong
+    call raises TypeError, as it would on a function."""
+    fields = cls._fields
+    if len(args) > len(fields):
+        raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, got {len(args)}")
+    out = list(args)
+    for f in fields[len(args):]:
+        if f in kw:
+            out.append(kw.pop(f))
+        elif f in cls._defaults:
+            out.append(cls._defaults[f])
+        else:
+            raise TypeError(f"{cls.__name__}() missing argument '{f}'")
+    for f in kw:
+        what = "multiple values for" if f in fields else "an unexpected"
+        raise TypeError(f"{cls.__name__}() got {what} argument '{f}'")
+    return out
+
+
+class MvAtom(Record):
     const: int
     value: int
 
 
-@dataclass(frozen=True, slots=True)
-class Bot:
-    pass
+class Bot(Record):
+    def __bool__(self) -> bool:  # the one record with no fields
+        return True
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
+class Neg(Record):
     sub: "MvFormula"
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+class And(Record):
     parts: tuple["MvFormula", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+class Or(Record):
     parts: tuple["MvFormula", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Impl:
+class Impl(Record):
     # Impl(a, b) is the implication a -> b.  A rule "head if body" is
     # therefore written Impl(body, head).
     left: "MvFormula"
@@ -207,8 +280,7 @@ def join(cls: type, parts: Iterable) -> object:
     return cls(tuple(out)) if len(out) > 1 else out[0]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Ordered constants with their value domains.
 
     Constant ids and value ids are plain ints drawn from one shared
@@ -218,13 +290,15 @@ class Signature:
     constants: tuple[int, ...]
     dom: Mapping[int, tuple[int, ...]]
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kw):
+        self = Record.__new__(cls, *args, **kw)
         for c in self.constants:
             values = self.dom[c]
             if len(values) == 0:
                 raise ValueError(f"constant {c} has an empty domain")
             if c in values:
                 raise ValueError(f"constant {c} used as one of its own values")
+        return self
 
     def space(self) -> int:
         n = 1
@@ -236,10 +310,9 @@ class Signature:
 Interpretation = Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class MvTheory:
+class MvTheory(Record):
     signature: Signature
-    formulas: tuple[MvFormula, ...] = field(default_factory=tuple)
+    formulas: tuple[MvFormula, ...] = ()
 
 
 def _holds(cls: type, truths: list[bool]) -> bool:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 
-from .mvpf import BOT, TOP, And, Impl, Neg, Or, fold, join, rebuild
+from .mvpf import BOT, TOP, And, Impl, Neg, Or, Record, fold, join, rebuild
 from .syntax import (
     ARITH_PREC,
     COMPARISONS,
@@ -80,8 +79,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(Record):
     kind: str  # ident, int, string, sym, eof
     text: str
     span: Span
@@ -755,13 +753,14 @@ def _parse_into(
 # ---------------------------------------------------------------------------
 # Command-line query overrides
 
-@dataclass
 class QueryOverride:
-    label: str | None = None
-    min_step: int | None = None
-    max_step: int | None = None
-    solutions: int | None = None  # 0 means all
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self, label: str | None = None, min_step: int | None = None,
+                 max_step: int | None = None, solutions: int | None = None) -> None:
+        self.label = label
+        self.min_step = min_step
+        self.max_step = max_step
+        self.solutions = solutions  # 0 means all
+        self.warnings: list[str] = []
 
 
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+|infinity)$")

@@ -19,10 +19,10 @@ counted step by step to name the fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .ground import GroundLawSet, SymbolTable
+from .mvpf import Record
 from .translate import PAtom
 
 
@@ -36,23 +36,20 @@ class NonFunctionalModel(Exception):
         super().__init__(f"'{const}' has {count} values at step {step}")
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     const: str
     value: str
     boolean: bool
     truth: bool
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(Record):
     index: int
     fluents: tuple[Assignment, ...]
     actions: tuple[Assignment, ...]
 
 
-@dataclass(frozen=True)
-class PlanView:
+class PlanView(Record):
     label: str
     horizon: int
     steps: tuple[PlanStep, ...]

@@ -78,9 +78,9 @@ import itertools
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from . import mvpf
+from .mvpf import Record
 from .syntax import NO_SPAN, kahn_remainder
 from .translate import (
     IncrementalProgram,
@@ -97,8 +97,7 @@ from .translate import (
 )
 
 
-@dataclass
-class HorizonRecord:
+class HorizonRecord(Record):
     """The live solver after one horizon's search, and what it cost."""
 
     k: int
@@ -114,22 +113,20 @@ class HorizonRecord:
     search_s: float  # the rest: search, blocking and stability checks
 
 
-@dataclass
 class Stats:
-    propagations: int = 0
-    decisions: int = 0
-    conflicts: int = 0
-    models_checked: int = 0
-    horizons: list[HorizonRecord] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.propagations = 0
+        self.decisions = 0
+        self.conflicts = 0
+        self.models_checked = 0
+        self.horizons: list[HorizonRecord] = []
 
 
-@dataclass
-class SolveConfig:
+class SolveConfig(Record):
     max_solutions: int = 1  # 0 enumerates every model
 
 
-@dataclass
-class SolveResult:
+class SolveResult(Record):
     found_step: int | None
     models: list[frozenset[PAtom]]
     stats: Stats

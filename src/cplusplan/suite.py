@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import mvpf
 from .ground import GroundLawSet, ground_description
+from .mvpf import Record
 from .parser import parse_files
 from .plans import PlanStep, PlanView
 from .solve import SolveConfig, SolveResult, solve_incremental
@@ -31,8 +31,7 @@ class StateSpaceTooLarge(Exception):
     """The oracle refused to enumerate more states than the cap."""
 
 
-@dataclass(frozen=True)
-class ExampleCase:
+class ExampleCase(Record):
     name: str
     query: str
     oracle: str  # "bfs-transition-system" or "exhaustive-stable-models"

@@ -27,7 +27,7 @@ from operator import attrgetter
 from typing import Iterator, Union
 
 from . import mvpf
-from .mvpf import fold
+from .mvpf import Record, fold
 
 RESERVED_WORDS = frozenset(
     {
@@ -38,8 +38,7 @@ RESERVED_WORDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
+class Span(Record):
     path: str
     line: int
     col: int
@@ -51,12 +50,31 @@ class Span:
 NO_SPAN = Span("<none>", 0, 0)
 
 
+class Spanned(Record):
+    """A record whose last field is its source `span`, which it neither
+    compares nor hashes."""
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
+
+
 class LangError(Exception):
     """Base for everything raised while reading or checking a description."""
 
     def __init__(self, message: str, span: Span = NO_SPAN):
         self.span = span
         super().__init__(f"{span}: {message}" if span is not NO_SPAN else message)
+
+
+class ExportError(Exception):
+    """A dump that cannot be read; `export` raises it, and the CLI
+    catches it without importing `export`."""
 
 
 class UndeclaredConstant(LangError):
@@ -74,15 +92,13 @@ class DuplicateDeclaration(LangError):
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True, slots=True)
-class Sym:
+class Sym(Record):
     """An object, a variable occurrence, or a literal (int / bool)."""
 
     name: Union[str, int, bool]
 
 
-@dataclass(frozen=True, slots=True)
-class ConstRef:
+class ConstRef(Record):
     name: str
     args: tuple["Term", ...] = ()
 
@@ -90,8 +106,7 @@ class ConstRef:
         return any(True for a in self.args for _ in constrefs(a))
 
 
-@dataclass(frozen=True, slots=True)
-class Arith:
+class Arith(Record):
     op: str  # one of + - * / mod
     left: "Term"
     right: "Term"
@@ -106,8 +121,7 @@ Term = Union[Sym, ConstRef, Arith]
 COMPARISONS = ("=", "\\=", "<", ">", "=<", ">=")
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(Record):
     """left op right, or a bare boolean constant when right is None."""
 
     left: Term
@@ -121,20 +135,17 @@ Formula = Union[Atom, mvpf.Bot, mvpf.Neg, mvpf.And, mvpf.Or, mvpf.Impl]
 # ---------------------------------------------------------------------------
 # Where clauses (grounding-time integer builtins)
 
-@dataclass(frozen=True, slots=True)
-class WhereCmp:
+class WhereCmp(Record):
     op: str
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
-class WhereAnd:
+class WhereAnd(Record):
     parts: tuple["WhereExpr", ...]  # two or more, none a WhereAnd
 
 
-@dataclass(frozen=True, slots=True)
-class ExternalCall:
+class ExternalCall(Record):
     """An @name(...) escape.  Parsed for compatibility, never evaluable."""
 
     name: str
@@ -240,85 +251,75 @@ KIND_SPELLINGS = {
 }
 
 
-@dataclass(frozen=True)
-class ConstantDecl:
+class ConstantDecl(Spanned):
     name: str
     argsorts: tuple[str, ...]
     kind: ConstKind
     valuesort: str | None  # None means boolean
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 # ---------------------------------------------------------------------------
 # Shorthand laws
 
-@dataclass(frozen=True)
-class CausedLaw:
+class CausedLaw(Spanned):
     head: Formula
     cond: Formula
     after: Formula | None
     where: WhereExpr | None = None
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
-class ConstraintLaw:
+class ConstraintLaw(Spanned):
     formula: Formula
     where: WhereExpr | None = None
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
-class DefaultLaw:
+class DefaultLaw(Spanned):
     head: Formula  # must resolve to a single atom
     cond: Formula
     where: WhereExpr | None = None
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
-class InertialLaw:
+class InertialLaw(Spanned):
     consts: tuple[Term, ...]
     where: WhereExpr | None = None
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
-class ExogenousLaw:
+class ExogenousLaw(Spanned):
     consts: tuple[Term, ...]
     where: WhereExpr | None = None
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
-class RigidLaw:
+class RigidLaw(Spanned):
     consts: tuple[Term, ...]
     where: WhereExpr | None = None
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
-class CausesLaw:
+class CausesLaw(Spanned):
     action: Formula
     effect: Formula
     cond: Formula
     where: WhereExpr | None = None
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
-class NonexecutableLaw:
+class NonexecutableLaw(Spanned):
     action: Formula
     cond: Formula
     where: WhereExpr | None = None
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
-@dataclass(frozen=True)
-class AlwaysLaw:
+class AlwaysLaw(Spanned):
     formula: Formula
     where: WhereExpr | None = None
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 ShorthandLaw = Union[
@@ -340,8 +341,7 @@ class LawShape(enum.Enum):
     FLUENT_DYNAMIC = "fluent_dynamic"
 
 
-@dataclass(frozen=True)
-class CoreLaw:
+class CoreLaw(Spanned):
     """A causal law in one of the three primitive shapes.
 
     Still schematic: formulas may mention variables.  `after` is None
@@ -353,14 +353,13 @@ class CoreLaw:
     cond: Formula
     after: Formula | None
     where: WhereExpr | None = None
-    span: Span = field(default=NO_SPAN, compare=False)
+    span: Span = NO_SPAN
 
 
 # ---------------------------------------------------------------------------
 # Queries
 
-@dataclass(frozen=True, slots=True)
-class TimeRef:
+class TimeRef(Record):
     """A step index: a literal, or maxstep plus an offset."""
 
     base: Union[int, str]  # int or "maxstep"
@@ -384,16 +383,16 @@ class QuerySpec:
 # ---------------------------------------------------------------------------
 # The description
 
-@dataclass
 class ActionDescription:
-    # sort name -> direct supersorts
-    sorts: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    # sort name -> objects in declaration order
-    objects: dict[str, list[Union[str, int]]] = field(default_factory=dict)
-    constants: dict[str, ConstantDecl] = field(default_factory=dict)
-    variables: dict[str, str] = field(default_factory=dict)
-    laws: list[ShorthandLaw] = field(default_factory=list)
-    queries: dict[str, QuerySpec] = field(default_factory=dict)
+    def __init__(self) -> None:
+        # sort name -> direct supersorts
+        self.sorts: dict[str, tuple[str, ...]] = {}
+        # sort name -> objects in declaration order
+        self.objects: dict[str, list[Union[str, int]]] = {}
+        self.constants: dict[str, ConstantDecl] = {}
+        self.variables: dict[str, str] = {}
+        self.laws: list[ShorthandLaw] = []
+        self.queries: dict[str, QuerySpec] = {}
 
     def declare_sort(self, name: str, supersorts: tuple[str, ...], span: Span) -> None:
         if name in self.sorts:

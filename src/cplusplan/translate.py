@@ -38,10 +38,9 @@ smaller domains are rejected here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import mvpf
 from .ground import GroundLawSet
+from .mvpf import Record
 from .syntax import KIDS, LangError, NO_SPAN, QuerySpec, walk
 
 
@@ -64,8 +63,7 @@ class UnboundedRange(TranslateError):
 # ---------------------------------------------------------------------------
 # Propositional atoms and rules
 
-@dataclass(frozen=True, slots=True)
-class PAtom:
+class PAtom(Record):
     """The propositional atom for `constant = value` at a time step."""
 
     step: int
@@ -73,8 +71,7 @@ class PAtom:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
-class TAtom:
+class TAtom(Record):
     """Template atom, relative to the step being instantiated.
 
     rel is 0 for the current step and -1 for the previous one.
@@ -85,8 +82,7 @@ class TAtom:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
-class PropRule:
+class PropRule(Record):
     """head <- body.  head None is a constraint (`false <- body`)."""
 
     head: PAtom | TAtom | None  # TAtom in a template rule
@@ -131,8 +127,7 @@ def _atoms_at(rel: int):
 # ---------------------------------------------------------------------------
 # Timed constants
 
-@dataclass(frozen=True)
-class TimedConst:
+class TimedConst(Record):
     step: int
     const: int
     values: tuple[PAtom, ...]
@@ -156,8 +151,7 @@ def _timed_consts(gls: GroundLawSet, m: int, after: int = -1) -> list[TimedConst
 # ---------------------------------------------------------------------------
 # Propositional program, static (whole-horizon) form
 
-@dataclass
-class PropProgram:
+class PropProgram(Record):
     horizon: int
     rules: list[PropRule]
     timed_consts: list[TimedConst]
@@ -241,8 +235,7 @@ def _instantiate(template: list[PropRule], t: int) -> list[PropRule]:
     return out
 
 
-@dataclass
-class IncrementalProgram:
+class IncrementalProgram(Record):
     """Base rules, a per-step template, and a volatile query template.
 
     base covers step 0.  step_rules(t) yields the rules that extend the

@@ -1,10 +1,15 @@
 """Command line behavior: classification, stage cuts, exit codes, REPL."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cplusplan import cli
+import cplusplan
+from cplusplan import export
 from cplusplan.cli import UsageError, main, parse_args
 from cplusplan.suite import EXAMPLES_DIR, default_cases
 
@@ -17,6 +22,15 @@ def run(args, stdin=""):
 
 def ex(name):
     return str(EXAMPLES_DIR / name)
+
+
+def run_fresh(code, cwd=None):
+    """stdout of `python -c code` in a fresh process that imports this
+    checkout's package."""
+    src = str(Path(cplusplan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout
 
 
 class TestParseArgs:
@@ -194,6 +208,8 @@ DEEP_LAWS = {
     "where-sum-1500": f"constraint p ->> q where X = {_SUM} - 1500.",
     "where-conjuncts-1500": "constraint p ->> q where "
     + " & ".join(f"X < {i}" for i in range(2, 1502)) + ".",
+    # equal trees, built apart: nothing compares them
+    "twin-negations-2000": ("constraint " + "-" * 2000 + "(p ++ -p).\n") * 2,
 }
 
 
@@ -238,6 +254,20 @@ class TestDeepInputs:
         )
         rc, out, err = run([str(tmp_path / "f0.t"), "query=go"])
         assert (rc, err) == (0, "") and "found step 1," in out
+
+    def test_negations_too_deep_to_hash_solve(self, tmp_path):
+        # a record hashes its fields in C with no depth guard, and a tree
+        # this deep overflows the C stack if it is hashed: no layer may
+        # hash a formula node above the atoms
+        (tmp_path / "deep").write_text(
+            ":- constants p :: inertialFluent; a :: exogenousAction.\na causes p.\n"
+            "constraint " + "-" * 200_000 + "(p ++ -p).\n"
+            ":- query label :: go; maxstep :: 0..3; 0: -p; maxstep: p.\n"
+        )
+        out = run_fresh("from cplusplan.cli import main\n"
+                        "print(main(['deep', 'query=go']))", cwd=tmp_path)
+        assert "query 'go': found step 1, 1 model" in out
+        assert out.endswith("\n0\n")
 
 
 class TestBatchOutput:
@@ -380,10 +410,15 @@ class TestStageCuts:
             raise AssertionError("exporter called for a dump nobody asked for")
 
         for name in ("export_ground", "export_incremental", "export_prop"):
-            monkeypatch.setattr(cli, name, refuse)
+            monkeypatch.setattr(export, name, refuse)
         got = [untimed(run(args)) for args in runs]
         assert got == want
         assert [rc for rc, _, _ in got] == [0, 0]
+
+    def test_importing_the_cli_leaves_the_dump_module_out(self):
+        # only a run that reads or writes a dump imports it
+        code = "import sys, cplusplan.cli; print('cplusplan.export' in sys.modules)"
+        assert run_fresh(code) == "False\n"
 
     @pytest.mark.parametrize(
         "mode, exporter",
@@ -391,7 +426,7 @@ class TestStageCuts:
     )
     def test_requested_dump_calls_the_exporter(self, monkeypatch, mode, exporter):
         calls = []
-        monkeypatch.setattr(cli, exporter, lambda prog: calls.append(prog) or "dump\n")
+        monkeypatch.setattr(export, exporter, lambda prog: calls.append(prog) or "dump\n")
         rc, out, _ = run([f"--mode={mode}", "--to-grounder", ex("bw-pair"), "query=tower"])
         assert rc == 0
         assert out == "dump\n"

@@ -8,8 +8,9 @@ dunder method, is referenced somewhere in ``src/``, ``tests/`` or
 ``perfbench/`` outside its own body.  A reference is a name, an attribute,
 or a string equal to the name (tools patch functions by their name); a
 method is reached only by the last two.  The definitions that only
-tests reach are exactly those of `TEST_ONLY`, and the functions that call
-themselves exactly those of `SELF_RECURSIVE`.
+tests reach are exactly those of `TEST_ONLY`, the functions that call
+themselves exactly those of `SELF_RECURSIVE`, and the classes that are
+still stdlib dataclasses exactly those of `STDLIB_DATACLASSES`.
 """
 
 import ast
@@ -182,3 +183,30 @@ def test_self_recursion_is_listed():
     found = set().union(*(_self_recursive(p) for p in MODULES))
     assert sorted(found - SELF_RECURSIVE) == [], "new self-recursive function"
     assert sorted(SELF_RECURSIVE - found) == [], "listed function no longer recurses"
+
+
+# Every class under src/cplusplan that is a stdlib dataclass, with the
+# reason it stays one.  Each costs the import about a millisecond for the
+# code it generates and compiles; an immutable record is an `mvpf.Record`
+# instead, and a mutable one a plain class.
+STDLIB_DATACLASSES: dict[str, str] = {
+    "syntax.py:QuerySpec": "perfbench/bench_workload.py derives queries with dataclasses.replace",
+}
+
+
+def _dataclasses(path: Path) -> set[str]:
+    out = set()
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for d in node.decorator_list:
+            f = d.func if isinstance(d, ast.Call) else d
+            if getattr(f, "id", getattr(f, "attr", None)) == "dataclass":
+                out.add(f"{path.name}:{node.name}")
+    return out
+
+
+def test_stdlib_dataclasses_are_listed():
+    found = set().union(*(_dataclasses(p) for p in MODULES))
+    assert sorted(found - set(STDLIB_DATACLASSES)) == [], "a new dataclass; list it or make it a Record"
+    assert sorted(set(STDLIB_DATACLASSES) - found) == [], "listed, but no longer a dataclass"

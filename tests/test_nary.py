@@ -5,13 +5,12 @@ however long it is.  The wide descriptions here are generated; each was
 past the interpreter's recursion limit when chains were binary trees.
 """
 
-import dataclasses
 import io
 
 from hypothesis import given, settings, strategies as st
 
 from cplusplan import cli, export, mvpf
-from cplusplan.ground import GroundLaw, ground_description
+from cplusplan.ground import GroundLaw, GroundLawSet, ground_description
 from cplusplan.parser import parse_text
 from cplusplan.solve import CnfBuilder, SolveConfig, StepCode, peval, preduct, solve_incremental
 from cplusplan.syntax import LawShape
@@ -96,7 +95,8 @@ def truth_table(f, gls):
 @settings(max_examples=200, deadline=None)
 @given(f=nested())
 def test_reader_splices_any_grouping(f):
-    one_law = dataclasses.replace(SMALL, static=[GroundLaw(LawShape.STATIC, None, f, None)])
+    one_law = GroundLawSet(SMALL.symbols, SMALL.signature, [GroundLaw(LawShape.STATIC, None, f, None)],
+                           SMALL.action_dynamic, SMALL.fluent_dynamic, SMALL.queries)
     gls = export.import_ground(export.export_ground(one_law))
     (law,) = gls.static
     assert spliced(law.cond)

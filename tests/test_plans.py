@@ -17,7 +17,7 @@ from cplusplan.plans import (
     render_plan_view,
     to_plan_view,
 )
-from cplusplan.solve import SolveConfig, solve_incremental
+from cplusplan.solve import SolveConfig, SolveResult, solve_incremental
 from cplusplan.translate import PAtom, incremental_program
 
 BW = """
@@ -55,7 +55,7 @@ def solved():
         if sum(a.const in actions and a.value == true for a in m) == 1
     ]
     assert one_move
-    return gls, dataclasses.replace(res, models=one_move)
+    return gls, SolveResult(res.found_step, one_move, res.stats)
 
 
 def test_view_shape(solved):

@@ -29,6 +29,7 @@ from cplusplan.solve import (
     solve_incremental,
 )
 from cplusplan.translate import (
+    IncrementalProgram,
     PAtom,
     PropRule,
     TimedConst,
@@ -847,8 +848,8 @@ def dpll_input(monkeypatch):
 
 def one_horizon(inc, k):
     """The query's program searched at horizon k alone."""
-    return dataclasses.replace(
-        inc, query=dataclasses.replace(inc.query, min_step=k, max_step=k))
+    return IncrementalProgram(
+        inc.gls, dataclasses.replace(inc.query, min_step=k, max_step=k), inc.base, inc.template)
 
 
 # GROWING_SUPPORT with a constraint whose body has no atom: one gate for

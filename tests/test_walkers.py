@@ -686,7 +686,8 @@ SORTS = ["s0", "s1", "s2", "s3", "s4"]
     min_size=1,
 ))
 def test_subsorts_match(sorts):
-    d = ActionDescription(sorts=dict(sorts))
+    d = ActionDescription()
+    d.sorts = dict(sorts)
     for name in sorts:
         want = [name] + [o for o in sorts if o != name and ref_reaches(sorts, o, name)]
         assert d.subsort_closure(name) == want
