@@ -21,10 +21,10 @@ evaluator with the code it checks.
 Every immutable record of the package, these connectives among them, is
 a `Record`: a tuple of its fields, built by a class statement that runs
 no generated code.  A record equals only a record of its own class, so
-``MvAtom(1, 2) != (1, 2)``, and hashes as the tuple of its fields, as the
-frozen dataclasses it replaced did.  A tuple hashes its items in C with
-no depth guard, so no layer hashes a formula node above its atoms: the
-grounder and ``solve.StepCode`` key their tables on flat shapes.
+``MvAtom(1, 2) != (1, 2)``, and hashes as the tuple of its fields.  A
+tuple hashes its items in C with no depth guard, so no layer hashes a
+formula node above its atoms: the grounder and ``solve.StepCode`` key
+their tables on flat shapes.
 
 Stability is defined through the reduct: relative to an interpretation I,
 every maximal subformula that I does not satisfy is replaced by ``false``.
