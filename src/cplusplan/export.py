@@ -70,14 +70,21 @@ def _fmt_node(node, texts: list[str]) -> str:
     return "(" + _SEPS[cls].join(texts) + ")"
 
 
-def _decode_label(label: str):
+def _int(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past the digits int() converts
+        raise FormatError(lineno, f"integer of {len(text)} digits is too long") from None
+
+
+def _decode_label(label: str, lineno: int):
     """Invert the printable form of a value (booleans, ints, names)."""
     if label == "false":
         return False
     if label == "true":
         return True
     if re.fullmatch(r"-?\d+", label):
-        return int(label)
+        return _int(label, lineno)
     return label
 
 
@@ -257,7 +264,7 @@ class _Line:
         kind, text = self.next()
         if kind != "int":
             raise FormatError(self.lineno, f"expected an integer, found {text!r}")
-        return int(text)
+        return _int(text, self.lineno)
 
     def take_word(self) -> str:
         kind, text = self.next()
@@ -331,7 +338,7 @@ def _parse_step(ln: _Line):
     if kind == "int":
         ln.next()
         ln.expect(":")
-        return ("abs", int(text))
+        return ("abs", _int(text, ln.lineno))
     if text in ("t", "t-1"):
         ln.next()
         ln.expect(":")
@@ -349,7 +356,7 @@ class _Interner:
     def add_const(self, name: str, kind: str, labels: list[str], lineno: int):
         if name in self.by_name:
             raise FormatError(lineno, f"constant {name!r} declared twice")
-        dom = tuple(self.symbols.intern_value(_decode_label(l)) for l in labels)
+        dom = tuple(self.symbols.intern_value(_decode_label(l, lineno)) for l in labels)
         gc = self.symbols.add_const(name, (), kind, dom)
         self.by_name[name] = gc
         return gc
@@ -358,7 +365,7 @@ class _Interner:
         gc = self.by_name.get(name)
         if gc is None:
             raise FormatError(lineno, f"undeclared constant {name!r}")
-        vid = self.symbols.vid_of(_decode_label(label))
+        vid = self.symbols.vid_of(_decode_label(label, lineno))
         if vid is None or vid not in gc.dom:
             raise FormatError(lineno, f"value {label!r} not in domain of {name!r}")
         return gc.cid, vid

@@ -158,7 +158,11 @@ class _Parser:
     def eat_int(self) -> int:
         if self.tok.kind != "int":
             raise ParseError(f"expected integer, found '{self.tok.text}'", self.tok.span)
-        return int(self.advance().text)
+        tok = self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # past the digits int() converts
+            raise ParseError(f"integer of {len(tok.text)} digits is too long", tok.span) from None
 
     def eat_name(self, what: str) -> str:
         tok = self.eat_ident(what)
@@ -766,6 +770,15 @@ class QueryOverride:
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+|infinity)$")
 
 
+def _count(value: str, token: str) -> int:
+    """A count that a step or solution token gives in decimal digits."""
+    try:
+        return int(value)
+    except ValueError:  # a digit int() does not read, or too many of them
+        shown = token if len(token) <= 40 else token[:37] + "..."
+        raise MalformedOverride(f"bad number in '{shown}'") from None
+
+
 def parse_query_override(args: list[str]) -> QueryOverride:
     """Digest query=, maxstep=, minstep= and solution-count tokens."""
     ov = QueryOverride()
@@ -787,19 +800,19 @@ def parse_query_override(args: list[str]) -> QueryOverride:
             value = raw[len("maxstep="):]
             m = _RANGE_RE.match(value)
             if m:
-                ov.min_step = int(m.group(1))
-                ov.max_step = None if m.group(2) == "infinity" else int(m.group(2))
+                ov.min_step = _count(m.group(1), raw)
+                ov.max_step = None if m.group(2) == "infinity" else _count(m.group(2), raw)
                 if ov.max_step is not None and ov.max_step < ov.min_step:
                     raise MalformedOverride(f"empty step range '{value}'")
             elif value.isdigit():
-                ov.min_step = ov.max_step = int(value)
+                ov.min_step = ov.max_step = _count(value, raw)
             else:
                 raise MalformedOverride(f"bad maxstep '{value}'")
         elif raw.startswith("minstep="):
             value = raw[len("minstep="):]
             if not value.isdigit():
                 raise MalformedOverride(f"bad minstep '{value}'")
-            ov.min_step = int(value)
+            ov.min_step = _count(value, raw)
             if ov.max_step is not None and ov.max_step < ov.min_step:
                 raise MalformedOverride("minstep exceeds maxstep")
         elif raw.startswith("sol="):
@@ -807,13 +820,13 @@ def parse_query_override(args: list[str]) -> QueryOverride:
             if value == "all":
                 set_solutions(0, raw)
             elif value.isdigit():
-                set_solutions(int(value), raw)
+                set_solutions(_count(value, raw), raw)
             else:
                 raise MalformedOverride(f"bad solution count '{value}'")
         elif raw == "all":
             set_solutions(0, raw)
         elif raw.isdigit():
-            set_solutions(int(raw), raw)
+            set_solutions(_count(raw, raw), raw)
         else:
             raise MalformedOverride(f"unrecognized token '{raw}'")
     return ov

@@ -59,11 +59,16 @@ and query lines are compiled once (``StepCode``) to op lists over
 hash-consed formula nodes, and step t is encoded by running the
 template's op list at t: no formula is built, and a gate is shared with
 every earlier step, the base or the query that has the same subformula.
-``PropRule`` lists are built only for a program whose candidates need
-the stability check.  A program that comes as a rule list (a
-fixed-horizon dump, a reduct of the stability check) is compiled the
-same way, as a base with no template and no query lines placed at step
-0: the encoder has no other path.
+A constraint whose body has 2 to 8 DNF terms is encoded as one
+constraint per term, without the gates of its body, as f2lp and gringo
+write integrity constraints without auxiliary atoms; a body of one term,
+or of more than 8, keeps its gates, and a gate that an unguarded
+constraint fixes keeps only the clauses its unit can fire (``StepCode``,
+``CnfBuilder``).  ``PropRule`` lists are built only for a program
+whose candidates need the stability check.  A program that comes as a
+rule list (a fixed-horizon dump, a reduct of the stability check) is
+compiled the same way, as a base with no template and no query lines
+placed at step 0: the encoder has no other path.
 
 A separate brute-force enumerator (direct formula evaluation, subset
 minimality by exhaustion) serves as the oracle in tests.  It shares the
@@ -248,6 +253,16 @@ class CnfBuilder:
     ``guard`` is set, they go to ``guarded`` instead, each with the guard's
     negation added, and the gates first defined then are forgotten by
     ``forget_guarded``, since their definitions leave with the guard.
+
+    A gate that a constraint's unit fixes for good keeps only the
+    clauses that unit can fire: for ``false <- g`` with g the conjunction
+    of x, the long clause [g, -x...], not the binaries [-g, x_i] that -g
+    satisfies at level 0 (Plaisted and Greenbaum 1986 keep only the
+    direction a subformula's polarity needs).  The gate stays an
+    equivalence in every model, as g is false in all of them, so a later
+    rule may share it.  Under a guard the unit can leave, so both
+    directions stay.  The search is the same, decision for decision: a
+    clause true at level 0 never propagates.
     """
 
     def __init__(self) -> None:
@@ -278,17 +293,21 @@ class CnfBuilder:
         else:
             self.clauses.append(cl)
 
-    def gate(self, key, s: int, ops: list[int], long_first: bool = False) -> int:
+    def gate(self, key, s: int, ops: list[int], long_first: bool = False, keep: int = 0) -> int:
         """Defines a fresh variable g as the conjunction of ops (s = 1), or
         as the disjunction of their negations (s = -1), and caches it under
         key.  An implication a -> b is the disjunction of -a and b, written
-        with its long clause first."""
+        with its long clause first.  With keep = 1 or -1, g is about to be
+        fixed to -keep * g for good, and only the clauses holding keep * g,
+        those the fixed literal can fire, are written: the others it
+        satisfies."""
         g = self.new_var()
-        if long_first:
+        if long_first and keep != -s:
             self._emit([s * g] + [-l for l in ops])
-        for l in ops:
-            self._emit([-s * g, l])
-        if not long_first:
+        if keep != s:
+            for l in ops:
+                self._emit([-s * g, l])
+        if not long_first and keep != -s:
             self._emit([s * g] + [-l for l in ops])
         self._cache[key] = g
         if self.guard:
@@ -319,11 +338,14 @@ class CnfBuilder:
                 g = cache.get(key)
                 if g is None:
                     s = op[1]
+                    # a constraint's own gate keeps both directions under a
+                    # guard, whose unit leaves with it
+                    keep = 0 if self.guard else op[5]
                     if s:
-                        g = self.gate(key, s, [s * regs[j] for j in op[4]])
+                        g = self.gate(key, s, [s * regs[j] for j in op[4]], keep=keep)
                     else:
                         la, lb = op[4]
-                        g = self.gate(key, -1, [regs[la], -regs[lb]], long_first=True)
+                        g = self.gate(key, -1, [regs[la], -regs[lb]], long_first=True, keep=keep)
                 regs[i] = g
             elif code == _NEG:
                 regs[i] = -regs[op[1]]
@@ -378,10 +400,71 @@ class CnfBuilder:
 #   (_LIT, lit)                      a constant
 #   (_ATOM, rel, const, value)       the atom's variable at step t + rel
 #   (_NEG, reg)                      the negated literal of a register
-#   (_GATE, s, node, top, regs)      a gate over registers: s is 1 for And,
-#                                    -1 for Or, 0 for Impl (left, right)
+#   (_GATE, s, node, top, regs, keep) a gate over registers: s is 1 for
+#                                    And, -1 for Or, 0 for Impl (left,
+#                                    right); keep is CnfBuilder.gate's, 1 or
+#                                    -1 when the constraint right after it
+#                                    fixes it, else 0
 #   (_RULE, body, head)              registers; head None for a constraint
 _LIT, _ATOM, _NEG, _GATE, _RULE = range(5)
+
+# A constraint whose body has 2 to _MAX_TERMS DNF terms is placed as one
+# constraint per term.  Term counts saturate at _MAX_TERMS + 1.
+_MAX_TERMS = 8
+
+
+def _gate_terms(s: int, kids: list[int], terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The DNF term counts of an And (s = 1) or Or (s = -1) gate and of
+    its negation, from those of its parts, by their ids.  A conjunction
+    multiplies its parts' counts, and its negation adds those of the
+    negated parts; a disjunction is the negation of the conjunction of
+    the negated parts.  ``StepCode._compile`` counts two parts itself."""
+    ps = [terms[k][s < 0] for k in kids]  # the conjunction's parts
+    ns = [terms[k][s > 0] for k in kids]
+    if 0 not in ps:
+        ps = [p for p in ps if p > 1][:4]  # four of them pass the cap
+    mul = min(math.prod(ps), _MAX_TERMS + 1)
+    add = min(sum(ns), _MAX_TERMS + 1)
+    return (mul, add) if s > 0 else (add, mul)
+
+
+def _split(ops: list[tuple], mark: int, plan: list, top: int,
+           leaves: dict, negs: dict, gates: dict) -> None:
+    """Replaces a constraint's body, the ops from mark on, with one
+    constraint per term of its plan (``StepCode._plan``), the body's top
+    at top.  The dicts are ``StepCode._compile``'s."""
+    for op in ops[mark:]:
+        code = op[0]
+        if code == _GATE:
+            del gates[op[2], op[3]]
+        elif code == _NEG:
+            del negs[op[1]]
+        else:
+            del leaves[None if code == _LIT else op[1:]]
+    del ops[mark:]
+    for lits, gid, gtop in plan:
+        kids = []
+        for rel, c, v, aid, neg_id in lits:
+            key = (top + rel, c, v)
+            node = leaves.get(key)
+            if node is None:
+                node = leaves[key] = (len(ops), aid, key[0])
+                ops.append((_ATOM, key[0], c, v))
+            if neg_id is not None:  # the atom's negation
+                reg = node[0]
+                node = negs.get(reg)
+                if node is None:
+                    node = negs[reg] = (len(ops), neg_id, key[0])
+                    ops.append((_NEG, reg))
+            kids.append(node[0])
+        if gid is None:
+            reg = kids[0]
+        else:
+            reg = gates.get((gid, top + gtop))
+            if reg is None:  # made right before its constraint: fixed by it
+                reg = gates[gid, top + gtop] = len(ops)
+                ops.append((_GATE, 1, gid, top + gtop, tuple(kids), 1))
+        ops.append((_RULE, reg, None))
 
 
 class StepCode:
@@ -407,6 +490,31 @@ class StepCode:
     and atom variables in the order a walk of each rule's body, left to
     right, and then its head first meets them.  Interning walks with an
     explicit stack.
+
+    A constraint, query lines included, needs only the clauses of its
+    body's negation.  When the body's DNF has 2 to ``_MAX_TERMS`` terms,
+    the constraint is compiled as one constraint per term, in the order
+    of the distributive expansion, and the body's own gates are not
+    compiled: f2lp and gringo likewise turn a C+ constraint into integrity
+    constraints without auxiliary atoms.  The expansion can grow
+    exponentially, so a body above the cap keeps its gates, which grow
+    linearly.  Each node's term counts are kept with its id, and the
+    walk decides with one lookup; the terms of a body are expanded once
+    per id (``_plan``), which the base and the template share.  A term is
+    a conjunction of literals and keeps one gate, as any conjunction
+    does.  A body of one term is compiled as it stands: its gate gives
+    the search one literal for the whole body, and learned clauses use
+    it.  Written as a plain clause instead, ferryman-stress 0..9 went from
+    657 to 945 conflicts.  The split is the same for every rule list, so
+    a step of the template and the same step of a whole-horizon rule list
+    get the same clauses.
+
+    A constraint's body gate that the op list makes right before the
+    constraint, used by nothing earlier, is marked (keep in its op), and
+    ``place`` hands the mark to ``CnfBuilder.gate`` when it creates the
+    gate unguarded.  Whether a placement creates a gate depends only on
+    the formulas placed before it, over absolute steps, so the template
+    placed step by step and a whole-horizon rule list choose alike.
     """
 
     def __init__(self, inc: IncrementalProgram | None,
@@ -415,6 +523,10 @@ class StepCode:
         self.rules = rules if inc is None else inc.base
         self.template = () if inc is None else inc.template
         self._ids: dict[tuple, int] = {}
+        self._shapes: list[tuple] = []  # by id: its key in _ids
+        # by id: how many DNF terms the node has, and its negation
+        self._terms: list[tuple[int, int]] = []
+        self._plans: dict[int, list | None] = {}  # see _plan
         self.base = self._compile([(r.head, r.body) for r in self.rules])
         self.step = self._compile([(r.head, r.body) for r in self.template])
         for op in self.step:
@@ -431,7 +543,7 @@ class StepCode:
     def _compile(self, rules) -> list[tuple]:
         """The rules' op list.  A leaf's rel is a TAtom's rel, a PAtom's
         step, and 0 for a query line's atom."""
-        ids = self._ids
+        ids, shapes, terms, plans = self._ids, self._shapes, self._terms, self._plans
         ops: list[tuple] = []
         # each node gets one op: (register, id, top) by leaf and by the
         # register a negation negates, the register by a gate's (id, top)
@@ -439,6 +551,7 @@ class StepCode:
         negs: dict[int, tuple] = {}
         gates: dict[tuple, int] = {}
         for head, body in rules:
+            mark = len(ops)
             done: list[tuple] = []  # (register, id, top) of finished nodes
             # the head is an atom like any other, after the body
             stack = [body] if head is None else [head, body]
@@ -459,7 +572,11 @@ class StepCode:
                         reg, kid, top = node
                         node = negs.get(reg)
                         if node is None:
-                            nid = ids.setdefault((_NEG, kid), len(ids))
+                            key = (_NEG, kid)
+                            nid = ids.setdefault(key, len(ids))
+                            if nid == len(shapes):
+                                shapes.append(key)
+                                terms.append(terms[kid][::-1])
                             node = negs[reg] = (len(ops), nid, top)
                             ops.append((_NEG, reg))
                     done[-1] = node
@@ -472,11 +589,25 @@ class StepCode:
                     tops = [k[2] for k in kids if k[2] is not None]
                     top = max(tops) if tops else None
                     shape = tuple([(kid, None if kt is None else kt - top) for _, kid, kt in kids])
-                    nid = ids.setdefault((_GATE, s, shape), len(ids))
+                    key = (_GATE, s, shape)
+                    nid = ids.setdefault(key, len(ids))
+                    if nid == len(shapes):
+                        shapes.append(key)
+                        if n == 2:  # the common case, without building lists
+                            (ap, an), (bp, bn) = terms[kids[0][1]], terms[kids[1][1]]
+                            if s > 0:
+                                pair = (ap * bp, an + bn)
+                            elif s < 0:
+                                pair = (ap + bp, an * bn)
+                            else:  # -left | right
+                                pair = (an + bp, ap * bn)
+                            terms.append((min(pair[0], _MAX_TERMS + 1), min(pair[1], _MAX_TERMS + 1)))
+                        else:
+                            terms.append(_gate_terms(s, [k[1] for k in kids], terms))
                     reg = gates.get((nid, top))
                     if reg is None:
                         reg = gates[nid, top] = len(ops)
-                        ops.append((_GATE, s, nid, top, tuple([k[0] for k in kids])))
+                        ops.append((_GATE, s, nid, top, tuple([k[0] for k in kids]), 0))
                     done.append((reg, nid, top))
                 elif cls is mvpf.And or cls is mvpf.Or:
                     stack.append((f, len(f.parts)))
@@ -494,17 +625,120 @@ class StepCode:
                         key = None if cls is mvpf.Bot else (0, f.const, f.value)
                     node = leaves.get(key)
                     if node is None:
-                        if key is None:
-                            node = (len(ops), ids.setdefault((_LIT,), len(ids)), None)
+                        if key is None:  # false has no term; its negation one
+                            node = (len(ops), self._intern((_LIT,), (0, 1)), None)
                             ops.append((_LIT, -1))
                         else:
                             rel, c, v = key
-                            node = (len(ops), ids.setdefault((_ATOM, c, v), len(ids)), rel)
+                            shape = (_ATOM, c, v)
+                            nid = ids.setdefault(shape, len(ids))
+                            if nid == len(shapes):
+                                shapes.append(shape)
+                                terms.append((1, 1))
+                            node = (len(ops), nid, rel)
                             ops.append((_ATOM, rel, c, v))
                         leaves[key] = node
                     done.append(node)
-            ops.append((_RULE, done[0][0], None if head is None else done[1][0]))
+            if head is not None:
+                ops.append((_RULE, done[0][0], done[1][0]))
+                continue
+            reg, nid, top = done[0]
+            if 1 < terms[nid][0] <= _MAX_TERMS:
+                if nid not in plans:
+                    plans[nid] = self._plan(nid)
+                plan = plans[nid]
+                if plan is not None:
+                    _split(ops, mark, plan, top, leaves, negs, gates)
+                    continue
+            if reg == len(ops) - 1:
+                # the body's gate, under the negations just made for it, is
+                # used by nothing else yet: it is this constraint's own
+                g, keep = reg, 1
+                while ops[g][0] == _NEG and ops[g][1] == g - 1:
+                    g, keep = g - 1, -keep
+                if ops[g][0] == _GATE:
+                    ops[g] = ops[g][:5] + (keep,)
+            ops.append((_RULE, reg, None))
         return ops
+
+    def _intern(self, key: tuple, terms: tuple[int, int]) -> int:
+        """The id of a node, which a new node takes with its term counts."""
+        nid = self._ids.setdefault(key, len(self._ids))
+        if nid == len(self._shapes):
+            self._shapes.append(key)
+            self._terms.append(terms)
+        return nid
+
+    def _plan(self, nid: int) -> list | None:
+        """The terms of the body with this id, ready to compile, or None
+        when one of them is empty (the body is true whenever it holds; the
+        constraint is then compiled as it stands).
+
+        A term is (literals, id, top) with the id of its conjunction and
+        that conjunction's top, relative to the body's top, or id None for
+        a term of one literal.  A literal is (rel, const, value, the atom's
+        id, the id of its negation or None): rel is again relative to the
+        body's top.  A term's literals come in the order the body holds
+        them; a repeated one is dropped, and so is a term with both an
+        atom and its negation.  The expansion keeps an explicit stack."""
+        shapes = self._shapes
+        # (id, its top relative to the body's, polarity), or (n, None,
+        # whether the last n parts done are conjoined)
+        stack: list[tuple] = [(nid, 0, True)]
+        out: list[list] = []  # the terms of each subformula done
+        while stack:
+            i, off, pos = stack.pop()
+            if off is None:
+                parts = out[len(out) - i:]
+                del out[len(out) - i:]
+                if pos:
+                    terms = [[]]
+                    for p in parts:
+                        terms = [t + u for t in terms for u in p]
+                else:
+                    terms = [t for p in parts for t in p]
+                out.append(terms)
+                continue
+            key = shapes[i]
+            while key[0] == _NEG:
+                i = key[1]
+                key = shapes[i]
+                pos = not pos
+            if key[0] == _GATE:
+                _, s, shape = key
+                if s:
+                    stack.append((len(shape), None, (s > 0) == pos))
+                    stack += [(kid, off if ko is None else off + ko, pos)
+                              for kid, ko in reversed(shape)]
+                else:  # -left | right
+                    (left, lo), (right, ro) = shape
+                    stack.append((2, None, not pos))
+                    stack.append((right, off if ro is None else off + ro, pos))
+                    stack.append((left, off if lo is None else off + lo, not pos))
+            elif key[0] == _ATOM:
+                out.append([[(off, i, pos)]])
+            else:  # false: no term, or true: one empty term
+                out.append([] if pos else [[]])
+        plan = []
+        for term in out[0]:
+            if not term:
+                return None
+            signs: dict = {}  # (rel, atom id) -> polarity
+            for rel, aid, pos in term:
+                if signs.setdefault((rel, aid), pos) is not pos:
+                    break
+            else:
+                lits = [(rel, *shapes[aid][1:], aid, None if pos else self._intern((_NEG, aid), (1, 1)))
+                        for (rel, aid), pos in signs.items()]
+                if len(lits) == 1:
+                    plan.append((lits, None, 0))
+                    continue
+                top = max([lit[0] for lit in lits])
+                shape = tuple([(aid if nid is None else nid, rel - top)
+                               for rel, _, _, aid, nid in lits])
+                gid = self._intern((_GATE, 1, shape), (1, min(len(lits), _MAX_TERMS + 1)))
+                plan.append((lits, gid, top))
+        return plan
 
 
 # ---------------------------------------------------------------------------

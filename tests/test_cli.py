@@ -188,6 +188,41 @@ class TestExitCodes:
         assert (rc, err) == (0, "")
         assert "query 'q': found step 0, 1 model" in out
 
+    # an integer past the 4,300 digits Python's int() converts
+    HUGE = "9" * 5000
+    SMALL = (":- constants p :: inertialFluent; a :: exogenousAction.\na causes p.\n"
+             ":- query label :: go; maxstep :: 0..3; 0: -p; maxstep: p.\n")
+
+    @pytest.mark.parametrize("text, where", [
+        (SMALL.replace("0..3", "0.." + HUGE), ":3:37:"),
+        (":- sorts n.\n:- objects 0.." + HUGE + " :: n.\n" + SMALL, ":2:15:"),
+    ], ids=["maxstep-range", "objects-range"])
+    def test_huge_integer_is_a_parse_error(self, tmp_path, text, where):
+        path = tmp_path / "huge"
+        path.write_text(text)
+        rc, out, err = run([str(path), "query=go"])
+        assert (rc, out) == (2, "")
+        assert f"{where} integer of 5000 digits is too long" in err
+
+    @pytest.mark.parametrize("token", [f"maxstep={HUGE}", f"maxstep=0..{HUGE}",
+                                       f"minstep={HUGE}", f"sol={HUGE}", HUGE, "maxstep=²"])
+    def test_unreadable_count_is_a_usage_error(self, tmp_path, token):
+        path = tmp_path / "small"
+        path.write_text(self.SMALL)
+        rc, out, err = run([str(path), "query=go", token])
+        assert (rc, out) == (2, "")
+        assert "bad number in" in err
+
+    def test_huge_integer_in_a_dump_is_a_format_error(self, tmp_path):
+        path = tmp_path / "small"
+        path.write_text(self.SMALL)
+        rc, dump, _ = run(["--mode=static", "--to-grounder", str(path), "query=go", "maxstep=1"])
+        assert rc == 0 and "#horizon 1.\n" in dump
+        path.write_text(dump.replace("#horizon 1.", f"#horizon {self.HUGE}."))
+        rc, out, err = run(["--from-grounder", str(path)])
+        assert (rc, out) == (2, "")
+        assert "line 2: integer of 5000 digits is too long" in err
+
 
 def _nested_groups(levels):
     f = "p"

@@ -229,8 +229,8 @@ PLAN_DIGESTS = {
                               "efff9e05a09fa0bb", "19bca0daf44aa82c"),
     ("bw-test", "simple", 3): (36, "d3fedb287e8e10e4", "cc3047925ad7f559",
                                "f419f9a776c44e43", "fc052a394aedcbf0"),
-    ("ferryman", "cross", 9): (90, "6233e56d4acf20a4", "25c6e732bca64896",
-                               "71f930f805eb5b1e", "8b33a1a76aa26c43"),
+    ("ferryman", "cross", 9): (90, "7ae5990f2bf9dc54", "32220449e1704be2",
+                               "d5d90b1080ab99ec", "0478b32e2d0adf63"),
 }
 
 

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cplusplan
 from cplusplan import mvpf, solve, suite, translate
@@ -1024,6 +1025,129 @@ class TestStepCode:
         assert all(h.cnf_s > 0 and h.search_s > 0 for h in records)
 
 
+# Two groups of 2-3 values at step 0, each value free by a choice rule,
+# and constraints whose bodies nest And, Or, Impl and Neg to depth 4 over
+# the atoms and false
+def _body(atoms, depth):
+    leaf = st.sampled_from([*atoms, mvpf.BOT])
+    if not depth:
+        return leaf
+    sub = _body(atoms, depth - 1)
+    parts = st.lists(sub, min_size=2, max_size=3).map(tuple)
+    return st.one_of(leaf, sub.map(mvpf.Neg), parts.map(mvpf.And), parts.map(mvpf.Or),
+                     st.tuples(sub, sub).map(lambda lr: mvpf.Impl(*lr)))
+
+
+@st.composite
+def _grouped_constraints(draw):
+    groups = [TimedConst(0, c, tuple(PAtom(0, c, v) for v in range(draw(st.integers(2, 3)))))
+              for c in (1, 2)]
+    atoms = [a for tc in groups for a in tc.values]
+    bodies = draw(st.lists(_body(atoms, 4), min_size=1, max_size=3))
+    return groups, [PropRule(None, b, "c") for b in bodies]
+
+
+def _choices(groups):
+    return [PropRule(a, mvpf.Neg(mvpf.Neg(a)), "choice") for tc in groups for a in tc.values]
+
+
+def _rule_ops(rules):
+    return [op for op in solve.StepCode(None, rules).base if op[0] == solve._RULE]
+
+
+P = [PAtom(0, 1, v) for v in range(3)]
+Q = [PAtom(0, 2, v) for v in range(3)]
+EITHER = [TimedConst(0, 1, tuple(P)), TimedConst(0, 2, tuple(Q))]
+
+
+class TestConstraintTerms:
+    """A constraint whose body has 2 to 8 DNF terms is compiled as one
+    constraint per term; any other keeps its gates."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_grouped_constraints())
+    # bodies of 1, 4, 5 and 9 terms: And(p0, -q1); (p0 | p1) & (q0 | q1);
+    # -(p0 & q0) | p2 -> q2; (p0 | p1 | p2) & (q0 | q1 | q2)
+    @example((EITHER, [PropRule(None, mvpf.And((P[0], mvpf.Neg(Q[1]))), "c")]))
+    @example((EITHER, [PropRule(None, mvpf.And((mvpf.Or(tuple(P[:2])), mvpf.Or(tuple(Q[:2])))), "c")]))
+    @example((EITHER, [PropRule(None, mvpf.Or((mvpf.Neg(mvpf.And((P[0], Q[0]))),
+                                              mvpf.Impl(P[2], Q[2]))), "c")]))
+    @example((EITHER, [PropRule(None, mvpf.And((mvpf.Or(tuple(P)), mvpf.Or(tuple(Q)))), "c")]))
+    def test_models_are_the_brute_force_ones(self, program):
+        groups, constraints = program
+        rules = _choices(groups) + constraints
+        got = list(enumerate_models(rules, groups, ALL, Stats()))
+        atoms = [a for tc in groups for a in tc.values]
+        want = [m for m in brute_force_models([rule_formula(r) for r in rules], atoms)
+                if all(len(m & set(tc.values)) == 1 for tc in groups)]
+        assert len(got) == len(set(got)) and set(got) == set(want)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_a_body_of_two_to_eight_terms_is_a_constraint_per_term(self, n):
+        # n atoms in one disjunction: n constraints of one literal, no gate
+        atoms = [PAtom(0, c, 1) for c in range(n)]
+        ops = solve.StepCode(None, [PropRule(None, mvpf.Or(tuple(atoms)), "c")]).base
+        assert [op[0] for op in ops] == [solve._ATOM, solve._RULE] * n
+
+    def test_a_term_of_several_literals_keeps_one_gate(self):
+        # (p0 & -q0) | (p1 & -q1): two terms, a conjunction each
+        body = mvpf.Or((mvpf.And((P[0], mvpf.Neg(Q[0]))), mvpf.And((P[1], mvpf.Neg(Q[1])))))
+        ops = solve.StepCode(None, [PropRule(None, body, "c")]).base
+        rules = [op for op in ops if op[0] == solve._RULE]
+        gates = [op for op in ops if op[0] == solve._GATE]
+        assert len(rules) == len(gates) == 2
+        assert [ops[r[1]] for r in rules] == gates and all(g[1] == 1 for g in gates)
+
+    def test_a_term_with_an_atom_and_its_negation_is_dropped(self):
+        # (p0 & -p0) | q0 | (q1 & q1): the constraints of q0 and of q1 alone
+        body = mvpf.Or((mvpf.And((P[0], mvpf.Neg(P[0]))), Q[0], mvpf.And((Q[1], Q[1]))))
+        ops = solve.StepCode(None, [PropRule(None, body, "c")]).base
+        assert ops == [(solve._ATOM, 0, 2, 0), (solve._RULE, 0, None),
+                       (solve._ATOM, 0, 2, 1), (solve._RULE, 2, None)]
+
+    @pytest.mark.parametrize("body", [
+        mvpf.And((mvpf.Or(tuple(P)), mvpf.Or(tuple(Q)))),  # 9 terms
+        mvpf.Neg(mvpf.Or((P[0], Q[0]))),  # 1 term
+    ], ids=["nine-terms", "one-term"])
+    def test_other_bodies_keep_their_gates(self, body):
+        ops = solve.StepCode(None, [PropRule(None, body, "c")]).base
+        assert sum(op[0] == solve._RULE for op in ops) == 1
+        assert any(op[0] == solve._GATE for op in ops)
+
+    def test_a_body_that_is_true_in_one_term_keeps_its_gates(self):
+        # p0 | -false: a term without literals; the body always holds
+        body = mvpf.Or((P[0], mvpf.TOP))
+        assert len(_rule_ops([PropRule(None, body, "c")])) == 1
+        assert models(_choices(EITHER) + [PropRule(None, body, "c")], EITHER)[0] == set()
+
+    def test_deep_negations_over_two_terms_split_without_recursion(self):
+        # 200,000 negations of p0 | q0: two terms, -p0 and -q0 alone
+        body = mvpf.Or((P[0], Q[0]))
+        for _ in range(200_000):
+            body = mvpf.Neg(body)
+        rules = _choices(EITHER) + [PropRule(None, body, "deep")]
+        assert len(_rule_ops(rules)) == len(rules) - 1 + 2
+        got, _ = models(rules, EITHER)
+        assert got == {frozenset({P[i], Q[j]}) for i in (1, 2) for j in (1, 2)}
+
+    def test_the_unit_of_an_unguarded_constraint_fires_its_gate(self):
+        # false <- p0 & q0: the gate g keeps [g, -p0, -q0], as -g satisfies
+        # [-g, p0] and [-g, q0]
+        builder = solve.CnfBuilder()
+        for a in P + Q:
+            builder.atom_var(a)
+        builder.place(solve.StepCode(None, [PropRule(None, mvpf.And((P[0], Q[0])), "c")]).base, 0)
+        p0, q0, g = builder.var_of[P[0]], builder.var_of[Q[0]], builder.nvars
+        assert builder.clauses[1:] == [[g, -p0, -q0], [-g]]
+        # under a guard, both directions stay, as the unit leaves with it
+        builder = solve.CnfBuilder()
+        for a in P + Q:
+            builder.atom_var(a)
+        builder.guard = builder.new_var()
+        builder.place(solve.StepCode(None, [PropRule(None, mvpf.And((P[0], Q[0])), "c")]).base, 0)
+        assert len(builder.guarded) == 4
+
+
 def atom_blocked_models(rules, groups):
     """The reference: a fixed program's stable models, each candidate
     blocked by a clause over all its atoms, not by its decisions."""
@@ -1130,34 +1254,54 @@ class TestDecisionBlocking:
 
     @pytest.mark.parametrize("key", [("bw-test", "simple"), ("ferryman", "cross")], ids="-".join)
     def test_retired_gates_are_fixed_false(self, key, monkeypatch):
-        retired = []  # the gates forgotten by the extend running now
-        counts = []  # how many each horizon's extend retired
-        forget, extend = solve.CnfBuilder.forget_guarded, solve.LiveSolver.extend
-
-        def recorded(builder):
-            retired.extend(forget(builder))
-            return list(retired)
-
-        def checked(live, groups, atoms, stats):
-            retired.clear()
-            program = extend(live, groups, atoms, stats)
-            s = live.solver
-            for g in retired:
-                assert s.val[-g] == 1 and s.level[g] == 0
-                assert not any(g in cl or -g in cl for ws in s.watches for cl in ws)
-                assert not any(g in xs or -g in xs for xs in s.implied)
-                assert not any(g in cl or -g in cl for cl in s.learnts)
-            counts.append(len(retired))
-            return program
-
-        monkeypatch.setattr(solve.CnfBuilder, "forget_guarded", recorded)
-        monkeypatch.setattr(solve.LiveSolver, "extend", checked)
         name, label = key
         gls = suite.load_example(name)
         lo, hi = LIVE_RANGES[key]
-        inc = incremental_program(
-            gls, dataclasses.replace(gls.queries[label], min_step=lo, max_step=hi))
-        live = list(solve_horizons(inc, ALL, Stats()))
+        query = dataclasses.replace(gls.queries[label], min_step=lo, max_step=hi)
+        counts = retired_per_horizon(incremental_program(gls, query), monkeypatch)
+        # the goal's conjuncts split into terms of one literal each, so a
+        # horizon's lines define no gate and retire none
+        assert counts == [0] * len(counts)
+
+    def test_a_gated_line_retires_its_gates_fixed_false(self, monkeypatch):
+        gls = suite.load_example("ferryman")
+        query = dataclasses.replace(gls.queries["cross"], min_step=0, max_step=5)
+        # either of the goal's atoms: the line's body, the goal's negation,
+        # is one term and keeps its gate under the guard
+        query = dataclasses.replace(query, lines=tuple(
+            (tref, mvpf.Or(f.parts) if tref.base == "maxstep" else f) for tref, f in query.lines))
+        counts = retired_per_horizon(incremental_program(gls, query), monkeypatch)
         # every horizon after the first retires its predecessor's gates
         assert counts[0] == 0 and all(counts[1:])
-        assert_same_horizons(live, fresh_horizons(inc))
+
+
+def retired_per_horizon(inc, monkeypatch):
+    """How many gates each horizon's extend retired, over the query's
+    range searched for every model; each is checked fixed false at level 0
+    and gone from every clause, and the models are a fresh solver's."""
+    retired = []  # the gates forgotten by the extend running now
+    counts = []
+    forget, extend = solve.CnfBuilder.forget_guarded, solve.LiveSolver.extend
+
+    def recorded(builder):
+        retired.extend(forget(builder))
+        return list(retired)
+
+    def checked(live, groups, atoms, stats):
+        retired.clear()
+        program = extend(live, groups, atoms, stats)
+        s = live.solver
+        for g in retired:
+            assert s.val[-g] == 1 and s.level[g] == 0
+            assert not any(g in cl or -g in cl for ws in s.watches for cl in ws)
+            assert not any(g in xs or -g in xs for xs in s.implied)
+            assert not any(g in cl or -g in cl for cl in s.learnts)
+        counts.append(len(retired))
+        return program
+
+    monkeypatch.setattr(solve.CnfBuilder, "forget_guarded", recorded)
+    monkeypatch.setattr(solve.LiveSolver, "extend", checked)
+    live = list(solve_horizons(inc, ALL, Stats()))
+    searched = list(counts)  # before the fresh solvers extend
+    assert_same_horizons(live, fresh_horizons(inc))
+    return searched

@@ -196,7 +196,7 @@ class TestStress:
             view = to_plan_view(m, gls, res.found_step, case.query)
             assert suite.replay_plan(oracle, view)
 
-    @pytest.mark.stress
+    # 13,064 conflicts at horizon 63: cheap enough for the default run
     def test_hanoi_solver_agrees_and_replays(self):
         (case,) = [c for c in STRESS if c.name == "hanoi-stress"]
         gls, res = suite.run_case(case, SolveConfig(max_solutions=1))
