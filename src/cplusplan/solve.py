@@ -680,7 +680,10 @@ class StepCode:
         id, the id of its negation or None): rel is again relative to the
         body's top.  A term's literals come in the order the body holds
         them; a repeated one is dropped, and so is a term with both an
-        atom and its negation.  The expansion keeps an explicit stack."""
+        atom and its negation.  The expansion keeps an explicit stack, and
+        a term is built as a tree of joins, (left, right), over literals,
+        (rel, atom id, polarity), and empty terms, (): a join takes
+        constant time however deep the body nests."""
         shapes = self._shapes
         # (id, its top relative to the body's, polarity), or (n, None,
         # whether the last n parts done are conjoined)
@@ -692,9 +695,9 @@ class StepCode:
                 parts = out[len(out) - i:]
                 del out[len(out) - i:]
                 if pos:
-                    terms = [[]]
-                    for p in parts:
-                        terms = [t + u for t in terms for u in p]
+                    terms = parts[0] if parts else [()]
+                    for p in parts[1:]:
+                        terms = [(t, u) for t in terms for u in p]
                 else:
                     terms = [t for p in parts for t in p]
                 out.append(terms)
@@ -716,18 +719,23 @@ class StepCode:
                     stack.append((right, off if ro is None else off + ro, pos))
                     stack.append((left, off if lo is None else off + lo, not pos))
             elif key[0] == _ATOM:
-                out.append([[(off, i, pos)]])
+                out.append([(off, i, pos)])
             else:  # false: no term, or true: one empty term
-                out.append([] if pos else [[]])
+                out.append([] if pos else [()])
         plan = []
         for term in out[0]:
-            if not term:
-                return None
             signs: dict = {}  # (rel, atom id) -> polarity
-            for rel, aid, pos in term:
-                if signs.setdefault((rel, aid), pos) is not pos:
+            stack = [term]
+            while stack:
+                x = stack.pop()
+                if len(x) == 2:
+                    stack.append(x[1])
+                    stack.append(x[0])
+                elif x and signs.setdefault(x[:2], x[2]) is not x[2]:
                     break
             else:
+                if not signs:
+                    return None
                 lits = [(rel, *shapes[aid][1:], aid, None if pos else self._intern((_NEG, aid), (1, 1)))
                         for (rel, aid), pos in signs.items()]
                 if len(lits) == 1:

@@ -1130,6 +1130,18 @@ class TestConstraintTerms:
         got, _ = models(rules, EITHER)
         assert got == {frozenset({P[i], Q[j]}) for i in (1, 2) for j in (1, 2)}
 
+    def test_a_deep_conjunction_over_two_terms_splits(self):
+        # p0 & --(p0 & --(... (q0 | q1))), 20,000 deep: the terms p0 & q0
+        # and p0 & q1, each joined once per level, not copied
+        body = mvpf.Or((Q[0], Q[1]))
+        for _ in range(20_000):
+            body = mvpf.And((P[0], mvpf.Neg(mvpf.Neg(body))))
+        rules = _choices(EITHER) + [PropRule(None, body, "deep")]
+        assert len(_rule_ops(rules)) == len(rules) - 1 + 2
+        got, _ = models(rules, EITHER)
+        assert got == {frozenset({p, q}) for p in P for q in Q} - {
+            frozenset({P[0], Q[0]}), frozenset({P[0], Q[1]})}
+
     def test_the_unit_of_an_unguarded_constraint_fires_its_gate(self):
         # false <- p0 & q0: the gate g keeps [g, -p0, -q0], as -g satisfies
         # [-g, p0] and [-g, q0]
