@@ -1067,10 +1067,10 @@ class TestConstraintTerms:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_grouped_constraints())
     # bodies of 1, 4, 5 and 9 terms: And(p0, -q1); (p0 | p1) & (q0 | q1);
-    # -(p0 & q0) | p2 -> q2; (p0 | p1 | p2) & (q0 | q1 | q2)
+    # -(p0 & q0 & q1) | p2 -> q2; (p0 | p1 | p2) & (q0 | q1 | q2)
     @example((EITHER, [PropRule(None, mvpf.And((P[0], mvpf.Neg(Q[1]))), "c")]))
     @example((EITHER, [PropRule(None, mvpf.And((mvpf.Or(tuple(P[:2])), mvpf.Or(tuple(Q[:2])))), "c")]))
-    @example((EITHER, [PropRule(None, mvpf.Or((mvpf.Neg(mvpf.And((P[0], Q[0]))),
+    @example((EITHER, [PropRule(None, mvpf.Or((mvpf.Neg(mvpf.And((P[0], Q[0], Q[1]))),
                                               mvpf.Impl(P[2], Q[2]))), "c")]))
     @example((EITHER, [PropRule(None, mvpf.And((mvpf.Or(tuple(P)), mvpf.Or(tuple(Q)))), "c")]))
     def test_models_are_the_brute_force_ones(self, program):
