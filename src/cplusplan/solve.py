@@ -11,17 +11,21 @@ paper's tool chain); the stability check needs none of it, as a
 constraint the candidate satisfies reduces to true.
 
 Each total assignment the search reaches is a candidate.  Once it has
-been looked at, it is blocked by the negation of its decisions, the
-literals the search chose above the assumption's level, as clasp
-enumerates answer sets (Gebser, Kaufmann, Neumann and Schaub 2007).  The
-assignment is the unit-propagation closure of those decisions over the
-clauses present, so the clause excludes that assignment and no other.
-Every other variable is a function of the atoms: a Tseitin gate is an
-equivalence, a sequential counter's variables are fixed once its group
-has one value, and var 1, retired guards and the gates a retired guard
-defined are fixed at level 0.  So no two candidates share their atoms,
-and no model is lost or met twice.  Models come in the order the search
-meets them.
+been looked at, the search moves past it by backtracking, as clasp
+enumerates answer sets without recording them (Gebser, Kaufmann, Neumann
+and Schaub, "Conflict-driven answer set enumeration", 2007): the deepest
+decision is flipped, its negation asserted one level down, and the
+search does not backjump below that level until every assignment under
+it has been met.  No clause is added per candidate, so the space stays
+polynomial in the program.  The assignment is the unit-propagation
+closure of its decisions and flipped literals over the clauses present,
+so the flip passes that assignment and no other.  Every other variable
+is a function of the atoms: a Tseitin gate is an equivalence, a
+sequential counter's variables are fixed once its group has one value,
+and var 1, retired guards and the gates a retired guard defined are
+fixed at level 0.  So no two candidates share their atoms, and no
+model is lost or met twice.  Models come in the order the search meets
+them.
 
 When the program is tight, every model of the completion is stable
 (Fages' theorem, extended to nested bodies by Erdem and Lifschitz), so
@@ -43,11 +47,11 @@ state, lands on that step at every horizon, so it joins them too, at
 the range's first horizon: iclingo likewise keeps it in the cumulative
 part (Gebser et al., ICLP 2008).  What it implies then sits at level 0,
 and the lemmas learned from it stay.  What holds for horizon k alone
-(its lines at maxstep plus or minus an offset, the support clauses
-still open and the blocking clauses of its candidates) is guarded by a
-fresh literal a_k that the search assumes (MiniSat-style solving under
-assumptions), and the next horizon asserts -a_k, which retires those
-clauses and the learned ones that depended on them.  The range's last
+(its lines at maxstep plus or minus an offset and the support clauses
+still open) is guarded by a fresh literal a_k that the search assumes
+(MiniSat-style solving under assumptions), and the next horizon
+asserts -a_k, which retires those clauses and the learned ones that
+depended on them.  The range's last
 horizon has nothing to retract, so it is asserted unguarded; a single
 fixed horizon is therefore searched just as one whole-horizon program
 is, and the horizon-k models are those of
@@ -115,7 +119,7 @@ class HorizonRecord(Record):
     candidates: int
     rules: int  # placed at this horizon: new steps, and the query
     cnf_s: float  # encoding the horizon and handing it to the search
-    search_s: float  # the rest: search, blocking and stability checks
+    search_s: float  # the rest: search, flips and stability checks
 
 
 class Stats:
@@ -796,11 +800,26 @@ class Dpll:
     empty solver: ``grow`` makes room for the variables and links them
     into the queue, and ``add_clauses`` attaches the clauses and asserts
     the units at level 0.  Every level-0 addition goes through them: the
-    caller's clauses, a one-literal block, a learned unit and a retired
-    assumption's negation.  While ``qhead`` is 0, no assigned literal has
-    been propagated, so a clause can be watched as it comes.  The solver
-    can be searched under an assumption literal; ``retire`` later asserts
+    caller's clauses, a learned unit while no flip is pending, and a
+    refuted or retired assumption's negation.  While ``qhead`` is 0, no
+    assigned literal has been propagated, so a clause can be watched as
+    it comes.  The solver can be searched under an assumption literal; ``retire`` later asserts
     the literal false and drops every clause it guards.
+
+    After a total assignment, ``flip`` moves the search past it with no
+    clause: the deepest decision's level is undone and the decision's
+    negation asserted one level down, with no reason.  That level becomes
+    the backtrack level ``bl``, and the flipped literal stays until every
+    assignment under the levels up to ``bl`` has been met.  A conflict at
+    ``bl`` then means none is left there, so it flips the decision at
+    ``bl``, one level further down, instead of being analysed.  Analysis
+    never jumps below ``bl``, and restarts go back to ``bl`` at the
+    least.  A unit learned while flips are pending is asserted at ``bl``
+    with itself as its reason: at level 0 it would undo the flips, and
+    the search would meet some assignments again.  An assignment held at
+    ``bl`` above its reason's levels is undone with ``bl``, so a later
+    search may miss that implication; a clause with every literal false
+    is still found when its last literal falls.
     """
 
     def __init__(self, nvars: int, clauses: list[list[int]], stats: Stats):
@@ -826,6 +845,7 @@ class Dpll:
         self.learnts: list[list[int]] = []  # of two or more literals
         self.assumption = 0
         self.guarded: list[list[int]] = []  # clauses that mention -assumption
+        self.bl = 0  # the backtrack level: that of the deepest flip
         # the queue runs from the front, the variable moved last, to the
         # tail: each variable's older neighbour is the next one down, and
         # stamps order the queue; 0 ends it both ways
@@ -1055,12 +1075,21 @@ class Dpll:
         del self.trail_lim[lvl:]
         self.qhead = limit
         self.search = search
+        if lvl < self.bl:
+            self.bl = lvl
 
     def _analyze(self) -> tuple[list[int], int]:
         """The first-UIP clause of the conflict and the level to jump to.
 
-        Under an assumption, every level-1 literal is implied by it, so the
-        clause holds them all as one literal, the assumption's negation.
+        A flipped literal has no reason, so above the assumption's level
+        the clause holds it as it holds a decision.  Under an assumption,
+        the clause holds every level-1 literal as one literal, the
+        assumption's negation.  The flips asserted at level 1 do not follow
+        from the assumption, so the fold is sound only because the clause
+        mentions -a: it is guarded, and leaves with the assumption, before
+        those flips ever do.  Without an assumption, flips at level 0 count
+        as facts: they stay until the search finds nothing more, and the
+        solver then never searches again.
         """
         level, reason, trail, seen = self.level, self.reason, self.trail, self.seen
         dl = len(self.trail_lim)
@@ -1158,7 +1187,11 @@ class Dpll:
         self.front, self.tail, self.search, self.clock = front, tail, search, clock
 
     def _decide(self) -> int:
-        """The newest unassigned variable, or 0 when all are assigned."""
+        """The newest unassigned variable, or 0 when all are assigned.
+        Every variable newer than ``search`` is assigned, so a total
+        assignment returns before the walk, with the same decisions."""
+        if len(self.trail) == self.nvars:
+            return 0
         val, older = self.val, self.older
         v = self.search
         while v and val[v]:
@@ -1169,12 +1202,12 @@ class Dpll:
     def solve(self, assume: int = 0) -> bool:
         """Extends the assignment to a total one satisfying every clause.
 
-        After a True, the caller may ``block`` the assignment and call
+        After a True, the caller may ``flip`` past the assignment and call
         again for the next one; False means there is no further one.  A
         nonzero assume is decided first, at level 1, and never undone by
         the search: restarts go back to it, and False then means no
-        further assignment with it.  Clauses blocked under it, and learned
-        clauses that depend on it, are guarded by it.
+        further assignment with it, and asserts its negation for good.
+        Learned clauses that depend on it are guarded by it.
         """
         if not self.ok:
             return False
@@ -1200,66 +1233,58 @@ class Dpll:
                 self.push_level()
                 self._assign(v if self.phase[v] > 0 else -v, None)
                 continue
-            if len(self.trail_lim) <= floor:
-                if self.trail_lim:  # the assumption is refuted
-                    self.backtrack(0)
-                else:
-                    self.ok = False
+            dl = len(self.trail_lim)
+            if dl <= floor:
+                self._exhausted()
                 return False
+            if dl <= self.bl:  # nothing is left below the decisions up to bl
+                self._flip(dl)
+                continue
             learnt, back = self._analyze()
-            if len(learnt) > 1:
-                self.backtrack(back)
-                self._attach(learnt)
-                self.learnts.append(learnt)
-                if assume and -assume in learnt:
-                    self.guarded.append(learnt)
-                self._assign(learnt[0], learnt)
-            else:
+            if len(learnt) == 1 and not self.bl:
                 self.add_clauses([learnt])
+            else:
+                self.backtrack(max(back, self.bl))
+                if len(learnt) > 1:
+                    self._attach(learnt)
+                    self.learnts.append(learnt)
+                    if assume and -assume in learnt:
+                        self.guarded.append(learnt)
+                self._assign(learnt[0], learnt)
             self.conflicts += 1
             stats.conflicts += 1
             if self.conflicts >= self.next_restart:
                 self.restarts += 1
                 self.next_restart += _RESTART_UNIT * _luby(self.restarts + 1)
-                self.backtrack(floor)
+                self.backtrack(max(floor, self.bl))
 
-    def decisions(self) -> list[int]:
-        """The decision literals above the assumption's level, lowest
-        level first.  Each level above it starts with its decision; the
-        assumption's own level may be empty."""
-        trail = self.trail
-        return [trail[i] for i in self.trail_lim[1 if self.assumption else 0:]]
-
-    def block(self, clause: list[int] | None = None) -> bool:
-        """Adds a clause that the total assignment falsifies and jumps back
-        far enough for search to go on; False when nothing is left.  Under
-        an assumption, the clause is guarded by it.  Without a clause it
-        blocks the decisions: each level above the assumption's starts
-        with one, so reversed, then the assumption's negation, they are
-        already in the order of the sort by level, highest first."""
-        level = self.level
-        if clause is None:
-            clause = [-lit for lit in reversed(self.decisions())]
-            if self.assumption:
-                clause.append(-self.assumption)
-        else:
-            if self.assumption:
-                clause.append(-self.assumption)
-            clause.sort(key=lambda l: level[abs(l)], reverse=True)
-        if not clause or not level[abs(clause[0])]:
-            self.ok = False
+    def flip(self) -> bool:
+        """Moves the search past the total assignment it holds: the deepest
+        decision above the assumption's level is undone and its negation
+        asserted one level down, with no reason, where it stays until
+        every assignment below it has been met.  False when there is no
+        such decision, and so no further assignment."""
+        if len(self.trail_lim) <= (1 if self.assumption else 0):
+            self._exhausted()
             return False
-        if len(clause) == 1:
-            self.add_clauses([clause])
-            return True
-        top, second = level[abs(clause[0])], level[abs(clause[1])]
-        self.backtrack(second if second < top else top - 1)
-        self._attach(clause)
-        if self.assumption:
-            self.guarded.append(clause)
-        if second < top:
-            self._assign(clause[0], clause)
+        self._flip(len(self.trail_lim))
         return True
+
+    def _flip(self, lvl: int) -> None:
+        """Undoes level lvl and asserts its decision's negation at lvl - 1,
+        the new backtrack level."""
+        d = self.trail[self.trail_lim[lvl - 1]]
+        self.backtrack(lvl - 1)
+        self.bl = lvl - 1
+        self._assign(-d, None)
+
+    def _exhausted(self) -> None:
+        """No further assignment: under an assumption, its negation holds
+        for good; without one, the solver finds nothing again."""
+        if self.assumption and self.trail_lim:
+            self.add_clauses([[-self.assumption]])
+        else:
+            self.ok = False
 
 
 # ---------------------------------------------------------------------------
@@ -1479,11 +1504,16 @@ def enumerate_models(
     groups gives the timed constants in step order, each to take exactly
     one value; without it the atoms are those the rules mention,
     unconstrained (arbitrary atomic-head programs).  Each
-    total assignment of the search is a candidate; after its check it is
-    blocked by the negation of its decisions, which excludes it alone
-    (see the module docstring), so every model is met once, in the order
-    the search meets it.  The stability check runs only when the program
-    is not known to be tight.
+    total assignment of the search is a candidate; after its check the
+    search flips its deepest decision (``Dpll.flip``), which passes that
+    assignment alone (see the module docstring), so every model is met
+    once, in the order the search meets it.  Under a live solver's guard
+    the flips sit at the guard's level, 1, or above it, and conflict
+    analysis folds those at level 1 into the guard's negation
+    (``Dpll._analyze``).  That is sound only because those clauses are
+    guarded: the next horizon's retire drops them with the flips.  The
+    stability check runs only when the program is not known to be
+    tight.
 
     Without live, rules is a fixed program, compiled as a base alone and
     searched as it stands.  With live, the call searches the live
@@ -1519,7 +1549,7 @@ def enumerate_models(
             yielded += 1
             if config.max_solutions and yielded >= config.max_solutions:
                 return
-        if not solver.block():
+        if not solver.flip():
             return
 
 

@@ -343,6 +343,16 @@ class TestPropHelpers:
         assert preduct(f, m) == mvpf.Neg(mvpf.BOT)
 
 
+def _clauses(n, most):
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    return st.lists(st.lists(literal, min_size=1, max_size=3, unique_by=abs), max_size=most)
+
+
+# (variables, clauses, the clauses under an assumption or None for none)
+FLIP_CNFS = st.integers(3, 8).flatmap(
+    lambda n: st.tuples(st.just(n), _clauses(n, 20), st.none() | _clauses(n, 8)))
+
+
 class TestEngine:
     """The conflict-driven search on plain CNFs."""
 
@@ -387,7 +397,7 @@ class TestEngine:
         while solver.solve():
             found.append(tuple(solver.val[v] for v in (2, 3, 4)))
             assert len(found) <= 7
-            if not solver.block([-v if solver.val[v] == 1 else v for v in (2, 3, 4)]):
+            if not solver.flip():
                 break
         assert not solver.solve()
         assert len(found) == len(set(found)) == 7
@@ -412,10 +422,41 @@ class TestEngine:
             while solver.solve():
                 got.append(tuple(solver.val[v] for v in range(2, n + 2)))
                 assert len(got) <= len(expect), (trial, clauses)
-                if not solver.block([-v * solver.val[v] for v in range(2, n + 2)]):
+                if not solver.flip():
                     break
             assert len(got) == len(set(got)), trial
             assert set(got) == expect, (trial, clauses)
+
+    @settings(max_examples=300, deadline=None)
+    @given(FLIP_CNFS)
+    # a unit learned while flips are pending, without and with an assumption
+    @example((7, [[1, 6, 4], [-6, 4]], None))
+    @example((6, [[2, -6], [5], [6, 2]], []))
+    # a backjump held at the backtrack level, under an assumption
+    @example((8, [[-1, -7, -5], [-2, -7, 4], [6, -8, 7]], [[-4, -1, -3], [-7, -2, 3], [-5, 7]]))
+    def test_flips_list_every_assignment_once(self, cnf):
+        """solve and flip list each satisfying assignment once, those that
+        exhaustion finds; the guarded clauses hold under the assumption.
+        Restarting after every conflict puts restarts, and units learned
+        while flips are pending, between the assignments."""
+        nvars, clauses, guarded = cnf
+        want = {bits for bits in itertools.product((-1, 1), repeat=nvars)
+                if all(any(bits[abs(l) - 1] * l > 0 for l in cl)
+                       for cl in clauses + (guarded or []))}
+        a = 0 if guarded is None else nvars + 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solve, "_RESTART_UNIT", 1)
+            solver = Dpll(max(a, nvars), [list(cl) for cl in clauses], Stats())
+            solver.add_clauses([cl + [-a] for cl in guarded or []], guarded=True)
+            got = []
+            while solver.solve(a):
+                got.append(tuple(solver.val[1:nvars + 1]))
+                assert len(got) <= len(want)
+                if not solver.flip():
+                    break
+            assert not solver.solve(a)
+        assert len(got) == len(set(got))
+        assert set(got) == want
 
     def test_counts_repeat_across_hash_seeds(self):
         """found_step and Stats.propagations do not depend on str hashing."""
@@ -734,7 +775,7 @@ class TestLiveSolver:
         found = 0
         while solver.solve(4):
             found += 1
-            if not solver.block([-v if solver.val[v] == 1 else v for v in (2, 3)]):
+            if not solver.flip():
                 break
         assert found == 3
         solver.retire(4)
@@ -742,7 +783,7 @@ class TestLiveSolver:
         found = 0
         while solver.solve(5):
             found += 1
-            if not solver.block([-v if solver.val[v] == 1 else v for v in (2, 3)]):
+            if not solver.flip():
                 break
         assert found == 3
 
@@ -772,7 +813,7 @@ class TestLiveSolver:
         """Permanent clauses grow and each horizon's guarded ones come and
         go; every horizon enumerates exactly the assignments exhaustion
         finds.  Restarting after every conflict exercises the return to
-        level 1."""
+        level 1 and to the backtrack level of the flips."""
         monkeypatch.setattr(solve, "_RESTART_UNIT", 1)
         rng = random.Random(6113)
 
@@ -797,7 +838,7 @@ class TestLiveSolver:
                 found = []
                 while solver.solve(guard):
                     found.append(frozenset(v for v in problem if solver.val[v] == 1))
-                    if not solver.block([-v if solver.val[v] == 1 else v for v in problem]):
+                    if not solver.flip():
                         break
                 want = set()
                 for bits in itertools.product((False, True), repeat=len(problem)):
@@ -1162,7 +1203,8 @@ class TestConstraintTerms:
 
 def atom_blocked_models(rules, groups):
     """The reference: a fixed program's stable models, each candidate
-    blocked by a clause over all its atoms, not by its decisions."""
+    blocked for good by a clause over all its atoms, added at level 0,
+    not passed by flipping its decisions."""
     live = solve.LiveSolver(solve.StepCode(None, rules), 0)
     stats = Stats()
     program = live.extend(groups, [a for tc in groups for a in tc.values], stats)
@@ -1173,8 +1215,7 @@ def atom_blocked_models(rules, groups):
         model = frozenset(a for a, v in atoms if solver.val[v] == 1)
         if program is None or is_stable_model(program, model, stats):
             found.append(model)
-        if not solver.block([-v if solver.val[v] == 1 else v for _, v in atoms]):
-            break
+        solver.add_clauses([[-v if solver.val[v] == 1 else v for _, v in atoms]])
     assert len(found) == len(set(found))
     return set(found)
 
@@ -1192,8 +1233,8 @@ go causes x = N if set = N.
 
 
 class TestDecisionBlocking:
-    """Each candidate is blocked by its decisions; the models are those
-    that blocking every atom finds, each once."""
+    """Each candidate is passed by flipping its deepest decision; the
+    models are those that blocking every atom finds, each once."""
 
     @pytest.mark.parametrize("mode", ["incremental", "static"])
     @pytest.mark.parametrize("case", DEFAULT, ids=lambda c: f"{c.name}-{c.query}")
@@ -1224,6 +1265,52 @@ class TestDecisionBlocking:
         _, hi = LIVE_RANGES[case.name, case.query]
         for k in range(query.min_step, min(hi, query.max_step) + 1):
             assert listed(f"maxstep={k}") == reference(k), k
+
+    def test_every_four_step_plan_once_without_a_clause_each(self, monkeypatch):
+        """bw-test's plans of four steps: the CLI prints each once, as many
+        as the oracle's transition system has paths.  Listing them adds no
+        clause per model, so no watch list grows with their number; with a
+        blocking clause per model the longest held 274."""
+        import io
+
+        from cplusplan.cli import main
+
+        case = next(c for c in DEFAULT if (c.name, c.query) == ("bw-test", "simple"))
+        oracle = suite.oracle_for(case)
+        paths = dict.fromkeys(oracle.initial_states(), 1)
+        for _ in range(4):
+            ends: dict = {}
+            for s, n in paths.items():
+                for acts in oracle.candidate_actions(s):
+                    s2 = oracle.step(s, acts)
+                    if s2 is not None:
+                        ends[s2] = ends.get(s2, 0) + n
+            paths = ends
+        want = sum(n for s, n in paths.items() if oracle.is_goal(s))
+        assert want == 1085
+
+        out = io.StringIO()
+        rc = main(["--mode=static", str(suite.EXAMPLES_DIR / "bw-test"), "query=simple",
+                   "minstep=4", "maxstep=4", "sol=all"], out, io.StringIO(), io.StringIO())
+        assert rc == 0
+        plans = [p.partition("\n")[2] for p in out.getvalue().split("SOLUTION ")[1:]]
+        plans[-1] = plans[-1].partition("query 'simple'")[0]
+        assert len(plans) == len(set(plans)) == want
+
+        solvers = []
+        init = Dpll.__init__
+
+        def kept(self, *args):
+            init(self, *args)
+            solvers.append(self)
+
+        monkeypatch.setattr(Dpll, "__init__", kept)
+        gls = suite.load_example("bw-test")
+        query = dataclasses.replace(gls.queries["simple"], min_step=4, max_step=4)
+        ((_, got),) = solve_horizons(incremental_program(gls, query), ALL, Stats())
+        assert len(got) == want
+        (solver,) = solvers
+        assert max(map(len, solver.watches)) <= 32
 
     def test_wide_groups_take_counters(self):
         gls = ground_description(parse_text(WIDE, "<wide>"))
