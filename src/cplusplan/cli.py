@@ -429,7 +429,13 @@ def _run(cfg: RunConfig, out, err, repl_source) -> int:
 
     if isinstance(pre, PropProgram):
         # a fixed-horizon program: solve it as it stands
-        config = _solve_config(cfg.override)
+        ov = cfg.override
+        for name, value in (("query", ov.label), ("maxstep", ov.max_step),
+                            ("minstep", ov.min_step)):
+            if value is not None:
+                raise UsageError(f"{name}= does not apply to a fixed-horizon "
+                                 f"program, which is at step {pre.horizon}")
+        config = _solve_config(ov)
         stats = Stats()
         t0 = time.perf_counter()
         models = list(

@@ -362,6 +362,15 @@ class TestBatchOutput:
         assert len(steps) == 5
 
 
+def _bw_pair_static_dump(tmp_path, k):
+    """The path of a prop-program dump of bw-pair's tower query at step k."""
+    _, dump, _ = run(["--mode=static", "--to-grounder", ex("bw-pair"),
+                      "query=tower", f"maxstep={k}"])
+    path = tmp_path / "prop.dump"
+    path.write_text(dump)
+    return path
+
+
 class TestStageCuts:
     def test_to_pre_processor_needs_no_query(self):
         rc, out, err = run(["--to-pre-processor", ex("bw-pair")])
@@ -399,13 +408,26 @@ class TestStageCuts:
         assert rc == 0
         assert "found step 1, 1 model" in out
 
+    @pytest.mark.parametrize("override, name", [
+        ("query=tower", "query="), ("maxstep=5", "maxstep="),
+        ("maxstep=0..3", "maxstep="), ("minstep=0", "minstep=")])
+    def test_static_grounder_dump_refuses_a_step_or_query_override(
+            self, tmp_path, override, name):
+        path = _bw_pair_static_dump(tmp_path, 3)
+        rc, out, err = run(["--from-grounder", str(path), override])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} does not apply")
+        assert "at step 3" in err
+
+    def test_static_grounder_dump_takes_a_solution_count(self, tmp_path):
+        path = _bw_pair_static_dump(tmp_path, 3)
+        rc, out, _ = run(["--from-grounder", str(path), "sol=all"])
+        assert rc == 0
+        assert "query 'program': found step 3, 23 models" in out
+
     def test_static_dump_reports_its_empty_step(self, tmp_path):
-        _, dump, _ = run(
-            ["--mode=static", "--to-grounder", ex("bw-pair"),
-             "query=tower", "maxstep=0"]
-        )
-        path = tmp_path / "prop.dump"
-        path.write_text(dump)
+        path = _bw_pair_static_dump(tmp_path, 0)
         rc, out, _ = run(["--mode=static", "--all-steps", "--from-grounder", str(path)])
         assert rc == 1
         assert "step 0: no models" in out.splitlines()

@@ -7,6 +7,7 @@ encoding) updates the pins below in the same commit, with the reason.
 """
 
 import dataclasses
+import functools
 import hashlib
 
 import pytest
@@ -18,15 +19,23 @@ from cplusplan.solve import Dpll, SolveConfig, Stats, solve_horizons, solve_incr
 from cplusplan.translate import incremental_program
 
 
-def search_trace(name, label, lo=None, hi=None, sol=1):
-    """Per horizon (k, decisions, conflicts, propagations, candidates,
-    learned), the found step, and a digest of the models' atoms in the
-    order the search yields them.  lo and hi replace the query's range."""
+@functools.cache
+def _solved(name, label, lo, hi, sol):
+    """The description and the search's result; lo and hi replace the
+    query's range.  Cached, as the trace and the size pins read one
+    search."""
     gls = suite.load_example(name)
     query = gls.queries[label]
     if lo is not None:
         query = dataclasses.replace(query, min_step=lo, max_step=hi)
-    res = solve_incremental(incremental_program(gls, query), SolveConfig(max_solutions=sol))
+    return gls, solve_incremental(incremental_program(gls, query), SolveConfig(max_solutions=sol))
+
+
+def search_trace(name, label, lo=None, hi=None, sol=1):
+    """Per horizon (k, decisions, conflicts, propagations, candidates,
+    learned), the found step, and a digest of the models' atoms in the
+    order the search yields them."""
+    gls, res = _solved(name, label, lo, hi, sol)
     records = [(h.k, h.decisions, h.conflicts, h.propagations, h.candidates, h.learned)
                for h in res.stats.horizons]
     text = "\n".join(model_atom_names(m, gls) for m in res.models)
@@ -68,6 +77,23 @@ PINNED = {
 HANOI_STRESS = (("hanoi-stress", "transfer", None, None, 1),
                 ([(63, 34011, 13064, 1628353, 1, 13020)], 63, "179e69480b1d98af"))
 
+# (vars, clauses) at the last horizon.  The trace cannot see the binaries
+# of a gate its own unit fixes (``CnfBuilder.gate``'s keep): true at level
+# 0, they never propagate, so writing them back leaves the search as it is.
+SIZES = {
+    ("bw-pair", "tower", 3, 3, 0): (179, 476),
+    ("bw-test", "simple", 3, 3, 0): (1077, 2625),
+    ("ferryman", "cross", 9, 9, 0): (566, 1506),
+    ("ferryman-stress", "cross", 0, 9, 1): (3834, 14822),
+}
+
+HANOI_STRESS_SIZE = (32905, 71893)
+
+
+def encoded_size(spec):
+    h = _solved(*spec)[1].stats.horizons[-1]
+    return h.vars, h.clauses
+
 
 class TestPinnedTrace:
     def test_every_default_query_is_pinned(self):
@@ -87,6 +113,16 @@ class TestPinnedTrace:
     def test_hanoi_stress_repeats_step_for_step(self):
         spec, pin = HANOI_STRESS
         assert search_trace(*spec) == pin
+
+
+class TestEncodedSize:
+    @pytest.mark.parametrize("spec", sorted(SIZES, key=repr), ids=repr)
+    def test_fixed_gates_write_only_what_their_unit_can_fire(self, spec):
+        assert encoded_size(spec) == SIZES[spec]
+
+    @pytest.mark.stress
+    def test_hanoi_stress_size(self):
+        assert encoded_size(HANOI_STRESS[0]) == HANOI_STRESS_SIZE
 
 
 class TestTracerEntryPoints:
@@ -118,31 +154,21 @@ class TestTracerEntryPoints:
         assert seen["levels"] >= res.stats.decisions > 0
 
 
-def _satisfied_left(solver):
-    """The (list, literal) pairs of implication lists that still hold a
-    literal true at level 0."""
-    val, level = solver.val, solver.level
-    return [(x, y) for x in range(-solver.nvars, solver.nvars + 1) if x
-            for y in solver.implied[x] if val[y] == 1 and not level[abs(y)]]
-
-
-def _rounds(nvars, clauses, rounds, check):
+def _rounds(nvars, clauses, rounds):
     """Each round adds its units at level 0 and enumerates up to three
     assignments, flipping the deepest decision after each.  Returns the
-    assignments by round and the search's counters."""
-    stats = Stats()
-    solver = Dpll(nvars, [list(cl) for cl in clauses], stats)
+    assignments by round."""
+    solver = Dpll(nvars, [list(cl) for cl in clauses], Stats())
     out = []
     for units in rounds:
         solver.add_clauses([[u] for u in units])
         got = []
         while len(got) < 3 and solver.solve():
             got.append(tuple(solver.val[1:nvars + 1]))
-            check(solver)
             if not solver.flip():
                 break
         out.append(got)
-    return out, (stats.decisions, stats.conflicts, stats.propagations)
+    return out
 
 
 def _literals(n):
@@ -156,29 +182,21 @@ CNFS = st.integers(2, 8).flatmap(lambda n: st.tuples(
     st.lists(st.lists(_literals(n), max_size=2), min_size=1, max_size=4)))
 
 
-class TestLevelZeroCleanup:
-    def test_a_false_gate_leaves_its_neighbours_lists(self):
-        # gate 3 is 1 & 2, and a constraint asserts -3
-        solver = Dpll(3, [[-3, 1], [-3, 2], [3, -1, -2], [-3], [1, 2]], Stats())
-        assert (solver.implied[1], solver.implied[2]) == ([-3, 2], [-3, 1])
-        assert solver.solve()
-        assert (solver.implied[1], solver.implied[2]) == ([2], [1])
-        assert solver.implied[3] == solver.implied[-3] == []
+class TestUnitsBetweenRounds:
+    """A unit added at level 0 between rounds of ``solve`` and ``flip``
+    undoes the pending flips, and the next round enumerates afresh."""
 
     @settings(max_examples=200, deadline=None)
     @given(CNFS)
-    def test_cleanup_changes_nothing_but_the_lists(self, cnf):
+    def test_each_round_lists_distinct_models_of_all_added(self, cnf):
         nvars, clauses, rounds = cnf
-
-        def clean(solver):
-            assert _satisfied_left(solver) == []
-            for cl in clauses:
-                assert any(solver.val[lit] == 1 for lit in cl)
-
-        got = _rounds(nvars, clauses, rounds, clean)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Dpll, "_drop_satisfied", lambda self: None)
-            assert _rounds(nvars, clauses, rounds, lambda solver: None) == got
+        added = [list(cl) for cl in clauses]
+        for units, got in zip(rounds, _rounds(nvars, clauses, rounds)):
+            added += [[u] for u in units]
+            assert len(set(got)) == len(got)
+            for a in got:
+                assert all(any(a[abs(lit) - 1] == (1 if lit > 0 else -1) for lit in cl)
+                           for cl in added)
 
 
 def _queue(solver):
