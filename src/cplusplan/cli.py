@@ -15,7 +15,6 @@ on the command line the tool drops into an interactive loop instead.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -154,6 +153,9 @@ def parse_args(argv: list[str]) -> tuple[RunConfig, list[str]]:
         raise UsageError(
             f"stage order: cannot run from '{cfg.stage_from}' to '{cfg.stage_to}'"
         )
+    for stage in cfg.stage_outputs:
+        if STAGES.index(stage) > STAGES.index(cfg.stage_to):
+            raise UsageError(f"--{stage}-output: the run stops after '{cfg.stage_to}'")
     if cfg.all_steps and cfg.mode != "static":
         raise UsageError("--all-steps requires --mode=static")
     if not cfg.input_files:
@@ -192,7 +194,7 @@ def _apply_range(query: QuerySpec, ov: QueryOverride, need_bound: bool) -> Query
     if ov.min_step is not None:  # every range token sets it
         # an explicit 'lo..infinity' cannot unbound a query that has a bound
         hi = ov.max_step if ov.max_step is not None else q.max_step
-        q = dataclasses.replace(q, min_step=ov.min_step, max_step=hi)
+        q = QuerySpec(q.label, ov.min_step, hi, q.lines, q.span)
     if q.max_step is not None and q.min_step > q.max_step:
         raise UsageError(f"minstep {q.min_step} exceeds maxstep {q.max_step}")
     if need_bound and q.max_step is None:

@@ -20,14 +20,7 @@ import re
 from . import mvpf
 from .ground import GroundLaw, GroundLawSet, SymbolTable
 from .syntax import ExportError, LawShape, QuerySpec, TimeRef
-from .translate import (
-    IncrementalProgram,
-    PAtom,
-    PropProgram,
-    PropRule,
-    TAtom,
-    _timed_consts,
-)
+from .translate import IncrementalProgram, PAtom, PropProgram, PropRule, TAtom
 
 
 class FormatError(ExportError):
@@ -564,7 +557,7 @@ def import_prop(text: str) -> PropProgram:
     if horizon is None:
         raise FormatError(1, "missing #horizon")
     gls = interner.ground_law_set()
-    return PropProgram(horizon, rules, _timed_consts(gls, horizon), gls)
+    return PropProgram(horizon, rules, gls)
 
 
 def import_incremental(text: str) -> IncrementalProgram:

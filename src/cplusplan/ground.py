@@ -1,6 +1,6 @@
-"""Grounding: from schematic shorthand laws to variable-free causal laws.
+"""Grounding: from schematic laws to variable-free causal laws.
 
-The steps, in order: expand every shorthand into the three primitive law
+The steps, in order: expand every law into the three primitive law
 shapes (static, action dynamic, fluent dynamic), check the heads are
 definite, then instantiate each law schema over its variables' sorts,
 resolving its formulas into multi-valued atoms over an interned ground
@@ -49,28 +49,23 @@ from .mvpf import Record
 from .syntax import (
     KIDS,
     ActionDescription,
-    AlwaysLaw,
     Arith,
     Atom,
     CausedLaw,
-    CausesLaw,
     Classification,
     ConstKind,
     ConstRef,
-    ConstraintLaw,
     CoreLaw,
-    DefaultLaw,
     ExogenousLaw,
     ExternalCall,
     Formula,
     InertialLaw,
     LangError,
+    Law,
     LawShape,
     NO_SPAN,
-    NonexecutableLaw,
     QuerySpec,
     RigidLaw,
-    ShorthandLaw,
     Span,
     Spanned,
     Sym,
@@ -101,7 +96,7 @@ class WhereEvalError(GroundError):
 
 
 # ---------------------------------------------------------------------------
-# Shorthand expansion
+# Law expansion
 
 def _atom_for(const: Term, value) -> Atom:
     return Atom(const, "=", Sym(value))
@@ -116,12 +111,11 @@ def _fluent_const_decl(term: Term, desc: ActionDescription, span: Span, who: str
     return decl
 
 
-def expand_shorthand(law: ShorthandLaw, desc: ActionDescription) -> list[CoreLaw]:
-    """Rewrite one shorthand law into primitive causal laws.
-
-    The result is still schematic.  Expansion that quantifies over values
-    (inertial, exogenous) happens here, over the declared value domain, so
-    that one shorthand produces one law per value.
+def expand_shorthand(law: Law, desc: ActionDescription) -> list[CoreLaw]:
+    """Rewrite one law into primitive causal laws: a `caused` law into the
+    one its head and `after` part give the shape of, and an inertial or
+    exogenous law into one per constant and value, over the declared
+    value domain.  The result is still schematic.
     """
     span = law.span
     if isinstance(law, CausedLaw):
@@ -131,17 +125,6 @@ def expand_shorthand(law: ShorthandLaw, desc: ActionDescription) -> list[CoreLaw
         if head_cls is Classification.ACTION:
             return [CoreLaw(LawShape.ACTION_DYNAMIC, law.head, law.cond, None, law.where, span)]
         return [_static(law.head, law.cond, law.where, span, desc)]
-    if isinstance(law, ConstraintLaw):
-        return [_static(mvpf.BOT, mvpf.Neg(law.formula), law.where, span, desc)]
-    if isinstance(law, DefaultLaw):
-        ref = head_atom_constref(law.head, desc)
-        if ref is None:
-            raise GroundError("default needs a single constant atom", span)
-        decl = desc.constants[ref.name]
-        body = law.head if mvpf.is_top(law.cond) else mvpf.join(mvpf.And, (law.head, law.cond))
-        if decl.kind.is_action:
-            return [CoreLaw(LawShape.ACTION_DYNAMIC, law.head, body, None, law.where, span)]
-        return [_static(law.head, body, law.where, span, desc)]
     if isinstance(law, InertialLaw):
         out = []
         for t in law.consts:
@@ -173,15 +156,7 @@ def expand_shorthand(law: ShorthandLaw, desc: ActionDescription) -> list[CoreLaw
             "and give static laws for it",
             span,
         )
-    if isinstance(law, (CausesLaw, NonexecutableLaw)):
-        after = law.action
-        if not mvpf.is_top(law.cond):
-            after = mvpf.join(mvpf.And, (law.action, law.cond))
-        head = law.effect if isinstance(law, CausesLaw) else mvpf.BOT
-        return [_fluent_dynamic(head, mvpf.TOP, after, law.where, span, desc)]
-    if isinstance(law, AlwaysLaw):
-        return [_fluent_dynamic(mvpf.BOT, mvpf.TOP, mvpf.Neg(law.formula), law.where, span, desc)]
-    raise TypeError(f"not a shorthand law: {law!r}")
+    raise TypeError(f"not a law: {law!r}")
 
 
 def _static(head, cond, where, span, desc) -> CoreLaw:

@@ -2,10 +2,15 @@
 
 Hand rolled tokenizer plus descent over statements; formulas and terms
 are read by precedence climbing on explicit stacks, so nesting depth
-costs no recursion.  A file is a sequence of
-statements, each terminated by a period: section directives introduced by
-``:-`` (sorts, objects, constants, variables, query, include) and causal
-laws in shorthand form.  ``%`` starts a line comment.
+costs no recursion.  A file is a sequence of statements, each terminated
+by a period: section directives introduced by ``:-`` (sorts, objects,
+constants, variables, query, include) and causal laws.  ``%`` starts a
+line comment.
+
+A ``caused`` law and a law over a list of constants (``inertial``,
+``exogenous``, ``rigid``) are kept as written; the abbreviations
+``constraint``, ``default``, ``causes``, ``nonexecutable`` and ``always``
+are read as the ``caused`` laws CCalc defines them as (`_Parser.law`).
 
 Includes are resolved eagerly relative to the including file and each file
 is read at most once.  After all files are in, identifiers inside formulas
@@ -19,21 +24,17 @@ from __future__ import annotations
 import os
 import re
 
-from .mvpf import BOT, TOP, And, Impl, Neg, Or, Record, fold, join, rebuild
+from .mvpf import BOT, TOP, And, Impl, Neg, Or, Record, fold, is_top, join, rebuild
 from .syntax import (
     ARITH_PREC,
     COMPARISONS,
     KIDS,
     ActionDescription,
-    AlwaysLaw,
     Arith,
     Atom,
     CausedLaw,
-    CausesLaw,
     ConstantDecl,
     ConstRef,
-    ConstraintLaw,
-    DefaultLaw,
     DuplicateDeclaration,
     ExogenousLaw,
     ExternalCall,
@@ -41,7 +42,6 @@ from .syntax import (
     InertialLaw,
     KIND_SPELLINGS,
     LangError,
-    NonexecutableLaw,
     QuerySpec,
     RESERVED_WORDS,
     RigidLaw,
@@ -57,6 +57,10 @@ from .syntax import (
 
 class ParseError(LangError):
     pass
+
+
+# the laws that take a list of constants
+_CONST_LIST_LAWS = {"inertial": InertialLaw, "exogenous": ExogenousLaw, "rigid": RigidLaw}
 
 
 class MalformedOverride(Exception):
@@ -403,63 +407,49 @@ class _Parser:
     # Laws
 
     def law(self):
+        """One law.  An abbreviation comes back as the `caused` law it
+        stands for, as CCalc defines it; an absent or true `if` part adds
+        nothing to it."""
         span = self.tok.span
-        if self.at_word("caused"):
+        word = self.tok.text if self.tok.kind == "ident" else ""
+        if word in _CONST_LIST_LAWS:
             self.advance()
+            return _CONST_LIST_LAWS[word](self.term_list(), self.opt_where(), span)
+        head, cond, after = BOT, TOP, None
+        if word in ("caused", "constraint", "default", "nonexecutable", "always"):
+            self.advance()
+        if word == "caused":
             head = self.formula()
-            cond: Formula = TOP
-            after: Formula | None = None
-            if self.at_word("if"):
-                self.advance()
-                cond = self.formula()
+            cond = self.opt_if()
             if self.at_word("after"):
                 self.advance()
                 after = self.formula()
-            return CausedLaw(head, cond, after, self.opt_where(), span)
-        if self.at_word("constraint"):
-            self.advance()
-            return ConstraintLaw(self.formula(), self.opt_where(), span)
-        if self.at_word("default"):
+        elif word == "constraint":  # caused false if -F
+            cond = Neg(self.formula())
+        elif word == "default":  # caused H if H & C
+            head = self.formula()
+            cond = _and_if(head, self.opt_if())
+        elif word == "nonexecutable":  # caused false after A & C
+            after = _and_if(self.formula(), self.opt_if())
+        elif word == "always":  # caused false after -F
+            after = Neg(self.formula())
+        else:  # A causes E if C: caused E after A & C
+            action = self.formula()
+            if not self.at_word("causes"):
+                raise ParseError(
+                    f"expected 'causes' after action formula, found '{self.tok.text}'",
+                    self.tok.span,
+                )
             self.advance()
             head = self.formula()
-            cond = TOP
-            if self.at_word("if"):
-                self.advance()
-                cond = self.formula()
-            return DefaultLaw(head, cond, self.opt_where(), span)
-        if self.at_word("inertial"):
-            self.advance()
-            return InertialLaw(self.term_list(), self.opt_where(), span)
-        if self.at_word("exogenous"):
-            self.advance()
-            return ExogenousLaw(self.term_list(), self.opt_where(), span)
-        if self.at_word("rigid"):
-            self.advance()
-            return RigidLaw(self.term_list(), self.opt_where(), span)
-        if self.at_word("nonexecutable"):
-            self.advance()
-            action = self.formula()
-            cond = TOP
-            if self.at_word("if"):
-                self.advance()
-                cond = self.formula()
-            return NonexecutableLaw(action, cond, self.opt_where(), span)
-        if self.at_word("always"):
-            self.advance()
-            return AlwaysLaw(self.formula(), self.opt_where(), span)
-        action = self.formula()
-        if not self.at_word("causes"):
-            raise ParseError(
-                f"expected 'causes' after action formula, found '{self.tok.text}'",
-                self.tok.span,
-            )
+            after = _and_if(action, self.opt_if())
+        return CausedLaw(head, cond, after, self.opt_where(), span)
+
+    def opt_if(self) -> Formula:
+        if not self.at_word("if"):
+            return TOP
         self.advance()
-        effect = self.formula()
-        cond = TOP
-        if self.at_word("if"):
-            self.advance()
-            cond = self.formula()
-        return CausesLaw(action, effect, cond, self.opt_where(), span)
+        return self.formula()
 
     def term_list(self) -> tuple[Term, ...]:
         terms = [self.term()]
@@ -635,6 +625,11 @@ class _Parser:
                 operands.append(ConstRef(call[0], tuple(call[1])))
 
 
+def _and_if(f: Formula, cond: Formula) -> Formula:
+    """f & cond, or f alone when the `if` part cond is true."""
+    return f if is_top(cond) else join(And, (f, cond))
+
+
 # ---------------------------------------------------------------------------
 # Identifier resolution
 
@@ -673,19 +668,16 @@ def _resolved(n, parts: list):
 
 
 def _resolve_description(desc: ActionDescription) -> None:
-    resolved = []
-    for law in desc.laws:
-        kw = {}
-        for name in ("head", "cond", "after", "formula", "action", "effect"):
-            if hasattr(law, name):
-                val = getattr(law, name)
-                kw[name] = None if val is None else _resolve(val, desc)
-        if hasattr(law, "consts"):
-            kw["consts"] = tuple(_resolve(t, desc) for t in law.consts)
-        kw["where"] = None if law.where is None else _resolve(law.where, desc)
-        kw["span"] = law.span
-        resolved.append(type(law)(**kw))
-    desc.laws[:] = resolved
+    for i, law in enumerate(desc.laws):
+        where = None if law.where is None else _resolve(law.where, desc)
+        if law.__class__ is CausedLaw:
+            after = None if law.after is None else _resolve(law.after, desc)
+            desc.laws[i] = CausedLaw(
+                _resolve(law.head, desc), _resolve(law.cond, desc), after, where, law.span
+            )
+        else:
+            consts = tuple(_resolve(t, desc) for t in law.consts)
+            desc.laws[i] = law.__class__(consts, where, law.span)
     for label, q in list(desc.queries.items()):
         desc.queries[label] = QuerySpec(
             q.label,

@@ -161,21 +161,15 @@ def _atom_text(a: Assignment) -> str:
     return f"{a.const}={a.value}"
 
 
-def render_plan_view(
-    view: PlanView, hide_false: bool = False, hide_inertial: bool = False
-) -> str:
-    """With the defaults every assignment in the view is printed."""
+def render_plan_view(view: PlanView, hide_false: bool = False) -> str:
+    """With the default every assignment in the view is printed."""
     lines = []
-    prev: dict[str, str] = {}
     for step in view.steps:
-        shown = []
-        for a in step.fluents:
-            if hide_false and a.boolean and not a.truth:
-                continue
-            if hide_inertial and step.index > 0 and prev.get(a.const) == a.value:
-                continue
-            shown.append(_atom_text(a))
-        prev = {a.const: a.value for a in step.fluents}
+        shown = [
+            _atom_text(a)
+            for a in step.fluents
+            if not (hide_false and a.boolean and not a.truth)
+        ]
         lines.append(f"{step.index}:" + ("  " + "  ".join(shown) if shown else ""))
         acts = [
             _atom_text(a)

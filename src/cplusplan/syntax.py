@@ -2,8 +2,8 @@
 
 The surface language is the CCalc-style one: sort and object declarations,
 constant declarations with a kind (fluent or action flavored), variable
-declarations, causal laws in shorthand form, and planning queries.  The
-parser builds these nodes; the grounder consumes them.
+declarations, causal laws, and planning queries.  The parser builds these
+nodes; the grounder consumes them.
 
 Formulas are schematic: atoms compare two terms, where a term is an object
 or variable symbol, an integer arithmetic expression, or a reference to a
@@ -260,25 +260,16 @@ class ConstantDecl(Spanned):
 
 
 # ---------------------------------------------------------------------------
-# Shorthand laws
+# Laws as written
+#
+# The parser writes the abbreviations constraint, default, causes,
+# nonexecutable and always as the `caused` laws they stand for, so a
+# description holds only these four kinds of law.
 
 class CausedLaw(Spanned):
     head: Formula
     cond: Formula
     after: Formula | None
-    where: WhereExpr | None = None
-    span: Span = NO_SPAN
-
-
-class ConstraintLaw(Spanned):
-    formula: Formula
-    where: WhereExpr | None = None
-    span: Span = NO_SPAN
-
-
-class DefaultLaw(Spanned):
-    head: Formula  # must resolve to a single atom
-    cond: Formula
     where: WhereExpr | None = None
     span: Span = NO_SPAN
 
@@ -301,38 +292,7 @@ class RigidLaw(Spanned):
     span: Span = NO_SPAN
 
 
-class CausesLaw(Spanned):
-    action: Formula
-    effect: Formula
-    cond: Formula
-    where: WhereExpr | None = None
-    span: Span = NO_SPAN
-
-
-class NonexecutableLaw(Spanned):
-    action: Formula
-    cond: Formula
-    where: WhereExpr | None = None
-    span: Span = NO_SPAN
-
-
-class AlwaysLaw(Spanned):
-    formula: Formula
-    where: WhereExpr | None = None
-    span: Span = NO_SPAN
-
-
-ShorthandLaw = Union[
-    CausedLaw,
-    ConstraintLaw,
-    DefaultLaw,
-    InertialLaw,
-    ExogenousLaw,
-    RigidLaw,
-    CausesLaw,
-    NonexecutableLaw,
-    AlwaysLaw,
-]
+Law = Union[CausedLaw, InertialLaw, ExogenousLaw, RigidLaw]
 
 
 class LawShape(enum.Enum):
@@ -391,7 +351,7 @@ class ActionDescription:
         self.objects: dict[str, list[Union[str, int]]] = {}
         self.constants: dict[str, ConstantDecl] = {}
         self.variables: dict[str, str] = {}
-        self.laws: list[ShorthandLaw] = []
+        self.laws: list[Law] = []
         self.queries: dict[str, QuerySpec] = {}
 
     def declare_sort(self, name: str, supersorts: tuple[str, ...], span: Span) -> None:

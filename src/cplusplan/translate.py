@@ -154,8 +154,11 @@ def _timed_consts(gls: GroundLawSet, m: int, after: int = -1) -> list[TimedConst
 class PropProgram(Record):
     horizon: int
     rules: list[PropRule]
-    timed_consts: list[TimedConst]
     gls: GroundLawSet
+
+    @property
+    def timed_consts(self) -> list[TimedConst]:
+        return _timed_consts(self.gls, self.horizon)
 
 
 def _check_domains(gls: GroundLawSet) -> None:
@@ -282,7 +285,7 @@ class IncrementalProgram(Record):
         for t in range(1, m + 1):
             rules.extend(self.step_rules(t))
         rules.extend(self.query_rules_at(m))
-        return PropProgram(m, rules, self.timed_consts(m), self.gls)
+        return PropProgram(m, rules, self.gls)
 
 
 def _law_body(cond, after=None):

@@ -122,6 +122,8 @@ class TestParseArgs:
             (["--all-steps", "f"], "requires --mode=static"),
             ([], "no input files"),
             (["--language=bc", "f"], "language mode not supported in this build"),
+            (["--to-solver", "--post-processor-output=F", "f"], "stops after 'solver'"),
+            (["--solver-output=F", "--to-grounder", "f"], "stops after 'grounder'"),
         ],
     )
     def test_usage_errors(self, argv, fragment):

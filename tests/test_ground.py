@@ -1,4 +1,4 @@
-"""Shorthand expansion, instantiation, where clauses, atom resolution."""
+"""Law expansion, instantiation, where clauses, atom resolution."""
 
 import hashlib
 import itertools
@@ -119,6 +119,42 @@ class TestExpansionShapes:
             expand_shorthand(d.laws[-1], d)
 
 
+# Each abbreviation next to the `caused` law it stands for: a boolean p, a
+# boolean c(N) over integers for where clauses, and the blocks of BW.
+ABBREVIATED = BW + """
+:- sorts n.
+:- objects 0..2 :: n.
+:- constants p :: inertialFluent; c(n) :: inertialFluent; go(n) :: exogenousAction.
+:- variables N, M :: n.
+"""
+
+
+class TestAbbreviations:
+    @pytest.mark.parametrize("abbreviation, written_out", [
+        ("constraint loc(a) \\= a.", "caused false if -(loc(a) \\= a)."),
+        ("constraint p.", "caused false if -p."),
+        ("constraint c(N) where N < 2.", "caused false if -c(N) where N < 2."),
+        ("default loc(a) = table.", "caused loc(a) = table if loc(a) = table."),
+        ("default loc(a) = table if loc(b) = table.",
+         "caused loc(a) = table if loc(a) = table & loc(b) = table."),
+        ("default p if -c(N) where N > 0.", "caused p if p & -c(N) where N > 0."),
+        ("move(B, L) causes loc(B) = L.", "caused loc(B) = L after move(B, L)."),
+        ("move(B, L) causes loc(B) = L if loc(B) \\= L.",
+         "caused loc(B) = L after move(B, L) & loc(B) \\= L."),
+        ("go(N) causes c(M) if -p where N < M.", "caused c(M) after go(N) & -p where N < M."),
+        ("nonexecutable move(B, L).", "caused false after move(B, L)."),
+        ("nonexecutable move(B, L) if loc(B1) = B.",
+         "caused false after move(B, L) & loc(B1) = B."),
+        ("nonexecutable go(N) if c(M) where M < N.", "caused false after go(N) & c(M) where M < N."),
+        ("always loc(a) \\= a.", "caused false after -(loc(a) \\= a)."),
+        ("always p.", "caused false after -p."),
+        ("always go(N) where N > 1.", "caused false after -go(N) where N > 1."),
+    ])
+    def test_grounds_as_its_caused_law(self, abbreviation, written_out):
+        assert export_ground(ground(ABBREVIATED + abbreviation)) == export_ground(
+            ground(ABBREVIATED + written_out))
+
+
 class TestExpansionErrors:
     def e(self, text, match):
         d = desc_of(BW + text)
@@ -152,6 +188,11 @@ class TestExpansionErrors:
         d = desc_of(":- constants p :: sdFluent. inertial p.")
         with pytest.raises(GroundError, match="statically determined"):
             expand_shorthand(d.laws[-1], d)
+
+    def test_default_head_not_one_atom(self):
+        d = desc_of(BW + "default loc(a) = table ++ loc(b) = table.")
+        with pytest.raises(GroundError, match="law head must be a single constant atom or 'false'"):
+            ground_description(d)
 
     def test_definiteness_violation_reported(self):
         d = desc_of(BW + "caused loc(a) = table ++ loc(b) = table.")

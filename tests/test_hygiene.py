@@ -1,11 +1,12 @@
-"""Source hygiene: no unused imports, no unreferenced top-level code, no
-new recursion.
+"""Source hygiene: no unused imports, no private imports between modules,
+no unreferenced top-level code, no new recursion.
 
 A static scan with the standard-library ``ast``: every name a module under
-``src/cplusplan`` imports is used in that module, and every top-level
-function or class there, and every method of such a class other than a
-dunder method, is referenced somewhere in ``src/``, ``tests/`` or
-``perfbench/`` outside its own body.  A reference is a name, an attribute,
+``src/cplusplan`` imports is used in that module and is not an underscore
+name of another module of the package, and every top-level function or
+class there, and every method of such a class other than a dunder method,
+is referenced somewhere in ``src/``, ``tests/`` or ``perfbench/`` outside
+its own body.  A reference is a name, an attribute,
 or a string equal to the name (tools patch functions by their name); a
 method is reached only by the last two.  The definitions that only
 tests reach are exactly those of `TEST_ONLY`, the functions that call
@@ -73,6 +74,21 @@ def _references(tree: ast.Module, skip: ast.AST | None = None, names: bool = Tru
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(_tree(path)) == []
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """The underscore names the module imports from the package."""
+    return [
+        a.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "cplusplan")
+        for a in node.names if a.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_between_modules(path):
+    assert _private_imports(_tree(path)) == []
 
 
 def _top_level(tree: ast.Module) -> list[ast.AST]:

@@ -19,16 +19,12 @@ from cplusplan.syntax import (
     Arith,
     Atom,
     CausedLaw,
-    CausesLaw,
     ConstKind,
     ConstRef,
-    ConstraintLaw,
-    DefaultLaw,
     DuplicateDeclaration,
     ExogenousLaw,
     InertialLaw,
     LangError,
-    NonexecutableLaw,
     RigidLaw,
     Sym,
     UnknownSort,
@@ -253,13 +249,11 @@ class TestLaws:
         assert law.after is not None
 
     def test_constraint(self):
-        law = self.p("constraint loc(B) \\= B.")
-        assert isinstance(law, ConstraintLaw)
+        assert self.p("constraint loc(B) \\= B.") == self.p("caused false if -(loc(B) \\= B).")
 
     def test_default(self):
         law = self.p("default loc(B) = table.")
-        assert isinstance(law, DefaultLaw)
-        assert is_top(law.cond)
+        assert law == self.p("caused loc(B) = table if loc(B) = table.")
 
     def test_inertial_list(self):
         law = self.p("inertial loc(B).")
@@ -276,8 +270,7 @@ class TestLaws:
 
     def test_causes(self):
         law = self.p("move(B, L) causes loc(B) = L if loc(B) \\= L.")
-        assert isinstance(law, CausesLaw)
-        assert isinstance(law.action, Atom)
+        assert law == self.p("caused loc(B) = L after move(B, L) & loc(B) \\= L.")
 
     def test_causes_requires_keyword(self):
         with pytest.raises(ParseError, match="causes"):
@@ -285,8 +278,8 @@ class TestLaws:
 
     def test_nonexecutable_conjunction_action(self):
         law = self.p("nonexecutable move(B, L) & move(B1, L) if B \\= B1.")
-        assert isinstance(law, NonexecutableLaw)
-        assert isinstance(law.action, And)
+        assert law == self.p("caused false after move(B, L) & move(B1, L) & B \\= B1.")
+        assert len(law.after.parts) == 3
 
     def test_where_clause(self):
         law = self.p("nonexecutable move(B, L) where 1 < 2.")
@@ -304,8 +297,8 @@ class TestLaws:
 
 class TestFormulas:
     def f(self, text):
-        d = parse_text(BASE + f"constraint {text}.", "<t>")
-        return d.laws[-1].formula
+        d = parse_text(BASE + f"caused false if {text}.", "<t>")
+        return d.laws[-1].cond
 
     def test_precedence_chain(self):
         # - binds over &, & over ++, ++ over ->>
@@ -324,16 +317,16 @@ class TestFormulas:
         assert isinstance(f.right, Impl)
 
     def test_bare_boolean_sugar(self):
-        d = parse_text(":- constants p :: simpleFluent. constraint p. constraint -p.", "<t>")
-        pos = d.laws[0].formula
-        neg = d.laws[1].formula
+        d = parse_text(":- constants p :: simpleFluent. caused false if p. caused false if -p.", "<t>")
+        pos = d.laws[0].cond
+        neg = d.laws[1].cond
         assert pos == Atom(ConstRef("p", ()), "=", None)
         # -p resolves to p = false, not to classical negation
         assert neg == Atom(ConstRef("p", ()), "=", Sym(False))
 
     def test_double_negation_survives(self):
-        d = parse_text(":- constants p :: simpleFluent. constraint --p.", "<t>")
-        f = d.laws[0].formula
+        d = parse_text(":- constants p :: simpleFluent. caused false if --p.", "<t>")
+        f = d.laws[0].cond
         assert isinstance(f, Neg)
         assert f.sub == Atom(ConstRef("p", ()), "=", Sym(False))
 
@@ -358,8 +351,8 @@ class TestFormulas:
 
     def test_identifier_resolution_to_constref(self):
         # `loc` appears without parens nowhere; but bare constants resolve
-        d = parse_text(":- constants p :: simpleFluent. constraint p = true.", "<t>")
-        f = d.laws[0].formula
+        d = parse_text(":- constants p :: simpleFluent. caused false if p = true.", "<t>")
+        f = d.laws[0].cond
         assert f.left == ConstRef("p", ())
 
     def test_true_false_atoms(self):
@@ -482,8 +475,10 @@ class TestIncludes:
             "caused p = o if p = o. :- include 'mid.t'. constraint -(p = o).\n"
         )
         d = parse_files([str(tmp_path / "top.t")])
-        assert [type(law).__name__ for law in d.laws] == [
-            "CausedLaw", "ConstraintLaw", "DefaultLaw", "ConstraintLaw"]
+        assert d.laws == parse_text(
+            ":- sorts s. :- objects o :: s. :- constants p :: simpleFluent(s).\n"
+            "caused p = o if p = o. constraint p = o. default p = o. constraint -(p = o).\n"
+        ).laws
         assert [law.span.path for law in d.laws] == [
             str(tmp_path / "top.t"), str(tmp_path / "mid.t"),
             str(tmp_path / "mid.t"), str(tmp_path / "top.t")]
@@ -621,8 +616,8 @@ class TestRoundTrip:
     @given(_formulas())
     def test_printed_formula_parses_to_the_same_tree(self, f):
         text = show(f)
-        d = parse_text(f"constraint {text}.", "<rt>")
-        assert repr(d.laws[0].formula) == repr(f), text
+        d = parse_text(f"caused false if {text}.", "<rt>")
+        assert repr(d.laws[0].cond) == repr(f), text
 
     def test_printer_uses_the_fewest_parentheses(self):
         f = Impl(Impl(Atom(Sym("x")), Atom(Sym("y"))), Or((Atom(Sym("x")), And((Atom(Sym("y")), Neg(Atom(Sym("x"))))))))

@@ -112,17 +112,6 @@ def test_hide_false_drops_false_booleans(solved):
     assert "loc(a)=table" in text  # non-booleans stay
 
 
-def test_hide_inertial_drops_unchanged_fluents(solved):
-    gls, res = solved
-    view = to_plan_view(res.models[0], gls, res.found_step, "tower")
-    text = render_plan_view(view, hide_inertial=True)
-    lines = text.splitlines()
-    assert lines[0] == "0:  loc(a)=table  loc(b)=table"
-    # only loc(a) changes between steps 0 and 1
-    step1 = [l for l in lines if l.startswith("1:")][0]
-    assert step1 == "1:  loc(a)=b"
-
-
 def test_render_is_deterministic(solved):
     gls, res = solved
     view = to_plan_view(res.models[0], gls, res.found_step, "tower")
@@ -222,17 +211,17 @@ def test_a_dropped_law_set_is_freed_with_its_layout():
 
 
 # Every plan at enumerate-plans' fixed horizons, digested: the defaults,
-# hide_false, hide_inertial, then the model_atom_names lines.  Taken
+# hide_false, then the model_atom_names lines.  Taken
 # before the plan layout existed, when each view rebuilt its tables, and
 # re-taken when enumeration moved from blocking clauses to flipped
 # decisions, which changed the order of the same plans.
 PLAN_DIGESTS = {
     ("bw-pair", "tower", 3): (23, "a610570446b08e61", "bafe2ee300661fa3",
-                              "efff9e05a09fa0bb", "19bca0daf44aa82c"),
+                              "19bca0daf44aa82c"),
     ("bw-test", "simple", 3): (36, "38cd929510817487", "2dbc7d483ff7f3a9",
-                               "aad1a938b3e79ccb", "36769b1e02dfb78d"),
+                               "36769b1e02dfb78d"),
     ("ferryman", "cross", 9): (90, "7faeec1defe397c3", "23caff13fb83c366",
-                               "fc910e481187722b", "cbac1c1441418b55"),
+                               "cbac1c1441418b55"),
 }
 
 
@@ -245,7 +234,6 @@ def test_every_plan_renders_as_pinned(name, label, k):
     texts = [
         "".join(render_plan_view(v) for v in views),
         "".join(render_plan_view(v, hide_false=True) for v in views),
-        "".join(render_plan_view(v, hide_inertial=True) for v in views),
         "".join(model_atom_names(m, gls) + "\n" for m in res.models),
     ]
     digests = tuple(hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts)
