@@ -11,16 +11,24 @@ The pipeline has four stages:
 ``--from-STAGE`` starts from a dump produced earlier; ``--STAGE-output=FILE``
 writes a stage's payload without stopping there.  When no query is named
 on the command line the tool drops into an interactive loop instead.
+
+The solver and post-processor payloads are written as the search meets
+each model, and no model is kept (`_write_models`), so the first plan
+shows before the search ends.  Their output files are opened before the
+search starts.  Each payload's bytes are those of writing it all at the
+end, with one exception: when ``--solver-output`` goes to stdout next to
+the plans, each model's line comes right before its plan, not all lines
+before the first plan.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import time
 from pathlib import Path
 
 from .ground import GroundLawSet, ground_description
-from .mvpf import Record
 from .parser import (
     MalformedOverride,
     QueryOverride,
@@ -204,27 +212,13 @@ def _apply_range(query: QuerySpec, ov: QueryOverride, need_bound: bool) -> Query
     return q
 
 
-class Outcome(Record):
-    label: str
-    found_step: int | None
-    solved: list  # (step, models) pairs, every step that was reported
-    range_lo: int
-    range_hi: int
-
-
-def _run_query(
-    gls: GroundLawSet,
-    query: QuerySpec,
-    cfg: RunConfig,
-    ov: QueryOverride,
-    timings: dict,
-    out,
-    pre_inc: IncrementalProgram | None = None,
-) -> Outcome:
-    """Grounder and solver stages for one query."""
+def _run_query(gls: GroundLawSet, query: QuerySpec, cfg: RunConfig, ov: QueryOverride,
+               timings: dict, out, err, quiet: bool,
+               pre_inc: IncrementalProgram | None = None) -> int:
+    """Grounder stage for one query, then its search and payloads when
+    the run goes on to the solver."""
     solving = STAGES.index(cfg.stage_to) >= STAGES.index("solver")
     q = _apply_range(query, ov, need_bound=solving)
-    config = _solve_config(ov)
 
     t0 = time.perf_counter()
     if pre_inc is not None:
@@ -237,93 +231,73 @@ def _run_query(
         _emit(cfg, "grounder", lambda: _export().export_incremental(inc), out)
     else:
         _emit(cfg, "grounder", lambda: _export().export_prop(inc.program(q.min_step)), out)
-    if STAGES.index(cfg.stage_to) < STAGES.index("solver"):
-        return Outcome(q.label, None, [], q.min_step, q.max_step)
-
-    solved = []
-    found = None
-    t0 = time.perf_counter()
-    for k, models in solve_horizons(inc, config, Stats()):
-        if models or cfg.all_steps:
-            solved.append((k, models))
-        if models and found is None:
-            found = k
-            if not cfg.all_steps:
-                break
-    timings["solver"] = timings.get("solver", 0.0) + time.perf_counter() - t0
-    return Outcome(q.label, found, solved, q.min_step, q.max_step)
+    if not solving:
+        return 0
+    horizons = solve_horizons(inc, _solve_config(ov), Stats())
+    return _write_models(gls, horizons, q, cfg, timings, out, err, quiet)
 
 
-def _model_lines(outcome: Outcome, gls: GroundLawSet) -> str:
-    lines = []
-    for _, models in outcome.solved:
-        for m in models:
-            lines.append(model_atom_names(m, gls))
-    return "".join(line + "\n" for line in lines)
-
-
-def _plan_text(outcome: Outcome, gls: GroundLawSet) -> str:
-    parts = []
+def _write_models(gls, horizons, q: QuerySpec, cfg: RunConfig, timings: dict,
+                  out, err, quiet: bool) -> int:
+    """Solver and post-processor payloads, each model's written as the
+    search meets it, then the summary.  horizons yields (step, models)
+    over q's range; without --all-steps the first step with models is
+    the last one read."""
+    plans = cfg.stage_to == "post-processor"
+    reported = []  # (step, model count) of every step reported
     n = 0
-    for step, models in outcome.solved:
-        for m in models:
-            n += 1
-            view = to_plan_view(m, gls, step, outcome.label)
-            parts.append(
-                f"SOLUTION {n} (step {step})\n"
-                + render_plan_view(view, hide_false=True)
-            )
-    return "\n".join(parts)
+    shown = 0.0  # rendering and writing plans
+    t0 = time.perf_counter()
+    with contextlib.ExitStack() as files:
+        def sink(stage: str):
+            path = cfg.stage_outputs[stage]
+            return out if path is None else files.enter_context(open(path, "w"))
 
+        line_to = sink("solver") if "solver" in cfg.stage_outputs else None
+        plan_to = [out] if plans else []
+        # stdout has the plans; only a named file needs a copy
+        if plans and cfg.stage_outputs.get("post-processor") is not None:
+            plan_to.append(sink("post-processor"))
+        for step, models in horizons:
+            count = 0
+            for m in models:
+                n += 1
+                count += 1
+                if n > 1:
+                    for f in plan_to:
+                        f.write("\n")  # a blank line between plans
+                if line_to is not None:
+                    line_to.write(model_atom_names(m, gls) + "\n")
+                if plans:
+                    t1 = time.perf_counter()
+                    view = to_plan_view(m, gls, step, q.label)
+                    text = f"SOLUTION {n} (step {step})\n" + render_plan_view(view, hide_false=True)
+                    for f in plan_to:
+                        f.write(text)
+                    shown += time.perf_counter() - t1
+            if count or cfg.all_steps:
+                reported.append((step, count))
+            if count and not cfg.all_steps:
+                break
+    timings["solver"] = timings.get("solver", 0.0) + time.perf_counter() - t0 - shown
+    if plans:
+        timings["post-processor"] = timings.get("post-processor", 0.0) + shown
 
-def _summary_lines(outcome: Outcome, cfg: RunConfig) -> list[str]:
-    lines = []
-    if cfg.all_steps:
-        for step, models in outcome.solved:
-            word = "model" if len(models) == 1 else "models"
-            shown = f"{len(models)} {word}" if models else "no models"
-            lines.append(f"step {step}: {shown}")
-    total = sum(len(m) for _, m in outcome.solved)
-    word = "model" if total == 1 else "models"
-    if outcome.found_step is None:
-        lines.append(
-            f"query '{outcome.label}': no models in steps "
-            f"{outcome.range_lo}..{outcome.range_hi}"
-        )
+    summary_to = out if plans else err
+    for step, count in reported if cfg.all_steps else ():
+        shown_count = f"{count} model{'' if count == 1 else 's'}" if count else "no models"
+        print(f"step {step}: {shown_count}", file=summary_to)
+    found = next((step for step, count in reported if count), None)
+    total = sum(count for _, count in reported)
+    if found is None:
+        summary = f"no models in steps {q.min_step}..{q.max_step}"
     else:
-        lines.append(
-            f"query '{outcome.label}': found step {outcome.found_step}, {total} {word}"
-        )
-    return lines
-
-
-def _timing_line(timings: dict) -> str:
-    parts = [f"{s} {timings[s]:.3f}s" for s in STAGES if s in timings]
-    return "timings: " + "  ".join(parts)
-
-
-def _finish_query(
-    gls, outcome: Outcome, cfg: RunConfig, timings: dict, out, err, quiet: bool
-) -> int:
-    """Solver and post-processor payloads, then the summary."""
-    _emit(cfg, "solver", lambda: _model_lines(outcome, gls), out)
-    if STAGES.index(cfg.stage_to) >= STAGES.index("post-processor"):
-        t0 = time.perf_counter()
-        text = _plan_text(outcome, gls)
-        timings["post-processor"] = (
-            timings.get("post-processor", 0.0) + time.perf_counter() - t0
-        )
-        if text:
-            out.write(text)
-        # stdout already has the plans; only a named file needs a copy
-        if cfg.stage_outputs.get("post-processor") is not None:
-            _emit(cfg, "post-processor", lambda: text, out)
-    summary_to = out if cfg.stage_to == "post-processor" else err
-    for line in _summary_lines(outcome, cfg):
-        print(line, file=summary_to)
+        summary = f"found step {found}, {total} model{'' if total == 1 else 's'}"
+    print(f"query '{q.label}': {summary}", file=summary_to)
     if not quiet:
-        print(_timing_line(timings), file=summary_to)
-    return 0 if outcome.found_step is not None else 1
+        parts = [f"{s} {timings[s]:.3f}s" for s in STAGES if s in timings]
+        print("timings: " + "  ".join(parts), file=summary_to)
+    return 0 if found is not None else 1
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +360,7 @@ def _repl(gls, cfg, timings, out, err, source) -> int:
                 print(f"error: no query named '{ov.label}'; 'queries' lists them", file=out)
                 continue
             try:
-                outcome = _run_query(gls, query, cfg, session, timings, out)
-                _finish_query(gls, outcome, cfg, timings, out, err, quiet=True)
+                _run_query(gls, query, cfg, session, timings, out, err, quiet=True)
             except (UsageError, LangError) as e:
                 print(f"error: {e}", file=out)
         elif "=" in line and line[: line.index("=")].strip().isidentifier():
@@ -437,17 +410,10 @@ def _run(cfg: RunConfig, out, err, repl_source) -> int:
             if value is not None:
                 raise UsageError(f"{name}= does not apply to a fixed-horizon "
                                  f"program, which is at step {pre.horizon}")
-        config = _solve_config(ov)
-        stats = Stats()
-        t0 = time.perf_counter()
-        models = list(
-            enumerate_models(pre.rules, pre.timed_consts, config, stats)
-        )
-        timings["solver"] = time.perf_counter() - t0
-        found = pre.horizon if models else None
-        solved = [(pre.horizon, models)] if models or cfg.all_steps else []
-        outcome = Outcome("program", found, solved, pre.horizon, pre.horizon)
-        return _finish_query(gls, outcome, cfg, timings, out, err, quiet=False)
+        models = enumerate_models(pre.rules, pre.timed_consts, _solve_config(ov), Stats())
+        program = QuerySpec("program", pre.horizon, pre.horizon, ())
+        return _write_models(gls, [(pre.horizon, models)], program, cfg, timings,
+                             out, err, quiet=False)
 
     label = cfg.override.label
     if label is None and isinstance(pre, IncrementalProgram):
@@ -460,13 +426,10 @@ def _run(cfg: RunConfig, out, err, repl_source) -> int:
     if query is None:
         known = ", ".join(sorted(gls.queries)) or "none"
         raise UsageError(f"no query named '{label}' (available: {known})")
-    outcome = _run_query(
-        gls, query, cfg, cfg.override, timings, out,
+    return _run_query(
+        gls, query, cfg, cfg.override, timings, out, err, quiet=False,
         pre_inc=pre if isinstance(pre, IncrementalProgram) else None,
     )
-    if STAGES.index(cfg.stage_to) < STAGES.index("solver"):
-        return 0
-    return _finish_query(gls, outcome, cfg, timings, out, err, quiet=False)
 
 
 def main(argv: list[str], out=None, err=None, repl_source=None) -> int:

@@ -65,7 +65,6 @@ from .syntax import (
     LawShape,
     NO_SPAN,
     QuerySpec,
-    RigidLaw,
     Span,
     Spanned,
     Sym,
@@ -150,12 +149,6 @@ def expand_shorthand(law: Law, desc: ActionDescription) -> list[CoreLaw]:
                 a = _atom_for(t, v)
                 out.append(CoreLaw(LawShape.ACTION_DYNAMIC, a, a, None, law.where, span))
         return out
-    if isinstance(law, RigidLaw):
-        raise GroundError(
-            "rigid is not supported; declare the constant as a statDetFluent "
-            "and give static laws for it",
-            span,
-        )
     raise TypeError(f"not a law: {law!r}")
 
 
@@ -403,11 +396,12 @@ class _Resolver:
     def atom_formula(self, atom: Atom, subst: dict, span: Span) -> mvpf.MvFormula:
         left = self.eval_term(atom.left, subst, span)
         if atom.right is None:
-            if left[0] != "const":
+            vid = self.symbols.vid_of(True)
+            if left[0] != "const" or vid not in left[1].dom:
                 raise GroundError(
                     f"'{term_text(atom.left)}' is not a boolean constant", span
                 )
-            return self._const_value_atom(left[1], True, span)
+            return mvpf.MvAtom(left[1].cid, vid)
         right = self.eval_term(atom.right, subst, span)
         op = atom.op
         if left[0] == "obj" and right[0] == "obj":

@@ -8,7 +8,7 @@ constants, variables, query, include) and causal laws.  ``%`` starts a
 line comment.
 
 A ``caused`` law and a law over a list of constants (``inertial``,
-``exogenous``, ``rigid``) are kept as written; the abbreviations
+``exogenous``) are kept as written; the abbreviations
 ``constraint``, ``default``, ``causes``, ``nonexecutable`` and ``always``
 are read as the ``caused`` laws CCalc defines them as (`_Parser.law`).
 
@@ -44,7 +44,6 @@ from .syntax import (
     LangError,
     QuerySpec,
     RESERVED_WORDS,
-    RigidLaw,
     Span,
     Sym,
     Term,
@@ -60,7 +59,7 @@ class ParseError(LangError):
 
 
 # the laws that take a list of constants
-_CONST_LIST_LAWS = {"inertial": InertialLaw, "exogenous": ExogenousLaw, "rigid": RigidLaw}
+_CONST_LIST_LAWS = {"inertial": InertialLaw, "exogenous": ExogenousLaw}
 
 
 class MalformedOverride(Exception):
@@ -412,6 +411,9 @@ class _Parser:
         nothing to it."""
         span = self.tok.span
         word = self.tok.text if self.tok.kind == "ident" else ""
+        if word == "rigid":
+            raise ParseError("rigid is not supported; declare the constant as a "
+                             "statDetFluent and give static laws for it", span)
         if word in _CONST_LIST_LAWS:
             self.advance()
             return _CONST_LIST_LAWS[word](self.term_list(), self.opt_where(), span)
@@ -643,28 +645,29 @@ def _resolve(x, desc: ActionDescription):
             return ConstRef(n.name)
         return n
 
-    return fold(x, leaf, _resolved, KIDS)
+    def node(n, parts: list):
+        cls = n.__class__
+        if cls is Atom:
+            return Atom(parts[0], n.op, parts[1] if len(parts) > 1 else None)
+        if cls is ConstRef:
+            return ConstRef(n.name, tuple(parts))
+        if cls is WhereAnd:
+            return WhereAnd(tuple(parts))
+        if cls is ExternalCall:
+            return n  # its arguments stay as written
+        if cls is Arith or cls is WhereCmp:
+            return cls(n.op, *parts)
+        sub = parts[0]
+        # A negated bare boolean constant means the constant takes the
+        # value false; this keeps such heads definite.  A bare constant
+        # declared with other values is left for the grounder to reject.
+        if cls is Neg and sub.__class__ is Atom and sub.right is None and sub.left.__class__ is ConstRef:
+            decl = consts.get(sub.left.name)
+            if decl is None or decl.valuesort is None:
+                return Atom(sub.left, "=", Sym(False))
+        return rebuild(n, parts)  # a connective
 
-
-def _resolved(n, parts: list):
-    """Node n over its resolved parts."""
-    cls = n.__class__
-    if cls is Atom:
-        return Atom(parts[0], n.op, parts[1] if len(parts) > 1 else None)
-    if cls is ConstRef:
-        return ConstRef(n.name, tuple(parts))
-    if cls is WhereAnd:
-        return WhereAnd(tuple(parts))
-    if cls is ExternalCall:
-        return n  # its arguments stay as written
-    if cls is Arith or cls is WhereCmp:
-        return cls(n.op, *parts)
-    sub = parts[0]
-    # A negated bare boolean constant means the constant takes the value
-    # false; this keeps such heads definite.
-    if cls is Neg and sub.__class__ is Atom and sub.right is None and sub.left.__class__ is ConstRef:
-        return Atom(sub.left, "=", Sym(False))
-    return rebuild(n, parts)  # a connective
+    return fold(x, leaf, node, KIDS)
 
 
 def _resolve_description(desc: ActionDescription) -> None:

@@ -37,7 +37,8 @@ must be the unique minimal model of the program's reduct, which the same
 search decides by asking for a proper sub-model.
 
 One driver, ``solve_horizons``, walks a query's step range with one live
-solver, as iclingo does for the paper's incremental mode.  Each step is
+solver, as iclingo does for the paper's incremental mode.  It yields
+each horizon's models as the search meets them and keeps none.  Each step is
 encoded once, and its clauses stay in the one search for every later
 horizon, with the clauses learned from them.  An atom's support clause
 joins them once no later step can add a rule for it: for the
@@ -119,7 +120,7 @@ class HorizonRecord(Record):
     candidates: int
     rules: int  # placed at this horizon: new steps, and the query
     cnf_s: float  # encoding the horizon and handing it to the search
-    search_s: float  # the rest: search, flips and stability checks
+    search_s: float  # the rest of its search, without the caller's time between models
 
 
 class Stats:
@@ -1534,41 +1535,57 @@ def enumerate_models(
 # Drivers
 
 def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
-    """Yields (k, models) for each horizon k in the query's step range.
+    """Yields (k, models) for each horizon k in the query's step range,
+    models an iterator over horizon k's models as the search meets them.
 
     One LiveSolver serves the whole range, as the module docstring
     describes, with the query's program compiled once (``StepCode``).
-    Each horizon appends a HorizonRecord to stats.horizons.  The caller
-    decides when to stop.
+    What the caller leaves unread of a horizon is searched before the
+    next one, so each is added to the search once.  The caller decides
+    when to stop.
     """
     if inc.max_step is None:
         raise UnboundedRange(
             "no upper step bound; set maxstep explicitly", NO_SPAN
         )
-    code = StepCode(inc)
-    live = LiveSolver(code, inc.max_step)
+    live = LiveSolver(StepCode(inc), inc.max_step)
     prev = -1  # the previous horizon
     for k in range(inc.min_step, inc.max_step + 1):
-        before = (stats.decisions, stats.conflicts, stats.propagations, stats.models_checked)
         live.horizon = k
-        t0 = time.perf_counter()
-        models = list(enumerate_models((), inc.timed_consts(k, prev), config, stats, live=live))
-        spent = time.perf_counter() - t0
+        models = _horizon_models(live, inc.timed_consts(k, prev), config, stats)
         prev = k
-        s = live.solver
-        stats.horizons.append(HorizonRecord(
-            k, s.nvars, live.clauses, len(s.learnts),
-            stats.decisions - before[0], stats.conflicts - before[1],
-            stats.propagations - before[2], stats.models_checked - before[3],
-            live.rules, live.cnf_s, spent - live.cnf_s,
-        ))
         yield k, models
+        for _ in models:
+            pass
+
+
+def _horizon_models(live: LiveSolver, groups, config: SolveConfig, stats: Stats):
+    """Yields the live solver's models at its horizon, then appends its
+    HorizonRecord, timed without the caller's time between models."""
+    before = (stats.decisions, stats.conflicts, stats.propagations, stats.models_checked)
+    models = enumerate_models((), groups, config, stats, live=live)
+    spent = 0.0
+    while True:
+        t0 = time.perf_counter()
+        model = next(models, None)
+        spent += time.perf_counter() - t0
+        if model is None:
+            break
+        yield model
+    s = live.solver
+    stats.horizons.append(HorizonRecord(
+        live.horizon, s.nvars, live.clauses, len(s.learnts),
+        stats.decisions - before[0], stats.conflicts - before[1],
+        stats.propagations - before[2], stats.models_checked - before[3],
+        live.rules, live.cnf_s, spent - live.cnf_s,
+    ))
 
 
 def solve_incremental(inc: IncrementalProgram, config: SolveConfig) -> SolveResult:
     """The first horizon in the query's step range that has models."""
     stats = Stats()
     for k, models in solve_horizons(inc, config, stats):
-        if models:
-            return SolveResult(k, models, stats)
+        found = list(models)
+        if found:
+            return SolveResult(k, found, stats)
     return SolveResult(None, [], stats)

@@ -264,7 +264,7 @@ class ConstantDecl(Spanned):
 #
 # The parser writes the abbreviations constraint, default, causes,
 # nonexecutable and always as the `caused` laws they stand for, so a
-# description holds only these four kinds of law.
+# description holds only these three kinds of law.
 
 class CausedLaw(Spanned):
     head: Formula
@@ -286,13 +286,7 @@ class ExogenousLaw(Spanned):
     span: Span = NO_SPAN
 
 
-class RigidLaw(Spanned):
-    consts: tuple[Term, ...]
-    where: WhereExpr | None = None
-    span: Span = NO_SPAN
-
-
-Law = Union[CausedLaw, InertialLaw, ExogenousLaw, RigidLaw]
+Law = Union[CausedLaw, InertialLaw, ExogenousLaw]
 
 
 class LawShape(enum.Enum):

@@ -510,6 +510,31 @@ class TestStageCuts:
         assert mfile.read_text().startswith("0:loc(a)=table ")
         assert pfile.read_text() in out  # same plans, file and stdout
 
+    def test_solver_lines_on_stdout_alternate_with_plans(self):
+        args = [ex("ferryman"), "query=cross", "all"]
+        lines = run(args + ["--to-solver"])[1].splitlines(keepends=True)
+        plans = run(args)[1]
+        plans = plans[:plans.index("query 'cross'")]
+        # each plan but the last ends in the blank line before the next
+        parts = ["SOLUTION " + p for p in plans.split("SOLUTION ")[1:]]
+        rc, out, _ = run(args + ["--solver-output"])
+        assert rc == 0 and len(lines) == len(parts) == 2
+        assert out.startswith(lines[0] + parts[0] + lines[1] + parts[1] + "query 'cross'")
+
+    def test_every_model_streams_in_small_space(self):
+        # bw-test has 30,904 plans at step 5; none is kept once written
+        code = (
+            "import os, resource\n"
+            "from cplusplan.cli import main\n"
+            "from cplusplan.suite import EXAMPLES_DIR\n"
+            "with open(os.devnull, 'w') as sink:\n"
+            "    rc = main([str(EXAMPLES_DIR / 'bw-test'), 'query=simple', 'minstep=5',\n"
+            "               'maxstep=5', 'all', '--mode=static'], sink, sink)\n"
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        rc, max_rss_kb = map(int, run_fresh(code).split())
+        assert rc == 0 and max_rss_kb < 60 * 1024
+
     def test_to_grounder_without_query_is_usage_error(self):
         rc, _, err = run(["--to-grounder", ex("bw-pair")])
         assert rc == 2

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -112,11 +113,6 @@ class TestExpansionShapes:
     def test_a_true_condition_counts_as_absent(self, spelled, plain):
         decls = ":- constants p :: inertialFluent; a :: exogenousAction.\n"
         assert export_ground(ground(decls + spelled)) == export_ground(ground(decls + plain))
-
-    def test_rigid_rejected_with_hint(self):
-        d = desc_of(BW + "rigid loc(a).")
-        with pytest.raises(GroundError, match="statDetFluent"):
-            expand_shorthand(d.laws[-1], d)
 
 
 # Each abbreviation next to the `caused` law it stands for: a boolean p, a
@@ -352,6 +348,17 @@ class TestAtomResolution:
     def test_out_of_domain_value(self):
         with pytest.raises(GroundError, match="possible value"):
             ground(BW + "constraint loc(a) = 5.")
+
+    @pytest.mark.parametrize("law, message", [
+        ("constraint loc(a).", "'loc(a)' is not a boolean constant"),
+        ("always loc(a).", "'loc(a)' is not a boolean constant"),
+        ("caused false if -loc(a).", "'loc(a)' is not a boolean constant"),
+        ("caused false if loc(a).", "'loc(a)' is not a boolean constant"),
+        ("constraint loc(a) = false.", "'false' is not a possible value of 'loc(a)'"),
+    ])
+    def test_bare_constant_must_be_boolean(self, law, message):
+        with pytest.raises(GroundError, match=re.escape(message)):
+            ground(BW + law)
 
     def test_argument_sort_mismatch(self):
         with pytest.raises(GroundError, match="sort"):

@@ -25,7 +25,6 @@ from cplusplan.syntax import (
     ExogenousLaw,
     InertialLaw,
     LangError,
-    RigidLaw,
     Sym,
     UnknownSort,
     WhereCmp,
@@ -264,9 +263,11 @@ class TestLaws:
         law = self.p("exogenous move(B, L).")
         assert isinstance(law, ExogenousLaw)
 
-    def test_rigid_parses(self):
-        law = self.p("rigid loc(B).")
-        assert isinstance(law, RigidLaw)
+    def test_rigid_rejected_with_hint(self):
+        with pytest.raises(ParseError, match="declare the constant as a statDetFluent") as e:
+            self.p("rigid loc(B).")
+        # at the law
+        assert (e.value.span.line, e.value.span.col) == (BASE.count("\n") + 1, 1)
 
     def test_causes(self):
         law = self.p("move(B, L) causes loc(B) = L if loc(B) \\= L.")

@@ -15,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from cplusplan import suite
 from cplusplan.plans import model_atom_names
-from cplusplan.solve import Dpll, SolveConfig, Stats, solve_horizons, solve_incremental
+from cplusplan.solve import Dpll, SolveConfig, Stats, solve_incremental
 from cplusplan.translate import incremental_program
+from horizons import listed_horizons
 
 
 @functools.cache
@@ -269,7 +270,7 @@ class TestOneIntake:
         monkeypatch.setattr(Dpll, "__init__", kept)
         gls = suite.load_example("ferryman")
         query = dataclasses.replace(gls.queries["cross"], min_step=0, max_step=9)
-        for _ in solve_horizons(incremental_program(gls, query), SolveConfig(), Stats()):
+        for _ in listed_horizons(incremental_program(gls, query), SolveConfig(), Stats()):
             (solver,) = solvers  # the live one; ferryman needs no stability check
             queue = _queue(solver)
             assert sorted(queue) == list(range(1, solver.nvars + 1))

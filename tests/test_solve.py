@@ -39,6 +39,7 @@ from cplusplan.translate import (
     rule_formula,
     theory_to_prop,
 )
+from horizons import listed_horizons
 
 ALL = SolveConfig(max_solutions=0)
 
@@ -264,7 +265,7 @@ class TestDrivers:
     def test_inverted_range_has_no_horizon(self, bw):
         q = dataclasses.replace(bw.queries["tower"], min_step=3, max_step=1)
         inc = incremental_program(bw, q)
-        assert list(solve_horizons(inc, ALL, Stats())) == []
+        assert list(listed_horizons(inc, ALL, Stats())) == []
         res = solve_incremental(inc, ALL)
         assert res.found_step is None
         assert res.models == []
@@ -690,7 +691,7 @@ class TestLiveSolver:
         gls = suite.load_example(name)
         q = dataclasses.replace(gls.queries[label], min_step=lo, max_step=hi)
         inc = incremental_program(gls, q)
-        assert_same_horizons(list(solve_horizons(inc, ALL, Stats())), fresh_horizons(inc))
+        assert_same_horizons(list(listed_horizons(inc, ALL, Stats())), fresh_horizons(inc))
 
     def test_fixed_step_lines_match_a_fresh_solver(self, tmp_path):
         import io
@@ -699,7 +700,7 @@ class TestLiveSolver:
 
         gls = ground_description(parse_text(FIXED_LINES, "<fixed>"))
         inc = incremental_program(gls, gls.queries["q"])
-        live = list(solve_horizons(inc, ALL, Stats()))
+        live = list(listed_horizons(inc, ALL, Stats()))
         assert_same_horizons(live, fresh_horizons(inc))
         assert [len(m) for _, m in live] == [16, 16, 32, 64]
         path = tmp_path / "fixed"
@@ -724,7 +725,7 @@ class TestLiveSolver:
         gls = ground_description(parse_text(UNREACHABLE, "<far>"))
         inc = incremental_program(gls, gls.queries["far"])
         stats = Stats()
-        horizons = solve_horizons(inc, ALL, stats)
+        horizons = listed_horizons(inc, ALL, stats)
         assert next(horizons) == (0, [])
         (live,) = lives
         (q0,) = [v for a, v in live.builder.var_of.items()
@@ -735,12 +736,36 @@ class TestLiveSolver:
         middle, last = stats.horizons[30], stats.horizons[-1]
         assert last.propagations <= middle.propagations + 10
 
+    def test_models_are_searched_as_they_are_read(self):
+        gls = suite.load_example("bw-test")
+        query = dataclasses.replace(gls.queries["simple"], min_step=5, max_step=5)
+        stats = Stats()
+        k, models = next(solve_horizons(incremental_program(gls, query), ALL, stats))
+        next(models)
+        # 30,904 models in all; the horizon's record waits for the last
+        assert (k, stats.models_checked, stats.horizons) == (5, 1, [])
+
+    def test_unread_models_are_searched_before_the_next_horizon(self):
+        gls = suite.load_example("bw-test")
+        query = dataclasses.replace(gls.queries["simple"], min_step=0, max_step=4)
+        inc = incremental_program(gls, query)
+        read, unread, one = Stats(), Stats(), Stats()
+        list(listed_horizons(inc, ALL, read))
+        for _ in solve_horizons(inc, ALL, unread):
+            pass
+        for _, models in solve_horizons(inc, ALL, one):
+            next(models, None)
+        # the counters, without the two times
+        counters = [[h[:-2] for h in s.horizons] for s in (read, unread, one)]
+        assert counters[0] == counters[1] == counters[2]
+        assert [h.k for h in read.horizons] == [0, 1, 2, 3, 4]
+
     def test_records_count_each_query_line_where_it_is_placed(self):
         gls = suite.load_example("bw-test")
         query = dataclasses.replace(gls.queries["simple"], min_step=0, max_step=2)
         inc = incremental_program(gls, query)
         stats = Stats()
-        list(solve_horizons(inc, ALL, stats))
+        list(listed_horizons(inc, ALL, stats))
         base, step = len(inc.base), len(inc.template)
         # the initial state once, at horizon 0, and the goal at each horizon
         assert [h.rules for h in stats.horizons] == [base + 2, step + 1, step + 1]
@@ -749,7 +774,7 @@ class TestLiveSolver:
         from cplusplan.export import import_incremental
 
         inc = import_incremental(GROWING_SUPPORT)
-        live = list(solve_horizons(inc, ALL, Stats()))
+        live = list(listed_horizons(inc, ALL, Stats()))
         assert_same_horizons(live, fresh_horizons(inc))
         # every choice of go at steps 0..k-1 is a plan
         assert [len(m) for _, m in live] == [1, 2, 4, 8]
@@ -940,7 +965,7 @@ class TestStepCode:
         for k in ks:
             dpll_input.clear()
             stats = Stats()
-            ((_, got),) = solve_horizons(one_horizon(inc, k), ALL, stats)
+            ((_, got),) = listed_horizons(one_horizon(inc, k), ALL, stats)
             nvars, clauses = dpll_input[0]
             dpll_input.clear()
             rules = inc.program(k).rules
@@ -967,7 +992,7 @@ class TestStepCode:
         inc = import_incremental(dump)
         self.assert_same_as_rule_lists(inc, range(inc.min_step, inc.max_step + 1), dpll_input)
         stats = Stats()
-        live = list(solve_horizons(inc, ALL, stats))
+        live = list(listed_horizons(inc, ALL, stats))
         assert_same_horizons(live, fresh_horizons(inc))
         assert [h.candidates for h in stats.horizons] == [len(m) for _, m in live]
 
@@ -978,7 +1003,7 @@ class TestStepCode:
         self.assert_same_as_rule_lists(inc, range(inc.min_step, inc.max_step + 1), dpll_input)
         stability_calls.clear()
         stats = Stats()
-        live = list(solve_horizons(inc, ALL, stats))
+        live = list(listed_horizons(inc, ALL, stats))
         assert 0 < len(stability_calls) == stats.models_checked
         assert_same_horizons(live, fresh_horizons(inc))
         # p at k needs go at k-1, not the loop; go at earlier steps is free
@@ -989,7 +1014,7 @@ class TestStepCode:
 
         def nvars(dump):
             stats = Stats()
-            list(solve_horizons(import_incremental(dump), ALL, stats))
+            list(listed_horizons(import_incremental(dump), ALL, stats))
             return stats.horizons[-1].vars
 
         # one gate for the conjunction, whatever the number of steps
@@ -1018,7 +1043,7 @@ class TestStepCode:
         monkeypatch.setattr(translate, "_instantiate", refuse)
         monkeypatch.setattr(translate, "map_leaves", refuse)
         found = None
-        for k, models in solve_horizons(inc, SolveConfig(), Stats()):
+        for k, models in listed_horizons(inc, SolveConfig(), Stats()):
             if models:
                 found = k
                 break
@@ -1307,7 +1332,7 @@ class TestDecisionBlocking:
         monkeypatch.setattr(Dpll, "__init__", kept)
         gls = suite.load_example("bw-test")
         query = dataclasses.replace(gls.queries["simple"], min_step=4, max_step=4)
-        ((_, got),) = solve_horizons(incremental_program(gls, query), ALL, Stats())
+        ((_, got),) = listed_horizons(incremental_program(gls, query), ALL, Stats())
         assert len(got) == want
         (solver,) = solvers
         assert max(map(len, solver.watches)) <= 32
@@ -1317,8 +1342,8 @@ class TestDecisionBlocking:
         inc = incremental_program(gls, gls.queries["q"])
         # x at steps 0..2 and set at steps 0..1
         assert sum(len(tc.values) > solve._PAIRWISE_MAX for tc in inc.timed_consts(2)) == 5
-        live = list(solve_horizons(inc, ALL, Stats()))
-        fixed = [(k, list(solve_horizons(one_horizon(inc, k), ALL, Stats()))[0][1])
+        live = list(listed_horizons(inc, ALL, Stats()))
+        fixed = [(k, list(listed_horizons(one_horizon(inc, k), ALL, Stats()))[0][1])
                  for k in range(3)]
         for horizons in (live, fixed):
             assert [len(m) for _, m in horizons] == [0, 1, 27]
@@ -1343,7 +1368,7 @@ class TestDecisionBlocking:
         lines = out.getvalue().splitlines()
         assert len(lines) == len(set(lines)) == 3
         stability_calls.clear()
-        live = list(solve_horizons(inc, ALL, Stats()))
+        live = list(listed_horizons(inc, ALL, Stats()))
         assert stability_calls
         for k, got in live:
             assert len(got) == len(set(got)), k
@@ -1400,7 +1425,7 @@ def retired_per_horizon(inc, monkeypatch):
 
     monkeypatch.setattr(solve.CnfBuilder, "forget_guarded", recorded)
     monkeypatch.setattr(solve.LiveSolver, "extend", checked)
-    live = list(solve_horizons(inc, ALL, Stats()))
+    live = list(listed_horizons(inc, ALL, Stats()))
     searched = list(counts)  # before the fresh solvers extend
     assert_same_horizons(live, fresh_horizons(inc))
     return searched

@@ -223,8 +223,11 @@ def ref_resolve_formula(f, desc):
         return Atom(left, f.op, right)
     if isinstance(f, Neg):
         sub = ref_resolve_formula(f.sub, desc)
+        # unless the constant is declared with other values than true and false
         if isinstance(sub, Atom) and sub.right is None and isinstance(sub.left, ConstRef):
-            return Atom(sub.left, "=", Sym(False))
+            decl = desc.constants.get(sub.left.name)
+            if decl is None or decl.valuesort is None:
+                return Atom(sub.left, "=", Sym(False))
         return Neg(sub)
     if isinstance(f, (And, Or)):
         return type(f)(tuple(ref_resolve_formula(g, desc) for g in f.parts))
