@@ -16,7 +16,7 @@ from cplusplan.ground import (
     expand_shorthand,
     ground_description,
 )
-from cplusplan.parser import parse_text
+from cplusplan.parser import ParseError, parse_text
 from cplusplan.suite import CASES, load_example
 from cplusplan.syntax import LawShape
 from cplusplan.translate import incremental_program
@@ -113,6 +113,11 @@ class TestExpansionShapes:
     def test_a_true_condition_counts_as_absent(self, spelled, plain):
         decls = ":- constants p :: inertialFluent; a :: exogenousAction.\n"
         assert export_ground(ground(decls + spelled)) == export_ground(ground(decls + plain))
+
+    def test_rigid_rejected_with_hint(self):
+        # rigid never reaches the grounder: the parser refuses it with the hint
+        with pytest.raises(ParseError, match="statDetFluent"):
+            ground(BW + "rigid loc(a).")
 
 
 # Each abbreviation next to the `caused` law it stands for: a boolean p, a
