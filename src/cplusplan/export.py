@@ -379,14 +379,8 @@ class _Interner:
             return PAtom(step, cid, vid)
         return TAtom(step, cid, vid)
 
-    def signature(self) -> mvpf.Signature:
-        order = self.symbols.order
-        return mvpf.Signature(
-            tuple(gc.cid for gc in order), {gc.cid: gc.dom for gc in order}
-        )
-
     def ground_law_set(self) -> GroundLawSet:
-        return GroundLawSet(self.symbols, self.signature(), [], [], [], {})
+        return GroundLawSet(self.symbols, [], [], [], {})
 
 
 def _parse_timeref(ln: _Line) -> TimeRef:

@@ -290,11 +290,10 @@ class GroundLaw(Spanned):
 
 
 class GroundLawSet:
-    def __init__(self, symbols: SymbolTable, signature: mvpf.Signature,
+    def __init__(self, symbols: SymbolTable,
                  static: list[GroundLaw], action_dynamic: list[GroundLaw],
                  fluent_dynamic: list[GroundLaw], queries: dict[str, QuerySpec]) -> None:
         self.symbols = symbols
-        self.signature = signature
         self.static = static
         self.action_dynamic = action_dynamic
         self.fluent_dynamic = fluent_dynamic
@@ -303,6 +302,11 @@ class GroundLawSet:
     @property
     def laws(self) -> list[GroundLaw]:
         return self.static + self.action_dynamic + self.fluent_dynamic
+
+    @property
+    def signature(self) -> mvpf.Signature:
+        order = self.symbols.order
+        return mvpf.Signature(tuple(c.cid for c in order), {c.cid: c.dom for c in order})
 
     def simple_fluent_ids(self) -> list[int]:
         return [c.cid for c in self.symbols.order if c.kind == "simple"]
@@ -885,15 +889,11 @@ def ground_description(desc: ActionDescription) -> GroundLawSet:
                         )
                     )
 
-    signature = mvpf.Signature(
-        constants=tuple(c.cid for c in symbols.order),
-        dom={c.cid: c.dom for c in symbols.order},
-    )
     queries = {
         label: ground_query(q, desc, resolver)
         for label, q in desc.queries.items()
     }
-    return GroundLawSet(symbols, signature, static, action_dynamic, fluent_dynamic, queries)
+    return GroundLawSet(symbols, static, action_dynamic, fluent_dynamic, queries)
 
 
 def ground_query(q: QuerySpec, desc: ActionDescription, resolver: _Resolver) -> QuerySpec:

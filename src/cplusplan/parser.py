@@ -115,12 +115,6 @@ def tokenize(text: str, path: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser proper
 
-LAW_KEYWORDS = {
-    "caused", "constraint", "default", "inertial", "exogenous",
-    "nonexecutable", "always", "rigid",
-}
-
-
 class _Parser:
     def __init__(self, tokens: list[Token], desc: ActionDescription):
         self.tokens = tokens

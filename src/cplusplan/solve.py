@@ -57,7 +57,10 @@ horizon has nothing to retract, so it is asserted unguarded; a single
 fixed horizon is therefore searched just as one whole-horizon program
 is, and the horizon-k models are those of
 ``IncrementalProgram.program(k)``, so the paper's static and
-incremental modes share the one driver.
+incremental modes share the one driver.  Each horizon is one call of
+``enumerate_models``, the one loop that searches, and every call, a
+fixed rule list's included, appends one ``HorizonRecord`` to the
+caller's ``Stats`` once its search ends.
 
 ``solve_horizons`` builds no rules.  The query's base, step template
 and query lines are compiled once (``StepCode``) to op lists over
@@ -108,7 +111,9 @@ from .translate import (
 
 
 class HorizonRecord(Record):
-    """The live solver after one horizon's search, and what it cost."""
+    """The live solver after one horizon's search, and what it cost;
+    ``enumerate_models`` appends one per search.  A fixed rule list's k
+    is its horizon."""
 
     k: int
     vars: int
@@ -119,7 +124,7 @@ class HorizonRecord(Record):
     propagations: int
     candidates: int
     rules: int  # placed at this horizon: new steps, and the query
-    cnf_s: float  # encoding the horizon and handing it to the search
+    cnf_s: float  # compiling and encoding the horizon, handing it to the search
     search_s: float  # the rest of its search, without the caller's time between models
 
 
@@ -1360,8 +1365,8 @@ class LiveSolver:
     are horizon k's lines at maxstep plus or minus an offset, with the
     clauses that define their bodies; the next horizon retires a_k.
     Nothing is guarded at horizon ``last``, as no horizon follows it; a
-    LiveSolver with last 0 thus solves a fixed program, compiled as a
-    base alone, as it stands.
+    LiveSolver at its last horizon thus solves a fixed program, compiled
+    as a base alone with an empty template, as it stands.
 
     Tightness is decided once, from the steps of the base and template
     rules: when every positive dependency runs to an earlier step, so does
@@ -1380,7 +1385,6 @@ class LiveSolver:
         self.unsupported: list[PAtom] = []  # support still open
         self.clauses = 0  # handed to the solver for good
         self.rules = 0  # placed in the last extend: steps and query lines
-        self.cnf_s = 0.0  # spent in the last extend
         self.lag = {r.head.const: 1 for r in code.template
                     if r.head is not None and r.head.rel < 0}
         self.ordered = _step_ordered(code.rules) and _step_ordered(code.template)
@@ -1397,7 +1401,6 @@ class LiveSolver:
         lines and the support clauses.  Returns the program its candidates
         must be checked against, or None when they need no stability
         check.  groups and atoms are those new to the solver."""
-        t0 = time.perf_counter()
         code = self.code
         inc = code.inc
         steps = () if inc is None else query_steps(inc.query, inc.gls, self.horizon)
@@ -1454,20 +1457,13 @@ class LiveSolver:
             self.solver.add_clauses(b.clauses)
         self.solver.add_clauses(b.guarded, guarded=True)
         b.clauses, b.guarded = [], []
-        self.cnf_s = time.perf_counter() - t0
 
         # every atom has a support clause only when the rules add no atom
         supported = len(b.var_of) == self.natoms
         if supported and self.ordered:
             return None
-        program = self.program()
+        program = code.rules if inc is None else inc.program(self.horizon).rules
         return None if supported and is_tight(program) else program
-
-    def program(self) -> Sequence[PropRule]:
-        """The rules searched at this horizon, built here as ``PropRule``
-        lists for a query's program."""
-        inc = self.code.inc
-        return self.code.rules if inc is None else inc.program(self.horizon).rules
 
 
 def enumerate_models(
@@ -1494,12 +1490,21 @@ def enumerate_models(
     tight.
 
     Without live, rules is a fixed program, compiled as a base alone and
-    searched as it stands.  With live, the call searches the live
+    searched as it stands, at its own horizon: the highest step of its
+    groups, 0 without groups.  With live, the call searches the live
     solver's next horizon of the program it holds, and rules is not
     read; groups are only those new to it and stay for later horizons.
+
+    When the search ends, or the caller has read ``max_solutions``
+    models, the call appends its ``HorizonRecord`` to stats: ``cnf_s``
+    until the search starts, ``search_s`` its own time after that,
+    without the caller's.
     """
+    start = time.perf_counter()
+    before = (stats.decisions, stats.conflicts, stats.propagations, stats.models_checked)
     if live is None:
-        live = LiveSolver(StepCode(None, rules), 0)
+        # at the program's own horizon: steps above 0 place an empty template
+        live = LiveSolver(StepCode(None, rules), max((tc.step for tc in groups or ()), default=0))
     if groups is not None:
         atom_universe = [a for tc in groups for a in tc.values]
     else:
@@ -1511,6 +1516,8 @@ def enumerate_models(
                 seen[a] = True
         atom_universe = sorted(seen, key=lambda a: (a.step, a.const, a.value))
     program = live.extend(groups or (), atom_universe, stats)
+    t = time.perf_counter()
+    cnf_s, search_s = t - start, 0.0
 
     solver = live.solver
     guard = live.guard
@@ -1523,12 +1530,21 @@ def enumerate_models(
         model = frozenset(a for a, v in atoms if val[v] == 1)
         stats.models_checked += 1
         if program is None or is_stable_model(program, model, stats):
+            search_s += time.perf_counter() - t
             yield model
+            t = time.perf_counter()
             yielded += 1
             if config.max_solutions and yielded >= config.max_solutions:
-                return
+                break
         if not solver.flip():
-            return
+            break
+    search_s += time.perf_counter() - t
+    stats.horizons.append(HorizonRecord(
+        live.horizon, solver.nvars, live.clauses, len(solver.learnts),
+        stats.decisions - before[0], stats.conflicts - before[1],
+        stats.propagations - before[2], stats.models_checked - before[3],
+        live.rules, cnf_s, search_s,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -1552,33 +1568,11 @@ def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
     prev = -1  # the previous horizon
     for k in range(inc.min_step, inc.max_step + 1):
         live.horizon = k
-        models = _horizon_models(live, inc.timed_consts(k, prev), config, stats)
+        models = enumerate_models((), inc.timed_consts(k, prev), config, stats, live=live)
         prev = k
         yield k, models
         for _ in models:
             pass
-
-
-def _horizon_models(live: LiveSolver, groups, config: SolveConfig, stats: Stats):
-    """Yields the live solver's models at its horizon, then appends its
-    HorizonRecord, timed without the caller's time between models."""
-    before = (stats.decisions, stats.conflicts, stats.propagations, stats.models_checked)
-    models = enumerate_models((), groups, config, stats, live=live)
-    spent = 0.0
-    while True:
-        t0 = time.perf_counter()
-        model = next(models, None)
-        spent += time.perf_counter() - t0
-        if model is None:
-            break
-        yield model
-    s = live.solver
-    stats.horizons.append(HorizonRecord(
-        live.horizon, s.nvars, live.clauses, len(s.learnts),
-        stats.decisions - before[0], stats.conflicts - before[1],
-        stats.propagations - before[2], stats.models_checked - before[3],
-        live.rules, live.cnf_s, spent - live.cnf_s,
-    ))
 
 
 def solve_incremental(inc: IncrementalProgram, config: SolveConfig) -> SolveResult:

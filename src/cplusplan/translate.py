@@ -193,9 +193,9 @@ def query_steps(query: QuerySpec, gls: GroundLawSet, m: int) -> list[int]:
         is_action = any(leaf.const in actions for leaf in formula_leaves(f))
         limit = m - 1 if is_action else m
         if step < 0 or step > limit:
-            what = "action" if is_action else "fluent"
+            what = "an action" if is_action else "a fluent"
             detail = (
-                f"step {step} is out of range 0..{limit} for a {what} "
+                f"step {step} is out of range 0..{limit} for {what} "
                 f"condition at horizon {m}"
             )
             if is_action and step == m:

@@ -1,5 +1,6 @@
 """Command line behavior: classification, stage cuts, exit codes, REPL."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -427,6 +428,27 @@ class TestStageCuts:
         rc, out, _ = run(["--from-grounder", str(path), "sol=all"])
         assert rc == 0
         assert "query 'program': found step 3, 23 models" in out
+
+    def test_static_grounder_dump_output_is_pinned(self, tmp_path):
+        path = _bw_pair_static_dump(tmp_path, 3)
+        untimed = []
+        for args in ([], ["sol=all"]):
+            rc, out, _ = run(["--from-grounder", str(path)] + args)
+            assert rc == 0
+            untimed.append("".join(l for l in out.splitlines(keepends=True)
+                                   if not l.startswith("timings:")))
+        assert untimed[0] == (
+            "SOLUTION 1 (step 3)\n"
+            "0:  loc(a)=table  loc(b)=table\n"
+            "1:  loc(a)=table  loc(b)=table\n"
+            "2:  loc(a)=table  loc(b)=table\n"
+            "ACTIONS:  move(a,b)\n"
+            "3:  loc(a)=b  loc(b)=table\n"
+            "query 'program': found step 3, 1 model\n"
+        )
+        # the 23 plans, in the order the search meets them
+        assert hashlib.sha256(untimed[1].encode()).hexdigest() == (
+            "89379b938093eafb381672f0b3e9fdb43e096f4b688bb4683b3e3024ece77de9")
 
     def test_static_dump_reports_its_empty_step(self, tmp_path):
         path = _bw_pair_static_dump(tmp_path, 0)

@@ -3,12 +3,13 @@ no unreferenced top-level code, no new recursion.
 
 A static scan with the standard-library ``ast``: every name a module under
 ``src/cplusplan`` imports is used in that module and is not an underscore
-name of another module of the package, and every top-level function or
-class there, and every method of such a class other than a dunder method,
-is referenced somewhere in ``src/``, ``tests/`` or ``perfbench/`` outside
-its own body.  A reference is a name, an attribute,
-or a string equal to the name (tools patch functions by their name); a
-method is reached only by the last two.  The definitions that only
+name of another module of the package, and every top-level function,
+class or assigned name there other than a dunder, and every method of
+such a class other than a dunder method, is referenced somewhere in
+``src/``, ``tests/`` or ``perfbench/`` outside its own body or
+statement.  A reference is a name, an attribute, or a string equal to
+the name (tools patch functions by their name); a method is reached
+only by the last two.  The definitions that only
 tests reach are exactly those of `TEST_ONLY`, the functions that call
 themselves exactly those of `SELF_RECURSIVE`, and the classes that are
 still stdlib dataclasses exactly those of `STDLIB_DATACLASSES`.
@@ -91,31 +92,45 @@ def test_no_private_imports_between_modules(path):
     assert _private_imports(_tree(path)) == []
 
 
-def _top_level(tree: ast.Module) -> list[ast.AST]:
-    return [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
-def _methods(tree: ast.Module) -> list[ast.AST]:
+def _top_level(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Each function, class and assigned name other than a dunder, with
+    the statement that defines it."""
+    out = []
+    for n in tree.body:
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            out.append((n.name, n))
+        elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            out += [(t.id, n) for target in targets for t in ast.walk(target)
+                    if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+                    and not _dunder(t.id)]
+    return out
+
+
+def _methods(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return [
-        m for n in tree.body if isinstance(n, ast.ClassDef) for m in n.body
-        if isinstance(m, ast.FunctionDef)
-        and not (m.name.startswith("__") and m.name.endswith("__"))
+        (m.name, m) for n in tree.body if isinstance(n, ast.ClassDef) for m in n.body
+        if isinstance(m, ast.FunctionDef) and not _dunder(m.name)
     ]
 
 
 def _unreferenced(definitions, names: bool, scanned=SCANNED) -> list[str]:
-    """The definitions(tree) of each module that nothing in scanned
-    references; a bare name counts only if names is set."""
+    """The names of definitions(tree) of each module that nothing in
+    scanned references; a bare name counts only if names is set."""
     trees = {p: _tree(p) for p in {*scanned, *MODULES}}
     refs = {p: _references(trees[p], names=names) for p in scanned}
     out = []
     for path in MODULES:
         elsewhere = set().union(*(r for q, r in refs.items() if q != path))
-        for node in definitions(trees[path]):
+        for name, node in definitions(trees[path]):
             own = _references(trees[path], skip=node, names=names)
-            if node.name in elsewhere or node.name in own:
+            if name in elsewhere or name in own:
                 continue
-            out.append(f"{path.name}:{node.name}")
+            out.append(f"{path.name}:{name}")
     return out
 
 

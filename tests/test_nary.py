@@ -95,7 +95,7 @@ def truth_table(f, gls):
 @settings(max_examples=200, deadline=None)
 @given(f=nested())
 def test_reader_splices_any_grouping(f):
-    one_law = GroundLawSet(SMALL.symbols, SMALL.signature, [GroundLaw(LawShape.STATIC, None, f, None)],
+    one_law = GroundLawSet(SMALL.symbols, [GroundLaw(LawShape.STATIC, None, f, None)],
                            SMALL.action_dynamic, SMALL.fluent_dynamic, SMALL.queries)
     gls = export.import_ground(export.export_ground(one_law))
     (law,) = gls.static

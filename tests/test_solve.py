@@ -292,6 +292,27 @@ class TestDrivers:
         with pytest.raises(translate.TranslateError, match="t\\+1"):
             solve.StepCode(inc)
 
+    def test_a_fixed_program_leaves_one_record_at_its_horizon(self):
+        from cplusplan.export import export_prop, import_prop
+
+        gls = suite.load_example("bw-pair")
+        prog = import_prop(export_prop(translate.to_prop(gls, 3, gls.queries["tower"])))
+        stats = Stats()
+        for config, n in ((SolveConfig(max_solutions=1), 1), (ALL, 23)):
+            before = (stats.decisions, stats.conflicts, stats.propagations,
+                      stats.models_checked)
+            found = list(enumerate_models(prog.rules, prog.timed_consts, config, stats))
+            record = stats.horizons[-1]
+            assert len(found) == n and record.k == prog.horizon == 3
+            # the record counts this search alone
+            assert (record.decisions, record.conflicts, record.propagations,
+                    record.candidates) == (stats.decisions - before[0],
+                                           stats.conflicts - before[1],
+                                           stats.propagations - before[2],
+                                           stats.models_checked - before[3])
+            assert record.rules == len(prog.rules)
+        assert len(stats.horizons) == 2
+
     def test_learned_units_from_facts(self):
         text = (
             ":- sorts s. :- objects o1, o2 :: s."
@@ -1069,13 +1090,15 @@ class TestStepCode:
         place = solve.CnfBuilder.place
 
         def counted(builder, ops, t, bodies=None):
-            placed.append(t)
+            if ops:
+                placed.append(t)
             place(builder, ops, t, bodies)
 
         monkeypatch.setattr(solve.CnfBuilder, "place", counted)
         out = io.StringIO()
         rc = main(["--from-grounder", str(path)], out, io.StringIO(), io.StringIO())
-        assert placed == [0]  # the whole program, as one base
+        # the whole program, as one base; steps 1..k place the empty template
+        assert placed == [0]
         if case.expected_found_step is None:
             assert rc == 1 and "found step" not in out.getvalue()
         else:

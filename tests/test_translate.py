@@ -130,6 +130,21 @@ class TestQueryPlacement:
         with pytest.raises(QueryStepOutOfRange, match="final step"):
             to_prop(gls, 2, gls.queries["q"])
 
+    def test_out_of_range_messages(self):
+        text = (":- constants f :: inertialFluent; a :: exogenousAction."
+                " :- query label :: q; maxstep :: 1; maxstep: a.")
+        gls = ground_description(parse_text(text, "<t>"))
+        with pytest.raises(QueryStepOutOfRange) as action:
+            to_prop(gls, 1, gls.queries["q"])
+        assert str(action.value) == (
+            "query 'q': step 1 is out of range 0..0 for an action condition"
+            " at horizon 1 (actions do not exist at the final step)")
+        gls = self.q("3: loc(a) = b")
+        with pytest.raises(QueryStepOutOfRange) as fluent:
+            to_prop(gls, 2, gls.queries["q"])
+        assert str(fluent.value) == (
+            "query 'q': step 3 is out of range 0..2 for a fluent condition at horizon 2")
+
     def test_action_before_final_step_fine(self):
         gls = self.q("maxstep-1: move(a, b)")
         prog = to_prop(gls, 2, gls.queries["q"])
