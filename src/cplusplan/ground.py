@@ -405,7 +405,7 @@ class _Resolver:
                 raise GroundError(
                     f"'{term_text(atom.left)}' is not a boolean constant", span
                 )
-            return mvpf.MvAtom(left[1].cid, vid)
+            return mvpf.MvAtom._make((left[1].cid, vid))
         right = self.eval_term(atom.right, subst, span)
         op = atom.op
         if left[0] == "obj" and right[0] == "obj":
@@ -423,7 +423,7 @@ class _Resolver:
                 f"'{value_name(value)}' is not a possible value of '{gc.name}'",
                 span,
             )
-        return mvpf.MvAtom(gc.cid, vid)
+        return mvpf.MvAtom._make((gc.cid, vid))
 
     def _const_obj(self, op: str, gc: GroundConst, value, span: Span) -> mvpf.MvFormula:
         if op == "=":
@@ -435,7 +435,7 @@ class _Resolver:
         parts = []
         for vid in gc.dom:
             if _compare(op, self.symbols.values[vid], value, span):
-                parts.append(mvpf.MvAtom(gc.cid, vid))
+                parts.append(mvpf.MvAtom._make((gc.cid, vid)))
         return mvpf.disj(*parts)
 
     def _const_const(self, op: str, a: GroundConst, b: GroundConst, span: Span) -> mvpf.MvFormula:
@@ -443,9 +443,8 @@ class _Resolver:
         for va in a.dom:
             for vb in b.dom:
                 if _compare(op, self.symbols.values[va], self.symbols.values[vb], span):
-                    parts.append(
-                        mvpf.conj(mvpf.MvAtom(a.cid, va), mvpf.MvAtom(b.cid, vb))
-                    )
+                    left, right = mvpf.MvAtom._make((a.cid, va)), mvpf.MvAtom._make((b.cid, vb))
+                    parts.append(mvpf.conj(left, right))
         return mvpf.disj(*parts)
 
     def atom_lookup(self, atom: Atom, slots: dict[str, int], span: Span):
@@ -784,7 +783,7 @@ class _LawPlan:
             after = None if after_ops is None else _run(after_ops, env)
             if cond is mvpf.BOT or after is mvpf.BOT:
                 continue  # `caused H if false` or `... after false`
-            out.append(GroundLaw(shape, h, cond, after, tuple(env), span))
+            out.append(GroundLaw._make((shape, h, cond, after, tuple(env), span)))
         return out
 
 

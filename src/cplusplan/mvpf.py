@@ -21,8 +21,14 @@ evaluator with the code it checks.
 Every immutable record of the package, these connectives among them, is
 a `Record`: a tuple of its fields, built by a class statement that runs
 no generated code.  A record equals only a record of its own class, so
-``MvAtom(1, 2) != (1, 2)``, and hashes as the tuple of its fields.  A
-tuple hashes its items in C with no depth guard, so no layer hashes a
+``MvAtom(1, 2) != (1, 2)``, and hashes as the tuple of its fields.
+A record is built by the checked ``Cls(...)``, which binds keywords and
+defaults, except at the sites that build most of them and whose own
+code fixes the field count: this module's folding constructors, the
+tokenizer, the grounder's law instances and atoms, the translator's
+atoms and rules, the CNF builder's atoms and the plan view.  They call
+``Cls._make(fields)``, which is ``tuple.__new__``, checks nothing and
+takes less than half the checked call's time.  A tuple hashes its items in C with no depth guard, so no layer hashes a
 formula node above its atoms: the grounder and ``solve.StepCode`` key
 their tables on flat shapes.
 
@@ -75,12 +81,21 @@ class Record(tuple, metaclass=_RecordType):
     """An immutable record: a tuple of its fields, made with no generated
     code.  It equals only a record of its own class with equal fields,
     and hashes as the tuple of its fields, as a frozen dataclass does;
-    its repr is a dataclass's."""
+    its repr is a dataclass's.
+
+    ``Cls(...)`` binds keywords and defaults and checks the call, in a
+    Python frame.  ``Cls._make(fields)`` is ``tuple.__new__`` and runs no
+    Python code: it checks nothing, so only a call site whose code fixes
+    the field count uses it.  On CPython 3.11 on a 2-vCPU VM,
+    ``PAtom._make((1, 2, 3))`` takes about 190 ns against 420 ns for
+    ``PAtom(1, 2, 3)``."""
 
     def __new__(cls, *args, **kw):
         if kw or len(args) != len(cls._fields):
             args = _bind(cls, args, kw)
         return tuple.__new__(cls, args)
+
+    _make = classmethod(tuple.__new__)
 
     def __eq__(self, other):
         return self.__class__ is other.__class__ and tuple.__eq__(self, other)
@@ -170,7 +185,7 @@ def neg(f: MvFormula) -> MvFormula:
         return TOP
     if is_top(f):
         return BOT
-    return Neg(f)
+    return Neg._make((f,))
 
 
 def conj(*parts: MvFormula) -> MvFormula:
@@ -184,7 +199,7 @@ def conj(*parts: MvFormula) -> MvFormula:
         elif cls is not Neg or p.sub.__class__ is not Bot:
             out.append(p)
     if len(out) > 1:
-        return And(tuple(out))
+        return And._make((tuple(out),))
     return out[0] if out else TOP
 
 
@@ -199,7 +214,7 @@ def disj(*parts: MvFormula) -> MvFormula:
         elif cls is not Bot:
             out.append(p)
     if len(out) > 1:
-        return Or(tuple(out))
+        return Or._make((tuple(out),))
     return out[0] if out else BOT
 
 
@@ -216,7 +231,7 @@ def impl(left: MvFormula, right: MvFormula) -> MvFormula:
 def rebuild(node, parts) -> MvFormula:
     """A connective of node's class over new parts."""
     cls = node.__class__
-    return cls(tuple(parts)) if cls is And or cls is Or else cls(*parts)
+    return cls._make((tuple(parts),) if cls is And or cls is Or else parts)
 
 
 # The children of each connective class; every other node is a leaf.
@@ -277,7 +292,7 @@ def join(cls: type, parts: Iterable) -> object:
             out.extend(p.parts)
         else:
             out.append(p)
-    return cls(tuple(out)) if len(out) > 1 else out[0]
+    return cls._make((tuple(out),)) if len(out) > 1 else out[0]
 
 
 class Signature(Record):
@@ -289,6 +304,8 @@ class Signature(Record):
 
     constants: tuple[int, ...]
     dom: Mapping[int, tuple[int, ...]]
+
+    _make = None  # every signature is checked
 
     def __new__(cls, *args, **kw):
         self = Record.__new__(cls, *args, **kw)

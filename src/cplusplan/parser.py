@@ -105,8 +105,8 @@ def tokenize(text: str, path: str) -> list[Token]:
             if "\n" in lexeme:
                 line_start = m.start() + lexeme.rfind("\n") + 1
         else:
-            span = Span(path, line, m.start() - line_start + 1)
-            tokens.append(Token(kind, lexeme, span))
+            span = Span._make((path, line, m.start() - line_start + 1))
+            tokens.append(Token._make((kind, lexeme, span)))
         pos = m.end()
     tokens.append(Token("eof", "", Span(path, line, pos - line_start + 1)))
     return tokens

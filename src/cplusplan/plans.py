@@ -124,13 +124,13 @@ def to_plan_view(
         at = _functional(model, gls.symbols, layout, horizon)
     try:
         steps = tuple(
-            PlanStep(i, fluents(at), actions(at))
+            PlanStep._make((i, fluents(at), actions(at)))
             for i, (fluents, actions) in enumerate(layout.rows(horizon))
         )
     except KeyError:  # a timed constant with no value
         _functional(model, gls.symbols, layout, horizon)
         raise
-    return PlanView(label, horizon, steps)
+    return PlanView._make((label, horizon, steps))
 
 
 def _functional(model, symbols: SymbolTable, layout: PlanLayout, horizon: int) -> dict:

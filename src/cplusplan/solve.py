@@ -368,7 +368,7 @@ class CnfBuilder:
                 key = (t + op[1], op[2], op[3])
                 v = at.get(key)
                 if v is None:
-                    v = at[key] = self.atom_var(PAtom(*key))
+                    v = at[key] = self.atom_var(PAtom._make(key))
                 regs[i] = v
             else:
                 regs[i] = op[1]

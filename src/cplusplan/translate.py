@@ -118,7 +118,7 @@ def _atoms_at(rel: int):
     def atom(a) -> TAtom:
         got = made.get((a.const, a.value))
         if got is None:
-            got = made[a.const, a.value] = TAtom(rel, a.const, a.value)
+            got = made[a.const, a.value] = TAtom._make((rel, a.const, a.value))
         return got
 
     return atom
@@ -142,9 +142,8 @@ def _timed_consts(gls: GroundLawSet, m: int, after: int = -1) -> list[TimedConst
             action = gc.kind == "action"
             if (action and step == m) or (not action and step == after):
                 continue
-            out.append(
-                TimedConst(step, gc.cid, tuple(PAtom(step, gc.cid, v) for v in gc.dom))
-            )
+            values = tuple(PAtom._make((step, gc.cid, v)) for v in gc.dom)
+            out.append(TimedConst._make((step, gc.cid, values)))
     return out
 
 
@@ -229,12 +228,12 @@ def _instantiate(template: list[PropRule], t: int) -> list[PropRule]:
         # Cumulative rules for step t may only mention steps 0..t; anything
         # later would let a later increment retroactively change this one.
         assert 0 <= step <= t, f"rule at step {t} mentions step {step}: {a}"
-        return PAtom(step, a.const, a.value)
+        return PAtom._make((step, a.const, a.value))
 
     out = []
     for r in template:
         head = None if r.head is None else place(r.head)
-        out.append(PropRule(head, map_leaves(r.body, place), r.tag))
+        out.append(PropRule._make((head, map_leaves(r.body, place), r.tag)))
     return out
 
 
@@ -299,22 +298,23 @@ def incremental_program(gls: GroundLawSet, query: QuerySpec) -> IncrementalProgr
     _check_domains(gls)
     now, before = _atoms_at(0), _atoms_at(-1)
     static = [
-        PropRule(
+        PropRule._make((
             None if law.head is None else TAtom(0, *law.head),
             _law_body(map_leaves(law.cond, now)),
             "static",
-        )
+        ))
         for law in gls.static
     ]
     template = list(static)
     for law in gls.action_dynamic:
         head = None if law.head is None else TAtom(-1, *law.head)
-        template.append(PropRule(head, _law_body(map_leaves(law.cond, before)), "action"))
+        body = _law_body(map_leaves(law.cond, before))
+        template.append(PropRule._make((head, body, "action")))
     # the law `caused F if G after H` fires at t from t-1
     for law in gls.fluent_dynamic:
         head = None if law.head is None else TAtom(0, *law.head)
         body = _law_body(map_leaves(law.cond, now), map_leaves(law.after, before))
-        template.append(PropRule(head, body, "transition"))
+        template.append(PropRule._make((head, body, "transition")))
 
     # step 0 has no actions and no predecessor: the initial-state choice
     # and the static laws

@@ -1,5 +1,6 @@
 """Command line behavior: classification, stage cuts, exit codes, REPL."""
 
+import gc
 import hashlib
 import io
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cplusplan
-from cplusplan import export
+from cplusplan import cli, export
 from cplusplan.cli import UsageError, main, parse_args
 from cplusplan.suite import EXAMPLES_DIR, default_cases
 
@@ -623,6 +624,16 @@ query 'tower': found step 1, 1 model
 """
 
 
+def _open_range(tmp_path):
+    """bw-pair with a query 'open' whose step range has no upper bound."""
+    (tmp_path / "bw").write_text((EXAMPLES_DIR / "bw").read_text())
+    src = (EXAMPLES_DIR / "bw-pair").read_text()
+    src += "\n:- query\n  label :: open;\n  maxstep :: 0..infinity;\n  maxstep: loc(a) = b.\n"
+    f = tmp_path / "open-range"
+    f.write_text(src)
+    return f
+
+
 class TestRepl:
     def test_enters_when_no_query_given(self):
         rc, out, _ = run([ex("bw-pair")], stdin="exit\n")
@@ -665,14 +676,89 @@ class TestRepl:
         assert "error: bad minstep 'soon'" in out
 
     def test_unbounded_query_asks_for_maxstep(self, tmp_path):
-        (tmp_path / "bw").write_text((EXAMPLES_DIR / "bw").read_text())
-        src = (EXAMPLES_DIR / "bw-pair").read_text()
-        src += "\n:- query\n  label :: open;\n  maxstep :: 0..infinity;\n  maxstep: loc(a) = b.\n"
-        f = tmp_path / "open-range"
-        f.write_text(src)
         script = "query=open\nmaxstep=1\nquery=open\nexit\n"
-        rc, out, _ = run([str(f)], stdin=script)
+        rc, out, _ = run([str(_open_range(tmp_path))], stdin=script)
         assert rc == 0
         assert "no upper step bound" in out
         # the initial state is unconstrained, so pinning step 1 works
         assert "found step 1, 1 model" in out
+
+
+@pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
+def caller_gc(request):
+    """The cyclic collector set as the caller has it; the test's own
+    setting comes back afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class _Lines:
+    """A REPL input that notes the collector's setting at each read."""
+
+    def __init__(self, text):
+        self.lines = io.StringIO(text)
+        self.seen = []
+
+    def readline(self):
+        self.seen.append(gc.isenabled())
+        return self.lines.readline()
+
+
+class TestCollectorPaused:
+    def _exits(self, tmp_path):
+        bad = tmp_path / "bad"
+        bad.write_text(":- sorts\nblock(\n")
+        return [
+            ([ex("bw-pair"), "query=tower"], 0),
+            ([ex("bw-test"), "query=impossible"], 1),
+            ([ex("bw-pair"), "query=tower", "--to-grounder"], 0),
+            (["--from-grounder", str(_bw_pair_static_dump(tmp_path, 1))], 0),
+            (["--bogus"], 2),  # refused before any query runs
+            ([ex("bw-pair"), "query=nope"], 2),  # a usage error once loaded
+            ([str(bad), "query=q"], 2),  # a LangError
+            ([str(tmp_path / "missing"), "query=q"], 2),  # an OSError
+        ]
+
+    def test_every_exit_gives_back_the_callers_setting(self, tmp_path, caller_gc):
+        for args, want in self._exits(tmp_path):
+            assert run(args)[0] == want, args
+            assert gc.isenabled() is caller_gc, args
+
+    def test_a_stage_runs_with_the_collector_off(self, monkeypatch, caller_gc):
+        seen = []
+
+        def translate(gls, query):
+            seen.append(gc.isenabled())
+            return cplusplan.incremental_program(gls, query)
+
+        monkeypatch.setattr(cli, "incremental_program", translate)
+        assert run([ex("bw-pair"), "query=tower"])[0] == 0
+        source = _Lines("query=tower\nquery=tower\nexit\n")
+        assert main([ex("bw-pair")], io.StringIO(), io.StringIO(), source) == 0
+        assert seen == [False, False, False]
+        # the loop waits for input with the caller's setting
+        assert source.seen == [caller_gc] * 3
+        assert gc.isenabled() is caller_gc
+
+    def test_an_escaping_exception_gives_back_the_callers_setting(self, monkeypatch, caller_gc):
+        def broken(gls, query):
+            raise RuntimeError("broken stage")
+
+        monkeypatch.setattr(cli, "incremental_program", broken)
+        with pytest.raises(RuntimeError, match="broken stage"):
+            run([ex("bw-pair"), "query=tower"])
+        assert gc.isenabled() is caller_gc
+        with pytest.raises(RuntimeError, match="broken stage"):
+            run([ex("bw-pair")], stdin="query=tower\n")
+        assert gc.isenabled() is caller_gc
+
+    def test_a_repl_query_error_gives_back_the_callers_setting(self, tmp_path, caller_gc):
+        # the unbounded range is refused inside the paused block
+        out = io.StringIO()
+        source = _Lines("query=open\nquery=tower\nexit\n")
+        assert main([str(_open_range(tmp_path))], out, io.StringIO(), source) == 0
+        assert "no upper step bound" in out.getvalue()
+        assert source.seen == [caller_gc] * 3
+        assert gc.isenabled() is caller_gc

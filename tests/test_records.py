@@ -7,7 +7,9 @@ what the records were before: the same hash, so sets and dicts keep their
 order, and the same repr.  A record equals only a record of its own
 class; its fields cannot be assigned; it is built from positional
 arguments, keywords and defaults alike, and a wrong call raises
-TypeError.
+TypeError.  A record built unchecked by ``_make`` is the record the
+checked constructor builds, except a `Signature`, which has no unchecked
+constructor.
 """
 
 import copy
@@ -19,7 +21,7 @@ import pkgutil
 import pytest
 
 import cplusplan
-from cplusplan.mvpf import BOT, And, MvAtom, Neg, Or, Record
+from cplusplan.mvpf import BOT, And, MvAtom, Neg, Or, Record, Signature
 from cplusplan.syntax import Span, Spanned
 from cplusplan.translate import PAtom, TAtom
 
@@ -59,6 +61,16 @@ def compared(cls, values: tuple) -> tuple:
     return values[:-1] if issubclass(cls, Spanned) else values
 
 
+def built(cls) -> list:
+    """The sample record from each constructor the class has: the checked
+    call, and ``_make`` unless the class checks every record."""
+    values = sample(cls)
+    out = [cls(*values)]
+    if cls._make is not None:
+        out.append(cls._make(values))
+    return out
+
+
 def test_every_record_class_is_found():
     names = {c.__name__ for c in RECORDS}
     assert {"MvAtom", "Bot", "PAtom", "TAtom", "PropRule", "GroundLaw", "CoreLaw",
@@ -68,22 +80,30 @@ def test_every_record_class_is_found():
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 class TestEveryRecord:
+    def test_every_constructor_builds_the_same_record(self, cls):
+        values = sample(cls)
+        for x in built(cls):
+            assert x.__class__ is cls and tuple(x) == values
+            assert x == cls(*values) and not x != cls(*values)
+
     def test_hash_is_the_tuple_hash_of_the_compared_fields(self, cls):
         values = sample(cls)
-        x = cls(*values)
         try:
             want = hash(twin(cls)(*values))
         except TypeError:  # a field that is a dict
-            with pytest.raises(TypeError):
-                hash(x)
+            for x in built(cls):
+                with pytest.raises(TypeError):
+                    hash(x)
             return
-        assert hash(x) == want == hash(compared(cls, values))
+        for x in built(cls):
+            assert hash(x) == want == hash(compared(cls, values))
         if not issubclass(cls, Spanned):
             assert cls.__hash__ is tuple.__hash__
 
     def test_repr_is_the_dataclass_repr(self, cls):
         values = sample(cls)
-        assert repr(cls(*values)) == repr(twin(cls)(*values))
+        for x in built(cls):
+            assert repr(x) == repr(twin(cls)(*values))
 
     def test_fields_are_read_only(self, cls):
         x = cls(*sample(cls))
@@ -120,9 +140,18 @@ class TestEveryRecord:
                 cls(*values[:len(required) - 1])
 
     def test_copy_and_pickle_give_an_equal_record(self, cls):
-        x = cls(*sample(cls))
-        assert copy.copy(x) == x
-        assert pickle.loads(pickle.dumps(x)) == x
+        for x in built(cls):
+            assert copy.copy(x) == x
+            assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_a_signature_is_always_checked():
+    empty = ((0,), {0: ()})
+    with pytest.raises(ValueError, match="empty domain"):
+        Signature(*empty)
+    with pytest.raises(TypeError):
+        Signature._make(empty)
+    assert Signature._make is None
 
 
 @pytest.mark.parametrize("cls", [c for c in RECORDS if issubclass(c, Spanned)],
