@@ -10,7 +10,8 @@ The pipeline has four stages:
 ``--to-STAGE`` stops after a stage and emits its payload on stdout;
 ``--from-STAGE`` starts from a dump produced earlier; ``--STAGE-output=FILE``
 writes a stage's payload without stopping there.  When no query is named
-on the command line the tool drops into an interactive loop instead.
+on the command line the tool drops into an interactive loop instead
+(:mod:`cplusplan.repl`, which only such a run imports).
 
 The solver and post-processor payloads are written as the search meets
 each model, and no model is kept (`_write_models`), so the first plan
@@ -21,7 +22,7 @@ the plans, each model's line comes right before its plan, not all lines
 before the first plan.
 
 A query's work, from loading the input to the last printed line, runs
-with the cyclic garbage collector paused (`_collector_paused`).  Every
+with the cyclic garbage collector paused (`collector_paused`).  Every
 record, formula, clause and op list the pipeline builds is acyclic, so
 reference counting frees all of it: over a pass of each benchmark
 workload the collector's runs freed 0 objects, and on the cli-batch
@@ -77,19 +78,6 @@ tool enters an interactive loop; 'help' there lists the commands.
 stages: pre-processor, grounder, solver, post-processor
 """
 
-REPL_HELP = """\
-Commands:
-  help            Displays the list of available commands
-  config          Displays the current configuration
-  queries         Displays the list of available queries to run
-  minstep=[#]     Moves the lower end of the step range
-  maxstep=[#]     Sets the step range to #, or to a window with lo..hi
-  sol=[#]         Sets how many solutions to report; 0 or 'all' for every one
-  query=[QUERY]   Runs the named query with the session overrides
-  exit            Leaves interactive mode\
-"""
-
-
 class UsageError(Exception):
     pass
 
@@ -113,7 +101,7 @@ class RunConfig:
 # reading a stage's dump means starting at the stage after it
 _FROM_ALIASES = {"pre-processor": "grounder", "grounder": "solver"}
 
-_OVERRIDE_PREFIXES = ("query=", "minstep=", "maxstep=", "sol=")
+OVERRIDE_PREFIXES = ("query=", "minstep=", "maxstep=", "sol=")
 
 
 def parse_args(argv: list[str]) -> tuple[RunConfig, list[str]]:
@@ -150,7 +138,7 @@ def parse_args(argv: list[str]) -> tuple[RunConfig, list[str]]:
             cfg.stage_outputs[stage] = path if sep else None
         elif tok.startswith("--"):
             raise UsageError(f"unknown flag '{tok}'")
-        elif tok.startswith(_OVERRIDE_PREFIXES) or tok == "all" or tok.isdigit():
+        elif tok.startswith(OVERRIDE_PREFIXES) or tok == "all" or tok.isdigit():
             override_tokens.append(tok)
         elif "=" in tok and tok[: tok.index("=")].isidentifier():
             raise UsageError(f"unknown override '{tok[: tok.index('=')]}'")
@@ -203,7 +191,7 @@ def _emit(cfg: RunConfig, stage: str, render, out) -> None:
 
 
 @contextlib.contextmanager
-def _collector_paused():
+def collector_paused():
     """Runs the block with the cyclic collector off, then gives back the
     caller's setting."""
     was = gc.isenabled()
@@ -234,9 +222,9 @@ def _apply_range(query: QuerySpec, ov: QueryOverride, need_bound: bool) -> Query
     return q
 
 
-def _run_query(gls: GroundLawSet, query: QuerySpec, cfg: RunConfig, ov: QueryOverride,
-               timings: dict, out, err, quiet: bool,
-               pre_inc: IncrementalProgram | None = None) -> int:
+def run_query(gls: GroundLawSet, query: QuerySpec, cfg: RunConfig, ov: QueryOverride,
+              timings: dict, out, err, quiet: bool,
+              pre_inc: IncrementalProgram | None = None) -> int:
     """Grounder stage for one query, then its search and payloads when
     the run goes on to the solver."""
     solving = STAGES.index(cfg.stage_to) >= STAGES.index("solver")
@@ -323,76 +311,6 @@ def _write_models(gls, horizons, q: QuerySpec, cfg: RunConfig, timings: dict,
 
 
 # ---------------------------------------------------------------------------
-# Interactive loop
-
-def _repl(gls, cfg, timings, out, err, source) -> int:
-    ov = cfg.override
-    session = QueryOverride(ov.label, ov.min_step, ov.max_step, ov.solutions)
-    print("interactive mode; 'help' lists commands, 'exit' leaves", file=out)
-    echo = not getattr(source, "isatty", lambda: False)()
-    while True:
-        out.write("> ")
-        out.flush()
-        raw = source.readline()
-        if not raw:
-            out.write("\n")
-            return 0
-        line = raw.strip()
-        if echo:
-            print(line, file=out)
-        if not line:
-            continue
-        if line == "exit":
-            return 0
-        if line == "help":
-            print(REPL_HELP, file=out)
-        elif line == "config":
-            for key, val in (("minstep", session.min_step), ("maxstep", session.max_step)):
-                shown = "(query default)" if val is None else val
-                print(f"  {key:9} {shown}", file=out)
-            sol = session.solutions if session.solutions is not None else 1
-            print(f"  {'sol':9} {sol}", file=out)
-            print(f"  {'mode':9} {cfg.mode}", file=out)
-            print(f"  {'language':9} {cfg.language}", file=out)
-        elif line == "queries":
-            for label, q in gls.queries.items():
-                hi = "infinity" if q.max_step is None else q.max_step
-                print(f"  {label}  steps {q.min_step}..{hi}", file=out)
-        elif line.startswith(_OVERRIDE_PREFIXES):
-            try:
-                ov = parse_query_override([line])
-            except MalformedOverride as e:
-                print(f"error: {e}; try 'help'", file=out)
-                continue
-            if ov.label is None:
-                if ov.solutions is not None:
-                    session.solutions = ov.solutions
-                    print(f"sol set to {ov.solutions}", file=out)
-                elif line.startswith("minstep="):
-                    session.min_step = ov.min_step
-                    print(f"minstep set to {ov.min_step}", file=out)
-                else:
-                    session.min_step = ov.min_step
-                    session.max_step = ov.max_step
-                    hi = "infinity" if ov.max_step is None else ov.max_step
-                    print(f"step range set to {ov.min_step}..{hi}", file=out)
-                continue
-            query = gls.queries.get(ov.label)
-            if query is None:
-                print(f"error: no query named '{ov.label}'; 'queries' lists them", file=out)
-                continue
-            try:
-                with _collector_paused():
-                    _run_query(gls, query, cfg, session, timings, out, err, quiet=True)
-            except (UsageError, LangError) as e:
-                print(f"error: {e}", file=out)
-        elif "=" in line and line[: line.index("=")].strip().isidentifier():
-            print(f"error: unknown override '{line[: line.index('=')].strip()}'; try 'help'", file=out)
-        else:
-            print(f"unknown command '{line}'; try 'help'", file=out)
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 
 def _load(cfg: RunConfig, timings: dict):
@@ -420,7 +338,7 @@ def _load(cfg: RunConfig, timings: dict):
 
 def _run(cfg: RunConfig, out, err, repl_source) -> int:
     timings: dict[str, float] = {}
-    with _collector_paused():
+    with collector_paused():
         gls, pre = _load(cfg, timings)
         _emit(cfg, "pre-processor", lambda: _export().export_ground(gls), out)
         if cfg.stage_to == "pre-processor":
@@ -447,7 +365,7 @@ def _run(cfg: RunConfig, out, err, repl_source) -> int:
             if query is None:
                 known = ", ".join(sorted(gls.queries)) or "none"
                 raise UsageError(f"no query named '{label}' (available: {known})")
-            return _run_query(
+            return run_query(
                 gls, query, cfg, cfg.override, timings, out, err, quiet=False,
                 pre_inc=pre if isinstance(pre, IncrementalProgram) else None,
             )
@@ -455,7 +373,8 @@ def _run(cfg: RunConfig, out, err, repl_source) -> int:
             raise UsageError("translation requires a query; pass query=LABEL")
     # the loop waits for input with the caller's setting; each query it
     # runs pauses the collector again
-    return _repl(gls, cfg, timings, out, err, repl_source)
+    from .repl import interact  # only a run that names no query loads it
+    return interact(gls, cfg, timings, out, err, repl_source)
 
 
 def main(argv: list[str], out=None, err=None, repl_source=None) -> int:

@@ -14,9 +14,10 @@ parts, none of its own class, so a walker goes one level deep per chain.
 Formulas of any depth are walked on explicit stacks.  `fold` is the one
 post-order fold that the parser, the translator, the dumps and the search
 use; the syntax layer passes its own table of children, this module's
-`KIDS` and those of its terms and where clauses.  `satisfies` and
-`reduct` keep loops of their own, so the reference semantics shares no
-evaluator with the code it checks.
+`KIDS` and those of its terms and where clauses.  The reference
+semantics, ``satisfies`` and ``reduct`` in :mod:`cplusplan.reference`,
+keeps loops of its own, so it shares no evaluator with the code it
+checks.
 
 Every immutable record of the package, these connectives among them, is
 a `Record`: a tuple of its fields, built by a class statement that runs
@@ -32,29 +33,16 @@ takes less than half the checked call's time.  A tuple hashes its items in C wit
 formula node above its atoms: the grounder and ``solve.StepCode`` key
 their tables on flat shapes.
 
-Stability is defined through the reduct: relative to an interpretation I,
-every maximal subformula that I does not satisfy is replaced by ``false``.
-I is a stable model of a theory when I is the *only* interpretation that
-satisfies the reduct of the theory relative to I.
-
-Everything in this module is deliberately exhaustive.  It is the ground
-truth the rest of the package is checked against, so clarity wins over
-speed and the search never samples: `enumerate_stable` walks the full
-space of interpretations (guarded by a size cap).
+The stable model semantics of these formulas, which everything else is
+checked against, lives in :mod:`cplusplan.reference`, off the import
+path of a query.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import _tuplegetter
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
-
-ORACLE_CAP = 2 ** 24
-
-
-class SignatureTooLarge(Exception):
-    """The interpretation space exceeds the exhaustive-check cap."""
+from typing import Iterable, Mapping
 
 
 # ---------------------------------------------------------------------------
@@ -322,136 +310,3 @@ class Signature(Record):
         for c in self.constants:
             n *= len(self.dom[c])
         return n
-
-
-Interpretation = Mapping[int, int]
-
-
-class MvTheory(Record):
-    signature: Signature
-    formulas: tuple[MvFormula, ...] = ()
-
-
-def _holds(cls: type, truths: list[bool]) -> bool:
-    """The truth of a connective of class cls over its parts' truths."""
-    if cls is Neg:
-        return not truths[0]
-    if cls is And:
-        return all(truths)
-    if cls is Or:
-        return any(truths)
-    return not truths[0] or truths[1]
-
-
-def _pending(f: MvFormula, todo: list) -> None:
-    """Push connective f for the loops below: a (class, arity) marker,
-    then its parts, the first on top."""
-    parts = KIDS[f.__class__](f)
-    todo.append((f.__class__, len(parts)))
-    todo.extend(reversed(parts))
-
-
-def satisfies(interp: Interpretation, f: MvFormula) -> bool:
-    todo: list = [f]
-    truths: list[bool] = []
-    while todo:
-        g = todo.pop()
-        cls = g.__class__
-        if cls is MvAtom:
-            truths.append(interp[g.const] == g.value)
-        elif cls is Bot:
-            truths.append(False)
-        elif cls is tuple:  # (connective, arity): its parts are done
-            parts = truths[len(truths) - g[1]:]
-            del truths[len(truths) - g[1]:]
-            truths.append(_holds(g[0], parts))
-        elif cls in KIDS:
-            _pending(g, todo)
-        else:
-            raise TypeError(f"not a formula node: {g!r}")
-    return truths[0]
-
-
-def satisfies_all(interp: Interpretation, fs: Iterable[MvFormula]) -> bool:
-    return all(satisfies(interp, f) for f in fs)
-
-
-def reduct(f: MvFormula, interp: Interpretation) -> MvFormula:
-    """Replace every maximal subformula not satisfied by `interp` with false.
-
-    The walk is top down: once a subformula is replaced, nothing below it
-    is inspected.  Satisfied nodes are rebuilt verbatim (no folding), so
-    the shape of the reduct mirrors the original formula.
-    """
-    todo: list = [f]
-    done: list[MvFormula] = []  # reducts, BOT exactly for a false subformula
-    while todo:
-        g = todo.pop()
-        cls = g.__class__
-        if cls is MvAtom:
-            done.append(g if interp[g.const] == g.value else BOT)
-        elif cls is Bot:
-            done.append(BOT)
-        elif cls is tuple:  # (connective, arity): its parts are done
-            c, k = g
-            parts = done[len(done) - k:]
-            del done[len(done) - k:]
-            if _holds(c, [p is not BOT for p in parts]):
-                done.append(c(tuple(parts)) if c is And or c is Or else c(*parts))
-            else:
-                done.append(BOT)
-        elif cls in KIDS:
-            _pending(g, todo)
-        else:
-            raise TypeError(f"not a formula node: {g!r}")
-    return done[0]
-
-
-def interpretations(sig: Signature, cap: int = ORACLE_CAP) -> Iterator[dict[int, int]]:
-    space = sig.space()
-    if space > cap:
-        raise SignatureTooLarge(
-            f"{space} interpretations exceed the cap of {cap}"
-        )
-    doms = [sig.dom[c] for c in sig.constants]
-    for values in itertools.product(*doms):
-        yield dict(zip(sig.constants, values))
-
-
-def is_stable(interp: Interpretation, theory: MvTheory, cap: int = ORACLE_CAP) -> bool:
-    """Exhaustive unique-model test.
-
-    `interp` is stable when it satisfies the theory and no interpretation
-    other than `interp` satisfies the reduct relative to `interp`.  The
-    check scans the whole interpretation space on purpose.
-    """
-    if not satisfies_all(interp, theory.formulas):
-        return False
-    red = [reduct(f, interp) for f in theory.formulas]
-    me = dict(interp)
-    for other in interpretations(theory.signature, cap):
-        if other == me:
-            continue
-        if satisfies_all(other, red):
-            return False
-    return True
-
-
-def enumerate_stable(theory: MvTheory, cap: int = ORACLE_CAP) -> list[dict[int, int]]:
-    """All stable models of the theory, in domain-product order."""
-    models = []
-    candidates = list(interpretations(theory.signature, cap))
-    for cand in candidates:
-        if not satisfies_all(cand, theory.formulas):
-            continue
-        red = [reduct(f, cand) for f in theory.formulas]
-        unique = True
-        for other in candidates:
-            if other == cand:
-                continue
-            if satisfies_all(other, red):
-                unique = False
-                break
-        if unique:
-            models.append(cand)
-    return models

@@ -78,11 +78,13 @@ rule list (a fixed-horizon dump, a reduct of the stability check) is
 compiled the same way, as a base with no template and no query lines
 placed at step 0: the encoder has no other path.
 
-A separate brute-force enumerator (direct formula evaluation, subset
-minimality by exhaustion) serves as the oracle in tests.  It shares the
-formula node types and ``preduct`` with the stability check, which builds
-its reducts with it.  The reference semantics, ``satisfies`` and
-``reduct`` in :mod:`cplusplan.mvpf`, is used by neither.
+``peval`` and ``preduct`` evaluate and reduce a formula directly; the
+stability check builds its reducts with ``preduct``.  The brute-force
+enumerator that tests check the search against,
+``reference.brute_force_models`` (subset minimality by exhaustion), uses
+the same two and lives off the import path of a query.  The reference
+semantics, ``satisfies`` and ``reduct`` in :mod:`cplusplan.reference`,
+is used by neither.
 """
 
 from __future__ import annotations
@@ -104,7 +106,6 @@ from .translate import (
     TranslateError,
     UnboundedRange,
     formula_leaves,
-    map_leaves,
     query_steps,
     rule_formula,
 )
@@ -148,7 +149,8 @@ class SolveResult(Record):
 
 
 # ---------------------------------------------------------------------------
-# Direct formula evaluation (shared by the stability check and the oracle)
+# Direct formula evaluation (shared by the stability check and the
+# brute-force route)
 
 def _truth(node, truths: list[bool]) -> bool:
     cls = node.__class__
@@ -210,36 +212,6 @@ def preduct(f, model: frozenset):
         return mvpf.rebuild(node, parts)
 
     return mvpf.fold(f, lambda a: a if a in model else mvpf.BOT, reduced)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-def brute_force_models(formulas: list, atoms: list[PAtom]) -> list[frozenset[PAtom]]:
-    """Stable models by exhaustion: every subset, direct checks only.
-
-    The atoms are numbered once, so the checks look ints up in sets of
-    ints; an atom outside `atoms` becomes -1, which no model holds."""
-    universe = list(dict.fromkeys(atoms))
-    number = {a: i for i, a in enumerate(universe)}
-    numbered = [map_leaves(f, lambda a: number.get(a, -1)) for f in formulas]
-    out = []
-    for bits in itertools.product((False, True), repeat=len(universe)):
-        m = frozenset(i for i, b in enumerate(bits) if b)
-        if all(peval(f, m) for f in numbered) and _minimal(numbered, m):
-            out.append(frozenset(universe[i] for i in m))
-    return out
-
-
-def _minimal(formulas: list, model: frozenset) -> bool:
-    reducts = [preduct(f, model) for f in formulas]
-    members = sorted(model)
-    for r in range(len(members)):
-        for keep in itertools.combinations(members, r):
-            sub = frozenset(keep)
-            if all(peval(f, sub) for f in reducts):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Two parallel routes produce the same models by design, and tests compare
 them rather than trusting either implementation alone:
 
-* a timed multi-valued theory, fed to the exhaustive semantics in
-  :mod:`cplusplan.mvpf` (slow, trustworthy);
 * a propositional program over one atom per timed constant/value pair,
-  fed to the search in :mod:`cplusplan.solve` (fast).
+  fed to the search in :mod:`cplusplan.solve` (fast), built here;
+* a timed multi-valued theory, fed to the exhaustive semantics
+  (slow, trustworthy).  ``reference.horizon_theory`` builds it from this
+  module's `law_body` and `timed_consts_of`, with the model converters
+  that compare the two, off the import path of a query.
 
 The propositional program has one construction, the incremental one:
 base rules for step 0, a per-step template of cumulative rules, and the
@@ -133,7 +135,7 @@ class TimedConst(Record):
     values: tuple[PAtom, ...]
 
 
-def _timed_consts(gls: GroundLawSet, m: int, after: int = -1) -> list[TimedConst]:
+def timed_consts_of(gls: GroundLawSet, m: int, after: int = -1) -> list[TimedConst]:
     """The timed constants of horizon m, in step-major order, less those
     that horizon `after` already has (none when after is -1)."""
     out = []
@@ -157,7 +159,7 @@ class PropProgram(Record):
 
     @property
     def timed_consts(self) -> list[TimedConst]:
-        return _timed_consts(self.gls, self.horizon)
+        return timed_consts_of(self.gls, self.horizon)
 
 
 def _check_domains(gls: GroundLawSet) -> None:
@@ -274,7 +276,7 @@ class IncrementalProgram(Record):
         ]
 
     def timed_consts(self, m: int, after: int = -1) -> list[TimedConst]:
-        return _timed_consts(self.gls, m, after)
+        return timed_consts_of(self.gls, m, after)
 
     def program(self, m: int) -> PropProgram:
         """The whole-horizon program: base, step rules 1..m, query at m."""
@@ -287,7 +289,7 @@ class IncrementalProgram(Record):
         return PropProgram(m, rules, self.gls)
 
 
-def _law_body(cond, after=None):
+def law_body(cond, after=None):
     """The body of a law's rule: not not cond, and after when given.  The
     folding constructors drop a true condition."""
     body = mvpf.neg(mvpf.neg(cond))
@@ -300,7 +302,7 @@ def incremental_program(gls: GroundLawSet, query: QuerySpec) -> IncrementalProgr
     static = [
         PropRule._make((
             None if law.head is None else TAtom(0, *law.head),
-            _law_body(map_leaves(law.cond, now)),
+            law_body(map_leaves(law.cond, now)),
             "static",
         ))
         for law in gls.static
@@ -308,12 +310,12 @@ def incremental_program(gls: GroundLawSet, query: QuerySpec) -> IncrementalProgr
     template = list(static)
     for law in gls.action_dynamic:
         head = None if law.head is None else TAtom(-1, *law.head)
-        body = _law_body(map_leaves(law.cond, before))
+        body = law_body(map_leaves(law.cond, before))
         template.append(PropRule._make((head, body, "action")))
     # the law `caused F if G after H` fires at t from t-1
     for law in gls.fluent_dynamic:
         head = None if law.head is None else TAtom(0, *law.head)
-        body = _law_body(map_leaves(law.cond, now), map_leaves(law.after, before))
+        body = law_body(map_leaves(law.cond, now), map_leaves(law.after, before))
         template.append(PropRule._make((head, body, "transition")))
 
     # step 0 has no actions and no predecessor: the initial-state choice
@@ -321,153 +323,3 @@ def incremental_program(gls: GroundLawSet, query: QuerySpec) -> IncrementalProgr
     base = _choice_rules(gls) + _instantiate(static, 0)
     return IncrementalProgram(gls, query, base, template)
 
-
-# ---------------------------------------------------------------------------
-# Oracle route: the same translation as a timed multi-valued theory
-
-class TimedIndex:
-    """Interns (step, constant) pairs as fresh multi-valued constants.
-
-    next_id is the id the next new pair gets.  horizon_theory starts it
-    above every value id so that, as in the symbol table, constant ids and
-    value ids never collide.
-    """
-
-    def __init__(self) -> None:
-        self._fwd: dict[tuple[int, int], int] = {}
-        self._rev: dict[int, tuple[int, int]] = {}
-        self._dom: dict[int, tuple[int, ...]] = {}
-        self.next_id = 0
-
-    def timed(self, step: int, const: int, dom: tuple[int, ...]) -> int:
-        key = (step, const)
-        if key not in self._fwd:
-            tid = self.next_id
-            self.next_id += 1
-            self._fwd[key] = tid
-            self._rev[tid] = key
-            self._dom[tid] = dom
-        return self._fwd[key]
-
-    def decode(self, tid: int) -> tuple[int, int]:
-        return self._rev[tid]
-
-    def signature(self) -> mvpf.Signature:
-        consts = tuple(sorted(self._rev))
-        return mvpf.Signature(consts, {c: self._dom[c] for c in consts})
-
-
-def horizon_theory(
-    gls: GroundLawSet, m: int, query: QuerySpec | None = None
-) -> tuple[mvpf.MvTheory, TimedIndex]:
-    """The translation as an MvTheory, for the exhaustive-semantics route.
-
-    Identical rule structure to to_prop; the multi-valued signature does
-    the job of to_prop's TimedConst groups.
-    """
-    if m < 0:
-        raise TranslateError(f"horizon must be at least 0, got {m}", NO_SPAN)
-    index = TimedIndex()
-    doms = {gc.cid: gc.dom for gc in gls.symbols.order}
-    index.next_id = 1 + max((v for dom in doms.values() for v in dom), default=-1)
-
-    def timed_f(f, step: int):
-        return map_leaves(
-            f,
-            lambda a: mvpf.MvAtom(index.timed(step, a.const, doms[a.const]), a.value),
-        )
-
-    def timed_head(head, step: int):
-        if head is None:
-            return mvpf.BOT
-        cid, vid = head
-        return mvpf.MvAtom(index.timed(step, cid, doms[cid]), vid)
-
-    # intern in the same step-major order as the propositional route
-    for tc in _timed_consts(gls, m):
-        index.timed(tc.step, tc.const, doms[tc.const])
-
-    formulas: list = []
-    simple = set(gls.simple_fluent_ids())
-    for gc in gls.symbols.order:
-        if gc.cid not in simple:
-            continue
-        for v in gc.dom:
-            a = mvpf.MvAtom(index.timed(0, gc.cid, gc.dom), v)
-            formulas.append(mvpf.Impl(mvpf.Neg(mvpf.Neg(a)), a))
-    for step in range(m + 1):
-        for law in gls.static:
-            formulas.append(
-                mvpf.Impl(_law_body(timed_f(law.cond, step)), timed_head(law.head, step))
-            )
-    for step in range(m):
-        for law in gls.action_dynamic:
-            formulas.append(
-                mvpf.Impl(_law_body(timed_f(law.cond, step)), timed_head(law.head, step))
-            )
-    for step in range(1, m + 1):
-        for law in gls.fluent_dynamic:
-            body = _law_body(timed_f(law.cond, step), timed_f(law.after, step - 1))
-            formulas.append(mvpf.Impl(body, timed_head(law.head, step)))
-    if query is not None:
-        for (_, f), step in zip(query.lines, query_steps(query, gls, m)):
-            formulas.append(mvpf.Impl(mvpf.Neg(timed_f(f, step)), mvpf.BOT))
-
-    theory = mvpf.MvTheory(index.signature(), tuple(formulas))
-    return theory, index
-
-
-# ---------------------------------------------------------------------------
-# Direct theory reduction, for semantics-level comparisons
-
-def theory_to_prop(theory: mvpf.MvTheory) -> tuple[list, list[PAtom]]:
-    """Reduce an arbitrary multi-valued theory to propositional formulas.
-
-    Every constant/value pair becomes an atom at step 0; uniqueness and
-    existence constraints pin one value per constant.  Returns the formula
-    list and the atom universe.  Domains of fewer than two values are
-    rejected, as in to_prop.
-    """
-    sig = theory.signature
-    atoms: list[PAtom] = []
-    formulas: list = []
-    for c in sig.constants:
-        dom = sig.dom[c]
-        if len(dom) < 2:
-            raise SingletonDomain(
-                f"constant {c} has a single-value domain; the propositional "
-                "reduction needs at least two values per constant",
-                NO_SPAN,
-            )
-        catoms = [PAtom(0, c, v) for v in dom]
-        atoms.extend(catoms)
-        for i in range(len(catoms)):
-            for j in range(i + 1, len(catoms)):
-                formulas.append(mvpf.Impl(mvpf.And((catoms[i], catoms[j])), mvpf.BOT))
-        formulas.append(mvpf.Impl(mvpf.Neg(mvpf.disj(*catoms)), mvpf.BOT))
-    for f in theory.formulas:
-        formulas.append(map_leaves(f, lambda a: PAtom(0, a.const, a.value)))
-    return formulas, atoms
-
-
-def prop_model_to_interp(model: frozenset[PAtom]) -> dict[int, int]:
-    return {a.const: a.value for a in model}
-
-
-def interp_to_prop_model(interp, sig: mvpf.Signature) -> frozenset[PAtom]:
-    return frozenset(PAtom(0, c, interp[c]) for c in sig.constants)
-
-
-# ---------------------------------------------------------------------------
-# Model decoding
-
-def decode_prop_model(model: frozenset[PAtom]) -> dict[tuple[int, int], int]:
-    return {(a.step, a.const): a.value for a in model}
-
-
-def decode_mv_model(interp, index: TimedIndex) -> dict[tuple[int, int], int]:
-    return {index.decode(tid): vid for tid, vid in interp.items()}
-
-
-def model_key(traj: dict[tuple[int, int], int]) -> tuple:
-    return tuple(sorted(traj.items()))

@@ -12,14 +12,23 @@ import random
 import sys
 import time
 
-from cplusplan import mvpf, suite
+from cplusplan import mvpf, reference, suite
 from cplusplan.cli import main
 from cplusplan.plans import to_plan_view
+from cplusplan.reference import (
+    brute_force_models,
+    decode_mv_model,
+    decode_prop_model,
+    horizon_theory,
+    interp_to_prop_model,
+    model_key,
+    prop_model_to_interp,
+    theory_to_prop,
+)
 from cplusplan.solve import (
     LiveSolver,
     SolveConfig,
     Stats,
-    brute_force_models,
     enumerate_models,
     solve_incremental,
 )
@@ -28,16 +37,9 @@ from cplusplan.translate import (
     PAtom,
     PropRule,
     TimedConst,
-    decode_mv_model,
-    decode_prop_model,
-    horizon_theory,
     incremental_program,
-    interp_to_prop_model,
     map_leaves,
-    model_key,
-    prop_model_to_interp,
     rule_formula,
-    theory_to_prop,
     to_prop,
 )
 
@@ -86,11 +88,11 @@ def _anchor_theories(values):
     self_rule = mvpf.Impl(c1, c1)
     closed_rule = mvpf.Impl(mvpf.Neg(mvpf.Neg(c1)), c1)
     anchors = [
-        (mvpf.MvTheory(sig, (self_rule,)), []),
-        (mvpf.MvTheory(sig, (closed_rule,)), [{0: 1}]),
-        (mvpf.MvTheory(sig, (closed_rule, c2)), [{0: 2}]),
+        (reference.MvTheory(sig, (self_rule,)), []),
+        (reference.MvTheory(sig, (closed_rule,)), [{0: 1}]),
+        (reference.MvTheory(sig, (closed_rule, c2)), [{0: 2}]),
         # a choice for every value: at most one value still holds
-        (mvpf.MvTheory(sig, tuple(
+        (reference.MvTheory(sig, tuple(
             mvpf.Impl(mvpf.Neg(mvpf.Neg(mvpf.MvAtom(0, v))), mvpf.MvAtom(0, v))
             for v in values
         )), [{0: v} for v in values]),
@@ -99,7 +101,7 @@ def _anchor_theories(values):
     for theory, expected in anchors:
         want = {frozenset(e.items()) for e in expected}
         got_mv = {
-            frozenset(i.items()) for i in mvpf.enumerate_stable(theory)
+            frozenset(i.items()) for i in reference.enumerate_stable(theory)
         }
         assert got_mv == want, (len(values), theory.formulas)
         # compared as atom sets, so that two values of one constant show
@@ -152,14 +154,14 @@ def test_criterion_2_random_theory_bijection():
                     return mvpf.Or((formula(depth - 1), formula(depth - 1)))
                 return mvpf.Impl(formula(depth - 1), formula(depth - 1))
 
-            theory = mvpf.MvTheory(
+            theory = reference.MvTheory(
                 sig,
                 tuple(
                     formula(rng.randint(1, 4))
                     for _ in range(rng.randint(1, 4))
                 ),
             )
-            mv = mvpf.enumerate_stable(theory)
+            mv = reference.enumerate_stable(theory)
             formulas, atoms = theory_to_prop(theory)
             prop = brute_force_models(formulas, atoms)
 
@@ -210,7 +212,7 @@ def test_criterion_3_incremental_static_equivalence():
             theory, index = horizon_theory(gls, k, q)
             mv_keys = {
                 model_key(decode_mv_model(i, index))
-                for i in mvpf.enumerate_stable(theory)
+                for i in reference.enumerate_stable(theory)
             }
             static = to_prop(gls, k, q)
             prop_keys = {

@@ -309,6 +309,37 @@ class TestDeepInputs:
         assert out.endswith("\n0\n")
 
 
+class TestLoadedOnFirstUse:
+    def test_a_query_imports_no_check_route_loop_or_dump_module(self):
+        # the independent routes, the interactive loop and the dumps load
+        # on first use: neither a batch query nor an API solve compiles them
+        code = (
+            "import io, sys\n"
+            "import cplusplan\n"
+            "from cplusplan import cli, suite\n"
+            "lazy = ('cplusplan.reference', 'cplusplan.repl', 'cplusplan.export')\n"
+            "def loaded():\n"
+            "    return [m for m in lazy if m in sys.modules]\n"
+            "path = str(suite.EXAMPLES_DIR / 'bw-test')\n"
+            "out = io.StringIO()\n"
+            "rc = cli.main([path, 'query=simple'], out, io.StringIO(), io.StringIO())\n"
+            "gls = cplusplan.ground_description(cplusplan.parse_files([path]))\n"
+            "res = cplusplan.solve_incremental(\n"
+            "    cplusplan.incremental_program(gls, gls.queries['simple']),\n"
+            "    cplusplan.SolveConfig(max_solutions=1))\n"
+            "print(rc, res.found_step, loaded())\n"
+            "suite.oracle_for(suite.CASES[1])\n"
+            "print(loaded())\n"
+            "cli.main([path], io.StringIO(), io.StringIO(), io.StringIO('exit\\n'))\n"
+            "print(loaded())\n"
+        )
+        assert run_fresh(code).splitlines() == [
+            "0 2 []",
+            "['cplusplan.reference']",
+            "['cplusplan.reference', 'cplusplan.repl']",
+        ]
+
+
 class TestBatchOutput:
     def test_plans_hide_false_booleans(self):
         rc, out, _ = run([ex("bw-pair"), "query=tower"])
@@ -682,6 +713,27 @@ class TestRepl:
         assert "no upper step bound" in out
         # the initial state is unconstrained, so pinning step 1 works
         assert "found step 1, 1 model" in out
+
+    def test_a_line_of_several_tokens(self):
+        # each setting applies as on a line of its own, left to right,
+        # and the query runs last, with the settings
+        line = "query=simple maxstep=3 sol=2"
+        bad = ["sol=all minstep=x", "sol=all query=nope", "sol=all help"]
+        script = "\n".join([line, "config", *bad, "config", "exit"]) + "\n"
+        rc, out, err = run([ex("bw-test")], stdin=script)
+        assert (rc, err) == (0, "")
+        _, batch, _ = run([ex("bw-test"), "query=simple", "maxstep=3", "sol=2"])
+        plans = batch[: batch.index("timings: ")]
+        assert plans.count("SOLUTION ") == 2
+        assert f"> {line}\nstep range set to 3..3\nsol set to 2\n{plans}> config\n" in out
+        # a bad token anywhere rejects the whole line: nothing changes
+        assert (
+            "> sol=all minstep=x\nerror: bad minstep 'x'; try 'help'\n"
+            "> sol=all query=nope\nerror: no query named 'nope'; 'queries' lists them\n"
+            "> sol=all help\nerror: unrecognized token 'help'; try 'help'\n> config\n"
+        ) in out
+        config = "  minstep   3\n  maxstep   3\n  sol       2\n"
+        assert out.count(config) == 2
 
 
 @pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])

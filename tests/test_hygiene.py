@@ -148,16 +148,16 @@ def test_every_method_is_referenced():
 # on purpose; a helper that tests alone call otherwise moves into the test
 # that calls it, or goes.
 TEST_ONLY: dict[str, str] = {
-    "mvpf.py:is_stable": "the reference semantics' stability test, an independent route",
-    "solve.py:brute_force_models": "the exhaustive oracle that the search is checked against",
-    "translate.py:theory_to_prop": "reduces a multi-valued theory for the brute-force route",
-    "translate.py:prop_model_to_interp": "maps models across that reduction, one way",
-    "translate.py:interp_to_prop_model": "maps models across that reduction, the other way",
-    "translate.py:decode_prop_model": "a solver model as a trajectory, to compare with the reference",
-    "translate.py:decode_mv_model": "a reference model as a trajectory, to compare with the solver",
-    "translate.py:model_key": "a trajectory as a comparable key",
-    "suite.py:run_oracle_bfs": "the explicit transition-system oracle of the suite",
-    "suite.py:run_oracle_exhaustive": "the reference-semantics oracle of the suite",
+    "reference.py:is_stable": "the reference semantics' stability test, an independent route",
+    "reference.py:brute_force_models": "the exhaustive oracle that the search is checked against",
+    "reference.py:theory_to_prop": "reduces a multi-valued theory for the brute-force route",
+    "reference.py:prop_model_to_interp": "maps models across that reduction, one way",
+    "reference.py:interp_to_prop_model": "maps models across that reduction, the other way",
+    "reference.py:decode_prop_model": "a solver model as a trajectory, to compare with the reference",
+    "reference.py:decode_mv_model": "a reference model as a trajectory, to compare with the solver",
+    "reference.py:model_key": "a trajectory as a comparable key",
+    "reference.py:run_oracle_bfs": "the explicit transition-system oracle of the suite",
+    "reference.py:run_oracle_exhaustive": "the reference-semantics oracle of the suite",
     "suite.py:default_cases": "the suite's registry: the cases without the stress marker",
     "suite.py:description_file": "the suite's registry: where a case's description lives",
 }

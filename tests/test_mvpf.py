@@ -15,18 +15,20 @@ from cplusplan.mvpf import (
     And,
     Impl,
     MvAtom,
-    MvTheory,
     Neg,
     Or,
     Signature,
-    SignatureTooLarge,
     conj,
     disj,
-    enumerate_stable,
     impl,
+    neg,
+)
+from cplusplan.reference import (
+    MvTheory,
+    SignatureTooLarge,
+    enumerate_stable,
     interpretations,
     is_stable,
-    neg,
     reduct,
     satisfies,
     satisfies_all,

@@ -9,7 +9,7 @@ import io
 
 from hypothesis import given, settings, strategies as st
 
-from cplusplan import cli, export, mvpf
+from cplusplan import cli, export, mvpf, reference
 from cplusplan.ground import GroundLaw, GroundLawSet, ground_description
 from cplusplan.parser import parse_text
 from cplusplan.solve import CnfBuilder, SolveConfig, StepCode, peval, preduct, solve_incremental
@@ -50,7 +50,7 @@ SMALL = ground_description(parse_text("""
 LEAVES = [
     mvpf.MvAtom(gc.cid, v) for gc in SMALL.symbols.order for v in gc.dom
 ]
-INTERPS = list(mvpf.interpretations(SMALL.signature))
+INTERPS = list(reference.interpretations(SMALL.signature))
 
 
 def built():
@@ -80,15 +80,16 @@ def test_constructors_splice_and_keep_the_meaning(ps):
     for f, meaning in ((mvpf.conj(*ps), all), (mvpf.disj(*ps), any)):
         assert spliced(f)
         for interp in INTERPS:
-            assert mvpf.satisfies(interp, f) == meaning(mvpf.satisfies(interp, p) for p in ps)
+            parts = (reference.satisfies(interp, p) for p in ps)
+            assert reference.satisfies(interp, f) == meaning(parts)
 
 
 def truth_table(f, gls):
     name = {gc.cid: gc.name for gc in gls.symbols.order}
     return sorted(
         (sorted((name[c], gls.symbols.value_label(v)) for c, v in interp.items()),
-         mvpf.satisfies(interp, f))
-        for interp in mvpf.interpretations(gls.signature)
+         reference.satisfies(interp, f))
+        for interp in reference.interpretations(gls.signature)
     )
 
 
@@ -122,8 +123,8 @@ constraint c > 0.
     cid = gls.symbols.order[0].cid
     vid = wide.parts[-1].value
     interp = {cid: vid}
-    assert mvpf.satisfies(interp, wide)
-    assert mvpf.reduct(wide, interp).parts[-1] == wide.parts[-1]
+    assert reference.satisfies(interp, wide)
+    assert reference.reduct(wide, interp).parts[-1] == wide.parts[-1]
 
     timed = map_leaves(wide, lambda a: PAtom(0, a.const, a.value))
     assert len(list(formula_leaves(timed))) == n

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cplusplan
-from cplusplan import mvpf, solve, suite, translate
+from cplusplan import mvpf, reference, solve, suite, translate
 from cplusplan.ground import ground_description
 from cplusplan.parser import parse_text
+from cplusplan.reference import brute_force_models, theory_to_prop
 from cplusplan.solve import (
     Dpll,
     SolveConfig,
     Stats,
-    brute_force_models,
     enumerate_models,
     is_stable_model,
     is_tight,
@@ -37,7 +37,6 @@ from cplusplan.translate import (
     UnboundedRange,
     incremental_program,
     rule_formula,
-    theory_to_prop,
 )
 from horizons import listed_horizons
 
@@ -221,12 +220,12 @@ class TestRandomTheoriesBothRoutes:
                     return mvpf.Or((formula(depth - 1), formula(depth - 1)))
                 return mvpf.Impl(formula(depth - 1), formula(depth - 1))
 
-            theory = mvpf.MvTheory(
+            theory = reference.MvTheory(
                 sig, tuple(formula(rng.randint(1, 3)) for _ in range(rng.randint(1, 4)))
             )
             mv_side = {
                 frozenset(PAtom(0, c, v) for c, v in m.items())
-                for m in mvpf.enumerate_stable(theory)
+                for m in reference.enumerate_stable(theory)
             }
             formulas, atoms = theory_to_prop(theory)
             prop_side = set(brute_force_models(formulas, atoms))

@@ -4,25 +4,27 @@ from collections import Counter
 
 import pytest
 
-from cplusplan import export, mvpf, suite
+from cplusplan import export, mvpf, reference, suite
 from cplusplan.ground import ground_description
 from cplusplan.parser import parse_text
 from cplusplan.plans import model_atom_names
+from cplusplan.reference import (
+    decode_mv_model,
+    decode_prop_model,
+    horizon_theory,
+    model_key,
+    theory_to_prop,
+)
 from cplusplan.solve import SolveConfig, Stats, enumerate_models, solve_incremental
 from cplusplan.translate import (
     PAtom,
     QueryStepOutOfRange,
     SingletonDomain,
     TranslateError,
-    decode_mv_model,
-    decode_prop_model,
     formula_leaves,
-    horizon_theory,
     incremental_program,
     map_leaves,
-    model_key,
     rule_formula,
-    theory_to_prop,
     to_prop,
 )
 
@@ -242,7 +244,7 @@ class TestOracleRoute:
 class TestTheoryToProp:
     def test_uec_and_formula_shapes(self):
         sig = mvpf.Signature((0,), {0: (10, 11)})
-        theory = mvpf.MvTheory(sig, (mvpf.MvAtom(0, 10),))
+        theory = reference.MvTheory(sig, (mvpf.MvAtom(0, 10),))
         formulas, atoms = theory_to_prop(theory)
         assert atoms == [PAtom(0, 0, 10), PAtom(0, 0, 11)]
         # 1 uniqueness + 1 existence + the theory formula
@@ -251,7 +253,7 @@ class TestTheoryToProp:
     def test_singleton_rejected(self):
         sig = mvpf.Signature((0,), {0: (10,)})
         with pytest.raises(SingletonDomain):
-            theory_to_prop(mvpf.MvTheory(sig, ()))
+            theory_to_prop(reference.MvTheory(sig, ()))
 
 
 class TestVacuousLaws:
@@ -310,7 +312,7 @@ nonexecutable go(O) & go(O1) if O \\= O1.
             theory, index = horizon_theory(gls, k, q)
             want = {
                 model_key(decode_mv_model(i, index))
-                for i in mvpf.enumerate_stable(theory)
+                for i in reference.enumerate_stable(theory)
             }
             prog = to_prop(gls, k, q)
             got = {
