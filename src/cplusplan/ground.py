@@ -377,6 +377,11 @@ class _Resolver:
         decl = self.desc.constants.get(n.name)
         if decl is None:
             return ("err", UndeclaredConstant(f"undeclared constant '{n.name}'", span))
+        if len(parts) != len(decl.argsorts):
+            return ("err", UndeclaredConstant(
+                f"constant '{n.name}' takes {len(decl.argsorts)} argument(s), got {len(parts)}",
+                span,
+            ))
         args = []
         for (tag, val), argsort in zip(parts, decl.argsorts):
             if tag == "err":
@@ -861,32 +866,23 @@ def ground_description(desc: ActionDescription) -> GroundLawSet:
         buckets[core.shape].extend(_LawPlan(core, resolver).instances())
 
     # inertialFluent / exogenousAction declarations carry their law with
-    # them: every instance is inertial (resp. exogenous) at every value.
+    # them: every instance is inertial (resp. exogenous) at every value,
+    # the inertial law's `after` part being its head.
     for decl in desc.constants.values():
         if decl.kind is ConstKind.INERTIAL_FLUENT:
-            for gc in symbols.order:
-                if gc.base != decl.name:
-                    continue
-                for vid in gc.dom:
-                    a = mvpf.MvAtom(gc.cid, vid)
-                    fluent_dynamic.append(
-                        GroundLaw(
-                            LawShape.FLUENT_DYNAMIC, (gc.cid, vid), a, a,
-                            gc.args, decl.span,
-                        )
-                    )
+            shape = LawShape.FLUENT_DYNAMIC
         elif decl.kind is ConstKind.EXOGENOUS_ACTION:
-            for gc in symbols.order:
-                if gc.base != decl.name:
-                    continue
-                for vid in gc.dom:
-                    a = mvpf.MvAtom(gc.cid, vid)
-                    action_dynamic.append(
-                        GroundLaw(
-                            LawShape.ACTION_DYNAMIC, (gc.cid, vid), a, None,
-                            gc.args, decl.span,
-                        )
-                    )
+            shape = LawShape.ACTION_DYNAMIC
+        else:
+            continue
+        bucket = buckets[shape]
+        for gc in symbols.order:
+            if gc.base != decl.name:
+                continue
+            for vid in gc.dom:
+                a = mvpf.MvAtom(gc.cid, vid)
+                after = a if shape is LawShape.FLUENT_DYNAMIC else None
+                bucket.append(GroundLaw(shape, (gc.cid, vid), a, after, gc.args, decl.span))
 
     queries = {
         label: ground_query(q, desc, resolver)

@@ -27,14 +27,18 @@ fixed at level 0.  So no two candidates share their atoms, and no
 model is lost or met twice.  Models come in the order the search meets
 them.
 
-When the program is tight, every model of the completion is stable
-(Fages' theorem, extended to nested bodies by Erdem and Lifschitz), so
-candidates are models as they stand.  Every program the translator
-builds is tight: positive dependencies only run from a step to the one
-before it.  For any other program (read from a dump, written by hand, or
-with a positive loop) each candidate must pass a stability check: it
-must be the unique minimal model of the program's reduct, which the same
-search decides by asking for a proper sub-model.
+When every positive dependency runs to an earlier step and every atom
+has a support clause, the program is tight, so every model of the
+completion is stable (Fages' theorem, extended to nested bodies by
+Erdem and Lifschitz) and candidates are models as they stand.  Every
+program the translator builds is step-ordered: positive dependencies
+only run from a step to the one before it.  Step order is the only
+tightness test.  Any other program (read from a dump, written by hand,
+with a positive loop or a positive dependency within one step) has each
+candidate pass a stability check: it must be the unique minimal model
+of the program's reduct, which the same search decides by asking for a
+proper sub-model.  The check is sound and complete, so a tight program
+that is not step-ordered loses only time to it.
 
 One driver, ``solve_horizons``, walks a query's step range with one live
 solver, as iclingo does for the paper's incremental mode.  It yields
@@ -96,7 +100,7 @@ from collections.abc import Sequence
 
 from . import mvpf
 from .mvpf import Record
-from .syntax import NO_SPAN, kahn_remainder
+from .syntax import NO_SPAN
 from .translate import (
     IncrementalProgram,
     PAtom,
@@ -1263,17 +1267,22 @@ def is_stable_model(rules: Sequence[PropRule], model: frozenset[PAtom], stats: S
     return not Dpll(builder.nvars, builder.clauses, stats).solve()
 
 
-def _dependencies(rules) -> list[tuple] | None:
-    """The positive dependency edges: from a rule's head to each body atom
-    outside every negation.  None when a body has an implication outside
-    every negation.  A negated subformula is true or false as a whole in
-    the reduct, so what sits under it never matters; the reduct of a
+def _step_ordered(rules) -> bool:
+    """Does every positive dependency run to an earlier step?  A positive
+    dependency runs from a rule's head to each body atom outside every
+    negation: a negated subformula is true or false as a whole in the
+    reduct, so what sits under it never matters, and the reduct of a
     constraint that a candidate satisfies is always true, so only rules
-    with a head are walked.  Template rules give edges between TAtoms."""
-    edges: list[tuple] = []
+    with a head are walked.  False at the first implication outside every
+    negation, whose reduct is not monotone.  When the answer is yes, every
+    union of such rule lists is tight, so every model of its completion is
+    stable.  Template rules' steps are relative (a ``TAtom``'s ``rel``), so
+    for them the answer holds at every step they are placed at."""
     for r in rules:
-        if r.head is None:
+        head = r.head
+        if head is None:
             continue
+        top = head.step if head.__class__ is PAtom else head.rel
         stack = [r.body]
         while stack:
             g = stack.pop()
@@ -1281,41 +1290,10 @@ def _dependencies(rules) -> list[tuple] | None:
             if cls is mvpf.And or cls is mvpf.Or:
                 stack.extend(g.parts)
             elif cls is mvpf.Impl:
-                return None
-            elif cls is PAtom or cls is TAtom:
-                edges.append((r.head, g))
-    return edges
-
-
-def _step_ordered(rules) -> bool:
-    """Does every positive dependency run to an earlier step?  Then so
-    does every one of any union of such rule lists, which is tight.  For
-    template rules, whose steps are relative, the answer holds at every
-    step they are placed at."""
-    edges = _dependencies(rules)
-    return edges is not None and all(_step(body) < _step(head) for head, body in edges)
-
-
-def _step(a) -> int:
-    return a.step if a.__class__ is PAtom else a.rel
-
-
-def is_tight(rules: list[PropRule]) -> bool:
-    """Is the program tight, so that every model of its completion is stable?
-
-    True when no body has an implication outside every negation and the
-    positive dependency graph is acyclic: Fages' theorem, which Erdem and
-    Lifschitz extend to nested bodies.
-    """
-    edges = _dependencies(rules)
-    if edges is None:
-        return False
-    if all(body.step < head.step for head, body in edges):
-        return True
-    succ: dict[PAtom, list[PAtom]] = {}
-    for head, body in edges:
-        succ.setdefault(head, []).append(body)
-    return not kahn_remainder(succ)
+                return False
+            elif (cls is PAtom and g.step >= top) or (cls is TAtom and g.rel >= top):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1342,9 +1320,10 @@ class LiveSolver:
 
     Tightness is decided once, from the steps of the base and template
     rules: when every positive dependency runs to an earlier step, so does
-    every one of the union of their placed copies.  Only otherwise is the
-    whole program, built as ``PropRule`` lists, walked again at each
-    horizon.
+    every one of the union of their placed copies.  The stability check
+    runs unless the program is step-ordered and every atom has a support
+    clause, and only for the check is the horizon's program built as
+    ``PropRule`` lists.
     """
 
     def __init__(self, code: StepCode, last: int) -> None:
@@ -1434,8 +1413,7 @@ class LiveSolver:
         supported = len(b.var_of) == self.natoms
         if supported and self.ordered:
             return None
-        program = code.rules if inc is None else inc.program(self.horizon).rules
-        return None if supported and is_tight(program) else program
+        return code.rules if inc is None else inc.program(self.horizon).rules
 
 
 def enumerate_models(
@@ -1458,8 +1436,8 @@ def enumerate_models(
     analysis folds those at level 1 into the guard's negation
     (``Dpll._analyze``).  That is sound only because those clauses are
     guarded: the next horizon's retire drops them with the flips.  The
-    stability check runs only when the program is not known to be
-    tight.
+    stability check runs unless the program is step-ordered and every
+    atom has a support clause (``LiveSolver.extend``).
 
     Without live, rules is a fixed program, compiled as a base alone and
     searched as it stands, at its own horizon: the highest step of its

@@ -192,6 +192,31 @@ class TestExitCodes:
         assert (rc, err) == (0, "")
         assert "query 'q': found step 0, 1 model" in out
 
+    # bw-pair's objects over bw, with a constant given the wrong number of
+    # arguments where the classifier does not look: an action law's
+    # condition, a query line, an `after` part
+    @pytest.mark.parametrize("text, message", [
+        ("caused move(a, table) if loc(a, b) = table.\n"
+         ":- query label :: q; maxstep :: 0..2; maxstep: loc(a) = b.\n",
+         "constant 'loc' takes 1 argument(s), got 2"),
+        (":- constants moved :: inertialFluent.\n"
+         ":- query label :: q; maxstep :: 0..2; 0: moved(a); maxstep: loc(a) = b.\n",
+         "constant 'moved' takes 0 argument(s), got 1"),
+        (":- constants moved :: inertialFluent.\ncaused moved after loc(a, b) = table.\n"
+         ":- query label :: q; maxstep :: 0..2; maxstep: loc(a) = b.\n",
+         "constant 'loc' takes 1 argument(s), got 2"),
+        (":- constants moved :: inertialFluent.\ncaused moved after loc = table.\n"
+         ":- query label :: q; maxstep :: 0..2; maxstep: loc(a) = b.\n",
+         "constant 'loc' takes 1 argument(s), got 0"),
+    ], ids=["if-part", "query-line", "after-part", "no-arguments"])
+    def test_wrong_constant_arity_is_two(self, tmp_path, text, message):
+        path = tmp_path / "arity"
+        path.write_text((EXAMPLES_DIR / "bw").read_text()
+                        + ":- objects a, b :: block; table :: location.\n" + text)
+        rc, out, err = run([str(path), "query=q"])
+        assert (rc, out) == (2, "")
+        assert message in err
+
     # an integer past the 4,300 digits Python's int() converts
     HUGE = "9" * 5000
     SMALL = (":- constants p :: inertialFluent; a :: exogenousAction.\na causes p.\n"
@@ -576,15 +601,19 @@ class TestStageCuts:
         assert out.startswith(lines[0] + parts[0] + lines[1] + parts[1] + "query 'cross'")
 
     def test_every_model_streams_in_small_space(self):
-        # bw-test has 30,904 plans at step 5; none is kept once written
+        # bw-test has 30,904 plans at step 5; none is kept once written.
+        # VmHWM is the child's own peak: Linux carries the spawning
+        # process's high-water mark into the child's ru_maxrss
         code = (
-            "import os, resource\n"
+            "import os\n"
             "from cplusplan.cli import main\n"
             "from cplusplan.suite import EXAMPLES_DIR\n"
             "with open(os.devnull, 'w') as sink:\n"
             "    rc = main([str(EXAMPLES_DIR / 'bw-test'), 'query=simple', 'minstep=5',\n"
             "               'maxstep=5', 'all', '--mode=static'], sink, sink)\n"
-            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "with open('/proc/self/status') as status:\n"
+            "    hwm = next(ln.split()[1] for ln in status if ln.startswith('VmHWM:'))\n"
+            "print(rc, hwm)\n"
         )
         rc, max_rss_kb = map(int, run_fresh(code).split())
         assert rc == 0 and max_rss_kb < 60 * 1024

@@ -16,6 +16,8 @@ from cplusplan.solve import (
     enumerate_models,
     solve_incremental,
 )
+from cplusplan.suite import EXAMPLES_DIR
+from cplusplan.syntax import TimeRef
 from cplusplan.translate import incremental_program, to_prop
 
 BW = """
@@ -366,6 +368,47 @@ caused p if true.
         again = export.import_incremental(out.getvalue())
         assert solve_incremental(inc, ALL).found_step == found
         assert solve_incremental(again, ALL).found_step == found
+
+
+class TestMaxstepOffset:
+    """bw-pair with a query line at maxstep minus an offset, which both
+    dumps keep; the writer spells it `maxstep-1`, which lexes as one word."""
+
+    TEXT = (EXAMPLES_DIR / "bw").read_text() + """
+:- objects a, b :: block; table :: location.
+:- query label :: back; maxstep :: 1..4;
+   0: loc(a) = table, loc(b) = table; maxstep-1: loc(a) = b; maxstep: loc(a) = b.
+"""
+
+    @staticmethod
+    def plans(args):
+        out, err = io.StringIO(), io.StringIO()
+        assert main(args + ["sol=all"], out, err) == 0, err.getvalue()
+        return out.getvalue().split("timings:")[0]
+
+    def test_every_dump_prints_the_same_plans(self, tmp_path):
+        path = tmp_path / "back"
+        path.write_text(self.TEXT)
+        direct = self.plans([str(path), "query=back"])
+        assert "query 'back': found step 2, 1 model" in direct
+        for kind, write, read in [
+            ("pre", ["--to-pre-processor", str(path)], ["--from-pre-processor"]),
+            ("grounder", ["--to-grounder", str(path), "query=back"], ["--from-grounder"]),
+        ]:
+            out = io.StringIO()
+            assert main(write, out, io.StringIO()) == 0
+            dump = tmp_path / f"{kind}.dump"
+            dump.write_text(out.getvalue())
+            assert "at maxstep-1 " in out.getvalue(), kind
+            assert self.plans(read + [str(dump), "query=back"]) == direct, kind
+
+    def test_reread_line_is_maxstep_minus_one(self):
+        gls = ground_description(parse_text(self.TEXT, "<t>"))
+        again = export.import_ground(export.export_ground(gls))
+        inc = export.import_incremental(
+            export.export_incremental(incremental_program(gls, gls.queries["back"])))
+        for q in (again.queries["back"], inc.query):
+            assert q.lines[1][0] == TimeRef("maxstep", -1)
 
 
 def test_sniff_format(bw, chain):

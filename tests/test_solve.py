@@ -23,7 +23,6 @@ from cplusplan.solve import (
     Stats,
     enumerate_models,
     is_stable_model,
-    is_tight,
     peval,
     preduct,
     solve_horizons,
@@ -572,7 +571,7 @@ class TestTightness:
         for query in gls.queries.values():
             inc = incremental_program(gls, query)
             for k in range(4):
-                assert is_tight(inc.program(k).rules), (query.label, k)
+                assert solve._step_ordered(inc.program(k).rules), (query.label, k)
 
     @pytest.mark.parametrize("case", DEFAULT, ids=lambda c: f"{c.name}-{c.query}")
     def test_tight_search_never_checks(self, case, monkeypatch):
@@ -586,7 +585,7 @@ class TestTightness:
     @pytest.mark.parametrize("name", sorted(_loop_programs()))
     def test_loops_and_implications_keep_the_check(self, name, stability_calls):
         rules = _loop_programs()[name]
-        assert not is_tight(rules)
+        assert not solve._step_ordered(rules)
         got, stats = models(rules, None)
         assert len(stability_calls) == stats.models_checked > 0
         atoms = [A, B] if name != "direct" else [A]
@@ -594,7 +593,18 @@ class TestTightness:
 
     def test_implication_under_negation_stays_tight(self):
         rules = [PropRule(A, mvpf.Neg(mvpf.Impl(B, A)), "r")]
-        assert is_tight(rules)
+        assert solve._step_ordered(rules)
+
+    def test_same_step_dependency_keeps_the_check(self, stability_calls):
+        # tight, as the one positive edge B -> A makes no loop, but not
+        # step-ordered: step order is the only tightness test, so every
+        # candidate is checked
+        rules = [PropRule(A, mvpf.Neg(mvpf.Neg(A)), "r"), PropRule(B, A, "r")]
+        assert not solve._step_ordered(rules)
+        got, stats = models(rules, None)
+        assert len(stability_calls) == stats.models_checked > 0
+        assert got == set(brute_force_models([rule_formula(r) for r in rules], [A, B]))
+        assert got == {frozenset(), frozenset({A, B})}
 
     def test_unsupported_atoms_keep_the_check(self, stability_calls):
         # an atom outside the groups has no support clause to lean on
@@ -611,7 +621,6 @@ class TestTightness:
     @pytest.mark.parametrize("case", DEFAULT, ids=lambda c: f"{c.name}-{c.query}")
     def test_skip_keeps_the_model_set(self, case, monkeypatch, stability_calls):
         _, skipped = suite.run_case(case, ALL)
-        monkeypatch.setattr(solve, "is_tight", lambda rules: False)
         monkeypatch.setattr(solve, "_step_ordered", lambda rules: False)
         _, checked = suite.run_case(case, ALL)
         assert checked.stats.models_checked == 0 or stability_calls

@@ -275,6 +275,12 @@ def ref_eval_term(r, t, subst, span):
         decl = r.desc.constants.get(t.name)
         if decl is None:
             raise UndeclaredConstant(f"undeclared constant '{t.name}'", span)
+        if len(t.args) != len(decl.argsorts):
+            raise UndeclaredConstant(
+                f"constant '{t.name}' takes {len(decl.argsorts)} argument(s), "
+                f"got {len(t.args)}",
+                span,
+            )
         args = []
         for a, argsort in zip(t.args, decl.argsorts):
             tag, val = ref_eval_term(r, a, subst, span)
