@@ -120,7 +120,7 @@ def expand_shorthand(law: Law, desc: ActionDescription) -> list[CoreLaw]:
     if isinstance(law, CausedLaw):
         if law.after is not None:
             return [_fluent_dynamic(law.head, law.cond, law.after, law.where, span, desc)]
-        head_cls = classify_formula(law.head, desc)
+        head_cls = classify_formula(law.head, desc, span)
         if head_cls is Classification.ACTION:
             return [CoreLaw(LawShape.ACTION_DYNAMIC, law.head, law.cond, None, law.where, span)]
         return [_static(law.head, law.cond, law.where, span, desc)]
@@ -153,19 +153,19 @@ def expand_shorthand(law: Law, desc: ActionDescription) -> list[CoreLaw]:
 
 
 def _static(head, cond, where, span, desc) -> CoreLaw:
-    if classify_formula(cond, desc) in (Classification.ACTION, Classification.MIXED):
+    if classify_formula(cond, desc, span) in (Classification.ACTION, Classification.MIXED):
         raise GroundError(
             "the condition of a static law may not mention actions "
             "(use 'nonexecutable' or 'always' for action constraints)",
             span,
         )
-    if classify_formula(head, desc) is Classification.MIXED:
+    if classify_formula(head, desc, span) is Classification.MIXED:
         raise GroundError("law head mixes fluents and actions", span)
     return CoreLaw(LawShape.STATIC, head, cond, None, where, span)
 
 
 def _fluent_dynamic(head, cond, after, where, span, desc) -> CoreLaw:
-    head_cls = classify_formula(head, desc)
+    head_cls = classify_formula(head, desc, span)
     if head_cls in (Classification.ACTION, Classification.MIXED):
         raise GroundError("the head of a dynamic law must be a fluent formula", span)
     for ref in constrefs(head):
@@ -175,7 +175,7 @@ def _fluent_dynamic(head, cond, after, where, span, desc) -> CoreLaw:
                 "the head of a dynamic law",
                 span,
             )
-    if classify_formula(cond, desc) in (Classification.ACTION, Classification.MIXED):
+    if classify_formula(cond, desc, span) in (Classification.ACTION, Classification.MIXED):
         raise GroundError(
             "the 'if' part of a dynamic law must be a fluent formula", span
         )

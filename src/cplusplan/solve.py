@@ -1509,14 +1509,23 @@ def solve_horizons(inc: IncrementalProgram, config: SolveConfig, stats: Stats):
     What the caller leaves unread of a horizon is searched before the
     next one, so each is added to the search once.  The caller decides
     when to stop.
+
+    A horizon at which a line at maxstep minus an offset lands before
+    step 0 has no models: nothing is placed or searched for it, and it
+    appends no ``HorizonRecord``.  Only the first horizons of a range can
+    be such, so the next one starts the search.
     """
     if inc.max_step is None:
         raise UnboundedRange(
             "no upper step bound; set maxstep explicitly", NO_SPAN
         )
     live = LiveSolver(StepCode(inc), inc.max_step)
-    prev = -1  # the previous horizon
+    prev = -1  # the previous horizon searched
+    lines = inc.query.lines
     for k in range(inc.min_step, inc.max_step + 1):
+        if any(tref.base == "maxstep" and tref.resolve(k) < 0 for tref, _ in lines):
+            yield k, iter(())
+            continue
         live.horizon = k
         models = enumerate_models((), inc.timed_consts(k, prev), config, stats, live=live)
         prev = k

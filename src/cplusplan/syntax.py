@@ -473,22 +473,25 @@ class Classification(enum.Enum):
     MIXED = "mixed"
 
 
-def _ref_kind(ref: ConstRef, desc: ActionDescription) -> ConstKind:
+def _ref_kind(ref: ConstRef, desc: ActionDescription, span: Span) -> ConstKind:
     decl = desc.constants.get(ref.name)
     if decl is None:
-        raise UndeclaredConstant(f"undeclared constant '{ref.name}'")
+        raise UndeclaredConstant(f"undeclared constant '{ref.name}'", span)
     if len(ref.args) != len(decl.argsorts):
         raise UndeclaredConstant(
             f"constant '{ref.name}' takes {len(decl.argsorts)} argument(s), "
-            f"got {len(ref.args)}"
+            f"got {len(ref.args)}",
+            span,
         )
     return decl.kind
 
 
-def classify_formula(f: Formula, desc: ActionDescription) -> Classification:
+def classify_formula(f: Formula, desc: ActionDescription, span: Span) -> Classification:
+    """The kinds of constant f mentions; an undeclared constant or one
+    with the wrong number of arguments is an error at span, the law's."""
     saw_fluent = saw_action = False
     for ref in constrefs(f):
-        kind = _ref_kind(ref, desc)
+        kind = _ref_kind(ref, desc, span)
         if kind.is_fluent:
             saw_fluent = True
         else:

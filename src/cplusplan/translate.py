@@ -32,6 +32,15 @@ part; the grounder has already dropped the laws whose condition or
 `after` part is false.  Initial states are opened up by choice rules
 over simple fluents.
 
+A law's atoms become template atoms through one memo per step
+(`_AtomsAt`), which makes each atom once.  `map_leaves` maps three
+shapes itself: a leaf, ``mvpf.TOP`` (tested by identity) and a
+conjunction of atoms, which are the conditions and `after` parts of
+most laws; `mvpf.fold` takes every other formula, a true condition
+built apart from ``mvpf.TOP`` (as the dump reader builds it) among
+them.  A fluent-dynamic law whose condition is ``mvpf.TOP`` takes its
+mapped `after` part as its body, which is what `law_body` folds it to.
+
 That each timed constant takes exactly one value is left to the
 ``TimedConst`` groups, which the search encodes.  The reduction needs at
 least two values per domain to be a bijection on stable models, so
@@ -97,8 +106,27 @@ def rule_formula(rule: PropRule):
     return mvpf.Impl(rule.body, head)
 
 
+# a part that is not an atom
+_NOT_ATOM = frozenset((*mvpf.KIDS, mvpf.Bot))
+
+
 def map_leaves(f, fn):
-    """Rebuild a connective tree, applying fn to every leaf but false."""
+    """Rebuild a connective tree, applying fn to every leaf but false.
+
+    A leaf, true itself and a conjunction of atoms, the conditions of most
+    laws, are mapped here; any other formula goes to `mvpf.fold`."""
+    cls = f.__class__
+    if cls is mvpf.And:
+        parts = f.parts
+        for p in parts:
+            if p.__class__ in _NOT_ATOM:
+                break
+        else:
+            return mvpf.And._make((tuple(map(fn, parts)),))
+    elif f is mvpf.TOP:
+        return f
+    elif cls not in _NOT_ATOM:
+        return fn(f)
     bot = mvpf.Bot
     return mvpf.fold(f, lambda a: a if a.__class__ is bot else fn(a), mvpf.rebuild)
 
@@ -112,18 +140,22 @@ def at_step(f, step: int):
     return map_leaves(f, lambda a: PAtom(step, a.const, a.value))
 
 
-def _atoms_at(rel: int):
-    """A leaf map from c=v to the template atom at rel, which makes each
-    atom once: the template's laws share most of their atoms."""
-    made: dict[tuple[int, int], TAtom] = {}
+class _AtomsAt(dict):
+    """The template atoms at one rel by (const, value), each made on first
+    use: the template's laws share most of their atoms.  A law's head is
+    its own key; `leaf` maps a formula's atom."""
 
-    def atom(a) -> TAtom:
-        got = made.get((a.const, a.value))
-        if got is None:
-            got = made[a.const, a.value] = TAtom._make((rel, a.const, a.value))
+    __slots__ = ("rel",)
+
+    def __init__(self, rel: int) -> None:
+        self.rel = rel
+
+    def __missing__(self, cv: tuple[int, int]) -> TAtom:
+        got = self[cv] = TAtom._make((self.rel, *cv))
         return got
 
-    return atom
+    def leaf(self, a) -> TAtom:
+        return self[a.const, a.value]
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +211,8 @@ def _choice_rules(gls: GroundLawSet) -> list[PropRule]:
         if gc.cid not in simple:
             continue
         for v in gc.dom:
-            a = PAtom(0, gc.cid, v)
-            out.append(PropRule(a, mvpf.Neg(mvpf.Neg(a)), "choice"))
+            a = PAtom._make((0, gc.cid, v))
+            out.append(PropRule._make((a, mvpf.Neg._make((mvpf.Neg._make((a,)),)), "choice")))
     return out
 
 
@@ -298,24 +330,29 @@ def law_body(cond, after=None):
 
 def incremental_program(gls: GroundLawSet, query: QuerySpec) -> IncrementalProgram:
     _check_domains(gls)
-    now, before = _atoms_at(0), _atoms_at(-1)
+    now, before = _AtomsAt(0), _AtomsAt(-1)
+    at_now, at_before = now.leaf, before.leaf
     static = [
         PropRule._make((
-            None if law.head is None else TAtom(0, *law.head),
-            law_body(map_leaves(law.cond, now)),
+            None if law.head is None else now[law.head],
+            law_body(map_leaves(law.cond, at_now)),
             "static",
         ))
         for law in gls.static
     ]
     template = list(static)
     for law in gls.action_dynamic:
-        head = None if law.head is None else TAtom(-1, *law.head)
-        body = law_body(map_leaves(law.cond, before))
+        head = None if law.head is None else before[law.head]
+        body = law_body(map_leaves(law.cond, at_before))
         template.append(PropRule._make((head, body, "action")))
-    # the law `caused F if G after H` fires at t from t-1
+    # the law `caused F if G after H` fires at t from t-1; with G true
+    # its body is the mapped H, as law_body folds it
+    top = mvpf.TOP
     for law in gls.fluent_dynamic:
-        head = None if law.head is None else TAtom(0, *law.head)
-        body = law_body(map_leaves(law.cond, now), map_leaves(law.after, before))
+        head = None if law.head is None else now[law.head]
+        body = map_leaves(law.after, at_before)
+        if law.cond is not top:
+            body = law_body(map_leaves(law.cond, at_now), body)
         template.append(PropRule._make((head, body, "transition")))
 
     # step 0 has no actions and no predecessor: the initial-state choice

@@ -193,8 +193,9 @@ class TestExitCodes:
         assert "query 'q': found step 0, 1 model" in out
 
     # bw-pair's objects over bw, with a constant given the wrong number of
-    # arguments where the classifier does not look: an action law's
-    # condition, a query line, an `after` part
+    # arguments where the classifier does not look (an action law's
+    # condition, a query line, an `after` part) and where it does, which
+    # reports the law's location too
     @pytest.mark.parametrize("text, message", [
         ("caused move(a, table) if loc(a, b) = table.\n"
          ":- query label :: q; maxstep :: 0..2; maxstep: loc(a) = b.\n",
@@ -208,7 +209,12 @@ class TestExitCodes:
         (":- constants moved :: inertialFluent.\ncaused moved after loc = table.\n"
          ":- query label :: q; maxstep :: 0..2; maxstep: loc(a) = b.\n",
          "constant 'loc' takes 1 argument(s), got 0"),
-    ], ids=["if-part", "query-line", "after-part", "no-arguments"])
+        *[(law + "\n:- query label :: q; maxstep :: 0..2; maxstep: loc(a) = b.\n",
+           "arity:30:1: constant 'loc' takes 1 argument(s), got 2")
+          for law in ("caused loc(a, b) = table.", "constraint loc(a, b) = table.",
+                      "inertial loc(a, b).", "caused loc(a) = table if loc(a, b) = table.")],
+    ], ids=["if-part", "query-line", "after-part", "no-arguments",
+            "head", "constraint", "inertial", "static-if-part"])
     def test_wrong_constant_arity_is_two(self, tmp_path, text, message):
         path = tmp_path / "arity"
         path.write_text((EXAMPLES_DIR / "bw").read_text()

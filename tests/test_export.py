@@ -16,7 +16,7 @@ from cplusplan.solve import (
     enumerate_models,
     solve_incremental,
 )
-from cplusplan.suite import EXAMPLES_DIR
+from cplusplan.suite import CASES, EXAMPLES_DIR, load_example
 from cplusplan.syntax import TimeRef
 from cplusplan.translate import incremental_program, to_prop
 
@@ -342,6 +342,19 @@ class TestNativeIncremental:
         inc2 = export.import_incremental(export.export_incremental(inc))
         assert inc2.max_step is None
 
+    @pytest.mark.parametrize("name", sorted({c.name for c in CASES}))
+    def test_reread_ground_dump_translates_alike(self, name):
+        """The reader builds true equal to mvpf.TOP but not the same
+        object, so its laws' conditions go through the fold, where the
+        grounder's true is mapped directly; the reader numbers constants
+        anew, so the dumps compare, not the rules."""
+        gls = load_example(name)
+        again = export.import_ground(export.export_ground(gls))
+        for label, q in gls.queries.items():
+            inc = incremental_program(gls, q)
+            inc2 = incremental_program(again, again.queries[label])
+            assert export.export_incremental(inc2) == export.export_incremental(inc), label
+
     TOGGLE = """
 :- sorts obj.
 :- objects x, y :: obj.
@@ -372,13 +385,19 @@ caused p if true.
 
 class TestMaxstepOffset:
     """bw-pair with a query line at maxstep minus an offset, which both
-    dumps keep; the writer spells it `maxstep-1`, which lexes as one word."""
+    dumps keep; the writer spells it `maxstep-1`, which lexes as one word.
+    Over the range 0..4 the line has no step at horizon 0, which so has
+    no models."""
 
-    TEXT = (EXAMPLES_DIR / "bw").read_text() + """
+    QUERY = """
 :- objects a, b :: block; table :: location.
-:- query label :: back; maxstep :: 1..4;
+:- query label :: back; maxstep :: %s;
    0: loc(a) = table, loc(b) = table; maxstep-1: loc(a) = b; maxstep: loc(a) = b.
 """
+
+    @classmethod
+    def text(cls, steps):
+        return (EXAMPLES_DIR / "bw").read_text() + cls.QUERY % steps
 
     @staticmethod
     def plans(args):
@@ -387,28 +406,43 @@ class TestMaxstepOffset:
         return out.getvalue().split("timings:")[0]
 
     def test_every_dump_prints_the_same_plans(self, tmp_path):
-        path = tmp_path / "back"
-        path.write_text(self.TEXT)
-        direct = self.plans([str(path), "query=back"])
-        assert "query 'back': found step 2, 1 model" in direct
-        for kind, write, read in [
-            ("pre", ["--to-pre-processor", str(path)], ["--from-pre-processor"]),
-            ("grounder", ["--to-grounder", str(path), "query=back"], ["--from-grounder"]),
-        ]:
-            out = io.StringIO()
-            assert main(write, out, io.StringIO()) == 0
-            dump = tmp_path / f"{kind}.dump"
-            dump.write_text(out.getvalue())
-            assert "at maxstep-1 " in out.getvalue(), kind
-            assert self.plans(read + [str(dump), "query=back"]) == direct, kind
+        found = []
+        for steps in ("1..4", "0..4"):
+            path = tmp_path / "back"
+            path.write_text(self.text(steps))
+            direct = self.plans([str(path), "query=back"])
+            assert "query 'back': found step 2, 1 model" in direct, steps
+            found.append(direct)
+            for kind, write, read in [
+                ("pre", ["--to-pre-processor", str(path)], ["--from-pre-processor"]),
+                ("grounder", ["--to-grounder", str(path), "query=back"], ["--from-grounder"]),
+            ]:
+                out = io.StringIO()
+                assert main(write, out, io.StringIO()) == 0
+                dump = tmp_path / f"{kind}.dump"
+                dump.write_text(out.getvalue())
+                assert "at maxstep-1 " in out.getvalue(), kind
+                assert self.plans(read + [str(dump), "query=back"]) == direct, (steps, kind)
+            every = self.plans(["--mode=static", "--all-steps", str(path), "query=back"])
+            assert every.startswith(direct.split("query 'back'")[0]), steps
+            assert ("step 0: no models" in every) == (steps == "0..4"), steps
+            assert "step 1: no models\nstep 2: 1 model\n" in every, steps
+        assert found[0] == found[1]
 
     def test_reread_line_is_maxstep_minus_one(self):
-        gls = ground_description(parse_text(self.TEXT, "<t>"))
+        gls = ground_description(parse_text(self.text("1..4"), "<t>"))
         again = export.import_ground(export.export_ground(gls))
         inc = export.import_incremental(
             export.export_incremental(incremental_program(gls, gls.queries["back"])))
         for q in (again.queries["back"], inc.query):
             assert q.lines[1][0] == TimeRef("maxstep", -1)
+
+    def test_horizons_before_the_line_search_nothing(self):
+        gls = ground_description(parse_text(self.text("0..4"), "<t>"))
+        inc = incremental_program(gls, gls.queries["back"])
+        res = solve_incremental(inc, SolveConfig())
+        assert res.found_step == 2
+        assert [h.k for h in res.stats.horizons] == [1, 2]
 
 
 def test_sniff_format(bw, chain):

@@ -44,6 +44,7 @@ from cplusplan.syntax import (
     constrefs,
     term_syms,
     term_text,
+    walk,
 )
 from cplusplan.translate import PAtom, TAtom, map_leaves
 
@@ -365,9 +366,14 @@ C = [(0, (2, 3)), (1, (2, 3, 4))]
 
 
 def mv_formulas():
+    # true itself and conjunctions of atoms, besides fresh copies of true
+    # built as Neg(BOT), are the shapes map_leaves maps without the fold
+    atom = st.sampled_from([MvAtom(c, v) for c, dom in C for v in dom])
     leaf = st.one_of(
-        st.sampled_from([MvAtom(c, v) for c, dom in C for v in dom]),
+        atom,
         st.just(mvpf.BOT),
+        st.just(mvpf.TOP),
+        st.lists(atom, min_size=2, max_size=3).map(lambda ps: And(tuple(ps))),
     )
     return st.recursive(
         leaf,
@@ -475,9 +481,11 @@ def test_connective_walks_match(f, v0, v1):
     assert reference.satisfies(interp, f) == ref_satisfies(interp, f)
     assert reference.reduct(f, interp) == ref_reduct(f, interp)
     assert _fmt(f, text) == ref_fmt(f, text)
-    assert map_leaves(f, lambda a: TAtom(-1, a.const, a.value)) == ref_map_leaves(
-        f, lambda a: TAtom(-1, a.const, a.value)
-    )
+    # every subformula as a root: map_leaves maps some root shapes itself
+    for sub in walk(f):
+        assert map_leaves(sub, lambda a: TAtom(-1, a.const, a.value)) == ref_map_leaves(
+            sub, lambda a: TAtom(-1, a.const, a.value)
+        )
     g = map_leaves(f, timed)
     model = frozenset(PAtom(0, c, v) for c, v in interp.items())
     assert peval(g, model) == ref_peval(g, model)
